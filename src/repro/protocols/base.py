@@ -53,6 +53,7 @@ from ..core.marginals import MarginalTable, MarginalWorkload, marginal_operator
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng, spawn_rngs
 from ..datasets.base import BinaryDataset, record_indices
+from .wire import decode_reports
 
 __all__ = [
     "MarginalEstimator",
@@ -535,8 +536,6 @@ class MarginalReleaseProtocol(abc.ABC):
         shape; a frame from a different protocol raises
         :class:`~repro.core.exceptions.WireFormatError` naming both kinds.
         """
-        from .wire import decode_reports
-
         return decode_reports(data, expected_kind=self.name)
 
     def session(self, domain: Domain):

@@ -7,7 +7,7 @@ dataclasses.  This module gives every one of those dataclasses a portable
 byte form so reports can cross process and machine boundaries without
 pickle: each protocol registers a :class:`ReportSchema` describing its
 report fields (name, dtype, rank), and the codec packs them into a
-self-describing *frame*::
+self-describing *frame* (wire-format version 2)::
 
     offset  size  content
     0       4     magic  b"RPRB"
@@ -15,28 +15,49 @@ self-describing *frame*::
     6       2     report-kind length L (little-endian u16)
     8       L     report kind, UTF-8 (the protocol name, e.g. b"InpHT")
     8 + L   8     payload length P (little-endian u64)
-    16 + L  P     payload: an ``.npz`` archive of the schema's fields
+    16 + L  P     payload, laid out by the kind's schema (below)
+
+The payload is a fixed layout with every integer little-endian::
+
+    size          content
+    per array field, in schema order — its descriptor:
+      1           dtype code: 0 = <i8, 1 = <f8, 2 = |i1
+      1           rank n
+      8 * n       shape, one u64 per axis
+    per scalar field, in schema order:
+      8           value (i64)
+    per array field, in schema order:
+      prod(shape) * itemsize
+                  the array's C-order little-endian element buffer
+    4             CRC-32 (``zlib.crc32``) of every frame byte before it,
+                  header included
 
 Frames are length-prefixed, so any number of them can be concatenated on a
 byte stream (that is what ``repro encode | repro aggregate`` pipes) and
 split back apart with :func:`iter_report_frames`.  Decoding validates the
-magic, the version, the kind, every field's dtype and rank, and the
-cross-field row consistency before the batch reaches an accumulator;
-anything off raises :class:`~repro.core.exceptions.WireFormatError` instead
-of corrupting the aggregation.
+magic, the version (a retired version-1 frame, whose payload was an
+``.npz`` archive, gets an error naming both versions), the kind, the
+CRC-32, every field's dtype, rank and shape against the bytes that remain,
+the cross-field row consistency, non-negative scalars and the absence of
+trailing bytes before the batch reaches an accumulator; anything off raises
+:class:`~repro.core.exceptions.WireFormatError` instead of corrupting the
+aggregation.  The CRC-32 catches every single-byte corruption of a frame.
 
-The npz payload stores each array verbatim (dtype, shape and values), so an
-encode → ``to_bytes`` → ``from_bytes`` → aggregate round trip is bit-for-bit
+Each array travels verbatim (dtype, shape and values), so an encode →
+``to_bytes`` → ``from_bytes`` → aggregate round trip is bit-for-bit
 identical to handing the in-memory batch straight to the accumulator.
+Decoding reads each array with ``np.frombuffer`` straight off the input
+buffer and copies it out, so a decoded batch never pins the buffer it came
+from (the server decodes off its receive buffer).
 """
 
 from __future__ import annotations
 
-import io
+import math
 import struct
-import zipfile
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, Iterator, Tuple, Type, Union
+from typing import Any, BinaryIO, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -57,12 +78,16 @@ __all__ = [
     "encode_reports",
     "decode_reports",
     "concat_report_batches",
+    "check_report_version",
     "iter_report_frames",
     "split_report_frames",
 ]
 
 #: Version stamp written into every frame header.  Bump on any layout change.
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
+
+#: The retired layout whose payload was an ``.npz`` archive.
+_NPZ_WIRE_VERSION = 1
 
 #: Hard per-frame payload limit (1 GiB), enforced on encode and decode.  A
 #: real report batch is orders of magnitude smaller; a declared length above
@@ -73,6 +98,11 @@ MAX_PAYLOAD_BYTES = 1 << 30
 _MAGIC = b"RPRB"
 _PREFIX = struct.Struct("<4sHH")  # magic, version, kind length
 _LENGTH = struct.Struct("<Q")  # payload length
+_SCALAR = struct.Struct("<q")
+_CRC = struct.Struct("<I")
+
+#: Element types a report field may have, indexed by their wire dtype code.
+_WIRE_DTYPES = (np.dtype("<i8"), np.dtype("<f8"), np.dtype("|i1"))
 
 #: Public aliases of the frame header layout, shared with the collection
 #: service's session framing (``repro.server.framing``) so the two frame
@@ -96,9 +126,26 @@ class ReportField:
     dtype: np.dtype
     ndim: int = 1
     per_user: bool = True
+    #: The dtype's wire code (its index in ``_WIRE_DTYPES``).
+    code: int = field(init=False, repr=False, compare=False)
+    #: The field's payload descriptor: dtype code, rank, then the shape.
+    descriptor: struct.Struct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        dtype = np.dtype(self.dtype)
+        try:
+            code = _WIRE_DTYPES.index(dtype.newbyteorder("<"))
+        except ValueError:
+            raise WireFormatError(
+                f"report field {self.name!r} has dtype {dtype}, which the "
+                f"wire format cannot carry (supported: "
+                f"{[str(wire) for wire in _WIRE_DTYPES]})"
+            ) from None
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(
+            self, "descriptor", struct.Struct(f"<BB{self.ndim}Q")
+        )
 
 
 @dataclass(frozen=True)
@@ -110,10 +157,6 @@ class ReportSchema:
     fields: Tuple[ReportField, ...]
     #: Non-array integer attributes (e.g. ``InpRR``'s ``num_users``).
     scalar_fields: Tuple[str, ...] = field(default=())
-
-    @property
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self.fields) + self.scalar_fields
 
 
 _SCHEMAS_BY_KIND: Dict[str, ReportSchema] = {}
@@ -185,7 +228,8 @@ class WireCodableReports:
 def encode_reports(reports: Any) -> bytes:
     """Serialize a report batch into one wire frame (see the module header)."""
     schema = report_schema_for(type(reports))
-    arrays: Dict[str, np.ndarray] = {}
+    descriptors = []
+    buffers = []
     for spec in schema.fields:
         value = np.asarray(getattr(reports, spec.name))
         if value.dtype != spec.dtype:
@@ -198,25 +242,27 @@ def encode_reports(reports: Any) -> bytes:
                 f"{schema.kind} field {spec.name!r} must be {spec.ndim}-D, "
                 f"got {value.ndim}-D"
             )
-        arrays[spec.name] = value
-    for name in schema.scalar_fields:
-        arrays[name] = np.asarray(int(getattr(reports, name)), dtype=np.int64)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    payload = buffer.getvalue()
-    if len(payload) > MAX_PAYLOAD_BYTES:
+        descriptors.append(spec.descriptor.pack(spec.code, spec.ndim, *value.shape))
+        buffers.append(value.astype(_WIRE_DTYPES[spec.code], copy=False).tobytes())
+    scalars = [
+        _SCALAR.pack(int(getattr(reports, name))) for name in schema.scalar_fields
+    ]
+    body = b"".join(descriptors + scalars + buffers)
+    payload_length = len(body) + _CRC.size
+    if payload_length > MAX_PAYLOAD_BYTES:
         raise WireFormatError(
-            f"{schema.kind} report batch serializes to {len(payload)} bytes, "
+            f"{schema.kind} report batch serializes to {payload_length} bytes, "
             f"above the {MAX_PAYLOAD_BYTES}-byte frame limit; encode smaller "
             f"batches"
         )
     kind = schema.kind.encode("utf-8")
-    return (
+    frame = (
         _PREFIX.pack(_MAGIC, WIRE_FORMAT_VERSION, len(kind))
         + kind
-        + _LENGTH.pack(len(payload))
-        + payload
+        + _LENGTH.pack(payload_length)
+        + body
     )
+    return frame + _CRC.pack(zlib.crc32(frame))
 
 
 def decode_reports(
@@ -335,19 +381,10 @@ def split_report_frames(
         if not frame:
             return
         if len(frame) == _PREFIX.size:
-            magic, version, kind_length = _PREFIX.unpack(frame)
             # Validate before trusting any length field from the stream —
             # reading garbage lengths could block on gigabytes of input.
-            if magic != _MAGIC:
-                raise WireFormatError(
-                    f"buffer does not start with a repro report frame "
-                    f"(magic {magic!r}, expected {_MAGIC!r})"
-                )
-            if version != WIRE_FORMAT_VERSION:
-                raise WireFormatError(
-                    f"report frame uses wire-format version {version}, but "
-                    f"this library speaks version {WIRE_FORMAT_VERSION}"
-                )
+            magic, version, kind_length = _PREFIX.unpack(frame)
+            _check_prefix(magic, version)
             header_rest = _read_exact(source, kind_length + _LENGTH.size)
             frame += header_rest
             if len(header_rest) == kind_length + _LENGTH.size:
@@ -378,6 +415,37 @@ def _read_exact(stream: BinaryIO, size: int) -> bytes:
     return b"".join(chunks)
 
 
+def check_report_version(version: int) -> None:
+    """Reject a report frame whose header carries a foreign version.
+
+    A version-1 frame (the retired ``.npz`` payload) gets a message naming
+    both versions.  Shared with the session framing's incremental decoder
+    so every ingest path words the rejection the same way.
+    """
+    if version == WIRE_FORMAT_VERSION:
+        return
+    if version == _NPZ_WIRE_VERSION:
+        raise WireFormatError(
+            f"report frame uses wire-format version {_NPZ_WIRE_VERSION} "
+            f"(npz payload), which is retired; this library speaks version "
+            f"{WIRE_FORMAT_VERSION}"
+        )
+    raise WireFormatError(
+        f"report frame uses wire-format version {version}, but this library "
+        f"speaks version {WIRE_FORMAT_VERSION}"
+    )
+
+
+def _check_prefix(magic: bytes, version: int) -> None:
+    """Validate a frame prefix's magic and wire-format version."""
+    if magic != _MAGIC:
+        raise WireFormatError(
+            f"buffer does not start with a repro report frame "
+            f"(magic {bytes(magic)!r}, expected {_MAGIC!r})"
+        )
+    check_report_version(version)
+
+
 def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
     """Validate the frame header at ``offset``.
 
@@ -393,16 +461,7 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
             f"bytes, got {available}"
         )
     magic, version, kind_length = _PREFIX.unpack_from(buffer, offset)
-    if magic != _MAGIC:
-        raise WireFormatError(
-            f"buffer does not start with a repro report frame "
-            f"(magic {magic!r}, expected {_MAGIC!r})"
-        )
-    if version != WIRE_FORMAT_VERSION:
-        raise WireFormatError(
-            f"report frame uses wire-format version {version}, but this "
-            f"library speaks version {WIRE_FORMAT_VERSION}"
-        )
+    _check_prefix(magic, version)
     header_end = offset + _PREFIX.size + kind_length + _LENGTH.size
     if len(buffer) < header_end:
         raise WireFormatError(
@@ -441,76 +500,107 @@ def _decode_frame(buffer: bytes, expected_kind: str = None) -> Tuple[Any, int]:
             f"report frame carries {kind!r} reports, expected "
             f"{expected_kind!r}"
         )
-    payload = buffer[header_end:frame_end]
-    try:
-        archive = np.load(io.BytesIO(payload), allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile, KeyError) as error:
+    view = memoryview(buffer)
+    body_end = frame_end - _CRC.size
+    if body_end < header_end:
         raise WireFormatError(
-            f"report frame payload for {kind!r} is corrupted: {error}"
-        ) from error
-    with archive:
-        values = _validated_fields(schema, archive)
+            f"report frame payload for {kind!r} is truncated: "
+            f"{frame_end - header_end} bytes cannot hold its "
+            f"{_CRC.size}-byte CRC-32"
+        )
+    (stored,) = _CRC.unpack_from(view, body_end)
+    computed = zlib.crc32(view[:body_end])
+    if stored != computed:
+        raise WireFormatError(
+            f"report frame payload for {kind!r} is corrupted: stored CRC-32 "
+            f"{stored:#010x} does not match the computed {computed:#010x}"
+        )
+    values = _read_fields(schema, view, header_end, body_end)
     return schema.report_class(**values), frame_end
 
 
-def _validated_fields(schema: ReportSchema, archive) -> Dict[str, Any]:
-    """Check an npz payload against the schema and extract its fields."""
-    present = set(archive.files)
-    expected = set(schema.field_names)
-    if present != expected:
-        missing = sorted(expected - present)
-        unexpected = sorted(present - expected)
-        raise WireFormatError(
-            f"{schema.kind} report payload fields do not match the schema: "
-            f"missing {missing}, unexpected {unexpected}"
-        )
+def _read_fields(
+    schema: ReportSchema, view: memoryview, offset: int, end: int
+) -> Dict[str, Any]:
+    """Check the payload ``view[offset:end]`` against the schema and
+    extract its fields as owned arrays."""
     values: Dict[str, Any] = {}
+    shapes = []
     rows = None
     rows_field = None
-    for spec in schema.fields:
-        try:
-            array = archive[spec.name]
-        except (ValueError, zipfile.BadZipFile, OSError, KeyError) as error:
+    for index, spec in enumerate(schema.fields):
+        if offset + spec.descriptor.size > end:
+            missing = [later.name for later in schema.fields[index:]]
             raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} is corrupted: {error}"
-            ) from error
-        if array.dtype != spec.dtype:
+                f"{schema.kind} report payload is truncated before field "
+                f"{spec.name!r}'s descriptor: missing {missing}"
+            )
+        code, ndim, *shape = spec.descriptor.unpack_from(view, offset)
+        offset += spec.descriptor.size
+        if code != spec.code:
+            if code < len(_WIRE_DTYPES):
+                got = _WIRE_DTYPES[code]
+            else:
+                got = f"unknown dtype code {code}"
             raise WireFormatError(
                 f"{schema.kind} field {spec.name!r} must have dtype "
-                f"{spec.dtype}, got {array.dtype}"
+                f"{spec.dtype}, got {got}"
             )
-        if array.ndim != spec.ndim:
+        if ndim != spec.ndim:
             raise WireFormatError(
                 f"{schema.kind} field {spec.name!r} must be {spec.ndim}-D, "
-                f"got {array.ndim}-D"
+                f"got {ndim}-D"
+            )
+        if max(shape, default=0) > MAX_PAYLOAD_BYTES:
+            raise WireFormatError(
+                f"{schema.kind} field {spec.name!r} declares shape "
+                f"{tuple(shape)}, an axis above the {MAX_PAYLOAD_BYTES}-byte "
+                f"frame limit"
             )
         if spec.per_user:
             if rows is None:
-                rows, rows_field = int(array.shape[0]), spec.name
-            elif int(array.shape[0]) != rows:
+                rows, rows_field = shape[0], spec.name
+            elif shape[0] != rows:
                 raise WireFormatError(
                     f"{schema.kind} per-user fields disagree on the batch "
                     f"size: {rows_field!r} has {rows} rows but "
-                    f"{spec.name!r} has {array.shape[0]}"
+                    f"{spec.name!r} has {shape[0]}"
                 )
-        values[spec.name] = array
+        shapes.append(shape)
+    scalar_end = offset + _SCALAR.size * len(schema.scalar_fields)
+    if scalar_end > end:
+        raise WireFormatError(
+            f"{schema.kind} report payload is truncated inside its scalar "
+            f"fields {list(schema.scalar_fields)}"
+        )
     for name in schema.scalar_fields:
-        try:
-            array = archive[name]
-        except (ValueError, zipfile.BadZipFile, OSError, KeyError) as error:
-            raise WireFormatError(
-                f"{schema.kind} field {name!r} is corrupted: {error}"
-            ) from error
-        if array.shape != () or array.dtype.kind not in "iu":
-            raise WireFormatError(
-                f"{schema.kind} field {name!r} must be an integer scalar, "
-                f"got shape {array.shape} dtype {array.dtype}"
-            )
-        value = int(array)
+        (value,) = _SCALAR.unpack_from(view, offset)
+        offset += _SCALAR.size
         if value < 0:
             raise WireFormatError(
                 f"{schema.kind} field {name!r} must be non-negative, "
                 f"got {value}"
             )
         values[name] = value
+    for spec, shape in zip(schema.fields, shapes):
+        count = math.prod(shape)
+        nbytes = count * spec.dtype.itemsize
+        if nbytes > end - offset:
+            raise WireFormatError(
+                f"{schema.kind} field {spec.name!r} declares shape "
+                f"{tuple(shape)} ({nbytes} bytes) but only {end - offset} "
+                f"payload bytes remain"
+            )
+        # astype copies: the batch must not pin the (receive) buffer.
+        values[spec.name] = (
+            np.frombuffer(view, _WIRE_DTYPES[spec.code], count, offset)
+            .reshape(shape)
+            .astype(spec.dtype)
+        )
+        offset += nbytes
+    if offset != end:
+        raise WireFormatError(
+            f"{schema.kind} report payload has {end - offset} trailing "
+            f"byte(s) after its last field"
+        )
     return values

@@ -41,7 +41,6 @@ from .framing import (
     STATE,
     ControlMessage,
     FrameDecoder,
-    FrameDecoderReference,
     encode_control,
 )
 from .handshake import check_hello, hello_payload, spec_hash
@@ -76,7 +75,6 @@ __all__ = [
     "ControlMessage",
     "encode_control",
     "FrameDecoder",
-    "FrameDecoderReference",
     # handshake
     "spec_hash",
     "hello_payload",

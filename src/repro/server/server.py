@@ -1034,9 +1034,10 @@ class CollectionServer:
                     else:
                         if not greeted:
                             raise _Reject("report frame before HELLO")
-                        # Decode off the receive-buffer view (zero-copy up
-                        # to the npz parse); a malformed payload raises
-                        # right here, on the connection that sent it.
+                        # Decode off the receive-buffer view (the fields
+                        # are copied out, so the batch never pins it); a
+                        # malformed or CRC-failing payload raises right
+                        # here, on the connection that sent it.
                         decoded = shard.protocol.decode_reports(item)
                         users = int(decoded.num_users)
                         nbytes = len(item)

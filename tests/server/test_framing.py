@@ -30,11 +30,12 @@ from repro.server.framing import (
     STATE,
     ControlMessage,
     FrameDecoder,
-    FrameDecoderReference,
     encode_control,
 )
+from repro.protocols.wire import WIRE_FORMAT_VERSION
 
 from ..service.util import build, encode_frames, small_dataset
+from .reference_decoder import FrameDecoderReference
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,20 @@ class TestRejection:
         with pytest.raises(WireFormatError, match="version"):
             decoder.feed(bytes(frame))
 
+    def test_retired_npz_report_version_named(self, report_frames):
+        """A version-1 (npz payload) frame is refused at its prefix, by
+        both decoders alike, with a message naming both versions."""
+        frame = bytearray(report_frames[0])
+        struct.pack_into("<H", frame, 4, 1)
+        messages = []
+        for decoder in (FrameDecoder(), FrameDecoderReference()):
+            with pytest.raises(WireFormatError) as error:
+                decoder.feed(bytes(frame[:8]))
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert "version 1 (npz payload)" in messages[0]
+        assert f"speaks version {WIRE_FORMAT_VERSION}" in messages[0]
+
     def test_wrong_control_version(self):
         frame = bytearray(encode_control(OK, {}))
         frame[4] ^= 0xFF
@@ -183,7 +198,7 @@ class TestRejection:
         """A forged length field fails before any payload arrives."""
         kind = b"InpHT"
         header = (
-            struct.pack("<4sHH", b"RPRB", 1, len(kind))
+            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(kind))
             + kind
             + struct.pack("<Q", 1 << 40)
         )
@@ -269,9 +284,10 @@ def _drain_pair(fast, reference, chunk):
 class TestReferenceConformance:
     """The zero-copy decoder is byte-for-byte the old (reference) decoder.
 
-    ``FrameDecoderReference`` is the pre-optimization implementation kept
-    verbatim as ground truth; these properties prove the head-offset /
-    lazy-compaction rewrite changes nothing observable.
+    ``FrameDecoderReference`` (``reference_decoder.py``) is the
+    pre-optimization implementation kept as ground truth; these properties
+    prove the head-offset / lazy-compaction rewrite changes nothing
+    observable.
     """
 
     def test_byte_at_a_time_equivalence(self, mixed_stream):
@@ -311,7 +327,7 @@ class TestReferenceConformance:
     def test_oversized_frame_rejection_parity(self):
         kind = b"InpHT"
         header = (
-            struct.pack("<4sHH", b"RPRB", 1, len(kind))
+            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(kind))
             + kind
             + struct.pack("<Q", 1 << 40)
         )

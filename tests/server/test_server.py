@@ -11,6 +11,7 @@ rejection, not process death.
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from repro.server import (
     hello_payload,
     merge_checkpoints,
 )
-from repro.service import ProtocolSpec
+from repro.service import WIRE_FORMAT_VERSION, ProtocolSpec
 
 from ..service.util import (
     ALL_PROTOCOLS,
@@ -206,13 +207,13 @@ class TestFaultTolerance:
         assert_estimates_equal(estimates_of(server.finalize()), expected)
 
     def test_corrupt_payload_mid_stream_rejects_connection(self, dataset):
-        """A frame whose npz payload is corrupted raises WireFormatError at
-        submit; the server answers ERR and keeps serving."""
+        """A frame whose payload is corrupted fails its CRC-32 at decode;
+        the server answers ERR and keeps serving."""
         protocol = build("InpHT")
         frames = encode_frames(protocol, dataset, BATCH_SIZE)
-        # Keep the valid frame header but replace the npz payload with
-        # noise: the frame still parses at the transport layer, then fails
-        # payload validation inside submit().
+        # Keep the valid frame header but zero the payload: the frame still
+        # parses at the transport layer, then fails the payload's CRC-32
+        # check when the connection decodes it.
         from repro.protocols.wire import _parse_frame_header
 
         _, header_end, frame_end = _parse_frame_header(frames[0], 0)
@@ -246,8 +247,33 @@ class TestFaultTolerance:
             if isinstance(reply, ControlMessage) and reply.kind == ERR
         ]
         assert errors and "corrupted" in errors[0].payload["error"]
+        assert "CRC-32" in errors[0].payload["error"]
         assert report.acked_reports == dataset.size
         assert server.num_reports == dataset.size  # corrupt frame added nothing
+
+    def test_retired_v1_frame_gets_readable_err(self, dataset):
+        """A version-1 (npz payload) report frame is refused at its header
+        with an ERR naming both wire-format versions."""
+        protocol = build("InpHT")
+        frame = bytearray(encode_frames(protocol, dataset, None)[0])
+        struct.pack_into("<H", frame, 4, 1)
+
+        async def session():
+            server = CollectionServer(protocol.spec(), dataset.domain, port=0)
+            await server.start()
+            hello = encode_control(
+                HELLO, hello_payload(protocol.spec(), dataset.domain.attributes)
+            )
+            replies = await raw_exchange(server.port, [hello, bytes(frame)])
+            await server.stop()
+            return server, replies
+
+        server, replies = asyncio.run(session())
+        assert replies[0].kind == OK
+        (error,) = [reply for reply in replies[1:] if reply.kind == ERR]
+        assert "version 1 (npz payload)" in error.payload["error"]
+        assert f"version {WIRE_FORMAT_VERSION}" in error.payload["error"]
+        assert server.num_reports == 0
 
     def test_spec_mismatch_rejected_with_diff(self, dataset):
         protocol = build("InpHT", epsilon=1.1)

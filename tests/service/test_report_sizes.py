@@ -13,8 +13,11 @@ Table 2 bound:
 * upper bound — at most 64 wire bits per Table 2 bit, reached when a 1-bit
   logical value rides alone in a 64-bit word.
 
-The per-frame container overhead (frame header + npz bookkeeping) is
-asserted separately so it cannot silently grow into the payload budget.
+The per-frame container overhead is asserted separately and exactly, so it
+cannot silently grow into the payload budget: a wire-format v2 frame is its
+16-byte header plus the UTF-8 kind, one descriptor per array field (dtype
+code and rank bytes plus a u64 per axis), an i64 per scalar field and a
+4-byte CRC-32 — everything else is the arrays' element bytes.
 """
 
 from __future__ import annotations
@@ -29,8 +32,23 @@ from .util import ALL_PROTOCOLS, build, encode_batches, small_dataset
 #: One fixed-width NumPy word per logical Table 2 quantity.
 ENCODING_OVERHEAD_FACTOR = 64
 
-#: Frame header + npz/zip bookkeeping for a handful of arrays.
-MAX_CONTAINER_OVERHEAD_BYTES = 2048
+#: Magic, version, kind length and payload length.
+FRAME_HEADER_BYTES = 16
+
+#: The trailing CRC-32.
+CRC_BYTES = 4
+
+
+def container_overhead_bytes(schema) -> int:
+    """The exact non-element bytes of one frame of ``schema``'s reports."""
+    descriptors = sum(2 + 8 * field.ndim for field in schema.fields)
+    return (
+        FRAME_HEADER_BYTES
+        + len(schema.kind.encode("utf-8"))
+        + descriptors
+        + 8 * len(schema.scalar_fields)
+        + CRC_BYTES
+    )
 
 N = 200
 D = 6
@@ -64,19 +82,20 @@ def test_wire_bits_per_user_track_table2(name, dataset):
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_container_overhead_is_bounded(name, dataset):
+def test_container_overhead_is_exact(name, dataset):
     protocol = build(name)
     (reports,) = encode_batches(protocol, dataset, None)
     frame = reports.to_bytes()
     schema = report_schema_for(type(reports))
-    array_bytes = sum(
+    element_bytes = sum(
         np.asarray(getattr(reports, field.name)).nbytes
         for field in schema.fields
-    ) + 8 * len(schema.scalar_fields)
-    overhead = len(frame) - array_bytes
-    assert 0 < overhead <= MAX_CONTAINER_OVERHEAD_BYTES, (
+    )
+    overhead = len(frame) - element_bytes
+    assert overhead == container_overhead_bytes(schema), (
         f"{name}: container overhead {overhead} bytes (frame {len(frame)}, "
-        f"arrays {array_bytes})"
+        f"elements {element_bytes}), expected exactly "
+        f"{container_overhead_bytes(schema)}"
     )
 
 

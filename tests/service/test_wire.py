@@ -21,10 +21,10 @@ from repro.execution import available_executors, make_executor
 from repro.service import (
     WIRE_FORMAT_VERSION,
     AggregationSession,
+    ReportField,
     decode_reports,
     encode_reports,
     iter_report_frames,
-    report_schema_for,
     split_report_frames,
 )
 from repro.protocols.inp_ht import InpHTReports
@@ -37,10 +37,17 @@ from .util import (
     build,
     encode_frames,
     estimates_of,
+    forge_frame,
+    payload_body,
     small_dataset,
 )
 
 BATCH_SIZE = 24  # 96 records -> 4 batches
+
+
+def _descriptor(code: int, *shape: int) -> bytes:
+    """One v2 field descriptor: dtype code, rank, then the shape."""
+    return struct.pack(f"<BB{len(shape)}Q", code, len(shape), *shape)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +196,7 @@ class TestMalformedBuffers:
     def test_corrupted_payload(self, frame):
         corrupted = bytearray(frame)
         corrupted[-40] ^= 0xFF
-        with pytest.raises(WireFormatError, match="InpHT"):
+        with pytest.raises(WireFormatError, match="'InpHT' is corrupted.*CRC-32"):
             decode_reports(bytes(corrupted))
 
     def test_version_mismatch(self, frame):
@@ -213,54 +220,109 @@ class TestMalformedBuffers:
         with pytest.raises(WireFormatError, match="expected 'InpRR'"):
             InpRRReports.from_bytes(frame)
 
+    def test_forged_frame_helper_reproduces_real_frames(self, frame):
+        """The forging helper below is exact: re-wrapping a real frame's
+        payload gives back the real frame, CRC included."""
+        assert forge_frame("InpHT", payload_body(frame)) == frame
+
     def test_missing_field_rejected(self):
-        schema = report_schema_for("InpHT")
-        buffer = io.BytesIO()
-        np.savez(buffer, choices=np.zeros(3, dtype=np.int64))
-        payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
-            + b"InpHT"
-            + struct.pack("<Q", len(payload))
-            + payload
-        )
-        assert schema.kind == "InpHT"
-        with pytest.raises(WireFormatError, match="missing"):
-            decode_reports(frame)
+        # InpHT declares choices then noisy_values; the payload ends after
+        # the first descriptor (an empty choices array).
+        with pytest.raises(WireFormatError, match=r"missing \['noisy_values'\]"):
+            decode_reports(forge_frame("InpHT", _descriptor(0, 0)))
 
     def test_wrong_dtype_rejected(self):
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            choices=np.zeros(3, dtype=np.float64),  # schema wants int64
-            noisy_values=np.ones(3, dtype=np.float64),
+        body = (
+            _descriptor(1, 3)  # choices as <f8; the schema wants <i8
+            + _descriptor(1, 3)
+            + np.zeros(3).tobytes()
+            + np.ones(3).tobytes()
         )
-        payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
-            + b"InpHT"
-            + struct.pack("<Q", len(payload))
-            + payload
-        )
-        with pytest.raises(WireFormatError, match="dtype"):
-            decode_reports(frame)
+        with pytest.raises(WireFormatError, match="must have dtype int64"):
+            decode_reports(forge_frame("InpHT", body))
+
+    def test_unknown_dtype_code_rejected(self):
+        body = _descriptor(9, 3) + _descriptor(1, 3) + bytes(48)
+        with pytest.raises(WireFormatError, match="unknown dtype code 9"):
+            decode_reports(forge_frame("InpHT", body))
+
+    def test_wrong_rank_rejected(self):
+        body = _descriptor(0, 3, 1) + _descriptor(1, 3) + bytes(48)
+        with pytest.raises(WireFormatError, match="must be 1-D, got 2-D"):
+            decode_reports(forge_frame("InpHT", body))
 
     def test_per_user_row_mismatch_rejected(self):
+        body = (
+            _descriptor(0, 3)
+            + _descriptor(1, 4)
+            + np.zeros(3, dtype=np.int64).tobytes()
+            + np.ones(4).tobytes()
+        )
+        with pytest.raises(WireFormatError, match="disagree on the batch"):
+            decode_reports(forge_frame("InpHT", body))
+
+    def test_shape_beyond_remaining_bytes_rejected(self):
+        body = (
+            _descriptor(0, 3)
+            + _descriptor(1, 3)
+            + np.zeros(3, dtype=np.int64).tobytes()
+            + np.ones(2).tobytes()  # noisy_values declares 3 rows, ships 2
+        )
+        with pytest.raises(WireFormatError, match="only 16 payload bytes remain"):
+            decode_reports(forge_frame("InpHT", body))
+
+    def test_giant_axis_rejected(self):
+        """An empty batch with an absurd second axis fits in zero bytes,
+        but numpy cannot even describe its shape."""
+        body = _descriptor(2, 0, (1 << 64) - 1)
+        with pytest.raises(WireFormatError, match="axis above"):
+            decode_reports(forge_frame("InpEM", body))
+
+    def test_trailing_payload_bytes_rejected(self, frame):
+        forged = forge_frame("InpHT", payload_body(frame) + b"\x00")
+        with pytest.raises(WireFormatError, match="1 trailing byte"):
+            decode_reports(forged)
+
+    def test_negative_scalar_rejected(self):
+        body = _descriptor(1, 4) + struct.pack("<q", -1) + bytes(32)
+        with pytest.raises(WireFormatError, match="must be non-negative"):
+            decode_reports(forge_frame("InpRR", body))
+
+    def test_payload_too_short_for_crc(self):
+        name = b"InpHT"
+        frame = (
+            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(name))
+            + name
+            + struct.pack("<Q", 3)
+            + b"abc"
+        )
+        with pytest.raises(WireFormatError, match="cannot hold its 4-byte CRC"):
+            decode_reports(frame)
+
+    def test_retired_npz_frame_rejected_readably(self):
+        """A version-1 frame (npz payload) names both wire versions, on the
+        buffer and the stream paths alike."""
         buffer = io.BytesIO()
         np.savez(
             buffer,
             choices=np.zeros(3, dtype=np.int64),
-            noisy_values=np.ones(4, dtype=np.float64),
+            noisy_values=np.ones(3, dtype=np.float64),
         )
         payload = buffer.getvalue()
-        frame = (
-            struct.pack("<4sHH", b"RPRB", WIRE_FORMAT_VERSION, len(b"InpHT"))
+        v1_frame = (
+            struct.pack("<4sHH", b"RPRB", 1, len(b"InpHT"))
             + b"InpHT"
             + struct.pack("<Q", len(payload))
             + payload
         )
-        with pytest.raises(WireFormatError, match="disagree on the batch"):
-            decode_reports(frame)
+        message = (
+            r"wire-format version 1 \(npz payload\), which is retired; "
+            rf"this library speaks version {WIRE_FORMAT_VERSION}"
+        )
+        with pytest.raises(WireFormatError, match=message):
+            decode_reports(v1_frame)
+        with pytest.raises(WireFormatError, match=message):
+            list(split_report_frames(io.BytesIO(v1_frame)))
 
     def test_encode_rejects_wrong_dtype(self):
         bad = InpHTReports(
@@ -269,6 +331,10 @@ class TestMalformedBuffers:
         )
         with pytest.raises(WireFormatError, match="dtype"):
             bad.to_bytes()
+
+    def test_field_without_wire_dtype_rejected_at_registration(self):
+        with pytest.raises(WireFormatError, match="cannot carry"):
+            ReportField("counts", np.int32)
 
     def test_unregistered_class_rejected(self):
         class Unregistered:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import Dict, List
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro.core.privacy import PrivacyBudget
 from repro.core.rng import spawn_rngs
 from repro.datasets import BinaryDataset
 from repro.protocols.registry import PROTOCOL_CLASSES, make_protocol
+from repro.protocols.wire import WIRE_FORMAT_VERSION
 
 LN3 = float(np.log(3.0))
 
@@ -57,6 +60,29 @@ def encode_frames(protocol, dataset, batch_size, seed=SEED) -> List[bytes]:
         reports.to_bytes()
         for reports in encode_batches(protocol, dataset, batch_size, seed)
     ]
+
+
+def forge_frame(kind: str, body: bytes, version: int = WIRE_FORMAT_VERSION) -> bytes:
+    """A report frame around an arbitrary payload body, with a valid CRC-32.
+
+    Lets a test hand the decoder hostile descriptors, shapes or scalars
+    that get past the transport checks and the CRC.
+    """
+    name = kind.encode("utf-8")
+    frame = (
+        struct.pack("<4sHH", b"RPRB", version, len(name))
+        + name
+        + struct.pack("<Q", len(body) + 4)
+        + body
+    )
+    return frame + struct.pack("<I", zlib.crc32(frame))
+
+
+def payload_body(frame: bytes) -> bytes:
+    """The payload of a frame minus its trailing CRC-32 (inverse of
+    :func:`forge_frame`)."""
+    (kind_length,) = struct.unpack_from("<H", frame, 6)
+    return frame[16 + kind_length : -4]
 
 
 def estimates_of(estimator) -> Dict[int, np.ndarray]:
