@@ -80,12 +80,7 @@ from .io import load_protocol_spec, save_protocol_spec, save_sweep_json
 from .observability import configure_logging, get_logger
 from .protocols.registry import available_protocols, make_protocol
 from .resilience import defaults as resilience_defaults
-from .server import (
-    CollectionServer,
-    LoadGenerator,
-    MultiProcessCollector,
-    install_uvloop,
-)
+from .server import CollectionServer, LoadGenerator, MultiProcessCollector
 from .service import AggregationSession, ProtocolSpec, split_report_frames
 from .topology import ROUTING_POLICIES
 
@@ -310,11 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run P collector processes sharing the port via SO_REUSEPORT; "
         "their checkpoints merge to the same estimates as one process "
         "(default: 1)",
-    )
-    serve_parser.add_argument(
-        "--uvloop", action="store_true",
-        help="install the uvloop event-loop policy when available "
-        "(falls back to stock asyncio with a warning)",
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
@@ -1311,7 +1301,6 @@ def _serve_multiprocess(arguments: argparse.Namespace, spec, domain):
             port=arguments.port,
             shards=arguments.shards,
             stop_after_reports=arguments.stop_after_reports,
-            use_uvloop=arguments.uvloop,
             **extra,
         )
         previous = {}
@@ -1395,8 +1384,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
                 return 2
             combined, stats = _serve_multiprocess(arguments, spec, domain)
         else:
-            if arguments.uvloop:
-                install_uvloop()
             extra = {}
             if arguments.max_frame_bytes is not None:
                 extra["max_frame_bytes"] = arguments.max_frame_bytes
@@ -1904,84 +1891,18 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
     id merge the supervisor performs, so the result is identical to what
     the launcher would print.
     """
-    from pathlib import Path
-
-    from .core.exceptions import PartialCoverageError, WireFormatError
-    from .resilience import STATUS_RECOVERED, RetryPolicy
-    from .resilience.integrity import quarantine_checkpoint
-    from .server import DURABLE_STATE_FILENAME
-    from .topology import FanInAggregator, load_manifest
+    from .core.exceptions import PartialCoverageError
+    from .topology import fan_in, load_manifest
 
     try:
         manifest = load_manifest(arguments.dir)
-        spec = ProtocolSpec.from_dict(manifest["spec"])
-        domain = Domain(manifest["attributes"])
-        aggregator = FanInAggregator(spec, domain)
-        fallbacks = []
-        lost: Dict[str, str] = {}
-        statuses: Dict[str, str] = {}
-        pull_retry = RetryPolicy(
-            max_retries=2, base_delay=0.2, max_delay=1.0
-        )
-
-        async def gather():
-            for entry in manifest["collectors"]:
-                try:
-                    await aggregator.pull(
-                        entry["host"],
-                        int(entry["port"]),
-                        timeout=5.0,
-                        retry=pull_retry,
-                    )
-                except ReproError:
-                    fallbacks.append(entry)
-
-        asyncio.run(gather())
-        for entry in fallbacks:
-            collector_id = entry["collector_id"]
-            state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
-            if not state_path.exists():
-                lost[collector_id] = (
-                    f"unreachable and left no durable checkpoint at "
-                    f"{state_path}"
-                )
-                print(
-                    f"topo finalize: collector {collector_id} is "
-                    f"{lost[collector_id]}; counting it as empty",
-                    file=sys.stderr,
-                )
-                continue
-            try:
-                session = AggregationSession.restore(state_path)
-            except WireFormatError as error:
-                quarantined, report_path = quarantine_checkpoint(
-                    state_path,
-                    f"topo finalize of collector {collector_id}: {error}",
-                )
-                lost[collector_id] = f"checkpoint quarantined: {error}"
-                print(
-                    f"topo finalize: collector {collector_id} is "
-                    f"unreachable and its checkpoint failed verification; "
-                    f"quarantined to {quarantined} (report: {report_path})",
-                    file=sys.stderr,
-                )
-                continue
-            tokens = session.checkpoint_extra.get("acked_tokens", {})
-            aggregator.ingest_session(
-                collector_id,
-                session,
-                tokens if isinstance(tokens, dict) else {},
-            )
-            statuses[collector_id] = STATUS_RECOVERED
-            print(
-                f"topo finalize: collector {collector_id} is "
-                f"unreachable; recovered {session.num_reports} report(s) "
-                f"from {state_path}",
-                file=sys.stderr,
-            )
+        gathered = fan_in(manifest, partial=True)
+        for note in gathered.notes:
+            print(f"topo finalize: {note}", file=sys.stderr)
+        aggregator = gathered.aggregator
         expected = _expected_reports_by_collector(arguments, manifest)
         coverage = aggregator.coverage_report(
-            expected=expected, lost=lost, statuses=statuses
+            expected=expected, lost=gathered.lost, statuses=gathered.statuses
         )
         if not coverage.complete:
             print(coverage.summary(), file=sys.stderr)
@@ -1995,7 +1916,7 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
         payload = _estimates_payload(estimator, merged)
         payload["topology"] = {
             "collectors": list(aggregator.collector_ids),
-            "unreachable": [entry["collector_id"] for entry in fallbacks],
+            "unreachable": gathered.unreachable,
             "reports": merged.num_reports,
         }
         payload["coverage"] = coverage.to_dict()
@@ -2191,55 +2112,16 @@ def _run_hh_aggregate(arguments: argparse.Namespace) -> int:
 def _hh_topology_fan_in(arguments: argparse.Namespace) -> AggregationSession:
     """Fan in the tree's per-collector states for discovery.
 
-    The same pull-then-durable-fallback walk as ``topo finalize``, kept
-    strict: a collector that is unreachable *and* left no durable state is
-    an error, because a partial fan-in would silently skew the top-k.
+    The same walk as ``topo finalize``, kept strict: a collector that is
+    unreachable *and* left no durable state is an error, because a
+    partial fan-in would silently skew the top-k.
     """
-    from pathlib import Path
+    from .topology import fan_in, load_manifest
 
-    from .resilience import RetryPolicy
-    from .server import DURABLE_STATE_FILENAME
-    from .topology import FanInAggregator, load_manifest
-
-    manifest = load_manifest(arguments.topology)
-    spec = ProtocolSpec.from_dict(manifest["spec"])
-    domain = Domain(manifest["attributes"])
-    aggregator = FanInAggregator(spec, domain)
-    fallbacks = []
-    pull_retry = RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0)
-
-    async def gather():
-        for entry in manifest["collectors"]:
-            try:
-                await aggregator.pull(
-                    entry["host"],
-                    int(entry["port"]),
-                    timeout=5.0,
-                    retry=pull_retry,
-                )
-            except ReproError:
-                fallbacks.append(entry)
-
-    asyncio.run(gather())
-    for entry in fallbacks:
-        collector_id = entry["collector_id"]
-        state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
-        if not state_path.exists():
-            raise ReproError(
-                f"collector {collector_id} is unreachable and left no "
-                f"durable checkpoint at {state_path}"
-            )
-        session = AggregationSession.restore(state_path)
-        tokens = session.checkpoint_extra.get("acked_tokens", {})
-        aggregator.ingest_session(
-            collector_id, session, tokens if isinstance(tokens, dict) else {}
-        )
-        print(
-            f"hh discover: collector {collector_id} is unreachable; "
-            f"recovered {session.num_reports} report(s) from {state_path}",
-            file=sys.stderr,
-        )
-    return aggregator.merged_session()
+    gathered = fan_in(load_manifest(arguments.topology))
+    for note in gathered.notes:
+        print(f"hh discover: {note}", file=sys.stderr)
+    return gathered.aggregator.merged_session()
 
 
 def _run_hh_discover(arguments: argparse.Namespace) -> int:

@@ -292,9 +292,9 @@ def decode_reports(
 def concat_report_batches(batches):
     """Concatenate decoded report batches into one equivalent batch.
 
-    The server's micro-batcher coalesces the frames of many connections
-    into a single accumulator ``update`` call; this is the schema-driven
-    concatenation that makes the coalesced update bit-for-bit identical to
+    The collection server folds a connection's pending frames into a
+    single accumulator ``update`` call; this is the schema-driven
+    concatenation that makes that update bit-for-bit identical to
     submitting the batches one by one.  Per-user fields concatenate along
     the user axis; sum-form fields (``per_user=False``, exact integer
     counts held in float64) add elementwise under a strict shape check;

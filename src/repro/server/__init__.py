@@ -14,9 +14,10 @@ only, no new runtime dependencies):
   rejected with a readable per-field diff;
 * :class:`CollectionServer` — the asyncio collector: per-connection
   rejection of bad input, round-robin sharding over
-  ``AggregationSession``\\ s, bounded per-connection buffering, periodic +
-  shutdown checkpoints, and finalization bit-for-bit identical to
-  ``run_streaming`` over the same encoded reports;
+  ``AggregationSession``\\ s, one group per connection committed at
+  ``FIN`` (exactly once by token), periodic + shutdown checkpoints, and
+  finalization bit-for-bit identical to ``run_streaming`` over the same
+  encoded reports;
 * :class:`LoadGenerator` — the client-fleet simulator: N concurrent
   clients, connection churn, malformed-frame injection, throughput
   reporting.
@@ -48,11 +49,9 @@ from .loadgen import ClientResult, LoadGenerator, LoadReport
 from .multiproc import MultiProcessCollector
 from .server import (
     DEFAULT_BATCH_MAX_USERS,
-    DEFAULT_BATCH_WINDOW_SECONDS,
     DEFAULT_MAX_FRAME_BYTES,
     DURABLE_STATE_FILENAME,
     CollectionServer,
-    install_uvloop,
     merge_checkpoints,
 )
 
@@ -82,10 +81,8 @@ __all__ = [
     # server
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_BATCH_MAX_USERS",
-    "DEFAULT_BATCH_WINDOW_SECONDS",
     "DURABLE_STATE_FILENAME",
     "CollectionServer",
-    "install_uvloop",
     "merge_checkpoints",
     "MultiProcessCollector",
     # loadgen

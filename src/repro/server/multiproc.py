@@ -14,8 +14,8 @@ just another grouping of the same report batches, and the merged estimates
 are bit-for-bit what one process would have produced.
 
 A global ``stop_after_reports`` target is enforced through one shared
-counter: every worker server reports signed user-report deltas into it
-(``CollectionServer``'s ``report_observer`` hook) and a tiny per-worker
+counter: every worker server adds each committed group's report count to
+it (``CollectionServer``'s ``report_observer`` hook) and a tiny per-worker
 watcher polls the total, requesting a fleet-wide stop the moment the
 target is reached.
 """
@@ -35,14 +35,7 @@ from ..observability import MetricsSnapshot
 from ..resilience.defaults import COUNTER_POLL_SECONDS
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
-from .server import (
-    DEFAULT_BATCH_MAX_USERS,
-    DEFAULT_BATCH_WINDOW_SECONDS,
-    DEFAULT_MAX_FRAME_BYTES,
-    CollectionServer,
-    install_uvloop,
-    merge_checkpoints,
-)
+from .server import DEFAULT_MAX_FRAME_BYTES, CollectionServer, merge_checkpoints
 
 __all__ = ["MultiProcessCollector"]
 
@@ -68,8 +61,6 @@ def _worker_main(
     spec = ProtocolSpec.from_dict(spec_dict)
     domain = Domain(attributes)
     target = config["stop_after_reports"]
-    if config.get("use_uvloop"):
-        install_uvloop()  # warns and stays on stock asyncio when absent
 
     def observe(delta: int) -> None:
         with counter.get_lock():
@@ -85,8 +76,6 @@ def _worker_main(
             port=config["port"],
             shards=config["shards"],
             max_frame_bytes=config["max_frame_bytes"],
-            batch_max_users=config["batch_max_users"],
-            batch_window_seconds=config["batch_window_seconds"],
             reuse_port=True,
             checkpoint_dir=worker_dir,
             report_observer=observe,
@@ -152,10 +141,7 @@ class MultiProcessCollector:
         port: int = 0,
         shards: int = 1,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        batch_max_users: int = DEFAULT_BATCH_MAX_USERS,
-        batch_window_seconds: float = DEFAULT_BATCH_WINDOW_SECONDS,
         stop_after_reports: Optional[int] = None,
-        use_uvloop: bool = False,
         start_timeout: float = 30.0,
     ):
         if processes < 1:
@@ -189,11 +175,8 @@ class MultiProcessCollector:
             "port": int(port),  # rewritten in start() when 0
             "shards": int(shards),
             "max_frame_bytes": int(max_frame_bytes),
-            "batch_max_users": int(batch_max_users),
-            "batch_window_seconds": float(batch_window_seconds),
             "checkpoint_dir": str(self._checkpoint_dir),
             "stop_after_reports": stop_after_reports,
-            "use_uvloop": bool(use_uvloop),
         }
         self._start_timeout = float(start_timeout)
         self._context = multiprocessing.get_context()

@@ -18,6 +18,13 @@ Each connection follows the session protocol::
     FIN
                                           ACK {frames, reports, bytes}
 
+Every connection is one *group*, durable server or not: its frames fold
+into an accumulator of its own, and only at ``FIN`` is the group committed
+— merged into the shard, its token recorded, ``state.npz`` written when
+the server is durable — before the ``ACK`` goes out.  A connection that
+dies mid-group therefore leaves no trace, and a retried group is folded
+exactly once.
+
 Misbehaving clients — spec mismatches, malformed or truncated frames,
 report frames before ``HELLO`` — are rejected *per connection*: the server
 answers with an ``ERR`` control frame carrying the reason (and the spec
@@ -56,7 +63,7 @@ from ..observability import (
     trace,
 )
 from ..observability.scrape import MetricsScrapeServer
-from ..protocols.wire import MAX_PAYLOAD_BYTES
+from ..protocols.wire import MAX_PAYLOAD_BYTES, concat_report_batches
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
 from .framing import (
@@ -77,10 +84,8 @@ from .handshake import check_hello, spec_hash
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_BATCH_MAX_USERS",
-    "DEFAULT_BATCH_WINDOW_SECONDS",
     "DURABLE_STATE_FILENAME",
     "CollectionServer",
-    "install_uvloop",
     "merge_checkpoints",
 ]
 
@@ -91,11 +96,9 @@ _logger = logging.getLogger(__name__)
 #: connection cannot make one shard buffer a gigabyte on a forged header.
 DEFAULT_MAX_FRAME_BYTES = 64 << 20
 
-#: Default micro-batch flush threshold: pending user reports per shard.
+#: Pending user reports at which a connection folds its decoded frames
+#: into its group accumulator (one ``update`` per fold).
 DEFAULT_BATCH_MAX_USERS = 8192
-
-#: Default micro-batch flush ladder timeout (seconds).
-DEFAULT_BATCH_WINDOW_SECONDS = 0.005
 
 #: Filename of the single-file transactional checkpoint written by a
 #: collector running in ``durable_acks`` mode (the whole merged state plus
@@ -105,131 +108,53 @@ DURABLE_STATE_FILENAME = "state.npz"
 PathLike = Union[str, Path]
 
 
-def install_uvloop(required: bool = False) -> bool:
-    """Install the uvloop event-loop policy when the package is available.
+class _Group:
+    """One connection's reports between ``HELLO`` and ``FIN``.
 
-    The collection server is pure-asyncio, so ``uvloop`` is a drop-in
-    accelerator for its socket layer.  It is an optional dependency
-    (``pip install .[fast]``): when absent this logs a warning and leaves
-    the default policy in place — unless ``required``, which raises
-    :class:`ProtocolConfigurationError` instead.
-    """
-    try:
-        import uvloop
-    except ImportError:
-        if required:
-            raise ProtocolConfigurationError(
-                "uvloop is not installed; pip install '.[fast]' to enable it"
-            ) from None
-        _logger.warning(
-            "uvloop is not installed; staying on the default asyncio "
-            "event loop (pip install '.[fast]' to enable it)"
-        )
-        return False
-    uvloop.install()
-    _logger.info("uvloop event-loop policy installed")
-    return True
-
-
-class _ShardBatcher:
-    """Per-shard micro-batching queue for decoded report batches.
-
-    Connection handlers decode frames off the wire and :meth:`enqueue`
-    them here; the batcher coalesces frames from every connection mapped
-    to its shard and folds them into the shard session as *one*
-    accumulator update per flush
-    (:meth:`AggregationSession.submit_decoded`), amortising the per-update
-    kernel dispatch across connections.  Exactness is inherited from the
-    concatenation algebra — see
-    :func:`~repro.protocols.wire.concat_report_batches`.
-
-    Flush triggers: pending users reaching ``max_users``, the
-    ``window_seconds`` ladder timer, a connection's ``FIN`` (the handler
-    flushes synchronously so its ACK covers its reports), and the server's
-    stop/checkpoint/finalize paths.
-
-    Everything runs on the event-loop thread, so there are no locks, and
-    every flush is synchronous: by the time :meth:`flush` returns, each
-    pending frame is either in the session or its connection's
-    ``on_error`` sink has been called.  When a coalesced update fails, the
-    batch is replayed frame by frame so the error lands only on the sinks
-    of the frames that caused it (``on_discard`` then reverses the
-    handler's optimistic counter increments for those frames).  Per-frame
-    sinks instead of per-frame futures keep the happy path free of event
-    loop bookkeeping — at ingest rates the future churn is measurable.
+    Decoded frames wait in a pending list and fold into the group's own
+    accumulator as one ``update`` whenever they reach
+    :data:`DEFAULT_BATCH_MAX_USERS` users, and once more at ``FIN``.  The
+    first frame folds on arrival, so reports that do not fit the domain
+    earn their ``ERR`` at once rather than at ``FIN``.  Exactness is
+    inherited from the concatenation algebra — see
+    :func:`~repro.protocols.wire.concat_report_batches` — and nothing
+    reaches the shard before :meth:`CollectionServer._commit`.
     """
 
-    def __init__(
-        self,
-        session: AggregationSession,
-        *,
-        max_users: int,
-        window_seconds: float,
-        on_discard: Callable[[int, int, int], None],
-    ):
-        self._session = session
-        self._max_users = max_users
-        self._window = window_seconds
-        self._on_discard = on_discard
-        self._pending: List[tuple] = []  # (decoded batch, wire bytes, sink)
+    def __init__(self, protocol, domain: Domain):
+        self._protocol = protocol
+        self._domain = domain
+        self.accumulator = None
+        self._pending: List[Any] = []
         self._pending_users = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self.frames = self.reports = self.bytes = 0
 
-    @property
-    def pending_frames(self) -> int:
-        return len(self._pending)
+    def add(self, decoded, nbytes: int) -> None:
+        users = int(decoded.num_users)
+        self._pending.append(decoded)
+        self._pending_users += users
+        self.frames += 1
+        self.reports += users
+        self.bytes += nbytes
+        if (
+            self.accumulator is None
+            or self._pending_users >= DEFAULT_BATCH_MAX_USERS
+        ):
+            self.fold()
 
-    def enqueue(
-        self,
-        decoded,
-        nbytes: int,
-        on_error: Callable[[BaseException], None],
-    ) -> None:
-        """Queue one decoded batch.
-
-        ``on_error`` is called — synchronously, during whichever flush
-        drains this frame — if and only if the batch is rejected.
-        """
-        self._pending.append((decoded, nbytes, on_error))
-        self._pending_users += int(decoded.num_users)
-        if self._pending_users >= self._max_users:
-            self.flush()
-        elif self._timer is None:
-            if self._loop is None:
-                self._loop = asyncio.get_running_loop()
-            self._timer = self._loop.call_later(self._window, self._on_timer)
-
-    def _on_timer(self) -> None:
-        self._timer = None
-        self.flush()
-
-    def flush(self) -> None:
-        """Fold everything pending into the shard session, synchronously."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        pending, self._pending = self._pending, []
-        users, self._pending_users = self._pending_users, 0
-        if not pending:
+    def fold(self) -> None:
+        if not self._pending:
             return
-        try:
-            with trace.span("ingest.flush") as span:
-                span.annotate(frames=len(pending), users=users)
-                self._session.submit_decoded(
-                    [decoded for decoded, _, _ in pending],
-                    wire_bytes=sum(nbytes for _, nbytes, _ in pending),
-                )
-        except ReproError:
-            # One bad batch poisons a coalesced update.  Replay frame by
-            # frame so the error lands on the connection that sent it and
-            # everyone else's reports still count.
-            for decoded, nbytes, on_error in pending:
-                try:
-                    self._session.submit_decoded([decoded], wire_bytes=nbytes)
-                except ReproError as error:
-                    self._on_discard(1, int(decoded.num_users), nbytes)
-                    on_error(error)
+        if self.accumulator is None:
+            self.accumulator = self._protocol.accumulator(self._domain)
+        with trace.span("ingest.flush") as span:
+            span.annotate(frames=len(self._pending), users=self._pending_users)
+            self.accumulator.update(concat_report_batches(self._pending))
+        self._pending = []
+        self._pending_users = 0
+
+    def counts(self) -> Dict[str, int]:
+        return {"frames": self.frames, "reports": self.reports, "bytes": self.bytes}
 
 
 class _Reject(Exception):
@@ -266,14 +191,6 @@ class CollectionServer:
         by the accumulators' merge algebra.
     max_frame_bytes:
         Per-frame payload cap for this server (backpressure bound).
-    batch_max_users, batch_window_seconds:
-        The ingest micro-batching knobs: each shard coalesces decoded
-        report frames (across connections) and folds them into its
-        session as one accumulator update per flush.  A flush fires when
-        the shard's pending user reports reach ``batch_max_users`` or
-        ``batch_window_seconds`` after the first pending frame, whichever
-        comes first (and always on FIN/stop/checkpoint).  Pure
-        performance knobs: the estimates are grouping-invariant.
     reuse_port:
         Bind with ``SO_REUSEPORT`` so several collector processes can
         share one address, the kernel load-balancing connections across
@@ -287,10 +204,10 @@ class CollectionServer:
         When set, :meth:`serve_until_stopped` returns once this many user
         reports have been collected (the current connections drain first).
     report_observer:
-        Optional callable invoked with signed user-report deltas as they
-        are counted (positive on ingest, negative when a deferred flush
-        rejects a frame) — the hook the multi-process tier uses to
-        maintain a shared report counter.
+        Optional callable invoked with each committed group's user-report
+        count (always positive; counters only advance at commit) — the
+        hook the multi-process tier uses to maintain a shared report
+        counter.
     collector_id:
         Stable name this collector reports in ``STATE`` answers and stamps
         into its durable checkpoints (defaults to ``host:port``).  The
@@ -308,18 +225,19 @@ class CollectionServer:
         :meth:`metrics_snapshot`; ``metrics_port=0`` picks a free port
         (read it back from :attr:`metrics_port`).
     durable_acks:
-        Transactional ingest for the topology tier.  Report frames are
-        held per connection and folded into the shard only at ``FIN`` —
-        then the whole merged state (plus the acknowledged-group token
-        map) is checkpointed atomically to
+        Make every commit durable, for the topology tier: after a group
+        is merged into its shard at ``FIN``, the whole merged state (plus
+        the acknowledged-group token map) is checkpointed atomically to
         ``checkpoint_dir/state.npz`` *before* the ``ACK`` goes out.  The
         last durable checkpoint therefore always contains every
         acknowledged group, which is what lets a supervisor re-merge a
-        dead collector without losing ACK'd reports.  Clients may carry a
-        ``token`` in their ``HELLO``; a replayed token is re-ACK'd with
-        its recorded counts instead of double-folded, making retries
-        idempotent.  Requires ``checkpoint_dir``; an existing
-        ``state.npz`` there is restored on construction (crash restart).
+        dead collector without losing ACK'd reports.  Requires
+        ``checkpoint_dir``; an existing ``state.npz`` there is restored
+        on construction (crash restart).
+
+    Clients may carry a ``token`` in their ``HELLO``, durable server or
+    not; a replayed token is re-ACK'd with its recorded counts instead of
+    folded twice, making retries idempotent.
     """
 
     def __init__(
@@ -332,8 +250,6 @@ class CollectionServer:
         shards: int = 1,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         read_chunk_bytes: int = 1 << 16,
-        batch_max_users: int = DEFAULT_BATCH_MAX_USERS,
-        batch_window_seconds: float = DEFAULT_BATCH_WINDOW_SECONDS,
         reuse_port: bool = False,
         checkpoint_dir: Optional[PathLike] = None,
         checkpoint_interval: Optional[float] = None,
@@ -360,14 +276,6 @@ class CollectionServer:
         if read_chunk_bytes < 1:
             raise ProtocolConfigurationError(
                 f"read_chunk_bytes must be >= 1, got {read_chunk_bytes}"
-            )
-        if batch_max_users < 1:
-            raise ProtocolConfigurationError(
-                f"batch_max_users must be >= 1, got {batch_max_users}"
-            )
-        if batch_window_seconds <= 0:
-            raise ProtocolConfigurationError(
-                f"batch_window_seconds must be > 0, got {batch_window_seconds}"
             )
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise ProtocolConfigurationError(
@@ -409,15 +317,6 @@ class CollectionServer:
         self._read_chunk_bytes = int(read_chunk_bytes)
         self._reuse_port = bool(reuse_port)
         self._report_observer = report_observer
-        self._batchers = [
-            _ShardBatcher(
-                session,
-                max_users=int(batch_max_users),
-                window_seconds=float(batch_window_seconds),
-                on_discard=self._discount,
-            )
-            for session in self._sessions
-        ]
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -442,16 +341,13 @@ class CollectionServer:
         self._frames_total = 0
         self._reports_total = 0
         self._bytes_total = 0
-        self._frames_discarded = 0
-        self._reports_discarded = 0
-        self._bytes_discarded = 0
         self._checkpoints_written = 0
 
         # The operational counters above stay plain ints — they steer
-        # behaviour (stop_after_reports, ACK payloads) and must count
-        # identically with metrics on or off.  The registry mirrors them as
-        # monotonic counters (gross ingested + gross discarded, never the
-        # net) via _sync_registry, which runs on every stats/snapshot read.
+        # behaviour (stop_after_reports) and must count identically with
+        # metrics on or off.  They only advance (reports at commit), and
+        # _sync_registry mirrors them into the registry on every
+        # stats/snapshot read.
         self._registry = registry if registry is not None else MetricsRegistry()
         counter = self._registry.counter
         connections = counter(
@@ -462,27 +358,15 @@ class CollectionServer:
         self._metric_counters = {
             "frames": counter(
                 "repro_server_frames_total",
-                "Report frames accepted off the wire (gross, pre-discount).",
+                "Report frames in committed groups.",
             ),
             "reports": counter(
                 "repro_server_reports_total",
-                "User reports accepted off the wire (gross, pre-discount).",
+                "User reports in committed groups.",
             ),
             "bytes": counter(
                 "repro_server_bytes_total",
-                "Report payload bytes accepted off the wire (gross).",
-            ),
-            "frames_discarded": counter(
-                "repro_server_frames_discarded_total",
-                "Frames reversed after a deferred flush rejection.",
-            ),
-            "reports_discarded": counter(
-                "repro_server_reports_discarded_total",
-                "User reports reversed after a deferred flush rejection.",
-            ),
-            "bytes_discarded": counter(
-                "repro_server_bytes_discarded_total",
-                "Payload bytes reversed after a deferred flush rejection.",
+                "Report payload bytes in committed groups.",
             ),
             "connections_opened": connections.labels(outcome="opened"),
             "connections_completed": connections.labels(outcome="completed"),
@@ -508,6 +392,10 @@ class CollectionServer:
         self._explicit_collector_id = collector_id
         self._durable_acks = bool(durable_acks)
         self._acked_tokens: Dict[str, Dict[str, int]] = {}
+        # True while a durable server holds commits that state.npz lacks
+        # (its last write failed); a replayed token is then re-ACK'd only
+        # after a write that covers it succeeds.
+        self._unsaved_commits = False
         if self._durable_acks:
             self._resume_durable_state()
 
@@ -627,22 +515,17 @@ class CollectionServer:
     def _sync_registry(self) -> None:
         """Mirror the operational ints into the registry's monotonic series.
 
-        The gross quantities (ingested, discarded) only ever grow, so each
-        sync advances the registry counters by the delta since the last
-        sync — the exported series stay monotonic even though the net
-        operational counters can step backwards on a discount.
+        Each sync advances the registry counters by the delta since the
+        last sync.
         """
         from ..observability.metrics import metrics_enabled
 
         if not metrics_enabled():
             return
         values = {
-            "frames": self._frames_total + self._frames_discarded,
-            "reports": self._reports_total + self._reports_discarded,
-            "bytes": self._bytes_total + self._bytes_discarded,
-            "frames_discarded": self._frames_discarded,
-            "reports_discarded": self._reports_discarded,
-            "bytes_discarded": self._bytes_discarded,
+            "frames": self._frames_total,
+            "reports": self._reports_total,
+            "bytes": self._bytes_total,
             "connections_opened": self._connections_total,
             "connections_completed": self._connections_completed,
             "connections_rejected": self._connections_rejected,
@@ -787,7 +670,6 @@ class CollectionServer:
                 for writer in list(self._writers):
                     writer.close()
                 await asyncio.gather(*pending, return_exceptions=True)
-        self._flush_all()
         if self._checkpoint_task is not None:
             self._checkpoint_task.cancel()
             try:
@@ -806,25 +688,8 @@ class CollectionServer:
     # ------------------------------------------------------------------ #
     # aggregation results
 
-    def _flush_all(self) -> None:
-        """Flush every shard's pending micro-batch into its session."""
-        for batcher in self._batchers:
-            batcher.flush()
-
-    def _discount(self, frames: int, users: int, nbytes: int) -> None:
-        """Reverse optimistic counter increments for flush-rejected frames."""
-        self._frames_total -= frames
-        self._reports_total -= users
-        self._bytes_total -= nbytes
-        self._frames_discarded += frames
-        self._reports_discarded += users
-        self._bytes_discarded += nbytes
-        if self._report_observer is not None:
-            self._report_observer(-users)
-
     def combined_session(self) -> AggregationSession:
         """A fresh session holding every shard's state, shards untouched."""
-        self._flush_all()
         combined = AggregationSession(self._spec, self._domain)
         for session in self._sessions:
             combined.merge(session)
@@ -848,7 +713,6 @@ class CollectionServer:
         if self._durable_acks:
             return [self.durable_checkpoint()]
         with trace.span("server.checkpoint") as span:
-            self._flush_all()
             paths = []
             for index, session in enumerate(self._sessions):
                 paths.append(
@@ -875,6 +739,7 @@ class CollectionServer:
                     "acked_tokens": self._acked_tokens,
                 },
             )
+        self._unsaved_commits = False
         self._checkpoints_written += 1
         return path
 
@@ -912,47 +777,15 @@ class CollectionServer:
         self._connections_active += 1
         shard_index = index % len(self._sessions)
         shard = self._sessions[shard_index]
-        batcher = self._batchers[shard_index]
-        # Report frames are decoded here but folded in by the shard
-        # batcher, possibly while this handler is blocked reading the next
-        # chunk.  Every flush is synchronous, so a flush failure of one of
-        # OUR frames calls this sink in the flushing context: it sends the
-        # ERR and closes the transport right there — the blocked read then
-        # wakes with EOF — and the read loop stays a plain
-        # ``await reader.read()`` with no per-chunk waiter machinery.
-        flush_error: List[BaseException] = []
-
-        def _on_flush_error(error: BaseException) -> None:
-            if flush_error:
-                return  # already rejected; only the first error reports
-            flush_error.append(error)
-            self._connections_rejected += 1
-            _logger.info(
-                "rejecting connection %d (bad submission): %s", index, error
-            )
-            try:
-                writer.write(encode_control(ERR, {"error": str(error)}))
-                writer.close()
-            except (ConnectionError, OSError, RuntimeError):
-                pass  # the peer is already gone; the rejection still counted
-
+        group = _Group(shard.protocol, self._domain)
         greeted = False
         finished = False
         control_plane = False
         token: Optional[str] = None
-        # durable_acks mode: decoded frames wait here and fold only at FIN
-        # (one transactional group per connection); each entry is
-        # ``(decoded batch, users, nbytes)``.
-        pending: List[tuple] = []
-        frames = reports = received = 0
         try:
             decoder = FrameDecoder(max_frame_bytes=self._max_frame_bytes)
             while not finished:
                 chunk = await reader.read(self._read_chunk_bytes)
-                if flush_error:
-                    # The flush callback already sent the ERR, counted the
-                    # rejection and closed the transport.
-                    return
                 if not chunk:
                     break
                 decoder.absorb(chunk)
@@ -970,12 +803,7 @@ class CollectionServer:
                             if problems:
                                 raise _Reject("spec mismatch", problems)
                             greeted = True
-                            raw_token = item.payload.get("token")
-                            token = (
-                                str(raw_token)
-                                if raw_token is not None
-                                else None
-                            )
+                            token = item.payload.get("token")
                             writer.write(
                                 encode_control(
                                     OK,
@@ -1002,27 +830,7 @@ class CollectionServer:
                         elif item.kind == FIN:
                             if not greeted:
                                 raise _Reject("FIN before HELLO")
-                            if self._durable_acks:
-                                # Transactional group commit: fold, make the
-                                # state durable, only then ACK.
-                                ack_payload = self._fold_durable(
-                                    shard, pending, token
-                                )
-                            else:
-                                # Flush synchronously so every report this
-                                # connection sent is in the shard (or
-                                # rejected) before the ACK goes out.  A
-                                # rejection has already sent the ERR through
-                                # the error sink by the time flush()
-                                # returns.
-                                batcher.flush()
-                                if flush_error:
-                                    return
-                                ack_payload = {
-                                    "frames": frames,
-                                    "reports": reports,
-                                    "bytes": received,
-                                }
+                            ack_payload = self._commit(shard, group, token)
                             writer.write(encode_control(ACK, ack_payload))
                             await writer.drain()
                             finished = True
@@ -1038,30 +846,7 @@ class CollectionServer:
                         # are copied out, so the batch never pins it); a
                         # malformed or CRC-failing payload raises right
                         # here, on the connection that sent it.
-                        decoded = shard.protocol.decode_reports(item)
-                        users = int(decoded.num_users)
-                        nbytes = len(item)
-                        if self._durable_acks:
-                            pending.append((decoded, users, nbytes))
-                        else:
-                            batcher.enqueue(decoded, nbytes, _on_flush_error)
-                        # Counters advance optimistically; _discount
-                        # reverses them if the deferred flush rejects the
-                        # frame (such a connection gets ERR, not ACK, so
-                        # its per-connection counts are never reported).
-                        frames += 1
-                        reports += users
-                        received += nbytes
-                        self._frames_total += 1
-                        self._reports_total += users
-                        self._bytes_total += nbytes
-                        if self._report_observer is not None:
-                            self._report_observer(users)
-                        if (
-                            self._stop_after_reports is not None
-                            and self._reports_total >= self._stop_after_reports
-                        ):
-                            self._stop_event.set()
+                        group.add(shard.protocol.decode_reports(item), len(item))
             if finished:
                 self._connections_completed += 1
             elif control_plane and decoder.at_frame_boundary:
@@ -1069,9 +854,8 @@ class CollectionServer:
                 # it never FINs because it never submits.
                 self._connections_completed += 1
             else:
-                # EOF without FIN: the client vanished.  Whatever complete
-                # frames it sent were already aggregated; a trailing partial
-                # frame is simply discarded with the connection.
+                # EOF without FIN: the client vanished, and its uncommitted
+                # group (and any trailing partial frame) dies with it.
                 self._connections_dropped += 1
                 if not decoder.at_frame_boundary:
                     _logger.debug(
@@ -1094,66 +878,52 @@ class CollectionServer:
             )
             await self._send_error(writer, {"error": str(error)})
         except (ConnectionError, OSError):
-            if flush_error:
-                # The transport died because the flush callback closed it;
-                # that path already counted the rejection.
-                pass
-            else:
-                self._connections_dropped += 1
+            self._connections_dropped += 1
         finally:
-            if pending:
-                # Unfolded durable frames die with the connection: reverse
-                # the optimistic counters so nothing unacknowledged counts.
-                self._discount(
-                    len(pending),
-                    sum(users for _, users, _ in pending),
-                    sum(nbytes for _, _, nbytes in pending),
-                )
-                pending.clear()
             self._connections_active -= 1
 
-    def _fold_durable(
+    def _commit(
         self,
         shard: AggregationSession,
-        pending: List[tuple],
+        group: _Group,
         token: Optional[str],
     ) -> Dict[str, Any]:
-        """Commit one connection's group: fold → checkpoint → ACK payload.
+        """Commit one connection's group at ``FIN``; returns the ACK payload.
 
-        The ordering is the durability argument: the token is recorded
-        before the checkpoint is attempted and the checkpoint is written
-        before the caller ACKs, so the last ``state.npz`` on disk always
-        holds a superset of the acknowledged groups, and a replayed token
-        is re-ACK'd with its recorded counts instead of double-folded.
+        Fold the last pending frames, merge the group into the shard,
+        record its token, write ``state.npz`` on a durable server — and
+        only then may the caller ACK.  Counters advance here and nowhere
+        else.  A replayed token is re-ACK'd with its recorded counts and
+        its group dropped; on a durable server, only once a write that
+        covers the token has succeeded (the first commit's write may have
+        failed after the merge).
         """
-        group_frames = len(pending)
-        group_users = sum(users for _, users, _ in pending)
-        group_bytes = sum(nbytes for _, _, nbytes in pending)
+        group.fold()
         if token is not None and token in self._acked_tokens:
-            # Replay of an already-committed group (client retry after a
-            # lost ACK or a restart): drop the duplicate fold, reverse this
-            # connection's optimistic counters, answer idempotently.
-            del pending[:]
-            self._discount(group_frames, group_users, group_bytes)
-            recorded = dict(self._acked_tokens[token])
-            recorded["duplicate"] = True
-            return recorded
-        batches = [decoded for decoded, _, _ in pending]
-        del pending[:]
-        try:
-            shard.submit_decoded(batches, wire_bytes=group_bytes)
-        except ReproError as error:
-            self._discount(group_frames, group_users, group_bytes)
-            raise _Reject(str(error)) from error
-        payload = {
-            "frames": group_frames,
-            "reports": group_users,
-            "bytes": group_bytes,
-        }
+            if self._unsaved_commits:
+                self.durable_checkpoint()
+            return {**self._acked_tokens[token], "duplicate": True}
+        counts = group.counts()
+        if group.accumulator is not None:
+            shard.merge_group(
+                group.accumulator, frames=group.frames, wire_bytes=group.bytes
+            )
+        self._frames_total += group.frames
+        self._reports_total += group.reports
+        self._bytes_total += group.bytes
+        if self._report_observer is not None:
+            self._report_observer(group.reports)
         if token is not None:
-            self._acked_tokens[token] = dict(payload)
-        self.durable_checkpoint()
-        return payload
+            self._acked_tokens[token] = counts
+        if self._durable_acks:
+            self._unsaved_commits = True
+            self.durable_checkpoint()
+        if (
+            self._stop_after_reports is not None
+            and self._reports_total >= self._stop_after_reports
+        ):
+            self._stop_event.set()
+        return counts
 
     async def _answer_stats(self, writer) -> None:
         """Answer one ``STATS`` probe with stats + the metrics snapshot."""

@@ -157,9 +157,8 @@ class AggregationSession:
     def submit_decoded(self, batches, *, wire_bytes: int = None) -> int:
         """Fold several already-decoded wire batches in as one update.
 
-        The server's micro-batcher decodes frames from many connections
-        off the wire, coalesces them here, and pays the accumulator
-        ``update`` cost once.  The batches are concatenated with
+        Pays the accumulator ``update`` cost once for the whole list.  The
+        batches are concatenated with
         :func:`~repro.protocols.wire.concat_report_batches` — exact by the
         integer-sum argument documented there — so the session state is
         bit-for-bit what ``len(batches)`` individual :meth:`submit` calls
@@ -184,6 +183,21 @@ class AggregationSession:
             if wire_bytes is not None:
                 self._wire_bytes += int(wire_bytes)
         return users
+
+    def merge_group(self, accumulator, *, frames: int, wire_bytes: int) -> None:
+        """Absorb a group of wire frames already folded into ``accumulator``.
+
+        ``accumulator`` must come from this session's own
+        ``protocol.accumulator(domain)``, which is what lets the collection
+        server build one per connection and skip :meth:`merge`'s spec
+        comparison.  Counters advance as if the group's ``frames`` wire
+        frames (``wire_bytes`` in total) had been submitted here.
+        """
+        self._accumulator.merge(accumulator)
+        self._report_batches += frames
+        self._wire_batches += frames
+        self._wire_reports += accumulator.num_reports
+        self._wire_bytes += wire_bytes
 
     def snapshot(self):
         """Current estimates without consuming or mutating session state.

@@ -15,7 +15,9 @@ The pieces, bottom-up:
   socket via :class:`SupervisorEndpoint`).
 * :mod:`~repro.topology.tree` — :class:`LocalTopology` glues it all
   together and writes the ``topology.json`` manifest other processes use
-  to join the tree.
+  to join the tree; :func:`fan_in` is the manifest-driven fan-in walk
+  (pull, then durable fallback) behind `repro topo finalize` and
+  `repro hh discover --topology`.
 
 The load generator (:mod:`repro.server.loadgen`) plugs into this layer
 through plain parameters — ``targets``, ``routing``, ``failover`` — so
@@ -34,7 +36,9 @@ from .router import (
 from .supervisor import CollectorHandle, SupervisorEndpoint, TopologySupervisor
 from .tree import (
     MANIFEST_FILENAME,
+    FanIn,
     LocalTopology,
+    fan_in,
     load_manifest,
     wait_for_manifest,
 )
@@ -53,7 +57,9 @@ __all__ = [
     "SupervisorEndpoint",
     "TopologySupervisor",
     "MANIFEST_FILENAME",
+    "FanIn",
     "LocalTopology",
+    "fan_in",
     "load_manifest",
     "wait_for_manifest",
 ]

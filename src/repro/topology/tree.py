@@ -11,14 +11,25 @@ memory with the launcher.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.domain import Domain
-from ..core.exceptions import CollectionServiceError, ProtocolConfigurationError
-from ..resilience.policies import ResilienceConfig
+from ..core.exceptions import (
+    CollectionServiceError,
+    ProtocolConfigurationError,
+    ReproError,
+    WireFormatError,
+)
+from ..resilience.coverage import STATUS_RECOVERED
+from ..resilience.integrity import quarantine_checkpoint
+from ..resilience.policies import ResilienceConfig, RetryPolicy
+from ..server.server import DURABLE_STATE_FILENAME
+from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
 from .aggregator import FanInAggregator
 from .router import ROUTING_POLICIES
@@ -219,3 +230,85 @@ def wait_for_manifest(
             if time.monotonic() >= deadline:
                 raise
             time.sleep(poll)
+
+
+@dataclass
+class FanIn:
+    """What :func:`fan_in` gathered from a tree's collectors."""
+
+    aggregator: FanInAggregator
+    #: Collector ids that did not answer their ``PULL``.
+    unreachable: List[str] = field(default_factory=list)
+    #: Partial mode only: collector id -> why its reports are gone.
+    lost: Dict[str, str] = field(default_factory=dict)
+    #: Collector id -> coverage status (``recovered`` from ``state.npz``).
+    statuses: Dict[str, str] = field(default_factory=dict)
+    #: One readable line per collector that needed the fallback.
+    notes: List[str] = field(default_factory=list)
+
+
+def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
+    """Pull every collector of a manifest, falling back to ``state.npz``.
+
+    Each collector is pulled over the wire (with a short retry); one that
+    does not answer is read from its last durable ``state.npz``.  Strict
+    mode (the default) raises when such a collector left no state, or a
+    state that fails restore.  ``partial=True`` records those collectors
+    in :attr:`FanIn.lost` instead, quarantining a state that fails
+    verification, so the caller can report the loss.
+    """
+    aggregator = FanInAggregator(
+        ProtocolSpec.from_dict(manifest["spec"]), Domain(manifest["attributes"])
+    )
+    result = FanIn(aggregator)
+    retry = RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0)
+    fallbacks = []
+
+    async def gather() -> None:
+        for entry in manifest["collectors"]:
+            try:
+                await aggregator.pull(
+                    entry["host"], int(entry["port"]), timeout=5.0, retry=retry
+                )
+            except ReproError:
+                fallbacks.append(entry)
+
+    asyncio.run(gather())
+    for entry in fallbacks:
+        collector_id = entry["collector_id"]
+        result.unreachable.append(collector_id)
+        state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
+        if not state_path.exists():
+            reason = f"unreachable and left no durable checkpoint at {state_path}"
+            if not partial:
+                raise CollectionServiceError(f"collector {collector_id} is {reason}")
+            result.lost[collector_id] = reason
+            result.notes.append(
+                f"collector {collector_id} is {reason}; counting it as empty"
+            )
+            continue
+        try:
+            session = AggregationSession.restore(state_path)
+        except WireFormatError as error:
+            if not partial:
+                raise
+            quarantined, report_path = quarantine_checkpoint(
+                state_path, f"fan-in of collector {collector_id}: {error}"
+            )
+            result.lost[collector_id] = f"checkpoint quarantined: {error}"
+            result.notes.append(
+                f"collector {collector_id} is unreachable and its checkpoint "
+                f"failed verification; quarantined to {quarantined} "
+                f"(report: {report_path})"
+            )
+            continue
+        tokens = session.checkpoint_extra.get("acked_tokens", {})
+        aggregator.ingest_session(
+            collector_id, session, tokens if isinstance(tokens, dict) else {}
+        )
+        result.statuses[collector_id] = STATUS_RECOVERED
+        result.notes.append(
+            f"collector {collector_id} is unreachable; recovered "
+            f"{session.num_reports} report(s) from {state_path}"
+        )
+    return result

@@ -30,15 +30,6 @@ from repro.core.backends import (
 from repro.core.exceptions import ProtocolConfigurationError
 from repro.core.privacy import PrivacyBudget
 from repro.mechanisms.local_hashing import OptimizedLocalHashing
-from repro.server.server import install_uvloop
-
-try:
-    import uvloop  # type: ignore
-
-    HAS_UVLOOP = True
-except ImportError:
-    uvloop = None
-    HAS_UVLOOP = False
 
 
 def _conformance_backends():
@@ -206,26 +197,3 @@ class TestGracefulFallback:
             resolve_backend()
         warnings = [r for r in caplog.records if "bogus" in r.message]
         assert len(warnings) == 1
-
-
-class TestUvloopFallback:
-    @pytest.mark.skipif(HAS_UVLOOP, reason="uvloop installed: no fallback")
-    def test_absent_uvloop_warns_and_returns_false(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.server.server"):
-            assert install_uvloop() is False
-        assert any("uvloop" in record.message for record in caplog.records)
-
-    @pytest.mark.skipif(HAS_UVLOOP, reason="uvloop installed: no fallback")
-    def test_absent_uvloop_raises_when_required(self):
-        with pytest.raises(ProtocolConfigurationError, match="uvloop"):
-            install_uvloop(required=True)
-
-    @pytest.mark.skipif(not HAS_UVLOOP, reason="uvloop not installed")
-    def test_present_uvloop_installs(self):  # pragma: no cover
-        import asyncio
-
-        previous = asyncio.get_event_loop_policy()
-        try:
-            assert install_uvloop() is True
-        finally:
-            asyncio.set_event_loop_policy(previous)
