@@ -19,6 +19,7 @@ Run with:  PYTHONPATH=src python benchmarks/bench_kernels.py [--smoke]
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -151,10 +152,13 @@ def bench_fwht_rows(profile: dict) -> dict:
     )
 
 
-def bench_olh_support(profile: dict) -> dict:
+def bench_olh_support(profile: dict, epsilon: float = LN3) -> dict:
+    """Support counting at the oracle's optimal ``g``: 4 (a bit-mask fold)
+    at ``eps = ln 3``, 21 (the divide fold) at ``eps = 3``, the
+    heavy-hitter oracle's budget."""
     rng = np.random.default_rng(4)
     oracle = OptimizedLocalHashing(
-        domain_size=1 << profile["olh_d"], budget=PrivacyBudget(LN3)
+        domain_size=1 << profile["olh_d"], budget=PrivacyBudget(epsilon)
     )
     values = rng.integers(0, oracle.domain_size, size=profile["olh_users"])
     seeds, noisy = oracle.perturb(values, rng=rng)
@@ -168,6 +172,7 @@ def bench_olh_support(profile: dict) -> dict:
         _best_of(lambda: oracle.support_counts(seeds, noisy), repeats),
         users=profile["olh_users"],
         d=profile["olh_d"],
+        num_buckets=oracle.num_buckets,
         decode_batch_size=oracle.decode_batch_size,
     )
 
@@ -286,6 +291,7 @@ KERNEL_BENCHMARKS = {
     "fwht": bench_fwht,
     "fwht_rows": bench_fwht_rows,
     "olh_support": bench_olh_support,
+    "olh_support_eps3": functools.partial(bench_olh_support, epsilon=3.0),
     "em_decode": bench_em_decode,
 }
 
@@ -304,11 +310,11 @@ def run_profile(profile_name: str) -> dict:
 
 
 def render(result: dict) -> str:
-    header = f"{'kernel':<12} {'reference':>11} {'fast':>11} {'speedup':>8}"
+    header = f"{'kernel':<16} {'reference':>11} {'fast':>11} {'speedup':>8}"
     lines = [header, "-" * len(header)]
     for name, entry in result["kernels"].items():
         lines.append(
-            f"{name:<12} {entry['reference_seconds'] * 1e3:>9.2f}ms "
+            f"{name:<16} {entry['reference_seconds'] * 1e3:>9.2f}ms "
             f"{entry['fast_seconds'] * 1e3:>9.2f}ms "
             f"{entry['speedup']:>7.1f}x"
         )

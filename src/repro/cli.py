@@ -308,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
-        help="decode-kernel backend for this collection (numpy, threaded, "
-        "numba or auto; default: $REPRO_KERNEL_BACKEND, then auto)",
+        help="decode-kernel backend for this collection (numpy, threaded "
+        "or auto; default: $REPRO_KERNEL_BACKEND, then auto)",
     )
     serve_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",

@@ -9,7 +9,7 @@ This module makes those kernels *swappable*: every implementation is a
 ``REPRO_KERNEL_BACKEND`` environment variable, then the process-wide
 default (:func:`set_default_backend`), then an automatic choice.
 
-Three backends ship:
+Two backends ship:
 
 * ``numpy`` — the reference-conformant blocked numpy implementation (the
   exact kernels proven against their references by the property suite).
@@ -17,10 +17,6 @@ Three backends ship:
   numpy releases the GIL inside its ufunc loops, so user-partitioned
   support counting and chunked popcount/parity scale with cores while
   staying bit-for-bit identical (integer partial sums add exactly).
-* ``numba`` — an optional JIT backend (``pip install .[fast]``) that
-  compiles the support-count scan with ``prange`` over domain elements.
-  When numba is absent the backend reports itself unavailable and
-  selection falls back to ``numpy`` with a logged warning.
 
 Every backend computes *identical* integer support counts — backend
 choice is a pure performance knob and is treated exactly like
@@ -37,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
@@ -49,12 +46,9 @@ from .exceptions import ProtocolConfigurationError
 __all__ = [
     "BACKEND_ENV_VAR",
     "HAS_BITWISE_COUNT",
-    "HAS_NUMBA",
     "KernelBackend",
     "NumpyBackend",
     "ThreadedBackend",
-    "NumbaBackend",
-    "available_backends",
     "registered_backends",
     "get_backend",
     "resolve_backend",
@@ -72,14 +66,6 @@ BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: Whether this numpy ships the hardware-popcount ufunc (numpy >= 2.0).
 HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-try:  # pragma: no cover - exercised only in the optional-deps CI job
-    import numba  # type: ignore
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - the default environment
-    numba = None
-    HAS_NUMBA = False
-
 
 # --------------------------------------------------------------------- #
 # shared scalar kernels (single definitions; everything imports these)
@@ -90,37 +76,59 @@ except ImportError:  # pragma: no cover - the default environment
 _SEED_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _avalanche(mixed: np.ndarray) -> np.ndarray:
+def _avalanche(
+    mixed: np.ndarray, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The seed-independent splitmix64 finaliser (in-place on ``mixed``).
 
     The single definition of the OLH hash's bit mixing, shared by the
     client-side encoder and every backend's support-count scan — the two
-    must agree exactly or support counts degrade to noise.
+    must agree exactly or support counts degrade to noise.  Every step
+    writes into ``mixed`` or ``scratch`` (a same-shape ``uint64`` buffer,
+    allocated here when not given), so a caller looping over blocks
+    allocates nothing per block.
     """
+    if scratch is None:
+        scratch = np.empty_like(mixed)
     with np.errstate(over="ignore"):
-        mixed ^= mixed >> np.uint64(30)
+        np.right_shift(mixed, np.uint64(30), out=scratch)
+        mixed ^= scratch
         mixed *= np.uint64(0xBF58476D1CE4E5B9)
-        mixed ^= mixed >> np.uint64(27)
+        np.right_shift(mixed, np.uint64(27), out=scratch)
+        mixed ^= scratch
         mixed *= np.uint64(0x94D049BB133111EB)
-        mixed ^= mixed >> np.uint64(31)
+        np.right_shift(mixed, np.uint64(31), out=scratch)
+        mixed ^= scratch
     return mixed
 
 
-def fold_buckets(mixed: np.ndarray, num_buckets: int) -> np.ndarray:
+def fold_buckets(
+    mixed: np.ndarray, num_buckets: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Reduce avalanched ``uint64`` words onto ``[0, num_buckets)`` in place.
 
     For a power-of-two bucket count (the common case: the variance-optimal
     ``g = floor(e^eps) + 1`` is 4 for the paper's ``eps = ln 3``) the
-    modulo is a bit mask, which avoids the slow vectorised 64-bit integer
-    division.  ``x & (g - 1) == x % g`` exactly for unsigned ``x``, so the
-    fast path is bit-identical, and both the client-side hash and every
-    backend fold through this one helper so they cannot drift apart.
+    modulo is a bit mask: ``x & (g - 1) == x % g`` for unsigned ``x``.
+    Any other ``g`` (``g = 21`` at ``eps = 3``, the heavy-hitter oracle)
+    folds as ``x - (x // g) * g``: numpy divides by a scalar with a
+    multiply-and-shift, where the vectorised ``%`` runs a hardware divide
+    per element, so this is 2.5-3x faster and equal to ``x % g``
+    exactly (``(x // g) * g <= x``, nothing wraps).  ``scratch`` is an
+    optional same-shape ``uint64`` buffer for the quotient.  Both the
+    client-side hash and every backend fold through this one helper so
+    they cannot drift apart.
     """
     buckets = int(num_buckets)
     if buckets & (buckets - 1) == 0:
         mixed &= np.uint64(buckets - 1)
-    else:
-        mixed %= np.uint64(buckets)
+        return mixed
+    divisor = np.uint64(buckets)
+    if scratch is None:
+        scratch = np.empty_like(mixed)
+    np.floor_divide(mixed, divisor, out=scratch)
+    scratch *= divisor
+    mixed -= scratch
     return mixed
 
 
@@ -147,9 +155,12 @@ def _popcount_swar(words: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(56)).astype(np.int64)
 
 
-#: Target element count of one (user block x domain block) intermediate of
-#: the blocked support-count scan.
-_DECODE_BLOCK_ELEMENTS = 1 << 20
+#: Target element count of one (user block x domain block) tile of the
+#: support-count scan.  48K ``uint64`` words are 384 KiB, so the work,
+#: scratch and match buffers together (about 0.8 MiB) stay inside a 2 MiB
+#: per-core L2 through every pass over the tile.  Also keeps a tile's user
+#: rows below 2^16, so per-column match counts fit a ``uint16``.
+_SCAN_TILE_ELEMENTS = 3 << 14
 
 
 # --------------------------------------------------------------------- #
@@ -166,11 +177,6 @@ class KernelBackend:
 
     #: Registry key; also what ``REPRO_KERNEL_BACKEND`` selects.
     name: str = "abstract"
-
-    @property
-    def available(self) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
 
     def popcount(self, words: np.ndarray) -> np.ndarray:
         """Set-bit count of a ``uint64`` array, as ``int64``."""
@@ -230,26 +236,52 @@ class NumpyBackend(KernelBackend):
 
     @staticmethod
     def _scan(offsets, targets, domain_size, num_buckets, batch_size):
-        """The cache-blocked scan over (domain blocks x user blocks).
+        """The cache-fitted scan over (domain blocks x user blocks) tiles.
 
-        Runs entirely in ``uint64`` (no signed round-trip copy of the hash
-        matrix), with the per-seed mixing offset hoisted out of the domain
-        loop and matches accumulated into a lean ``int64`` counter.  Also
-        the per-thread work unit of :class:`ThreadedBackend`.
+        A domain block is at most ``batch_size`` elements wide; a user
+        block holds as many users as fill :data:`_SCAN_TILE_ELEMENTS` at
+        that real width, so every tile fits in L2 whatever the width.  The
+        ``uint64`` work and scratch buffers, the match buffer and the
+        per-column counter are allocated once per call and every pass
+        writes into them.  Offsets and targets are broadcast into the
+        scratch buffer with ``np.copyto`` so the add and the compare run
+        over contiguous operands.  Also the per-thread work unit of
+        :class:`ThreadedBackend`.
         """
         num_users = offsets.shape[0]
-        user_block = max(1, _DECODE_BLOCK_ELEMENTS // batch_size)
         support = np.zeros(domain_size, dtype=np.int64)
-        for dstart in range(0, domain_size, batch_size):
-            dstop = min(dstart + batch_size, domain_size)
-            candidates = np.arange(dstart, dstop, dtype=np.uint64)[None, :]
-            for ustart in range(0, num_users, user_block):
-                ustop = min(ustart + user_block, num_users)
-                with np.errstate(over="ignore"):
-                    mixed = _avalanche(candidates + offsets[ustart:ustop, None])
-                    fold_buckets(mixed, num_buckets)
-                matches = mixed == targets[ustart:ustop, None]
-                support[dstart:dstop] += np.count_nonzero(matches, axis=0)
+        width = min(batch_size, domain_size)
+        user_block = max(1, min(num_users, _SCAN_TILE_ELEMENTS // width))
+        tile = user_block * width
+        work = np.empty(tile, dtype=np.uint64)
+        scratch = np.empty(tile, dtype=np.uint64)
+        matches = np.empty(tile, dtype=np.bool_)
+        counts = np.empty(width, dtype=np.uint16)
+        with np.errstate(over="ignore"):
+            for dstart in range(0, domain_size, width):
+                dstop = min(dstart + width, domain_size)
+                columns = dstop - dstart
+                candidates = np.arange(dstart, dstop, dtype=np.uint64)
+                for ustart in range(0, num_users, user_block):
+                    ustop = min(ustart + user_block, num_users)
+                    shape = (ustop - ustart, columns)
+                    size = shape[0] * columns
+                    mixed = work[:size].reshape(shape)
+                    spare = scratch[:size].reshape(shape)
+                    hits = matches[:size].reshape(shape)
+                    np.copyto(spare, offsets[ustart:ustop, None])
+                    np.add(spare, candidates, out=mixed)
+                    _avalanche(mixed, spare)
+                    fold_buckets(mixed, num_buckets, spare)
+                    np.copyto(spare, targets[ustart:ustop, None])
+                    np.equal(mixed, spare, out=hits)
+                    np.add.reduce(
+                        hits.view(np.uint8),
+                        axis=0,
+                        dtype=np.uint16,
+                        out=counts[:columns],
+                    )
+                    support[dstart:dstop] += counts[:columns]
         return support
 
 
@@ -262,6 +294,10 @@ class ThreadedBackend(KernelBackend):
     and commutative.  popcount/parity chunk the input array the same way.
     Small inputs (below :attr:`min_work_elements` total work) skip the
     pool entirely; thread fan-out costs more than it saves there.
+
+    A forked child inherits the pool object but none of its threads, so
+    work submitted to it would wait forever; every instance drops its pool
+    in the child (``os.register_at_fork``) and the child starts its own.
     """
 
     name = "threaded"
@@ -273,6 +309,7 @@ class ThreadedBackend(KernelBackend):
         self._max_workers = max_workers
         self._pool: Optional[ThreadPoolExecutor] = None
         self._numpy = NumpyBackend()
+        _THREADED_BACKENDS.add(self)
 
     @property
     def workers(self) -> int:
@@ -340,81 +377,16 @@ class ThreadedBackend(KernelBackend):
             return support
 
 
-class NumbaBackend(KernelBackend):
-    """Optional numba-JIT support-count scan, ``prange`` over the domain.
+_THREADED_BACKENDS: "weakref.WeakSet[ThreadedBackend]" = weakref.WeakSet()
 
-    Each parallel iteration owns one domain element's counter, so no
-    cross-thread reduction is needed and the counts are exact.  popcount
-    and parity reuse the numpy kernels (they are already memory-bound).
-    Unavailable (and skipped by :func:`resolve_backend` with a warning)
-    unless numba is installed — ``pip install .[fast]``.
-    """
 
-    name = "numba"
+def _drop_inherited_pools() -> None:
+    for backend in _THREADED_BACKENDS:
+        backend._pool = None
 
-    def __init__(self):
-        self._kernel = None
-        self._numpy = NumpyBackend()
 
-    @property
-    def available(self) -> bool:
-        return HAS_NUMBA
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        return self._numpy.popcount(words)
-
-    def parity(self, words: np.ndarray) -> np.ndarray:
-        return self._numpy.parity(words)
-
-    def _compiled(self):  # pragma: no cover - optional-deps CI job only
-        if self._kernel is None:
-            if not HAS_NUMBA:
-                raise ProtocolConfigurationError(
-                    "the numba kernel backend needs numba installed "
-                    "(pip install .[fast])"
-                )
-
-            @numba.njit(parallel=True, nogil=True, cache=False)
-            def scan(offsets, targets, domain_size, buckets, mask, use_mask):
-                support = np.zeros(domain_size, dtype=np.int64)
-                for d in numba.prange(domain_size):
-                    element = np.uint64(d)
-                    count = 0
-                    for u in range(offsets.shape[0]):
-                        x = element + offsets[u]
-                        x ^= x >> np.uint64(30)
-                        x *= np.uint64(0xBF58476D1CE4E5B9)
-                        x ^= x >> np.uint64(27)
-                        x *= np.uint64(0x94D049BB133111EB)
-                        x ^= x >> np.uint64(31)
-                        if use_mask:
-                            x &= mask
-                        else:
-                            x %= buckets
-                        if x == targets[u]:
-                            count += 1
-                    support[d] = count
-                return support
-
-            self._kernel = scan
-        return self._kernel
-
-    def support_counts(
-        self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
-    ) -> np.ndarray:  # pragma: no cover - optional-deps CI job only
-        with np.errstate(over="ignore"):
-            offsets = seeds.astype(np.uint64) * _SEED_MIX
-        targets = noisy_buckets.astype(np.uint64)
-        buckets = int(num_buckets)
-        use_mask = buckets & (buckets - 1) == 0
-        return self._compiled()(
-            offsets,
-            targets,
-            domain_size,
-            np.uint64(buckets),
-            np.uint64(buckets - 1),
-            use_mask,
-        )
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_inherited_pools)
 
 
 # --------------------------------------------------------------------- #
@@ -446,33 +418,20 @@ def _register(backend: KernelBackend) -> KernelBackend:
 
 _register(NumpyBackend())
 _register(ThreadedBackend())
-_register(NumbaBackend())
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, available or not (sorted)."""
+    """Every registered backend name (sorted)."""
     return tuple(sorted(_BACKENDS))
 
 
-def available_backends() -> Tuple[str, ...]:
-    """The backend names that can run in this environment (sorted)."""
-    return tuple(
-        sorted(name for name, backend in _BACKENDS.items() if backend.available)
-    )
-
-
 def get_backend(name: str) -> KernelBackend:
-    """The backend registered under ``name`` (must exist and be available)."""
+    """The backend registered under ``name`` (which must exist)."""
     backend = _BACKENDS.get(name)
     if backend is None:
         raise ProtocolConfigurationError(
             f"unknown kernel backend {name!r}; registered backends: "
             f"{list(registered_backends())}"
-        )
-    if not backend.available:
-        raise ProtocolConfigurationError(
-            f"kernel backend {name!r} is not available in this environment "
-            f"(pip install .[fast]); available: {list(available_backends())}"
         )
     return backend
 
@@ -497,7 +456,7 @@ def resolve_backend(name: str = "") -> KernelBackend:
     environment variable, then the process-wide default installed by
     :func:`set_default_backend`, then automatic (``threaded`` on
     multi-core hosts, ``numpy`` otherwise).  ``"auto"`` at any level
-    selects the automatic choice; an unknown or unavailable name logs a
+    selects the automatic choice; an unknown name logs a
     warning (once per name) and falls through to the next level instead
     of failing — backend choice must never break an aggregation.
     """
@@ -521,13 +480,6 @@ def resolve_backend(name: str = "") -> KernelBackend:
                 f"backends: {list(registered_backends())} — falling back",
             )
             continue
-        if not backend.available:
-            _warn_once(
-                candidate,
-                f"kernel backend {candidate!r} ({source}) is not available "
-                f"in this environment (pip install .[fast]) — falling back",
-            )
-            continue
         _count_dispatch(backend.name)
         return backend
     backend = _auto_backend()
@@ -538,9 +490,7 @@ def resolve_backend(name: str = "") -> KernelBackend:
 def set_default_backend(name: Optional[str]) -> None:
     """Install a process-wide default backend (``None``/``""`` clears it).
 
-    The name must be registered (``"auto"`` is allowed); availability is
-    still checked at :func:`resolve_backend` time so an env-specific
-    default degrades gracefully instead of failing at configuration time.
+    The name must be registered (``"auto"`` is allowed).
     """
     global _DEFAULT_OVERRIDE
     if not name:

@@ -33,11 +33,13 @@ __all__ = ["OptimizedLocalHashing", "DEFAULT_DECODE_BATCH_SIZE"]
 _MULTIPLIER_BITS = 61
 _MERSENNE_PRIME = (1 << 61) - 1
 
-#: Default number of domain elements hashed per decode block.  Combined with
-#: the user blocking below this keeps each (users x domain) intermediate a
-#: few MB — big enough to amortise numpy dispatch, small enough to stay
-#: cache-resident — and is exposed as ``OptimizedLocalHashing.decode_batch_size``
-#: / ``InpOLH(..., decode_batch_size=...)`` for tuning.
+#: Default cap on the number of domain elements hashed per decode block,
+#: exposed as ``OptimizedLocalHashing.decode_batch_size`` /
+#: ``InpOLH(..., decode_batch_size=...)`` for tuning.  It does not set the
+#: memory of the scan: the kernel fills each tile with as many users as fit
+#: its fixed L2-sized element budget at the block's real width
+#: (``min(decode_batch_size, domain_size)``), so a wide block only means
+#: fewer users per tile.
 DEFAULT_DECODE_BATCH_SIZE = 1024
 
 def _hash(values: np.ndarray, seeds: np.ndarray, buckets: int) -> np.ndarray:
@@ -155,8 +157,8 @@ class OptimizedLocalHashing:
 
         This is the ``O(N * 2^d)`` hot loop of the library; the scan itself
         is delegated to the selected kernel backend
-        (:func:`repro.core.backends.resolve_backend` — numpy blocked scan,
-        thread-pool fan-out, or the optional numba JIT).  Every backend
+        (:func:`repro.core.backends.resolve_backend` — the numpy blocked
+        scan or its thread-pool fan-out).  Every backend
         produces identical ``int64`` counts for any ``batch_size`` (``0``
         selects :attr:`decode_batch_size`);
         :meth:`support_counts_reference` keeps the original implementation

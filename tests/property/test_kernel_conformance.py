@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bitops, hadamard
+from repro.core.backends import fold_buckets
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
 from repro.execution import make_executor
@@ -85,6 +88,26 @@ class TestFwhtConformance:
             matrix = rng.normal(size=(rows, n))
             expected = np.stack([hadamard.fwht_reference(row) for row in matrix])
             np.testing.assert_array_equal(hadamard.fwht_rows(matrix), expected)
+
+
+class TestBucketFoldConformance:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=64),
+        num_buckets=st.integers(3, 2**64 - 1).filter(lambda g: g & (g - 1)),
+    )
+    def test_divide_fold_equals_modulo(self, words, num_buckets):
+        """The divide-multiply-subtract fold is ``x % g`` over full-range
+        ``uint64`` for every non-power-of-two ``g``, extremes included."""
+        values = np.array(words + [0, 2**64 - 1, 2**63], dtype=np.uint64)
+        expected = values % np.uint64(num_buckets)
+        np.testing.assert_array_equal(
+            fold_buckets(values.copy(), num_buckets), expected
+        )
+        scratch = np.empty_like(values)
+        np.testing.assert_array_equal(
+            fold_buckets(values.copy(), num_buckets, scratch), expected
+        )
 
 
 class TestOLHSupportConformance:
