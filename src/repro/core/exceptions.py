@@ -41,12 +41,12 @@ class WireFormatError(ReproError):
 
 
 class CheckpointIntegrityError(WireFormatError):
-    """A checkpoint's embedded SHA-256 digest does not match its content.
+    """A checkpoint's SHA-256 trailer does not match its content.
 
-    The file parsed, but its state arrays (or header) were altered after
-    the write — a torn disk, a bit flip, or tampering.  The resilience
-    layer quarantines such files to ``*.corrupt`` instead of folding bad
-    state into an aggregation."""
+    The checkpoint's header or state arrays were altered after the write
+    — a torn disk, a bit flip, or tampering.  The resilience layer
+    quarantines such files to ``*.corrupt`` instead of folding bad state
+    into an aggregation."""
 
 
 class SpoolError(ReproError):

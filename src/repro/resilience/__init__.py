@@ -13,8 +13,8 @@ test harness).
   default comes from.
 * :mod:`~repro.resilience.spool` — :class:`ReportSpool`, the durable
   store-and-forward log that makes clients crash-safe.
-* :mod:`~repro.resilience.integrity` — checkpoint SHA-256 digests and
-  corrupt-file quarantine.
+* :mod:`~repro.resilience.integrity` — the checkpoint SHA-256 trailer
+  check and corrupt-file quarantine.
 * :mod:`~repro.resilience.coverage` — :class:`CoverageReport`, the
   expected/received/lost ledger behind degraded-mode finalize.
 * :mod:`~repro.resilience.chaos` — reusable fault injectors for tests
@@ -37,8 +37,6 @@ from .defaults import (
 )
 from .integrity import (
     DIGEST_ALGORITHM,
-    checkpoint_digest,
-    embed_integrity,
     quarantine_checkpoint,
     verify_integrity,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "default_resilience_config",
     "ReportSpool",
     "DIGEST_ALGORITHM",
-    "checkpoint_digest",
-    "embed_integrity",
     "verify_integrity",
     "quarantine_checkpoint",
     "CollectorCoverage",

@@ -1,17 +1,18 @@
 """Reusable chaos primitives for fault-injection tests and smoke jobs.
 
-These injectors are deliberately generic — pure stdlib + numpy, no
-imports from the server or topology tiers — so any test layer (the
-``tests/topology`` harness, the CI ``chaos-smoke`` job, ad-hoc repro
-scripts) can compose them:
+These injectors are deliberately generic — stdlib + numpy, no imports
+from the server or topology tiers (:func:`corrupt_checkpoint_array`
+reads the checkpoint layout from :mod:`repro.service.session`) — so any
+test layer (the ``tests/topology`` harness, the CI ``chaos-smoke`` job,
+ad-hoc repro scripts) can compose them:
 
 * :func:`flip_file_bit` — flip one bit anywhere in a file (simulates
-  media corruption; on an ``.npz`` this usually lands in member data and
-  trips the zip CRC on read).
-* :func:`corrupt_checkpoint_array` — the nastier fault: repack a
-  checkpoint with one byte flipped inside a state array but with *valid*
-  zip structure, so only the embedded SHA-256 digest can catch it
-  (silent at-rest corruption / tampering).
+  media corruption; on a checkpoint the SHA-256 trailer, or the magic
+  and version check ahead of it, refuses it on read).
+* :func:`corrupt_checkpoint_array` — the targeted fault: flip one bit
+  inside a named state array's bytes and leave the header, layout and
+  trailer alone, so only the SHA-256 trailer check can catch it (silent
+  at-rest corruption / tampering).
 * :func:`enospc_on_fsync` — make every ``os.fsync`` in this process fail
   with ``ENOSPC``, the classic full-disk symptom, to prove atomic writes
   leave the previous checkpoint intact.
@@ -29,13 +30,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import errno
-import io
 import os
 import signal
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+
+from ..service.session import parse_checkpoint
 
 __all__ = [
     "flip_file_bit",
@@ -80,47 +82,34 @@ def corrupt_checkpoint_array(
     array_name: Optional[str] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> str:
-    """Flip one byte inside a checkpoint's state array, keeping the zip valid.
+    """Flip one bit inside a checkpoint's state array, trailer untouched.
 
-    The archive is unpacked and repacked with correct zip CRCs but the
-    *original* header (embedded digest included), so nothing short of the
-    SHA-256 verification can notice — the exact at-rest corruption the
-    integrity layer exists for.  ``array_name`` picks the member to damage
-    (sans ``state__`` prefix honored either way); by default one is drawn
-    from ``rng``.  Returns the name of the damaged member.
+    The header and layout stay valid, so nothing short of the SHA-256
+    trailer check can notice — the exact at-rest corruption the integrity
+    layer exists for.  ``array_name`` picks the array to damage; by
+    default a non-empty one is drawn from ``rng``.  Returns its name.
     """
     path = Path(path)
     generator = rng if rng is not None else np.random.default_rng()
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    candidates = [name for name in members if name != "header"]
-    if not candidates:
-        raise ValueError(f"{path} holds no state arrays to corrupt")
-    if array_name is not None:
-        name = (
-            array_name
-            if array_name in members
-            else "state__" + array_name
+    blob = bytearray(path.read_bytes())
+    # The parsed arrays are views of ``blob``: a flip through one lands in
+    # that array's bytes and nowhere else.
+    _, state = parse_checkpoint(blob, str(path))
+    if array_name is None:
+        candidates = [name for name, array in state.items() if array.nbytes]
+        if not candidates:
+            raise ValueError(f"{path} holds no state bytes to corrupt")
+        array_name = candidates[int(generator.integers(0, len(candidates)))]
+    elif array_name not in state:
+        raise ValueError(
+            f"{path} has no array {array_name!r}; arrays: {list(state)}"
         )
-        if name not in members:
-            raise ValueError(
-                f"{path} has no array {array_name!r}; members: {candidates}"
-            )
-    else:
-        name = candidates[int(generator.integers(0, len(candidates)))]
-    victim = members[name]
-    raw = bytearray(victim.tobytes())
-    if not raw:
-        raise ValueError(f"array {name!r} in {path} is empty, nothing to flip")
-    position = int(generator.integers(0, len(raw)))
-    raw[position] ^= 1 << int(generator.integers(0, 8))
-    members[name] = np.frombuffer(bytes(raw), dtype=victim.dtype).reshape(
-        victim.shape
-    )
-    buffer = io.BytesIO()
-    np.savez(buffer, **members)
-    path.write_bytes(buffer.getvalue())
-    return name
+    raw = state[array_name].reshape(-1).view(np.uint8)
+    if not raw.size:
+        raise ValueError(f"array {array_name!r} in {path} is empty")
+    raw[int(generator.integers(0, raw.size))] ^= 1 << int(generator.integers(0, 8))
+    path.write_bytes(blob)
+    return array_name
 
 
 @contextlib.contextmanager

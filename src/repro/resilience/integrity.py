@@ -1,125 +1,67 @@
-"""Checkpoint integrity: content digests and corrupt-file quarantine.
+"""Checkpoint integrity: the SHA-256 trailer and corrupt-file quarantine.
 
 Every checkpoint the system writes (session ``checkpoint()`` files, the
 durable-ACK ``state.npz``, topology ``STATE`` payloads — they all share
-one archive layout) embeds a SHA-256 digest of its own content in the
-JSON header.  ``np.savez`` stores members uncompressed (``ZIP_STORED``),
-so a torn write or flipped bit either changes the array bytes — caught by
-the digest — or breaks the zip structure itself — caught by the CRC and
-converted to :class:`~repro.core.exceptions.WireFormatError` upstream.
-Either way the restore path calls :func:`quarantine_checkpoint` instead
-of folding silent garbage into an aggregation.
-
-The digest covers the canonical JSON of the header (minus the integrity
-section itself) plus every state array's name, dtype, shape, and raw
-bytes, in sorted name order — i.e. exactly the facts ``restore`` will
-act on, independent of zip member ordering or archive timestamps.
+one layout, documented in :mod:`repro.service.session`) ends in a 32-byte
+SHA-256 of every byte before it.  :func:`seal_integrity` appends that
+trailer on write and :func:`verify_integrity` checks it on read, before
+anything else in the checkpoint is parsed, so a torn write,
+a truncation or a flipped bit anywhere past the magic and version raises
+:class:`~repro.core.exceptions.CheckpointIntegrityError`.  The restore
+paths then call :func:`quarantine_checkpoint` instead of folding silent
+garbage into an aggregation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Tuple, Union
 
 from ..core.exceptions import CheckpointIntegrityError
 from ..observability import get_registry
 
 __all__ = [
     "DIGEST_ALGORITHM",
-    "checkpoint_digest",
-    "embed_integrity",
+    "DIGEST_BYTES",
+    "seal_integrity",
     "verify_integrity",
     "quarantine_checkpoint",
 ]
 
 DIGEST_ALGORITHM = "sha256"
 
-
-def checkpoint_digest(
-    header: Dict[str, Any], arrays: Dict[str, np.ndarray]
-) -> str:
-    """Hex SHA-256 over a checkpoint's semantic content.
-
-    ``header`` is the JSON header dict (any existing ``integrity`` section
-    is excluded so verification can recompute the digest from a restored
-    header as-is); ``arrays`` maps state-array names (without the storage
-    prefix) to their values.
-    """
-    core = {key: value for key, value in header.items() if key != "integrity"}
-    hasher = hashlib.sha256()
-    hasher.update(json.dumps(core, sort_keys=True).encode("utf-8"))
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        hasher.update(name.encode("utf-8"))
-        hasher.update(array.dtype.str.encode("ascii"))
-        hasher.update(repr(tuple(array.shape)).encode("ascii"))
-        hasher.update(array.tobytes())
-    return hasher.hexdigest()
+#: Size of the digest trailer that ends every checkpoint.
+DIGEST_BYTES = hashlib.sha256().digest_size
 
 
-def embed_integrity(
-    header: Dict[str, Any], arrays: Dict[str, np.ndarray]
-) -> Dict[str, Any]:
-    """Return ``header`` with its ``integrity`` section filled in."""
-    stamped = dict(header)
-    stamped["integrity"] = {
-        "algorithm": DIGEST_ALGORITHM,
-        "digest": checkpoint_digest(header, arrays),
-    }
-    return stamped
+def seal_integrity(parts: List[Union[bytes, memoryview]]) -> bytes:
+    """Join ``parts`` into one frame that ends in the SHA-256 of them all."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join([*parts, digest.digest()])
 
 
 def verify_integrity(
-    header: Dict[str, Any],
-    arrays: Dict[str, np.ndarray],
-    *,
-    source: str = "<checkpoint>",
-    require: bool = False,
-) -> bool:
-    """Check a restored checkpoint's digest against its content.
+    data: Union[bytes, bytearray], *, source: str = "<checkpoint>"
+) -> None:
+    """Check that ``data`` ends in the SHA-256 of everything before it.
 
-    Returns ``True`` when a digest was present and matched, ``False`` when
-    the header carries no integrity section (a legacy version-1 file) and
-    ``require`` is off.  Raises
-    :class:`~repro.core.exceptions.CheckpointIntegrityError` on any
-    mismatch, unknown algorithm, or (with ``require=True``) a missing
-    section.
+    Raises :class:`~repro.core.exceptions.CheckpointIntegrityError` when
+    the trailer is missing or does not match.
     """
-    section = header.get("integrity")
-    if section is None:
-        if require:
-            raise CheckpointIntegrityError(
-                f"checkpoint {source} carries no integrity digest but its "
-                f"format version requires one"
-            )
-        return False
-    if not isinstance(section, dict):
-        raise CheckpointIntegrityError(
-            f"checkpoint {source} has a malformed integrity section "
-            f"(expected an object, got {type(section).__name__})"
-        )
-    algorithm = section.get("algorithm")
-    if algorithm != DIGEST_ALGORITHM:
-        raise CheckpointIntegrityError(
-            f"checkpoint {source} uses unsupported digest algorithm "
-            f"{algorithm!r} (this library speaks {DIGEST_ALGORITHM!r})"
-        )
-    recorded = section.get("digest")
-    actual = checkpoint_digest(header, arrays)
+    recorded = bytes(data[-DIGEST_BYTES:])
+    actual = hashlib.sha256(memoryview(data)[:-DIGEST_BYTES]).digest()
     if recorded != actual:
         raise CheckpointIntegrityError(
-            f"checkpoint {source} failed integrity verification: header "
-            f"records {DIGEST_ALGORITHM}:{recorded} but the content hashes "
-            f"to {DIGEST_ALGORITHM}:{actual} — the file was altered after "
-            f"it was written"
+            f"checkpoint {source} failed integrity verification: its "
+            f"{DIGEST_ALGORITHM} trailer records {recorded.hex()} but the "
+            f"content hashes to {actual.hex()} — the file was altered or "
+            f"truncated after it was written"
         )
-    return True
 
 
 def quarantine_checkpoint(

@@ -402,8 +402,8 @@ class CollectionServer:
     def _resume_durable_state(self) -> None:
         """Fold a previous ``state.npz`` back in (crash-restart path).
 
-        A ``state.npz`` that fails restore — zero bytes, torn zip, or an
-        integrity-digest mismatch — is quarantined to ``*.corrupt`` with a
+        A ``state.npz`` that fails restore — zero bytes, a bad layout, or
+        an integrity-trailer mismatch — is quarantined to ``*.corrupt`` with a
         readable report and the collector starts empty, rather than
         refusing to serve: clients hold the idempotency tokens and will
         replay whatever the lost state contained.
@@ -689,11 +689,22 @@ class CollectionServer:
     # aggregation results
 
     def combined_session(self) -> AggregationSession:
-        """A fresh session holding every shard's state, shards untouched."""
+        """A fresh session holding every shard's state, shards untouched.
+
+        The shards are all built from this server's spec and domain, so
+        they merge without :meth:`AggregationSession.merge`'s spec diff.
+        """
         combined = AggregationSession(self._spec, self._domain)
         for session in self._sessions:
             combined.merge(session)
         return combined
+
+    def _merged_shards(self) -> AggregationSession:
+        """Every shard's state, to read only (a commit or a ``PULL``
+        answer): a lone shard is used as is, several are merged."""
+        if len(self._sessions) == 1:
+            return self._sessions[0]
+        return self.combined_session()
 
     def finalize(self):
         """Merge the shards and finalize to the protocol's estimator."""
@@ -731,8 +742,7 @@ class CollectionServer:
                 "this server was built without a checkpoint_dir"
             )
         with trace.span("server.checkpoint.durable"):
-            combined = self.combined_session()
-            path = combined.checkpoint(
+            path = self._merged_shards().checkpoint(
                 self._checkpoint_dir / DURABLE_STATE_FILENAME,
                 extra={
                     "collector_id": self.collector_id,
@@ -947,7 +957,7 @@ class CollectionServer:
                 "metrics": self.metrics_snapshot().state_dict(),
             }
         elif what == "state":
-            combined = self.combined_session()
+            combined = self._merged_shards()
             blob = combined.checkpoint_bytes(
                 extra={
                     "collector_id": self.collector_id,
@@ -994,7 +1004,7 @@ def merge_checkpoints(
 
     A missing or partial checkpoint directory fails with a readable error
     naming the directory and the shard files found versus expected instead
-    of leaking the underlying npz loading exception: pass
+    of leaking the underlying loading exception: pass
     ``expected_shards`` (the collector's shard count) to assert
     completeness, and any unreadable file is reported alongside the
     sibling checkpoints that *are* present.

@@ -8,23 +8,40 @@ mid-stream without consuming its state (:meth:`snapshot`), and survives
 process restarts through :meth:`checkpoint`/:meth:`restore` — the restored
 session resumes the aggregation bit-for-bit.
 
-The checkpoint file is a single ``.npz`` archive: a JSON header (format
-version, the spec, the domain's attribute names, session counters) next to
-the accumulator's :meth:`~repro.protocols.base.Accumulator.state_dict`
-arrays.  Nothing in it is pickled, so checkpoints are safe to load from
-untrusted storage — a malformed file raises
-:class:`~repro.core.exceptions.WireFormatError` instead of executing code.
+A checkpoint (format version 3) is one raw frame, every integer
+little-endian::
+
+    offset      size  content
+    0           4     magic  b"RPRC"
+    4           2     checkpoint format version (u16), 3
+    6           4     header length H (u32)
+    10          H     header, UTF-8 JSON: "spec", "attributes", "session"
+                      (counters), optional "extra", and "arrays", the
+                      state array table of [name, dtype, shape] entries
+    10 + H      A     the accumulator's state_dict arrays, each a C-order
+                      buffer of its table dtype, in table order
+    10 + H + A  32    SHA-256 of every byte before it
+
+Nothing in it is pickled, so checkpoints are safe to load from untrusted
+storage.  Restore checks the magic, the version, the SHA-256 trailer, each
+table entry (numeric dtypes only, shapes against the bytes that remain),
+the ``num_reports`` entry and the absence of trailing bytes; anything off
+raises :class:`~repro.core.exceptions.WireFormatError` (the trailer
+mismatch its subclass
+:class:`~repro.core.exceptions.CheckpointIntegrityError`).  The retired
+npz archives of versions 1 and 2 are refused with an error naming them.
+Files keep their historical ``.npz`` suffix (``state.npz``,
+``shard-NN.npz``).
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
-import tempfile
-import zipfile
+import struct
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,22 +49,29 @@ from ..core.domain import Domain
 from ..core.exceptions import (
     AggregationError,
     ProtocolConfigurationError,
+    ReproError,
     WireFormatError,
 )
 from ..observability import trace
+from ..resilience.integrity import DIGEST_BYTES, seal_integrity, verify_integrity
 from .spec import ProtocolSpec
 
-__all__ = ["CHECKPOINT_FORMAT_VERSION", "AggregationSession"]
+__all__ = ["CHECKPOINT_FORMAT_VERSION", "AggregationSession", "parse_checkpoint"]
 
-#: Version stamp carried by every checkpoint file.  Bump on layout changes.
-#: Version 2 added the embedded SHA-256 integrity digest; version-1 files
-#: (no digest) are still restored as legacy checkpoints.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version stamp carried by every checkpoint.  Bump on layout changes.
+CHECKPOINT_FORMAT_VERSION = 3
 
-_SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
-
-_HEADER_KEY = "header"
-_STATE_PREFIX = "state__"
+_CHECKPOINT_MAGIC = b"RPRC"
+#: Magic, format version and header length: the first bytes of a checkpoint.
+_CHECKPOINT_PREFIX = struct.Struct("<4sHI")
+#: Local-file-header magic of a zip archive (a retired npz checkpoint).
+_ZIP_MAGIC = b"PK\x03\x04"
+#: Header fields and their JSON types; all but "extra" are required.
+_HEADER_FIELDS = {
+    "spec": dict, "attributes": list, "session": dict, "arrays": list, "extra": dict
+}
+#: dtype kinds a state array may have: bool, signed, unsigned, float.
+_STATE_KINDS = "biuf"
 
 PathLike = Union[str, Path]
 
@@ -274,16 +298,19 @@ class AggregationSession:
         Both sessions must describe the same collection — specs are
         compared in canonical form (defaults spelled out, pure performance
         knobs ignored) over the same domain; a mismatch raises
-        :class:`AggregationError` carrying the readable spec diff.
+        :class:`AggregationError` carrying the readable spec diff.  Equal
+        specs (a server's own shards share one) skip the canonical diff.
         """
         if not isinstance(other, AggregationSession):
             raise AggregationError(
                 f"can only merge another AggregationSession, "
                 f"got {type(other).__name__}"
             )
-        mismatch = ProtocolSpec.from_protocol(self._protocol).diff(
-            ProtocolSpec.from_protocol(other._protocol),
-            ignore_options=self._protocol.tuning_options(),
+        mismatch = other._spec != self._spec and (
+            ProtocolSpec.from_protocol(self._protocol).diff(
+                ProtocolSpec.from_protocol(other._protocol),
+                ignore_options=self._protocol.tuning_options(),
+            )
         )
         if mismatch:
             raise AggregationError(
@@ -304,7 +331,7 @@ class AggregationSession:
         return self
 
     def checkpoint_bytes(self, *, extra: Optional[Dict[str, Any]] = None) -> bytes:
-        """The checkpoint archive as in-memory bytes (no file involved).
+        """The checkpoint as in-memory bytes (no file involved).
 
         Byte-for-byte the content :meth:`checkpoint` would have written,
         ready to ship over a wire (the topology tier's ``STATE`` frames) and
@@ -312,9 +339,12 @@ class AggregationSession:
         optional JSON-serializable metadata object stored in the header and
         surfaced as :attr:`checkpoint_extra` after restore.
         """
-        state = self._accumulator.state_dict()
+        arrays = []
+        for name, value in self._accumulator.state_dict().items():
+            array = np.asarray(value)
+            little = array.dtype.newbyteorder("<")
+            arrays.append((name, np.asarray(array, little, order="C")))
         header = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
             "spec": self._spec.to_dict(),
             "attributes": list(self._domain.attributes),
             "session": {
@@ -323,6 +353,10 @@ class AggregationSession:
                 "wire_reports": self._wire_reports,
                 "wire_bytes_total": self._wire_bytes,
             },
+            "arrays": [
+                [name, array.dtype.str, list(array.shape)]
+                for name, array in arrays
+            ],
         }
         if extra is not None:
             if not isinstance(extra, dict):
@@ -330,34 +364,17 @@ class AggregationSession:
                     f"checkpoint extra metadata must be a dict, "
                     f"got {type(extra).__name__}"
                 )
-            try:
-                json.dumps(extra)
-            except (TypeError, ValueError) as error:
-                raise ProtocolConfigurationError(
-                    f"checkpoint extra metadata is not JSON-serializable: "
-                    f"{error}"
-                ) from error
             header["extra"] = extra
-        state_arrays = {
-            key: np.asarray(value) for key, value in state.items()
-        }
-        # Stamp the header with a SHA-256 over the header itself plus every
-        # state array (name, dtype, shape, bytes): np.savez stores members
-        # uncompressed, so at-rest corruption that dodges the zip CRC is
-        # still caught on restore and the file quarantined.
-        from ..resilience.integrity import embed_integrity
-
-        header = embed_integrity(header, state_arrays)
-        arrays = {
-            _STATE_PREFIX + key: value for key, value in state_arrays.items()
-        }
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            **{_HEADER_KEY: np.array(json.dumps(header))},
-            **arrays,
+        try:
+            text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        except (TypeError, ValueError) as error:
+            raise ProtocolConfigurationError(
+                f"checkpoint extra metadata is not JSON-serializable: {error}"
+            ) from error
+        prefix = _CHECKPOINT_PREFIX.pack(
+            _CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(text)
         )
-        return buffer.getvalue()
+        return seal_integrity([prefix, text, *(array.data for _, array in arrays)])
 
     def checkpoint(
         self, path: PathLike, *, extra: Optional[Dict[str, Any]] = None
@@ -367,9 +384,11 @@ class AggregationSession:
         The file is self-contained: :meth:`restore` rebuilds an equivalent
         session in a fresh process and the resumed aggregation finalizes to
         estimates bit-for-bit identical to an uninterrupted run.  The write
-        is atomic (temp file + ``os.replace``), so an interrupted
-        checkpoint leaves the previous one intact.  ``extra`` is optional
-        JSON metadata stored in the header (see :meth:`checkpoint_bytes`).
+        is atomic and durable (temp file, ``fsync``, ``os.replace``, then
+        an ``fsync`` of the directory), so an interrupted checkpoint leaves
+        the previous one intact and a finished one survives power loss.
+        ``extra`` is optional JSON metadata stored in the header (see
+        :meth:`checkpoint_bytes`).
         """
         path = Path(path)
         with trace.span("session.checkpoint") as span:
@@ -383,27 +402,18 @@ class AggregationSession:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Write-then-rename so a crash (or full disk) mid-write can never
         # destroy the previous checkpoint: the new bytes land in a sibling
-        # temp file and only an atomic os.replace makes them visible.
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb",
-            dir=path.parent,
-            prefix=path.name + ".",
-            suffix=".tmp",
-            delete=False,
-        )
-        temp_path = Path(handle.name)
+        # temp file and only an atomic os.replace makes them visible.  The
+        # umask alone sets the file mode, as for a plain open().
+        temp_path = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        handle = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            # NamedTemporaryFile creates 0600; give the checkpoint the same
-            # umask-governed mode a plain open() would have produced, so
-            # other-user readers (backup jobs, merge_checkpoints) keep
-            # working across the atomic-write change.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(temp_path, 0o666 & ~umask)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(handle, view):]
+                os.fsync(handle)
+            finally:
+                os.close(handle)
             os.replace(temp_path, path)
         except BaseException:
             try:
@@ -411,119 +421,58 @@ class AggregationSession:
             except OSError:
                 pass
             raise
+        # The rename lives in the directory: without this fsync a power
+        # loss can bring the previous checkpoint back after the caller has
+        # already acknowledged what the new one holds.
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @classmethod
     def restore(cls, path: PathLike) -> "AggregationSession":
         """Rebuild a checkpointed session; the aggregation resumes exactly."""
         path = Path(path)
         with trace.span("session.restore"):
-            return cls._restore_path(path)
-
-    @classmethod
-    def _restore_path(cls, path: Path) -> "AggregationSession":
-        try:
-            if path.is_file() and path.stat().st_size == 0:
+            try:
+                data = path.read_bytes()
+            except OSError as error:
+                raise WireFormatError(
+                    f"cannot read session checkpoint {path}: {error}"
+                ) from error
+            if not data:
                 raise WireFormatError(
                     f"session checkpoint {path} is empty (zero bytes) — the "
                     f"write was interrupted before any data landed; restore "
                     f"from an earlier checkpoint or discard the file"
                 )
-            archive = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as error:
-            raise WireFormatError(
-                f"cannot read session checkpoint {path}: {error}"
-            ) from error
-        return cls._restore_archive(archive, str(path))
+            return cls._from_checkpoint(data, str(path))
 
     @classmethod
     def restore_bytes(cls, data: bytes) -> "AggregationSession":
         """Rebuild a session from :meth:`checkpoint_bytes` output."""
-        try:
-            archive = np.load(io.BytesIO(bytes(data)), allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as error:
-            raise WireFormatError(
-                f"cannot read session checkpoint <bytes>: {error}"
-            ) from error
-        return cls._restore_archive(archive, "<bytes>")
+        return cls._from_checkpoint(bytes(data), "<bytes>")
 
     @classmethod
-    def _restore_archive(cls, archive, path: str) -> "AggregationSession":
+    def _from_checkpoint(cls, data: bytes, source: str) -> "AggregationSession":
+        header, state = parse_checkpoint(data, source)
         try:
-            with archive:
-                if _HEADER_KEY not in archive.files:
-                    raise WireFormatError(
-                        f"{path} is not a session checkpoint (no header entry)"
-                    )
-                try:
-                    header = json.loads(str(archive[_HEADER_KEY][()]))
-                except (json.JSONDecodeError, ValueError) as error:
-                    raise WireFormatError(
-                        f"session checkpoint {path} has a corrupted header: "
-                        f"{error}"
-                    ) from error
-                version = header.get("format_version")
-                if version not in _SUPPORTED_CHECKPOINT_VERSIONS:
-                    raise WireFormatError(
-                        f"session checkpoint {path} uses format version "
-                        f"{version!r}; this library speaks version(s) "
-                        f"{_SUPPORTED_CHECKPOINT_VERSIONS}"
-                    )
-                for field in ("spec", "attributes", "session"):
-                    if field not in header:
-                        raise WireFormatError(
-                            f"session checkpoint {path} is missing the header "
-                            f"field {field!r}"
-                        )
-                if not isinstance(header["session"], dict):
-                    raise WireFormatError(
-                        f"session checkpoint {path} has a corrupted 'session' "
-                        f"header field (expected an object, got "
-                        f"{type(header['session']).__name__})"
-                    )
-                try:
-                    spec = ProtocolSpec.from_dict(header["spec"])
-                    domain = Domain(header["attributes"])
-                except (TypeError, ValueError) as error:
-                    raise WireFormatError(
-                        f"session checkpoint {path} has a corrupted header: "
-                        f"{error}"
-                    ) from error
-                state = {
-                    name[len(_STATE_PREFIX):]: archive[name]
-                    for name in archive.files
-                    if name.startswith(_STATE_PREFIX)
-                }
-        except zipfile.BadZipFile as error:
-            # np.savez stores members uncompressed but zip still CRCs them,
-            # so a flipped bit often surfaces here, on the member read —
-            # not at np.load time.
+            spec = ProtocolSpec.from_dict(header["spec"])
+            domain = Domain(header["attributes"])
+            session = cls(spec, domain)
+            session._accumulator.load_state(state)
+            counters = header["session"]
+            session._report_batches = int(counters.get("report_batches", 0))
+            session._wire_batches = int(counters.get("wire_batches", 0))
+            session._wire_reports = int(counters.get("wire_reports", 0))
+            session._wire_bytes = int(counters.get("wire_bytes_total", 0))
+        except (ReproError, TypeError, ValueError) as error:
             raise WireFormatError(
-                f"session checkpoint {path} is corrupted: {error}"
+                f"session checkpoint {source} has a corrupted header or "
+                f"state: {error}"
             ) from error
-        if "num_reports" not in state:
-            raise WireFormatError(
-                f"session checkpoint {path} carries no accumulator state"
-            )
-        extra = header.get("extra", {})
-        if not isinstance(extra, dict):
-            raise WireFormatError(
-                f"session checkpoint {path} has a corrupted 'extra' header "
-                f"field (expected an object, got {type(extra).__name__})"
-            )
-        # Integrity comes last so structural problems keep their specific
-        # messages; a version-2 checkpoint must carry a digest and match it,
-        # a version-1 legacy file simply has none to check.
-        from ..resilience.integrity import verify_integrity
-
-        verify_integrity(header, state, source=path, require=version >= 2)
-        session = cls(spec, domain)
-        session._accumulator.load_state(state)
-        counters = header["session"]
-        session._report_batches = int(counters.get("report_batches", 0))
-        session._wire_batches = int(counters.get("wire_batches", 0))
-        session._wire_reports = int(counters.get("wire_reports", 0))
-        session._wire_bytes = int(counters.get("wire_bytes_total", 0))
-        session.checkpoint_extra = extra
+        session.checkpoint_extra = header.get("extra", {})
         return session
 
     def __repr__(self) -> str:
@@ -531,3 +480,109 @@ class AggregationSession:
             f"AggregationSession(spec={self._spec.describe()}, "
             f"d={self._domain.dimension}, num_reports={self.num_reports})"
         )
+
+
+def parse_checkpoint(
+    data: Union[bytes, bytearray], source: str = "<bytes>"
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Validate a checkpoint and split it into its header and state arrays.
+
+    The state arrays come back in table order, each a view of its bytes in
+    ``data`` (``bytes`` or a ``bytearray``).  Anything off raises
+    :class:`~repro.core.exceptions.WireFormatError`; a SHA-256 trailer that
+    does not match raises its subclass
+    :class:`~repro.core.exceptions.CheckpointIntegrityError`.
+    """
+    if data.startswith(_ZIP_MAGIC):
+        raise WireFormatError(
+            f"session checkpoint {source} is an npz archive, the retired "
+            f"checkpoint format (versions 1 and 2); this library reads "
+            f"version {CHECKPOINT_FORMAT_VERSION} only"
+        )
+    if len(data) < _CHECKPOINT_PREFIX.size + DIGEST_BYTES:
+        raise WireFormatError(
+            f"session checkpoint {source} is truncated ({len(data)} bytes)"
+        )
+    magic, version, header_length = _CHECKPOINT_PREFIX.unpack_from(data)
+    if magic != _CHECKPOINT_MAGIC:
+        raise WireFormatError(
+            f"{source} is not a session checkpoint (magic {magic!r})"
+        )
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise WireFormatError(
+            f"session checkpoint {source} uses format version {version}, but "
+            f"this library speaks version {CHECKPOINT_FORMAT_VERSION} (versions "
+            f"1 and 2 were npz archives, a retired format)"
+        )
+    verify_integrity(data, source=source)
+    end = len(data) - DIGEST_BYTES
+    offset = _CHECKPOINT_PREFIX.size + header_length
+    if offset > end:
+        raise WireFormatError(
+            f"session checkpoint {source} declares a {header_length}-byte "
+            f"header but holds only {end - _CHECKPOINT_PREFIX.size} bytes"
+        )
+    try:
+        header = json.loads(data[_CHECKPOINT_PREFIX.size:offset].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as error:
+        raise WireFormatError(
+            f"session checkpoint {source} has a corrupted header: {error}"
+        ) from error
+    if not isinstance(header, dict):
+        raise WireFormatError(
+            f"session checkpoint {source} has a corrupted header (expected "
+            f"an object, got {type(header).__name__})"
+        )
+    for field, kind in _HEADER_FIELDS.items():
+        value = header.get(field, {} if field == "extra" else None)
+        if not isinstance(value, kind):
+            raise WireFormatError(
+                f"session checkpoint {source} has a corrupted header: field "
+                f"{field!r} must be a {kind.__name__}, got "
+                f"{type(value).__name__}"
+            )
+    state: Dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        try:
+            name, dtype, shape = entry
+            dtype = np.dtype(dtype)
+            valid = (
+                isinstance(name, str)
+                and name not in state
+                and dtype.kind in _STATE_KINDS
+                and isinstance(shape, list)
+                and all(isinstance(axis, int) and axis >= 0 for axis in shape)
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise WireFormatError(
+                f"session checkpoint {source} has a corrupted array table "
+                f"entry {entry!r} (need a new name, a numeric dtype and a "
+                f"non-negative shape)"
+            )
+        count = math.prod(shape)
+        if count * dtype.itemsize > end - offset:
+            raise WireFormatError(
+                f"session checkpoint {source} array {name!r} needs "
+                f"{count * dtype.itemsize} bytes but only {end - offset} remain"
+            )
+        try:
+            state[name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
+        except (ValueError, OverflowError) as error:
+            # An empty array whose other axes (or rank) numpy cannot hold.
+            raise WireFormatError(
+                f"session checkpoint {source} has a corrupted array table "
+                f"entry {entry!r}: {error}"
+            ) from error
+        offset += state[name].nbytes
+    if offset != end:
+        raise WireFormatError(
+            f"session checkpoint {source} has {end - offset} trailing byte(s) "
+            f"after its state arrays"
+        )
+    if "num_reports" not in state:
+        raise WireFormatError(
+            f"session checkpoint {source} carries no accumulator state"
+        )
+    return header, state

@@ -408,7 +408,7 @@ class TopologySupervisor:
         """:meth:`health_check` off the event loop.
 
         Recovering a dead collector restores its ``state.npz`` with
-        synchronous numpy/zip file I/O, so the async paths (the failover
+        synchronous file I/O and hashing, so the async paths (the failover
         oracle, the wire endpoint, :meth:`collect`) run the check in a
         worker thread — a client mid-failover never waits behind another
         client's disk read.
@@ -443,7 +443,7 @@ class TopologySupervisor:
             try:
                 session = AggregationSession.restore(state_path)
             except WireFormatError as error:
-                # Covers zero-byte files, torn zips, and integrity-digest
+                # Covers zero-byte files, bad layouts, and integrity-trailer
                 # mismatches (CheckpointIntegrityError subclasses
                 # WireFormatError): quarantine and recover as empty.  The
                 # empty token set makes clients replay every group the

@@ -9,8 +9,11 @@ restores the checkpoint and finishes the aggregation).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -28,6 +31,7 @@ from repro.core.exceptions import (
 )
 from repro.execution import available_executors, make_executor
 from repro.service import AggregationSession, ProtocolSpec
+from repro.service.session import parse_checkpoint
 
 from .util import (
     ALL_PROTOCOLS,
@@ -37,7 +41,9 @@ from .util import (
     encode_batches,
     encode_frames,
     estimates_of,
+    seal_checkpoint,
     small_dataset,
+    split_checkpoint,
 )
 
 BATCH_SIZE = 24  # 96 records -> 4 batches; checkpoint after the first 2
@@ -162,6 +168,17 @@ class TestMerge:
         with pytest.raises(AggregationError) as excinfo:
             first.merge(second)
         assert "epsilon: 1.0 != 2.0" in str(excinfo.value)
+
+    def test_equal_specs_skip_the_canonical_diff(self, dataset, monkeypatch):
+        spec = build("InpHT").spec()
+        first = AggregationSession(spec, dataset.domain)
+        second = AggregationSession(build("InpHT").spec(), dataset.domain)
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("equal specs must not be diffed")
+
+        monkeypatch.setattr(ProtocolSpec, "diff", no_diff)
+        first.merge(second)
 
     def test_merge_rejects_different_domains(self, dataset):
         spec = build("InpHT").spec()
@@ -292,6 +309,13 @@ class TestFreshProcessRestore:
         assert observed == expected
 
 
+def checkpoint_of(protocol_name, dataset, **extra):
+    protocol = build(protocol_name)
+    session = AggregationSession(protocol.spec(), dataset.domain)
+    session.submit(encode_frames(protocol, dataset, None)[0])
+    return session.checkpoint_bytes(**extra)
+
+
 class TestRestoreErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(WireFormatError, match="cannot read"):
@@ -299,46 +323,126 @@ class TestRestoreErrors:
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
-        path.write_bytes(b"definitely not an npz archive")
-        with pytest.raises(WireFormatError):
+        path.write_bytes(b"definitely not a session checkpoint at all, no")
+        with pytest.raises(WireFormatError, match="not a session checkpoint"):
             AggregationSession.restore(path)
 
-    def test_npz_without_header(self, tmp_path):
-        path = tmp_path / "headless.npz"
-        with path.open("wb") as handle:
-            np.savez(handle, state__sums=np.zeros(4))
-        with pytest.raises(WireFormatError, match="header"):
-            AggregationSession.restore(path)
+    def test_version_mismatch(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpHT", dataset))
+        stale = seal_checkpoint(header, state, version=2)
+        with pytest.raises(WireFormatError, match="version 2.*npz"):
+            AggregationSession.restore_bytes(stale)
 
-    def test_version_mismatch(self, tmp_path, dataset):
-        protocol = build("InpHT")
+    def test_missing_state_rejected(self, dataset):
+        header, _ = split_checkpoint(checkpoint_of("InpHT", dataset))
+        header["arrays"] = []
+        with pytest.raises(WireFormatError, match="no accumulator state"):
+            AggregationSession.restore_bytes(seal_checkpoint(header, b""))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["num_reports", "|O", []],
+            ["num_reports", "<U4", []],
+            ["num_reports", "no such dtype", []],
+            ["num_reports", "<i8", [-1]],
+            ["num_reports", "<i8", "8"],
+            [7, "<i8", []],
+            ["num_reports", "<i8"],
+            ["num_reports", "<i8", [0] * 65],
+            ["num_reports", "<i8", [0, 2**70]],
+            ["num_reports", "<i8", [0, 2**30, 2**30, 2**30]],
+        ],
+    )
+    def test_bad_array_table_entry_rejected(self, dataset, entry):
+        header, state = split_checkpoint(checkpoint_of("InpRR", dataset))
+        header["arrays"][-1] = entry
+        with pytest.raises(WireFormatError, match="array table entry"):
+            AggregationSession.restore_bytes(seal_checkpoint(header, state))
+
+    def test_shape_beyond_the_remaining_bytes(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpRR", dataset))
+        header["arrays"][0][2] = [10**6]
+        with pytest.raises(WireFormatError, match="only .* remain"):
+            AggregationSession.restore_bytes(seal_checkpoint(header, state))
+
+    def test_trailing_bytes_rejected(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpRR", dataset))
+        with pytest.raises(WireFormatError, match="trailing"):
+            AggregationSession.restore_bytes(
+                seal_checkpoint(header, state + b"\0")
+            )
+
+    def test_header_length_beyond_the_file(self, dataset):
+        blob = checkpoint_of("InpRR", dataset)
+        body = blob[:6] + struct.pack("<I", len(blob)) + blob[10:-32]
+        forged = body + hashlib.sha256(body).digest()
+        with pytest.raises(WireFormatError, match="header but holds"):
+            AggregationSession.restore_bytes(forged)
+
+    def test_state_that_does_not_fit_the_protocol(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpRR", dataset))
+        header["arrays"][0][2] = [2, header["arrays"][0][2][0] // 2]
+        with pytest.raises(WireFormatError, match="corrupted header or state"):
+            AggregationSession.restore_bytes(seal_checkpoint(header, state))
+
+
+class TestLayout:
+    """The version-3 checkpoint is prefix, JSON header, arrays, trailer."""
+
+    @pytest.mark.parametrize("name", ALL_PROTOCOLS)
+    def test_length_is_prefix_header_arrays_and_trailer(self, name, dataset):
+        protocol = build(name)
         session = AggregationSession(protocol.spec(), dataset.domain)
-        session.submit(encode_frames(protocol, dataset, None)[0])
-        path = session.checkpoint(tmp_path / "ok.ckpt.npz")
-        with np.load(path, allow_pickle=False) as archive:
-            header = json.loads(str(archive["header"][()]))
-            arrays = {
-                name: archive[name] for name in archive.files if name != "header"
-            }
-        header["format_version"] = 99
-        stale = tmp_path / "stale.ckpt.npz"
-        with stale.open("wb") as handle:
-            np.savez(handle, header=np.array(json.dumps(header)), **arrays)
-        with pytest.raises(WireFormatError, match="version"):
-            AggregationSession.restore(stale)
+        for frame in encode_frames(protocol, dataset, BATCH_SIZE):
+            session.submit(frame)
+        blob = session.checkpoint_bytes(extra={"acked_tokens": {"g": {}}})
+        (header_length,) = struct.unpack_from("<I", blob, 6)
+        header, state = parse_checkpoint(blob)
+        assert blob[:6] == b"RPRC" + struct.pack("<H", 3)
+        assert len(blob) == (
+            10 + header_length + sum(a.nbytes for a in state.values()) + 32
+        )
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+        assert [entry[0] for entry in header["arrays"]] == list(state)
+        assert header["extra"] == {"acked_tokens": {"g": {}}}
 
-    def test_missing_state_rejected(self, tmp_path, dataset):
-        header = {
-            "format_version": 1,
-            "spec": build("InpHT").spec().to_dict(),
-            "attributes": list(dataset.domain.attributes),
-            "session": {},
-        }
-        path = tmp_path / "stateless.ckpt.npz"
+    def test_same_session_gives_byte_identical_checkpoints(
+        self, dataset, tmp_path
+    ):
+        protocol = build("MargHT")
+        session = AggregationSession(protocol.spec(), dataset.domain)
+        for frame in encode_frames(protocol, dataset, BATCH_SIZE):
+            session.submit(frame)
+        first = session.checkpoint_bytes(extra={"collector_id": "c0"})
+        assert session.checkpoint_bytes(extra={"collector_id": "c0"}) == first
+        restored = AggregationSession.restore_bytes(first)
+        assert restored.checkpoint_bytes(extra={"collector_id": "c0"}) == first
+        path = session.checkpoint(tmp_path / "s.npz", extra={"collector_id": "c0"})
+        assert path.read_bytes() == first
+
+    def test_npz_checkpoint_is_refused_naming_the_retired_format(
+        self, tmp_path
+    ):
+        path = tmp_path / "legacy.npz"
         with path.open("wb") as handle:
-            np.savez(handle, header=np.array(json.dumps(header)))
-        with pytest.raises(WireFormatError, match="state"):
+            np.savez(
+                handle,
+                header=np.array(json.dumps({"format_version": 2})),
+                state__num_reports=np.array(3),
+            )
+        with pytest.raises(WireFormatError, match="npz archive, the retired"):
             AggregationSession.restore(path)
+
+    def test_unserializable_extra_is_refused(self, dataset):
+        protocol = build("InpRR")
+        session = AggregationSession(protocol.spec(), dataset.domain)
+        with pytest.raises(
+            ProtocolConfigurationError, match="not JSON-serializable"
+        ):
+            session.checkpoint_bytes(extra={"when": object()})
+        with pytest.raises(ProtocolConfigurationError, match="must be a dict"):
+            session.checkpoint_bytes(extra=["not", "a", "dict"])
 
 
 class TestTuningOptionMerge:
@@ -397,39 +501,17 @@ class TestTuningOptionMerge:
         first.merge(second)
         assert first.num_reports == 2 * BATCH_SIZE
 
-    def test_corrupted_session_header_field(self, tmp_path, dataset):
-        protocol = build("InpHT")
-        session = AggregationSession(protocol.spec(), dataset.domain)
-        session.submit(encode_frames(protocol, dataset, None)[0])
-        path = session.checkpoint(tmp_path / "ok.ckpt.npz")
-        with np.load(path, allow_pickle=False) as archive:
-            header = json.loads(str(archive["header"][()]))
-            arrays = {
-                name: archive[name] for name in archive.files if name != "header"
-            }
+    def test_corrupted_session_header_field(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpHT", dataset))
         header["session"] = "oops"
-        bad = tmp_path / "bad-session.ckpt.npz"
-        with bad.open("wb") as handle:
-            np.savez(handle, header=np.array(json.dumps(header)), **arrays)
-        with pytest.raises(WireFormatError, match="session"):
-            AggregationSession.restore(bad)
+        with pytest.raises(WireFormatError, match="'session' must be a dict"):
+            AggregationSession.restore_bytes(seal_checkpoint(header, state))
 
-    def test_corrupted_attributes_header_field(self, tmp_path, dataset):
-        protocol = build("InpHT")
-        session = AggregationSession(protocol.spec(), dataset.domain)
-        session.submit(encode_frames(protocol, dataset, None)[0])
-        path = session.checkpoint(tmp_path / "ok2.ckpt.npz")
-        with np.load(path, allow_pickle=False) as archive:
-            header = json.loads(str(archive["header"][()]))
-            arrays = {
-                name: archive[name] for name in archive.files if name != "header"
-            }
+    def test_corrupted_attributes_header_field(self, dataset):
+        header, state = split_checkpoint(checkpoint_of("InpHT", dataset))
         header["attributes"] = 7
-        bad = tmp_path / "bad-attrs.ckpt.npz"
-        with bad.open("wb") as handle:
-            np.savez(handle, header=np.array(json.dumps(header)), **arrays)
         with pytest.raises(WireFormatError, match="corrupted header"):
-            AggregationSession.restore(bad)
+            AggregationSession.restore_bytes(seal_checkpoint(header, state))
 
 
 class TestAtomicCheckpoint:
@@ -455,17 +537,17 @@ class TestAtomicCheckpoint:
         for frame in frames[2:]:
             session.submit(frame)
 
-        real_savez = np.savez
+        real_write = os.write
 
-        def torn_write(handle, **arrays):
+        def torn_write(fd, data):
             # Simulate a crash mid-checkpoint: some bytes land, then boom.
-            handle.write(b"partial garbage that is not an npz archive")
+            real_write(fd, bytes(data[:7]))
             raise OSError("disk full mid-write")
 
-        monkeypatch.setattr(np, "savez", torn_write)
+        monkeypatch.setattr(os, "write", torn_write)
         with pytest.raises(OSError, match="disk full"):
             session.checkpoint(path)
-        monkeypatch.setattr(np, "savez", real_savez)
+        monkeypatch.setattr(os, "write", real_write)
 
         # The previous checkpoint survived byte-for-byte and still restores.
         assert path.read_bytes() == good_bytes
@@ -503,3 +585,24 @@ class TestAtomicCheckpoint:
         finally:
             os.umask(previous_umask)
         assert (path.stat().st_mode & 0o777) == 0o644
+
+    def test_rename_is_made_durable_by_a_directory_fsync(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        """After os.replace the parent directory is fsync'd, so a power
+        loss cannot bring the previous checkpoint back after an ACK."""
+        protocol = build("InpRR")
+        session = AggregationSession(protocol.spec(), dataset.domain)
+        session.submit(encode_frames(protocol, dataset, None)[0])
+        path = tmp_path / "state.npz"
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        session.checkpoint(path)
+        # The temp file first (target not yet there), then the directory.
+        assert synced == [(False, False), (True, True)]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -83,6 +85,22 @@ def payload_body(frame: bytes) -> bytes:
     :func:`forge_frame`)."""
     (kind_length,) = struct.unpack_from("<H", frame, 6)
     return frame[16 + kind_length : -4]
+
+
+def split_checkpoint(blob: bytes) -> Tuple[dict, bytes]:
+    """A checkpoint's JSON header and the state bytes after it, trailer
+    dropped (inverse of :func:`seal_checkpoint`)."""
+    (header_length,) = struct.unpack_from("<I", blob, 6)
+    header = json.loads(blob[10 : 10 + header_length])
+    return header, blob[10 + header_length : -32]
+
+
+def seal_checkpoint(header: dict, state: bytes, version: int = 3) -> bytes:
+    """A checkpoint of ``header`` and ``state`` bytes under a valid SHA-256
+    trailer, so hostile headers and tables get past the integrity check."""
+    text = json.dumps(header).encode("utf-8")
+    body = struct.pack("<4sHI", b"RPRC", version, len(text)) + text + state
+    return body + hashlib.sha256(body).digest()
 
 
 def estimates_of(estimator) -> Dict[int, np.ndarray]:
