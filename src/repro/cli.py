@@ -517,8 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     topo_launch.add_argument(
         "--checkpoint-interval", type=float, default=None, metavar="SEC",
-        help="also refresh each collector's durable state.npz every SEC "
-        "seconds (on top of the per-ACK transactional writes)",
+        help="also snapshot each collector's durable state.npz every SEC "
+        "seconds (on top of the per-ACK commit-log appends)",
     )
     topo_launch.add_argument(
         "--stop-after-reports", type=_positive_int, default=None, metavar="N",
@@ -1887,9 +1887,9 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
     """Fan in an existing tree from outside the launcher process.
 
     Live collectors are pulled over the wire; unreachable ones fall back
-    to their last durable ``state.npz`` — the same supersede-by-collector-
-    id merge the supervisor performs, so the result is identical to what
-    the launcher would print.
+    to their durable snapshot and commit log — the same
+    supersede-by-collector-id merge the supervisor performs, so the result
+    is identical to what the launcher would print.
     """
     from .core.exceptions import PartialCoverageError
     from .topology import fan_in, load_manifest

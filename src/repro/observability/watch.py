@@ -268,6 +268,13 @@ def render_watch(
                     for key in ("active", "completed", "rejected", "dropped")
                 )
             )
+        commit_log = stats.get("commit_log")
+        if commit_log:
+            lines.append(
+                f"  log     : records={int(commit_log.get('records', 0)):,}  "
+                f"bytes={int(commit_log.get('bytes', 0)):,}  "
+                f"compactions={int(commit_log.get('compactions', 0)):,}"
+            )
         breakers = breaker_states(metrics)
         if breakers:
             lines.append(

@@ -13,9 +13,10 @@ ad-hoc repro scripts) can compose them:
   inside a named state array's bytes and leave the header, layout and
   trailer alone, so only the SHA-256 trailer check can catch it (silent
   at-rest corruption / tampering).
-* :func:`enospc_on_fsync` — make every ``os.fsync`` in this process fail
-  with ``ENOSPC``, the classic full-disk symptom, to prove atomic writes
-  leave the previous checkpoint intact.
+* :func:`enospc_on_fsync` — make every ``os.fsync`` and ``os.fdatasync``
+  in this process fail with ``ENOSPC``, the classic full-disk symptom, to
+  prove atomic writes leave the previous checkpoint intact and a failed
+  commit-log append sends no ACK.
 * :func:`deny_writes` — revoke write permission on a directory (an
   os-level, cross-process fault that surfaces as ``OSError`` on the
   writer, the same handling path as a full disk).
@@ -114,22 +115,23 @@ def corrupt_checkpoint_array(
 
 @contextlib.contextmanager
 def enospc_on_fsync():
-    """Within the block, every ``os.fsync`` in this process raises ENOSPC.
+    """Within the block, every ``os.fsync`` and ``os.fdatasync`` in this
+    process raises ENOSPC.
 
     The canonical full-disk failure: data was buffered but cannot be made
     durable.  Atomic checkpoint writers must abort the temp file and keep
-    the previous checkpoint visible.
+    the previous checkpoint visible; a commit-log append must not ACK.
     """
-    real_fsync = os.fsync
+    real = os.fsync, os.fdatasync
 
-    def failing_fsync(fd):
+    def failing_sync(fd):
         raise OSError(errno.ENOSPC, "No space left on device (injected)")
 
-    os.fsync = failing_fsync
+    os.fsync = os.fdatasync = failing_sync
     try:
         yield
     finally:
-        os.fsync = real_fsync
+        os.fsync, os.fdatasync = real
 
 
 @contextlib.contextmanager

@@ -1,8 +1,9 @@
 """Checkpoint integrity: the SHA-256 trailer and corrupt-file quarantine.
 
 Every checkpoint the system writes (session ``checkpoint()`` files, the
-durable-ACK ``state.npz``, topology ``STATE`` payloads — they all share
-one layout, documented in :mod:`repro.service.session`) ends in a 32-byte
+durable-ACK ``state.npz`` and its commit-log records, topology ``STATE``
+payloads — they all share one layout, documented in
+:mod:`repro.service.session`) ends in a 32-byte
 SHA-256 of every byte before it.  :func:`seal_integrity` appends that
 trailer on write and :func:`verify_integrity` checks it on read, before
 anything else in the checkpoint is parsed, so a torn write,

@@ -18,6 +18,9 @@ only, no new runtime dependencies):
   ``FIN`` (exactly once by token), periodic + shutdown checkpoints, and
   finalization bit-for-bit identical to ``run_streaming`` over the same
   encoded reports;
+* :mod:`~repro.server.durable` — a durable collector's disk state: a
+  snapshot plus a commit log appended and synced before every ``ACK``,
+  read back by :func:`restore_durable`;
 * :class:`LoadGenerator` — the client-fleet simulator: N concurrent
   clients, connection churn, malformed-frame injection, throughput
   reporting.
@@ -44,6 +47,7 @@ from .framing import (
     FrameDecoder,
     encode_control,
 )
+from .durable import COMMIT_LOG_FILENAME, restore_durable
 from .handshake import check_hello, hello_payload, spec_hash
 from .loadgen import ClientResult, LoadGenerator, LoadReport
 from .multiproc import MultiProcessCollector
@@ -82,6 +86,8 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_BATCH_MAX_USERS",
     "DURABLE_STATE_FILENAME",
+    "COMMIT_LOG_FILENAME",
+    "restore_durable",
     "CollectionServer",
     "merge_checkpoints",
     "MultiProcessCollector",

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.exceptions import ReproError
 from ..service.spec import ProtocolSpec
 
-__all__ = ["spec_hash", "hello_payload", "check_hello"]
+__all__ = ["spec_hash", "hello_payload", "check_hello", "check_token"]
 
 
 def spec_hash(spec: ProtocolSpec) -> str:
@@ -97,9 +97,13 @@ def check_hello(
         problems.append(
             f"attributes: {list(attributes)!r} != {list(client_attributes)!r}"
         )
+    problems.extend(check_token(payload))
+    return problems
+
+
+def check_token(payload: Dict[str, Any]) -> List[str]:
+    """The rejection reason for a ``HELLO`` token that is not a string."""
     token = payload.get("token")
     if token is not None and not isinstance(token, str):
-        problems.append(
-            f"token: must be a string when present, got {type(token).__name__}"
-        )
-    return problems
+        return [f"token: must be a string when present, got {type(token).__name__}"]
+    return []

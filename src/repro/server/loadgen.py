@@ -6,8 +6,14 @@ pre-encoded frames handed in by the caller (the reproducible path used by
 the equality tests and ``repro load --dataset``) or records it synthesizes
 and encodes itself via ``encode_batch`` — and plays the session protocol:
 ``HELLO`` handshake, a stream of report frames, ``FIN``, then verifies the
-server's ``ACK`` counts.  Knobs cover connection churn (``frames_per_
-connection`` forces periodic reconnects, each with a fresh handshake) and
+server's ``ACK`` counts.  Once an address has answered this generator's
+``HELLO`` with ``OK``, later groups there are pipelined: ``HELLO``, frames
+and ``FIN`` go out together and ``OK`` and ``ACK`` are read after, one
+round trip per group.  The first group to an address, and the first after
+any failure there, still waits for ``OK`` before sending frames, so a spec
+mismatch always earns the readable ``ERR``.  Knobs cover connection churn
+(``frames_per_connection`` forces periodic reconnects, each with a fresh
+``HELLO``) and
 fault injection (``malformed_connections`` opens extra poison connections
 that send garbage and expect a per-connection ``ERR`` rejection — proving
 the server survives hostile input while the well-formed fleet proceeds).
@@ -235,6 +241,21 @@ class _ControlChannel:
         return item
 
 
+def _expect_ok(response: ControlMessage) -> None:
+    """Raise unless ``response`` is the ``OK`` answering a ``HELLO``."""
+    if response.kind == ERR:
+        reason = response.payload.get("error", "rejected")
+        diff = response.payload.get("diff")
+        detail = "\n  ".join([reason] + (diff or []))
+        raise CollectionServiceError(
+            f"server rejected the HELLO handshake: {detail}"
+        )
+    if response.kind != OK:
+        raise CollectionServiceError(
+            f"expected OK after HELLO, got {response.kind}"
+        )
+
+
 class LoadGenerator:
     """Drive ``num_clients`` concurrent simulated clients at one server.
 
@@ -444,9 +465,11 @@ class LoadGenerator:
         self._io_timeout = self._timeouts.io
         self._read_chunk_bytes = read_chunk_bytes
         self._drain_every = int(drain_every)
-        self._hello = encode_control(
-            HELLO, hello_payload(spec, domain.attributes)
-        )
+        self._hello_payload = hello_payload(spec, domain.attributes)
+        self._hello = encode_control(HELLO, self._hello_payload)
+        # Addresses whose last connection from here was answered OK and
+        # did not fail since: groups to them are pipelined.
+        self._greeted: set = set()
 
     @property
     def router(self):
@@ -827,14 +850,20 @@ class LoadGenerator:
     ) -> Tuple[int, int]:
         reader, writer = await self._connect(address)
         result.connections += 1
+        pipelined = address in self._greeted
         try:
             try:
                 channel = _ControlChannel(
                     reader, self._read_chunk_bytes, self._io_timeout
                 )
                 with trace.span("loadgen.send_group") as span:
-                    span.annotate(frames=len(frames))
-                    await self._handshake(writer, channel, token)
+                    span.annotate(frames=len(frames), pipelined=pipelined)
+                    hello = self._hello_for(token)
+                    if pipelined:
+                        writer.write(hello)
+                    else:
+                        await self._handshake(writer, channel, hello)
+                        self._greeted.add(address)
                     for position, frame in enumerate(frames, start=1):
                         writer.write(frame)
                         if position % self._drain_every == 0:
@@ -843,6 +872,8 @@ class LoadGenerator:
                         result.bytes += len(frame)
                     writer.write(encode_control(FIN))
                     await writer.drain()
+                    if pipelined:
+                        _expect_ok(await channel.next_message())
                     ack = await channel.next_message()
             except (ConnectionError, OSError) as error:
                 # Honor the CollectionServiceError contract on the write
@@ -871,6 +902,9 @@ class LoadGenerator:
                 bytes_c.inc(sum(len(frame) for frame in frames))
                 groups_c.labels(outcome="delivered").inc()
             return acked_frames, acked_reports
+        except BaseException:
+            self._greeted.discard(address)
+            raise
         finally:
             writer.close()
             try:
@@ -888,7 +922,7 @@ class LoadGenerator:
             channel = _ControlChannel(
                 reader, self._read_chunk_bytes, self._io_timeout
             )
-            await self._handshake(writer, channel)
+            await self._handshake(writer, channel, self._hello)
             try:
                 # The canonical bad frame the framing tests also feed the
                 # decoders: rejected at the magic bytes, before any payload.
@@ -911,20 +945,13 @@ class LoadGenerator:
             except (ConnectionError, OSError):
                 pass
 
-    async def _handshake(
-        self,
-        writer,
-        channel: _ControlChannel,
-        token: Optional[str] = None,
-    ) -> None:
-        hello = (
-            self._hello
-            if token is None
-            else encode_control(
-                HELLO,
-                hello_payload(self._spec, self._domain.attributes, token=token),
-            )
-        )
+    def _hello_for(self, token: Optional[str]) -> bytes:
+        if token is None:
+            return self._hello
+        return encode_control(HELLO, {**self._hello_payload, "token": token})
+
+    @staticmethod
+    async def _handshake(writer, channel: _ControlChannel, hello: bytes) -> None:
         try:
             writer.write(hello)
             await writer.drain()
@@ -932,18 +959,7 @@ class LoadGenerator:
             raise CollectionServiceError(
                 f"server dropped the connection during the handshake: {error}"
             ) from error
-        response = await channel.next_message()
-        if response.kind == ERR:
-            reason = response.payload.get("error", "rejected")
-            diff = response.payload.get("diff")
-            detail = "\n  ".join([reason] + (diff or []))
-            raise CollectionServiceError(
-                f"server rejected the HELLO handshake: {detail}"
-            )
-        if response.kind != OK:
-            raise CollectionServiceError(
-                f"expected OK after HELLO, got {response.kind}"
-            )
+        _expect_ok(await channel.next_message())
 
     async def _connect(self, address: Tuple[str, int]):
         """Open one connection, retrying until ``connect_timeout`` passes.

@@ -20,10 +20,13 @@ Each connection follows the session protocol::
 
 Every connection is one *group*, durable server or not: its frames fold
 into an accumulator of its own, and only at ``FIN`` is the group committed
-— merged into the shard, its token recorded, ``state.npz`` written when
-the server is durable — before the ``ACK`` goes out.  A connection that
-dies mid-group therefore leaves no trace, and a retried group is folded
-exactly once.
+— merged into the shard, its token recorded, one record appended to the
+commit log and synced when the server is durable — before the ``ACK``
+goes out.  A connection that dies mid-group therefore leaves no trace, and
+a retried group is folded exactly once.  The server reads each message as
+it arrives, so a client that has been answered ``OK`` before may send
+``HELLO``, its frames and ``FIN`` in one write and read ``OK`` and ``ACK``
+together: one round trip per group.
 
 Misbehaving clients — spec mismatches, malformed or truncated frames,
 report frames before ``HELLO`` — are rejected *per connection*: the server
@@ -37,7 +40,8 @@ read chunk per connection.
 The server checkpoints its shards periodically and on shutdown (atomic
 temp-file-plus-rename writes via :meth:`AggregationSession.checkpoint`), so
 a crashed collector resumes from ``merge_checkpoints`` without losing the
-previous checkpoint to a torn write.
+previous checkpoint to a torn write.  A durable server's disk state is a
+snapshot plus a commit log instead (:mod:`repro.server.durable`).
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ from .framing import (
     FrameDecoder,
     encode_control,
 )
-from .handshake import check_hello, spec_hash
+from .durable import DURABLE_STATE_FILENAME, CommitLog, restore_durable
+from .handshake import check_hello, check_token, spec_hash
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -99,11 +104,6 @@ DEFAULT_MAX_FRAME_BYTES = 64 << 20
 #: Pending user reports at which a connection folds its decoded frames
 #: into its group accumulator (one ``update`` per fold).
 DEFAULT_BATCH_MAX_USERS = 8192
-
-#: Filename of the single-file transactional checkpoint written by a
-#: collector running in ``durable_acks`` mode (the whole merged state plus
-#: the acknowledged-group token map, refreshed atomically before each ACK).
-DURABLE_STATE_FILENAME = "state.npz"
 
 PathLike = Union[str, Path]
 
@@ -226,14 +226,15 @@ class CollectionServer:
         (read it back from :attr:`metrics_port`).
     durable_acks:
         Make every commit durable, for the topology tier: after a group
-        is merged into its shard at ``FIN``, the whole merged state (plus
-        the acknowledged-group token map) is checkpointed atomically to
-        ``checkpoint_dir/state.npz`` *before* the ``ACK`` goes out.  The
-        last durable checkpoint therefore always contains every
-        acknowledged group, which is what lets a supervisor re-merge a
-        dead collector without losing ACK'd reports.  Requires
-        ``checkpoint_dir``; an existing ``state.npz`` there is restored
-        on construction (crash restart).
+        is merged into its shard at ``FIN``, one record holding the group
+        and its token is appended to ``checkpoint_dir/state.log`` and
+        synced *before* the ``ACK`` goes out; ``state.npz`` is a snapshot
+        rewritten on :meth:`start`, at compaction, on :meth:`stop` and on
+        the periodic checkpoint (:mod:`repro.server.durable`).  Snapshot
+        plus log therefore always contain every acknowledged group, which
+        is what lets a supervisor re-merge a dead collector without losing
+        ACK'd reports.  Requires ``checkpoint_dir``; the state there is
+        restored on construction (crash restart).
 
     Clients may carry a ``token`` in their ``HELLO``, durable server or
     not; a replayed token is re-ACK'd with its recorded counts instead of
@@ -375,6 +376,18 @@ class CollectionServer:
             "checkpoints": counter(
                 "repro_server_checkpoints_total", "Checkpoints written."
             ),
+            "log_records": counter(
+                "repro_server_commit_log_records_total",
+                "Commit-log records appended (durable servers).",
+            ),
+            "log_bytes": counter(
+                "repro_server_commit_log_bytes_total",
+                "Commit-log bytes appended (durable servers).",
+            ),
+            "log_compactions": counter(
+                "repro_server_commit_log_compactions_total",
+                "Snapshots written because the commit log outgrew the last.",
+            ),
         }
         self._metric_synced: Dict[str, float] = {}
         self._metric_active = self._registry.gauge(
@@ -392,49 +405,43 @@ class CollectionServer:
         self._explicit_collector_id = collector_id
         self._durable_acks = bool(durable_acks)
         self._acked_tokens: Dict[str, Dict[str, int]] = {}
-        # True while a durable server holds commits that state.npz lacks
-        # (its last write failed); a replayed token is then re-ACK'd only
+        # The last HELLO accepted, as repr((spec, spec_hash, attributes)):
+        # an exact repeat skips the canonical spec check.
+        self._accepted_hello: Optional[str] = None
+        # True while a durable server holds commits that its disk state
+        # lacks (a write failed); the next commit then writes a snapshot
+        # instead of appending, and a replayed token is re-ACK'd only
         # after a write that covers it succeeds.
         self._unsaved_commits = False
+        self._log = CommitLog(self._checkpoint_dir) if self._durable_acks else None
+        self._compactions = 0
         if self._durable_acks:
             self._resume_durable_state()
 
     def _resume_durable_state(self) -> None:
-        """Fold a previous ``state.npz`` back in (crash-restart path).
+        """Fold the snapshot and its commit log back in (crash restart).
 
-        A ``state.npz`` that fails restore — zero bytes, a bad layout, or
-        an integrity-trailer mismatch — is quarantined to ``*.corrupt`` with a
-        readable report and the collector starts empty, rather than
-        refusing to serve: clients hold the idempotency tokens and will
-        replay whatever the lost state contained.
+        Durable state that fails restore — a bad layout, or an integrity
+        mismatch in the snapshot or a complete log record — is quarantined
+        to ``*.corrupt`` with a readable report and the collector starts
+        empty, rather than refusing to serve: clients hold the idempotency
+        tokens and will replay whatever the lost state contained.
         """
-        state_path = self._checkpoint_dir / DURABLE_STATE_FILENAME
-        if not state_path.exists():
-            return
         try:
-            restored = AggregationSession.restore(state_path)
+            restored = restore_durable(self._checkpoint_dir)
         except WireFormatError as error:
-            from ..resilience.integrity import quarantine_checkpoint
-
-            quarantined, report = quarantine_checkpoint(
-                state_path, f"durable state failed restore on startup: {error}"
-            )
             _logger.error(
-                "durable state %s is corrupt (%s); quarantined to %s "
-                "(report: %s); starting empty — clients will replay "
-                "unacknowledged groups",
-                state_path,
+                "durable state in %s is corrupt (%s); quarantined, starting "
+                "empty — clients will replay unacknowledged groups",
+                self._checkpoint_dir,
                 error,
-                quarantined,
-                report,
             )
+            return
+        if restored is None:
             return
         self._sessions[0].merge(restored)
-        tokens = restored.checkpoint_extra.get("acked_tokens", {})
-        if isinstance(tokens, dict):
-            self._acked_tokens.update(
-                {str(key): dict(value) for key, value in tokens.items()}
-            )
+        self._acked_tokens.update(restored.checkpoint_extra["acked_tokens"])
+        self._log.seq = restored.checkpoint_extra["log_seq"]
         metadata = restored.metadata
         self._reports_total = restored.num_reports
         self._frames_total = int(metadata["wire_batches"])
@@ -444,7 +451,7 @@ class CollectionServer:
             "from %s",
             restored.num_reports,
             len(self._acked_tokens),
-            state_path,
+            self._checkpoint_dir,
         )
 
     # ------------------------------------------------------------------ #
@@ -532,6 +539,10 @@ class CollectionServer:
             "connections_dropped": self._connections_dropped,
             "checkpoints": self._checkpoints_written,
         }
+        if self._log is not None:
+            values["log_records"] = self._log.records
+            values["log_bytes"] = self._log.bytes
+            values["log_compactions"] = self._compactions
         for key, value in values.items():
             delta = value - self._metric_synced.get(key, 0)
             if delta > 0:
@@ -591,6 +602,15 @@ class CollectionServer:
                 session.num_reports for session in self._sessions
             ],
             "checkpoints_written": self._checkpoints_written,
+            "commit_log": (
+                {
+                    "records": self._log.records,
+                    "bytes": self._log.bytes,
+                    "compactions": self._compactions,
+                }
+                if self._log is not None
+                else None
+            ),
         }
 
     # ------------------------------------------------------------------ #
@@ -603,6 +623,14 @@ class CollectionServer:
         # A stopped server may be started again (the shard sessions carry
         # over); clear any stale stop request so serve_until_stopped serves.
         self._stop_event.clear()
+        if self._durable_acks:
+            # The snapshot the commit log grows from: it folds in whatever
+            # log a restart replayed, and truncates it.
+            try:
+                self.durable_checkpoint()
+            except OSError as error:
+                self._unsaved_commits = True
+                _logger.error("startup snapshot failed: %s", error)
         extra = {"reuse_port": True} if self._reuse_port else {}
         self._server = await asyncio.start_server(
             self._on_client, self._host, self._requested_port, **extra
@@ -679,6 +707,8 @@ class CollectionServer:
             self._checkpoint_task = None
         if self._checkpoint_dir is not None:
             self.checkpoint()
+        if self._log is not None:
+            self._log.close()
         if self._scrape_server is not None:
             await self._scrape_server.stop()
             self._scrape_server = None
@@ -713,9 +743,10 @@ class CollectionServer:
     def checkpoint(self) -> List[Path]:
         """Checkpoint every shard to ``checkpoint_dir/shard-NN.npz`` now.
 
-        In ``durable_acks`` mode the checkpoint is instead the single
-        transactional ``state.npz`` (merged shards + token map) — one file,
-        so there is never a torn multi-file snapshot to recover from.
+        In ``durable_acks`` mode the checkpoint is instead the snapshot
+        ``state.npz`` (merged shards + token map), which also empties the
+        commit log — one file, so there is never a torn multi-file
+        snapshot to recover from.
         """
         if self._checkpoint_dir is None:
             raise ProtocolConfigurationError(
@@ -736,22 +767,48 @@ class CollectionServer:
         return paths
 
     def durable_checkpoint(self) -> Path:
-        """Atomically write the merged state + token map to ``state.npz``."""
-        if self._checkpoint_dir is None:
+        """Snapshot the merged state + token map to ``state.npz`` and
+        truncate the commit log (durable servers only)."""
+        if self._log is None:
             raise ProtocolConfigurationError(
-                "this server was built without a checkpoint_dir"
+                "durable_checkpoint needs a server built with durable_acks"
             )
         with trace.span("server.checkpoint.durable"):
-            path = self._merged_shards().checkpoint(
-                self._checkpoint_dir / DURABLE_STATE_FILENAME,
-                extra={
-                    "collector_id": self.collector_id,
-                    "acked_tokens": self._acked_tokens,
-                },
-            )
+            return self._snapshot()
+
+    def _snapshot(self) -> Path:
+        path = self._log.snapshot(
+            self._merged_shards(),
+            {"collector_id": self.collector_id, "acked_tokens": self._acked_tokens},
+        )
         self._unsaved_commits = False
         self._checkpoints_written += 1
         return path
+
+    def _make_durable(
+        self, group: _Group, token: Optional[str], counts: Dict[str, int]
+    ) -> None:
+        """Append the committed group to the log and sync it before its ACK.
+
+        After a failed write only a snapshot can cover the groups it
+        lost, so the next commit writes one instead of appending.  A
+        compaction that fails is logged and retried at the next commit:
+        the group itself is already durable in the log.
+        """
+        with trace.span("server.checkpoint.durable"):
+            if self._unsaved_commits:
+                self._snapshot()
+                return
+            self._unsaved_commits = True
+            self._log.append(token, counts, group.accumulator)
+            self._unsaved_commits = False
+            if self._log.compaction_due:
+                try:
+                    self._snapshot()
+                except OSError as error:
+                    _logger.error("commit-log compaction failed: %s", error)
+                else:
+                    self._compactions += 1
 
     async def _checkpoint_loop(self) -> None:
         while True:
@@ -804,12 +861,8 @@ class CollectionServer:
                         if item.kind == HELLO:
                             if greeted:
                                 raise _Reject("duplicate HELLO")
-                            problems = check_hello(
-                                item.payload,
-                                self._canonical_spec,
-                                self._tuning_options,
-                                self._domain.attributes,
-                            )
+                            with trace.span("server.hello"):
+                                problems = self._check_hello(item.payload)
                             if problems:
                                 raise _Reject("spec mismatch", problems)
                             greeted = True
@@ -892,6 +945,24 @@ class CollectionServer:
         finally:
             self._connections_active -= 1
 
+    def _check_hello(self, payload: Dict[str, Any]) -> List[str]:
+        """:func:`check_hello`, skipped for an exact repeat of the last
+        accepted spec, hash and attributes; the token is always checked."""
+        key = repr(
+            (payload.get("spec"), payload.get("spec_hash"), payload.get("attributes"))
+        )
+        if key == self._accepted_hello:
+            return check_token(payload)
+        problems = check_hello(
+            payload,
+            self._canonical_spec,
+            self._tuning_options,
+            self._domain.attributes,
+        )
+        if not problems:
+            self._accepted_hello = key
+        return problems
+
     def _commit(
         self,
         shard: AggregationSession,
@@ -901,9 +972,9 @@ class CollectionServer:
         """Commit one connection's group at ``FIN``; returns the ACK payload.
 
         Fold the last pending frames, merge the group into the shard,
-        record its token, write ``state.npz`` on a durable server — and
-        only then may the caller ACK.  Counters advance here and nowhere
-        else.  A replayed token is re-ACK'd with its recorded counts and
+        record its token, append it to the commit log on a durable server
+        — and only then may the caller ACK.  Counters advance here and
+        nowhere else.  A replayed token is re-ACK'd with its recorded counts and
         its group dropped; on a durable server, only once a write that
         covers the token has succeeded (the first commit's write may have
         failed after the merge).
@@ -926,8 +997,7 @@ class CollectionServer:
         if token is not None:
             self._acked_tokens[token] = counts
         if self._durable_acks:
-            self._unsaved_commits = True
-            self.durable_checkpoint()
+            self._make_durable(group, token, counts)
         if (
             self._stop_after_reports is not None
             and self._reports_total >= self._stop_after_reports
@@ -968,7 +1038,6 @@ class CollectionServer:
                 "collector_id": self.collector_id,
                 "what": "state",
                 "reports": combined.num_reports,
-                "acked_tokens": self._acked_tokens,
                 "state_b64": base64.b64encode(blob).decode("ascii"),
             }
         else:

@@ -31,7 +31,9 @@ mismatch its subclass
 :class:`~repro.core.exceptions.CheckpointIntegrityError`).  The retired
 npz archives of versions 1 and 2 are refused with an error naming them.
 Files keep their historical ``.npz`` suffix (``state.npz``,
-``shard-NN.npz``).
+``shard-NN.npz``).  A durable collector's commit log stores each committed
+group as the same frame under the magic ``b"RPRL"`` (see
+:mod:`repro.server.durable`); :func:`parse_checkpoint` reads both.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,19 +58,40 @@ from ..observability import trace
 from ..resilience.integrity import DIGEST_BYTES, seal_integrity, verify_integrity
 from .spec import ProtocolSpec
 
-__all__ = ["CHECKPOINT_FORMAT_VERSION", "AggregationSession", "parse_checkpoint"]
+__all__ = [
+    "CHECKPOINT_FORMAT_VERSION",
+    "LOG_RECORD_MAGIC",
+    "AggregationSession",
+    "fsync_directory",
+    "parse_checkpoint",
+    "seal_frame",
+]
 
 #: Version stamp carried by every checkpoint.  Bump on layout changes.
 CHECKPOINT_FORMAT_VERSION = 3
 
 _CHECKPOINT_MAGIC = b"RPRC"
+#: Magic of a commit-log record: the same frame holding one committed group
+#: (see :mod:`repro.server.durable`).
+LOG_RECORD_MAGIC = b"RPRL"
 #: Magic, format version and header length: the first bytes of a checkpoint.
 _CHECKPOINT_PREFIX = struct.Struct("<4sHI")
 #: Local-file-header magic of a zip archive (a retired npz checkpoint).
 _ZIP_MAGIC = b"PK\x03\x04"
-#: Header fields and their JSON types; all but "extra" are required.
-_HEADER_FIELDS = {
-    "spec": dict, "attributes": list, "session": dict, "arrays": list, "extra": dict
+#: Per magic: what the frame is called, its header fields with their JSON
+#: types, and the fields that may be absent.
+_FRAMES = {
+    _CHECKPOINT_MAGIC: (
+        "session checkpoint",
+        {"spec": dict, "attributes": list, "session": dict, "arrays": list,
+         "extra": dict},
+        {"extra"},
+    ),
+    LOG_RECORD_MAGIC: (
+        "commit-log record",
+        {"seq": int, "token": str, "counts": dict, "arrays": list},
+        {"token"},
+    ),
 }
 #: dtype kinds a state array may have: bool, signed, unsigned, float.
 _STATE_KINDS = "biuf"
@@ -339,11 +362,6 @@ class AggregationSession:
         optional JSON-serializable metadata object stored in the header and
         surfaced as :attr:`checkpoint_extra` after restore.
         """
-        arrays = []
-        for name, value in self._accumulator.state_dict().items():
-            array = np.asarray(value)
-            little = array.dtype.newbyteorder("<")
-            arrays.append((name, np.asarray(array, little, order="C")))
         header = {
             "spec": self._spec.to_dict(),
             "attributes": list(self._domain.attributes),
@@ -353,10 +371,6 @@ class AggregationSession:
                 "wire_reports": self._wire_reports,
                 "wire_bytes_total": self._wire_bytes,
             },
-            "arrays": [
-                [name, array.dtype.str, list(array.shape)]
-                for name, array in arrays
-            ],
         }
         if extra is not None:
             if not isinstance(extra, dict):
@@ -366,15 +380,13 @@ class AggregationSession:
                 )
             header["extra"] = extra
         try:
-            text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+            return seal_frame(
+                _CHECKPOINT_MAGIC, header, self._accumulator.state_dict()
+            )
         except (TypeError, ValueError) as error:
             raise ProtocolConfigurationError(
                 f"checkpoint extra metadata is not JSON-serializable: {error}"
             ) from error
-        prefix = _CHECKPOINT_PREFIX.pack(
-            _CHECKPOINT_MAGIC, CHECKPOINT_FORMAT_VERSION, len(text)
-        )
-        return seal_integrity([prefix, text, *(array.data for _, array in arrays)])
 
     def checkpoint(
         self, path: PathLike, *, extra: Optional[Dict[str, Any]] = None
@@ -424,11 +436,7 @@ class AggregationSession:
         # The rename lives in the directory: without this fsync a power
         # loss can bring the previous checkpoint back after the caller has
         # already acknowledged what the new one holds.
-        directory = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        fsync_directory(path.parent)
 
     @classmethod
     def restore(cls, path: PathLike) -> "AggregationSession":
@@ -482,8 +490,45 @@ class AggregationSession:
         )
 
 
+def fsync_directory(directory: Path) -> None:
+    """``fsync`` a directory, making the entries created in it durable."""
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(handle)
+    finally:
+        os.close(handle)
+
+
+def seal_frame(
+    magic: bytes, header: Dict[str, Any], state: Mapping[str, Any]
+) -> bytes:
+    """One checkpoint v3 frame: ``header`` plus the arrays of ``state``.
+
+    The header gains the ``"arrays"`` table; each value of ``state`` is
+    stored as a little-endian C-order buffer.  Raises ``TypeError`` or
+    ``ValueError`` when the header is not JSON-serializable.
+    """
+    arrays = []
+    for name, value in state.items():
+        array = np.asarray(value)
+        little = array.dtype.newbyteorder("<")
+        arrays.append((name, np.asarray(array, little, order="C")))
+    header = {
+        **header,
+        "arrays": [
+            [name, array.dtype.str, list(array.shape)] for name, array in arrays
+        ],
+    }
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    prefix = _CHECKPOINT_PREFIX.pack(magic, CHECKPOINT_FORMAT_VERSION, len(text))
+    return seal_integrity([prefix, text, *(array.data for _, array in arrays)])
+
+
 def parse_checkpoint(
-    data: Union[bytes, bytearray], source: str = "<bytes>"
+    data: Union[bytes, bytearray],
+    source: str = "<bytes>",
+    *,
+    magic: bytes = _CHECKPOINT_MAGIC,
 ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Validate a checkpoint and split it into its header and state arrays.
 
@@ -491,26 +536,27 @@ def parse_checkpoint(
     ``data`` (``bytes`` or a ``bytearray``).  Anything off raises
     :class:`~repro.core.exceptions.WireFormatError`; a SHA-256 trailer that
     does not match raises its subclass
-    :class:`~repro.core.exceptions.CheckpointIntegrityError`.
+    :class:`~repro.core.exceptions.CheckpointIntegrityError`.  ``magic``
+    :data:`LOG_RECORD_MAGIC` reads a commit-log record instead, whose
+    header fields differ and whose state may be empty.
     """
+    kind, fields, optional = _FRAMES[magic]
     if data.startswith(_ZIP_MAGIC):
         raise WireFormatError(
-            f"session checkpoint {source} is an npz archive, the retired "
+            f"{kind} {source} is an npz archive, the retired "
             f"checkpoint format (versions 1 and 2); this library reads "
             f"version {CHECKPOINT_FORMAT_VERSION} only"
         )
     if len(data) < _CHECKPOINT_PREFIX.size + DIGEST_BYTES:
         raise WireFormatError(
-            f"session checkpoint {source} is truncated ({len(data)} bytes)"
+            f"{kind} {source} is truncated ({len(data)} bytes)"
         )
-    magic, version, header_length = _CHECKPOINT_PREFIX.unpack_from(data)
-    if magic != _CHECKPOINT_MAGIC:
-        raise WireFormatError(
-            f"{source} is not a session checkpoint (magic {magic!r})"
-        )
+    found, version, header_length = _CHECKPOINT_PREFIX.unpack_from(data)
+    if found != magic:
+        raise WireFormatError(f"{source} is not a {kind} (magic {found!r})")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise WireFormatError(
-            f"session checkpoint {source} uses format version {version}, but "
+            f"{kind} {source} uses format version {version}, but "
             f"this library speaks version {CHECKPOINT_FORMAT_VERSION} (versions "
             f"1 and 2 were npz archives, a retired format)"
         )
@@ -519,26 +565,28 @@ def parse_checkpoint(
     offset = _CHECKPOINT_PREFIX.size + header_length
     if offset > end:
         raise WireFormatError(
-            f"session checkpoint {source} declares a {header_length}-byte "
+            f"{kind} {source} declares a {header_length}-byte "
             f"header but holds only {end - _CHECKPOINT_PREFIX.size} bytes"
         )
     try:
         header = json.loads(data[_CHECKPOINT_PREFIX.size:offset].decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:
         raise WireFormatError(
-            f"session checkpoint {source} has a corrupted header: {error}"
+            f"{kind} {source} has a corrupted header: {error}"
         ) from error
     if not isinstance(header, dict):
         raise WireFormatError(
-            f"session checkpoint {source} has a corrupted header (expected "
+            f"{kind} {source} has a corrupted header (expected "
             f"an object, got {type(header).__name__})"
         )
-    for field, kind in _HEADER_FIELDS.items():
-        value = header.get(field, {} if field == "extra" else None)
-        if not isinstance(value, kind):
+    for field, expected in fields.items():
+        if field in optional and field not in header:
+            continue
+        value = header.get(field)
+        if not isinstance(value, expected):
             raise WireFormatError(
-                f"session checkpoint {source} has a corrupted header: field "
-                f"{field!r} must be a {kind.__name__}, got "
+                f"{kind} {source} has a corrupted header: field "
+                f"{field!r} must be a {expected.__name__}, got "
                 f"{type(value).__name__}"
             )
     state: Dict[str, np.ndarray] = {}
@@ -557,14 +605,14 @@ def parse_checkpoint(
             valid = False
         if not valid:
             raise WireFormatError(
-                f"session checkpoint {source} has a corrupted array table "
+                f"{kind} {source} has a corrupted array table "
                 f"entry {entry!r} (need a new name, a numeric dtype and a "
                 f"non-negative shape)"
             )
         count = math.prod(shape)
         if count * dtype.itemsize > end - offset:
             raise WireFormatError(
-                f"session checkpoint {source} array {name!r} needs "
+                f"{kind} {source} array {name!r} needs "
                 f"{count * dtype.itemsize} bytes but only {end - offset} remain"
             )
         try:
@@ -572,17 +620,17 @@ def parse_checkpoint(
         except (ValueError, OverflowError) as error:
             # An empty array whose other axes (or rank) numpy cannot hold.
             raise WireFormatError(
-                f"session checkpoint {source} has a corrupted array table "
+                f"{kind} {source} has a corrupted array table "
                 f"entry {entry!r}: {error}"
             ) from error
         offset += state[name].nbytes
     if offset != end:
         raise WireFormatError(
-            f"session checkpoint {source} has {end - offset} trailing byte(s) "
+            f"{kind} {source} has {end - offset} trailing byte(s) "
             f"after its state arrays"
         )
-    if "num_reports" not in state:
+    if "num_reports" not in state and (state or magic == _CHECKPOINT_MAGIC):
         raise WireFormatError(
-            f"session checkpoint {source} carries no accumulator state"
+            f"{kind} {source} carries no accumulator state"
         )
     return header, state

@@ -3,13 +3,15 @@
 :class:`TopologySupervisor` runs N front-line :class:`CollectionServer`
 processes in ``durable_acks`` mode (one directory and one stable
 ``collector_id`` each), watches their liveness, and — when one dies —
-recovers its last atomic ``state.npz`` checkpoint so the tree re-merges
-without losing a single acknowledged report:
+recovers its durable state (the ``state.npz`` snapshot with its commit log
+replayed on top, :func:`~repro.server.durable.restore_durable`) so the tree
+re-merges without losing a single acknowledged report:
 
-* the collector checkpoints *before* every ACK, so its last ``state.npz``
-  is a superset of its acknowledged groups;
-* :meth:`health_check` notices the death and loads that checkpoint into
-  the recovered set (keyed by collector id, so a later restart supersedes
+* the collector appends each group to its commit log and syncs it
+  *before* the ACK, so snapshot plus log are a superset of its
+  acknowledged groups;
+* :meth:`health_check` notices the death and loads that state into the
+  recovered set (keyed by collector id, so a later restart supersedes
   it);
 * clients that lost a connection mid-group consult the supervisor's
   :meth:`failover` oracle: a group whose token is in the recovered set is
@@ -48,7 +50,7 @@ from ..resilience.coverage import (
     CoverageReport,
 )
 from ..resilience.defaults import WATCH_INTERVAL_SECONDS
-from ..resilience.integrity import quarantine_checkpoint
+from ..server.durable import DURABLE_STATE_FILENAME, restore_durable
 from ..server.framing import (
     ERR,
     PULL,
@@ -57,7 +59,7 @@ from ..server.framing import (
     FrameDecoder,
     encode_control,
 )
-from ..server.server import DURABLE_STATE_FILENAME, CollectionServer
+from ..server.server import CollectionServer
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
 from .aggregator import FanInAggregator
@@ -168,8 +170,8 @@ class TopologySupervisor:
     shards:
         Shard sessions *inside* each collector.
     checkpoint_interval:
-        Periodic ``state.npz`` refresh inside each collector, on top of
-        the per-ACK transactional writes.
+        Periodic ``state.npz`` snapshot inside each collector, on top of
+        the per-ACK commit-log appends and the compactions.
     """
 
     def __init__(
@@ -333,9 +335,9 @@ class TopologySupervisor:
     def restart(self, index: int) -> CollectorHandle:
         """Relaunch a dead collector on its original port and directory.
 
-        The child resumes from its own ``state.npz`` (the durable-ACK
-        restore path), so its live state supersedes — and therefore
-        replaces — the supervisor's recovered snapshot for it.
+        The child resumes from its own snapshot and commit log (the
+        durable-ACK restore path), so its live state supersedes — and
+        therefore replaces — the supervisor's recovered snapshot for it.
         """
         handle = self._handles[index]
         if handle.process is not None and handle.process.is_alive():
@@ -407,78 +409,51 @@ class TopologySupervisor:
     async def health_check_async(self) -> List[CollectorHandle]:
         """:meth:`health_check` off the event loop.
 
-        Recovering a dead collector restores its ``state.npz`` with
-        synchronous file I/O and hashing, so the async paths (the failover
-        oracle, the wire endpoint, :meth:`collect`) run the check in a
-        worker thread — a client mid-failover never waits behind another
-        client's disk read.
+        Recovering a dead collector restores its snapshot and replays its
+        commit log with synchronous file I/O and hashing, so the async
+        paths (the failover oracle, the wire endpoint, :meth:`collect`)
+        run the check in a worker thread — a client mid-failover never
+        waits behind another client's disk read.
         """
         return await asyncio.to_thread(self.health_check)
 
     def _recover(self, handle: CollectorHandle) -> None:
-        state_path = handle.checkpoint_dir / DURABLE_STATE_FILENAME
-        tokens: Dict[str, Dict[str, int]] = {}
-        session: Optional[AggregationSession] = None
-        if not state_path.exists():
-            # Death before the first durable checkpoint: nothing was ever
-            # acknowledged, so an empty recovered state loses nothing.
-            found = (
-                sorted(
-                    entry.name for entry in handle.checkpoint_dir.iterdir()
-                )
-                if handle.checkpoint_dir.is_dir()
-                else []
-            )
-            _logger.warning(
-                "collector %s left no %s (found: %s); recovering as empty",
+        try:
+            session = restore_durable(handle.checkpoint_dir)
+        except WireFormatError as error:
+            # Covers bad layouts and integrity mismatches in the snapshot
+            # or a complete log record (CheckpointIntegrityError subclasses
+            # WireFormatError): restore_durable quarantined both files, so
+            # recover as empty.  The empty token set makes clients replay
+            # every group the quarantined state held, so the loss is
+            # repaired wherever the clients are still alive to replay.
+            _logger.error(
+                "collector %s left corrupt durable state (%s); recovering "
+                "as empty",
                 handle.collector_id,
-                DURABLE_STATE_FILENAME,
-                found if found else "no checkpoint directory",
+                error,
             )
-            self._lost[handle.collector_id] = (
-                f"no durable {DURABLE_STATE_FILENAME} "
-                f"(died before its first acknowledged group)"
-            )
+            session = None
+            self._lost[handle.collector_id] = f"checkpoint quarantined: {error}"
         else:
-            try:
-                session = AggregationSession.restore(state_path)
-            except WireFormatError as error:
-                # Covers zero-byte files, bad layouts, and integrity-trailer
-                # mismatches (CheckpointIntegrityError subclasses
-                # WireFormatError): quarantine and recover as empty.  The
-                # empty token set makes clients replay every group the
-                # quarantined state held, so the loss is repaired wherever
-                # the clients are still alive to replay.
-                moved, report = quarantine_checkpoint(
-                    state_path,
-                    f"recovery of dead collector {handle.collector_id} "
-                    f"failed: {error}",
-                )
-                _logger.error(
-                    "collector %s left a corrupt %s (%s); quarantined to "
-                    "%s (report: %s); recovering as empty",
+            if session is None:
+                # Death before the startup snapshot: nothing was ever
+                # acknowledged, so an empty recovered state loses nothing.
+                _logger.warning(
+                    "collector %s left no %s; recovering as empty",
                     handle.collector_id,
                     DURABLE_STATE_FILENAME,
-                    error,
-                    moved,
-                    report,
                 )
                 self._lost[handle.collector_id] = (
-                    f"checkpoint quarantined: {error}"
-                )
-            else:
-                raw = session.checkpoint_extra.get("acked_tokens", {})
-                tokens = (
-                    {str(key): dict(value) for key, value in raw.items()}
-                    if isinstance(raw, dict)
-                    else {}
+                    f"no durable {DURABLE_STATE_FILENAME} "
+                    f"(died before its first acknowledged group)"
                 )
         if session is None:
             session = AggregationSession(self._spec, self._domain)
         self._recovered[handle.collector_id] = PulledState(
             collector_id=handle.collector_id,
             session=session,
-            acked_tokens=tokens,
+            acked_tokens=session.checkpoint_extra.get("acked_tokens", {}),
         )
 
     def recovered_states(self) -> Dict[str, PulledState]:

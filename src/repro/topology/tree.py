@@ -6,7 +6,9 @@ processes, a :class:`~.supervisor.SupervisorEndpoint` exposing the
 failover oracle on a socket, and a ``topology.json`` manifest so that
 *other* processes (``repro load --topology``, ``repro topo inspect``)
 can find every address and the collection contract without sharing
-memory with the launcher.
+memory with the launcher.  :func:`fan_in` is the cross-process fan-in walk:
+it pulls each collector and reads one that does not answer from its
+durable state through :func:`~repro.server.durable.restore_durable`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from ..core.exceptions import (
     WireFormatError,
 )
 from ..resilience.coverage import STATUS_RECOVERED
-from ..resilience.integrity import quarantine_checkpoint
 from ..resilience.policies import ResilienceConfig, RetryPolicy
-from ..server.server import DURABLE_STATE_FILENAME
-from ..service.session import AggregationSession
+from ..server.durable import restore_durable
 from ..service.spec import ProtocolSpec
 from .aggregator import FanInAggregator
 from .router import ROUTING_POLICIES
@@ -241,21 +241,23 @@ class FanIn:
     unreachable: List[str] = field(default_factory=list)
     #: Partial mode only: collector id -> why its reports are gone.
     lost: Dict[str, str] = field(default_factory=dict)
-    #: Collector id -> coverage status (``recovered`` from ``state.npz``).
+    #: Collector id -> coverage status (``recovered`` from durable state).
     statuses: Dict[str, str] = field(default_factory=dict)
     #: One readable line per collector that needed the fallback.
     notes: List[str] = field(default_factory=list)
 
 
 def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
-    """Pull every collector of a manifest, falling back to ``state.npz``.
+    """Pull every collector of a manifest, falling back to its disk state.
 
     Each collector is pulled over the wire (with a short retry); one that
-    does not answer is read from its last durable ``state.npz``.  Strict
-    mode (the default) raises when such a collector left no state, or a
-    state that fails restore.  ``partial=True`` records those collectors
-    in :attr:`FanIn.lost` instead, quarantining a state that fails
-    verification, so the caller can report the loss.
+    does not answer is read from its durable state — the ``state.npz``
+    snapshot with its commit log replayed, through
+    :func:`~repro.server.durable.restore_durable`.  Strict mode (the
+    default) raises when such a collector left no state, or a state that
+    fails restore, leaving the files in place.  ``partial=True`` records
+    those collectors in :attr:`FanIn.lost` instead, quarantining a state
+    that fails verification, so the caller can report the loss.
     """
     aggregator = FanInAggregator(
         ProtocolSpec.from_dict(manifest["spec"]), Domain(manifest["attributes"])
@@ -277,9 +279,20 @@ def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
     for entry in fallbacks:
         collector_id = entry["collector_id"]
         result.unreachable.append(collector_id)
-        state_path = Path(entry["checkpoint_dir"]) / DURABLE_STATE_FILENAME
-        if not state_path.exists():
-            reason = f"unreachable and left no durable checkpoint at {state_path}"
+        directory = Path(entry["checkpoint_dir"])
+        try:
+            session = restore_durable(directory, quarantine=partial)
+        except WireFormatError as error:
+            if not partial:
+                raise
+            result.lost[collector_id] = f"checkpoint quarantined: {error}"
+            result.notes.append(
+                f"collector {collector_id} is unreachable and its durable "
+                f"state failed verification; quarantined in {directory}"
+            )
+            continue
+        if session is None:
+            reason = f"unreachable and left no durable state in {directory}"
             if not partial:
                 raise CollectionServiceError(f"collector {collector_id} is {reason}")
             result.lost[collector_id] = reason
@@ -287,28 +300,12 @@ def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
                 f"collector {collector_id} is {reason}; counting it as empty"
             )
             continue
-        try:
-            session = AggregationSession.restore(state_path)
-        except WireFormatError as error:
-            if not partial:
-                raise
-            quarantined, report_path = quarantine_checkpoint(
-                state_path, f"fan-in of collector {collector_id}: {error}"
-            )
-            result.lost[collector_id] = f"checkpoint quarantined: {error}"
-            result.notes.append(
-                f"collector {collector_id} is unreachable and its checkpoint "
-                f"failed verification; quarantined to {quarantined} "
-                f"(report: {report_path})"
-            )
-            continue
-        tokens = session.checkpoint_extra.get("acked_tokens", {})
         aggregator.ingest_session(
-            collector_id, session, tokens if isinstance(tokens, dict) else {}
+            collector_id, session, session.checkpoint_extra["acked_tokens"]
         )
         result.statuses[collector_id] = STATUS_RECOVERED
         result.notes.append(
             f"collector {collector_id} is unreachable; recovered "
-            f"{session.num_reports} report(s) from {state_path}"
+            f"{session.num_reports} report(s) from {directory}"
         )
     return result

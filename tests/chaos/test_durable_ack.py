@@ -1,6 +1,6 @@
 """A durable ACK must mean "on disk", even for a replayed token.
 
-A group whose commit merged in memory but whose ``state.npz`` write hit a
+A group whose commit merged in memory but whose commit-log append hit a
 full disk was never acknowledged.  When the client retries it, the server
 must not re-ACK the recorded token from memory: it may only answer once a
 write that covers the token has succeeded, or a crash right after the ACK
@@ -12,9 +12,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.resilience.chaos import enospc_on_fsync
-from repro.server import ACK, OK, CollectionServer
-from repro.server.server import DURABLE_STATE_FILENAME
-from repro.service import AggregationSession
+from repro.server import ACK, OK, CollectionServer, restore_durable
 
 from ..server.raw_client import send_group
 from ..service.util import build, encode_frames, small_dataset
@@ -26,7 +24,6 @@ def test_replay_after_a_failed_durable_write_is_acked_only_once_on_disk(tmp_path
     protocol = build("InpRR")
     dataset = small_dataset()
     frames = encode_frames(protocol, dataset, BATCH)
-    state_path = tmp_path / DURABLE_STATE_FILENAME
 
     async def scenario():
         server = CollectionServer(
@@ -51,7 +48,7 @@ def test_replay_after_a_failed_durable_write_is_acked_only_once_on_disk(tmp_path
         with enospc_on_fsync():
             outcomes["g1 on a full disk"] = await group("g1", frames[1])
             outcomes["g1 retried, disk still full"] = await group("g1", frames[1])
-            on_disk = AggregationSession.restore(state_path)
+            on_disk = restore_durable(tmp_path)
             held_while_full = (
                 on_disk.num_reports,
                 sorted(on_disk.checkpoint_extra["acked_tokens"]),
@@ -78,6 +75,6 @@ def test_replay_after_a_failed_durable_write_is_acked_only_once_on_disk(tmp_path
     }
     # Folded once in memory, and the ACK'd state is on disk.
     assert in_memory == 2 * BATCH
-    on_disk = AggregationSession.restore(state_path)
+    on_disk = restore_durable(tmp_path)
     assert on_disk.num_reports == 2 * BATCH
     assert sorted(on_disk.checkpoint_extra["acked_tokens"]) == ["g0", "g1"]

@@ -160,3 +160,15 @@ def test_render_marks_unreachable_collectors():
 def test_render_without_tracker_omits_rates():
     frame = render_watch([payload_for()])
     assert "reports/s" not in frame
+
+
+def test_render_shows_a_durable_collectors_commit_log():
+    payload = payload_for()
+    assert "log     :" not in render_watch([payload])
+    payload["stats"]["commit_log"] = {
+        "records": 1500,
+        "bytes": 3_300_000,
+        "compactions": 12,
+    }
+    frame = render_watch([payload])
+    assert "log     : records=1,500  bytes=3,300,000  compactions=12" in frame
