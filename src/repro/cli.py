@@ -303,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--processes", type=_positive_int, default=1, metavar="P",
         help="run P collector processes sharing the port via SO_REUSEPORT; "
-        "their checkpoints merge to the same estimates as one process "
-        "(default: 1)",
+        "their checkpoints merge to the same estimates as one process; the "
+        "kernel balances connections, not groups (default: 1)",
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
@@ -384,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     load_parser.add_argument(
         "--frames-per-connection", type=_positive_int, default=None, metavar="F",
-        help="connection churn: reconnect (with a fresh HELLO) after F frames",
+        help="group size: each client sends its frames in groups of F, each "
+        "its own HELLO ... FIN/ACK (and token); groups to one address share "
+        "one kept-alive connection (default: one group per client)",
     )
     load_parser.add_argument(
         "--malformed", type=int, default=0, metavar="M",

@@ -268,6 +268,12 @@ def render_watch(
                     for key in ("active", "completed", "rejected", "dropped")
                 )
             )
+        groups = stats.get("groups") or {}
+        if groups:
+            lines.append(
+                f"  groups  : committed={int(groups.get('committed', 0)):,}  "
+                f"duplicate={int(groups.get('duplicate', 0)):,}"
+            )
         commit_log = stats.get("commit_log")
         if commit_log:
             lines.append(

@@ -22,8 +22,8 @@ only, no new runtime dependencies):
   snapshot plus a commit log appended and synced before every ``ACK``,
   read back by :func:`restore_durable`;
 * :class:`LoadGenerator` — the client-fleet simulator: N concurrent
-  clients, connection churn, malformed-frame injection, throughput
-  reporting.
+  clients, many groups per kept-alive connection, malformed-frame
+  injection, throughput reporting.
 
 The CLI drives both ends via ``repro serve`` and ``repro load``.
 """

@@ -4,19 +4,23 @@
 against one server.  Each client owns a slice of the report frames — either
 pre-encoded frames handed in by the caller (the reproducible path used by
 the equality tests and ``repro load --dataset``) or records it synthesizes
-and encodes itself via ``encode_batch`` — and plays the session protocol:
-``HELLO`` handshake, a stream of report frames, ``FIN``, then verifies the
-server's ``ACK`` counts.  Once an address has answered this generator's
-``HELLO`` with ``OK``, later groups there are pipelined: ``HELLO``, frames
-and ``FIN`` go out together and ``OK`` and ``ACK`` are read after, one
-round trip per group.  The first group to an address, and the first after
-any failure there, still waits for ``OK`` before sending frames, so a spec
-mismatch always earns the readable ``ERR``.  Knobs cover connection churn
-(``frames_per_connection`` forces periodic reconnects, each with a fresh
-``HELLO``) and
-fault injection (``malformed_connections`` opens extra poison connections
-that send garbage and expect a per-connection ``ERR`` rejection — proving
-the server survives hostile input while the well-formed fleet proceeds).
+and encodes itself via ``encode_batch`` — cuts it into groups of
+``frames_per_connection`` frames and plays the session protocol once per
+group: ``HELLO`` handshake, a stream of report frames, ``FIN``, then
+verifies the server's ``ACK`` counts.  Connections are kept alive: each
+client holds one open connection per collector address and sends every
+group routed there over it, so connect, accept, set-up and close are paid
+by the first group to an address and again only after a failure (which
+closes the connection; so does the end of the client's run).  Once an
+address has answered this generator's ``HELLO`` with ``OK``, later groups
+there are pipelined: ``HELLO``, frames and ``FIN`` go out together and
+``OK`` and ``ACK`` are read after, one round trip per group.  The first
+group to an address, and the first after any failure there, still waits
+for ``OK`` before sending frames, so a spec mismatch always earns the
+readable ``ERR``.  Fault injection (``malformed_connections``) opens
+extra poison connections that send garbage and expect a per-connection
+``ERR`` rejection — proving the server survives hostile input while the
+well-formed fleet proceeds.
 
 The fleet can also drive a whole multi-collector tree: pass ``targets``
 (several collector addresses) instead of ``host``/``port`` and each group
@@ -117,6 +121,7 @@ class ClientResult:
     """One simulated client's accounting."""
 
     client_id: int
+    #: Connections opened (a kept-alive connection carries many groups).
     connections: int = 0
     frames: int = 0
     bytes: int = 0
@@ -203,15 +208,25 @@ class LoadReport:
         }
 
 
-class _ControlChannel:
-    """Read side of one client connection: frames in, control messages out."""
+class _Connection:
+    """One client connection: the writer, and control messages read back.
 
-    def __init__(self, reader, read_chunk_bytes: int, timeout: float):
+    A connection outlives its group: :attr:`reusable` says whether the
+    next group routed to the same address may go over it.
+    """
+
+    def __init__(self, reader, writer, read_chunk_bytes: int, timeout: float):
+        self.writer = writer
         self._reader = reader
         self._decoder = FrameDecoder()
         self._pending = deque()
         self._read_chunk_bytes = read_chunk_bytes
         self._timeout = timeout
+
+    @property
+    def reusable(self) -> bool:
+        """False once the server has closed it (or it is closing here)."""
+        return not (self._reader.at_eof() or self.writer.is_closing())
 
     async def next_message(self) -> ControlMessage:
         while not self._pending:
@@ -239,6 +254,13 @@ class _ControlChannel:
                 "server sent a report frame; expected a control message"
             )
         return item
+
+    async def close(self) -> None:
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 def _expect_ok(response: ControlMessage) -> None:
@@ -273,8 +295,10 @@ class LoadGenerator:
         ``batch_size`` batches (one frame per batch) with a per-client
         child generator of ``seed``.
     frames_per_connection:
-        Connection churn: reconnect (with a fresh ``HELLO``) after this
-        many frames.  ``None`` sends everything over one connection.
+        Group size: each client cuts its frames into groups of this many,
+        each its own ``HELLO`` … ``FIN``/``ACK`` (and its own token).
+        ``None`` sends each client's frames as one group.  Groups to one
+        address share one kept-alive connection.
     malformed_connections:
         Extra poison connections (spread over the fleet) that handshake
         correctly, then send garbage and expect a per-connection ``ERR``.
@@ -470,6 +494,8 @@ class LoadGenerator:
         # Addresses whose last connection from here was answered OK and
         # did not fail since: groups to them are pipelined.
         self._greeted: set = set()
+        # The kept-alive connection per (client id, address).
+        self._open: Dict[Tuple[int, Tuple[str, int]], _Connection] = {}
 
     @property
     def router(self):
@@ -679,6 +705,8 @@ class LoadGenerator:
         finally:
             if spool is not None:
                 spool.close()
+            for key in [key for key in self._open if key[0] == result.client_id]:
+                await self._open.pop(key).close()
         return result
 
     def _token(self, client_id: int, group_index: int) -> Optional[str]:
@@ -848,21 +876,25 @@ class LoadGenerator:
         address: Tuple[str, int],
         token: Optional[str] = None,
     ) -> Tuple[int, int]:
-        reader, writer = await self._connect(address)
-        result.connections += 1
+        key = (result.client_id, address)
+        connection = self._open.pop(key, None)
+        if connection is not None and not connection.reusable:
+            await connection.close()
+            connection = None
+        if connection is None:
+            connection = await self._connect(address)
+            result.connections += 1
+        writer = connection.writer
         pipelined = address in self._greeted
         try:
             try:
-                channel = _ControlChannel(
-                    reader, self._read_chunk_bytes, self._io_timeout
-                )
                 with trace.span("loadgen.send_group") as span:
                     span.annotate(frames=len(frames), pipelined=pipelined)
                     hello = self._hello_for(token)
                     if pipelined:
                         writer.write(hello)
                     else:
-                        await self._handshake(writer, channel, hello)
+                        await self._handshake(writer, connection, hello)
                         self._greeted.add(address)
                     for position, frame in enumerate(frames, start=1):
                         writer.write(frame)
@@ -873,8 +905,8 @@ class LoadGenerator:
                     writer.write(encode_control(FIN))
                     await writer.drain()
                     if pipelined:
-                        _expect_ok(await channel.next_message())
-                    ack = await channel.next_message()
+                        _expect_ok(await connection.next_message())
+                    ack = await connection.next_message()
             except (ConnectionError, OSError) as error:
                 # Honor the CollectionServiceError contract on the write
                 # side too: a server vanishing under writer.drain() must
@@ -901,34 +933,29 @@ class LoadGenerator:
                 reports_c.inc(acked_reports)
                 bytes_c.inc(sum(len(frame) for frame in frames))
                 groups_c.labels(outcome="delivered").inc()
-            return acked_frames, acked_reports
         except BaseException:
+            # Only a clean ACK keeps the connection for the next group to
+            # this address; any failure closes it.
             self._greeted.discard(address)
+            await connection.close()
             raise
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        self._open[key] = connection
+        return acked_frames, acked_reports
 
     async def _poison_connection(self, result: ClientResult) -> None:
         """Handshake, then send garbage and expect a per-connection ERR."""
-        reader, writer = await self._connect(
+        connection = await self._connect(
             self._router.route(key=("poison", result.client_id))
         )
         result.connections += 1
         try:
-            channel = _ControlChannel(
-                reader, self._read_chunk_bytes, self._io_timeout
-            )
-            await self._handshake(writer, channel, self._hello)
+            await self._handshake(connection.writer, connection, self._hello)
             try:
                 # The canonical bad frame the framing tests also feed the
                 # decoders: rejected at the magic bytes, before any payload.
-                writer.write(POISON_FRAME)
-                await writer.drain()
-                message = await channel.next_message()
+                connection.writer.write(POISON_FRAME)
+                await connection.writer.drain()
+                message = await connection.next_message()
             except (CollectionServiceError, ConnectionError, OSError):
                 # The server dropped the connection without (or while
                 # sending) an ERR frame — the rejection still happened.
@@ -939,11 +966,7 @@ class LoadGenerator:
                 )
             result.rejected_connections += 1
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await connection.close()
 
     def _hello_for(self, token: Optional[str]) -> bytes:
         if token is None:
@@ -951,7 +974,7 @@ class LoadGenerator:
         return encode_control(HELLO, {**self._hello_payload, "token": token})
 
     @staticmethod
-    async def _handshake(writer, channel: _ControlChannel, hello: bytes) -> None:
+    async def _handshake(writer, channel: _Connection, hello: bytes) -> None:
         try:
             writer.write(hello)
             await writer.drain()
@@ -961,7 +984,7 @@ class LoadGenerator:
             ) from error
         _expect_ok(await channel.next_message())
 
-    async def _connect(self, address: Tuple[str, int]):
+    async def _connect(self, address: Tuple[str, int]) -> _Connection:
         """Open one connection, retrying until ``connect_timeout`` passes.
 
         Retrying covers the CI shape where the fleet starts while the
@@ -982,7 +1005,7 @@ class LoadGenerator:
         deadline = time.monotonic() + timeout
         while True:
             try:
-                connection = await asyncio.open_connection(host, port)
+                reader, writer = await asyncio.open_connection(host, port)
             except OSError as error:
                 if time.monotonic() >= deadline:
                     raise CollectionServiceError(
@@ -992,4 +1015,6 @@ class LoadGenerator:
                 await asyncio.sleep(CONNECT_POLL_SECONDS)
             else:
                 self._contacted.add(address)
-                return connection
+                return _Connection(
+                    reader, writer, self._read_chunk_bytes, self._io_timeout
+                )

@@ -8,34 +8,41 @@ through the sessions' exact ``merge`` algebra — to the same estimates as an
 in-process :meth:`~repro.protocols.base.MarginalReleaseProtocol.run_streaming`
 over the same encoded reports, bit for bit.
 
-Each connection follows the session protocol::
+Each connection carries any number of *groups*, one after another::
 
     client                                server
     ------                                ------
-    HELLO {spec, spec_hash, attributes}
+    HELLO {spec, spec_hash, attributes, token?}
                                           OK {spec_hash, shard}   (or ERR + close)
     report frame (RPRB bytes)  xN
     FIN
                                           ACK {frames, reports, bytes}
+    HELLO ...                             (the next group, same connection)
 
-Every connection is one *group*, durable server or not: its frames fold
-into an accumulator of its own, and only at ``FIN`` is the group committed
-— merged into the shard, its token recorded, one record appended to the
-commit log and synced when the server is durable — before the ``ACK``
-goes out.  A connection that dies mid-group therefore leaves no trace, and
-a retried group is folded exactly once.  The server reads each message as
-it arrives, so a client that has been answered ``OK`` before may send
-``HELLO``, its frames and ``FIN`` in one write and read ``OK`` and ``ACK``
-together: one round trip per group.
+that is, ``(HELLO frame* FIN -> OK ... ACK)*``, in the manner of HTTP/1.1
+persistent connections.  Every group, durable server or not, folds its
+frames into an accumulator of its own, and only at ``FIN`` is it
+committed — merged into the shard, its token recorded, one record appended
+to the commit log and synced when the server is durable — before the
+``ACK`` goes out.  After the ``ACK`` the connection waits for the next
+``HELLO``; every ``HELLO`` is checked again.  A connection that dies
+mid-group therefore leaves no trace of that group (the groups it ACK'd
+before stay committed), and a retried group is folded exactly once.  The
+server reads each message as it arrives, so a client that has been
+answered ``OK`` before may send ``HELLO``, its frames and ``FIN`` in one
+write and read ``OK`` and ``ACK`` together: one round trip per group, and
+no connect, accept or close at all once its connection is open.
 
 Misbehaving clients — spec mismatches, malformed or truncated frames,
 report frames before ``HELLO`` — are rejected *per connection*: the server
 answers with an ``ERR`` control frame carrying the reason (and the spec
 diff, when that is the reason), closes that connection, and keeps serving
-everyone else.  Backpressure is structural: reads happen in bounded chunks
-against ``asyncio``'s flow-controlled stream buffer, and the frame decoder
-never holds more than one maximal frame (``max_frame_bytes``) plus one
-read chunk per connection.
+everyone else.  :meth:`CollectionServer.stop` closes connections idle
+between groups at once and waits only for those in the middle of one.
+Backpressure is structural: reads happen in bounded chunks against
+``asyncio``'s flow-controlled stream buffer, and the frame decoder never
+holds more than one maximal frame (``max_frame_bytes``) plus one read
+chunk per connection.
 
 The server checkpoints its shards periodically and on shutdown (atomic
 temp-file-plus-rename writes via :meth:`AggregationSession.checkpoint`), so
@@ -109,7 +116,7 @@ PathLike = Union[str, Path]
 
 
 class _Group:
-    """One connection's reports between ``HELLO`` and ``FIN``.
+    """One group's reports, between its ``HELLO`` and its ``FIN``.
 
     Decoded frames wait in a pending list and fold into the group's own
     accumulator as one ``update`` whenever they reach
@@ -187,22 +194,25 @@ class CollectionServer:
         :attr:`port` after :meth:`start`).
     shards:
         Number of independent :class:`AggregationSession` shards; incoming
-        connections are assigned round-robin.  Estimates are shard-invariant
-        by the accumulators' merge algebra.
+        connections are assigned round-robin, and every group a connection
+        carries folds into its shard.  Estimates are shard-invariant by the
+        accumulators' merge algebra.
     max_frame_bytes:
         Per-frame payload cap for this server (backpressure bound).
     reuse_port:
         Bind with ``SO_REUSEPORT`` so several collector processes can
         share one address, the kernel load-balancing connections across
         them (the ``--processes`` tier; see
-        :mod:`repro.server.multiproc`).
+        :mod:`repro.server.multiproc`).  The kernel balances connections,
+        not groups: every group a kept-alive connection carries goes to
+        the process that accepted it.
     checkpoint_dir, checkpoint_interval:
         When set, every shard is checkpointed to
         ``checkpoint_dir/shard-NN.npz`` every ``checkpoint_interval``
         seconds and once more on :meth:`stop`.
     stop_after_reports:
         When set, :meth:`serve_until_stopped` returns once this many user
-        reports have been collected (the current connections drain first).
+        reports have been collected (groups in flight finish first).
     report_observer:
         Optional callable invoked with each committed group's user-report
         count (always positive; counters only advance at commit) — the
@@ -330,6 +340,10 @@ class CollectionServer:
         self._stop_event = asyncio.Event()
         self._handlers: set = set()
         self._writers: set = set()
+        # Writers of connections blocked on a read between two groups:
+        # stop() closes these at once instead of waiting for them.
+        self._idle_writers: set = set()
+        self._draining = False
         self._port: Optional[int] = None
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
@@ -339,6 +353,8 @@ class CollectionServer:
         self._connections_completed = 0
         self._connections_rejected = 0
         self._connections_dropped = 0
+        self._groups_committed = 0
+        self._groups_duplicate = 0
         self._frames_total = 0
         self._reports_total = 0
         self._bytes_total = 0
@@ -354,6 +370,12 @@ class CollectionServer:
         connections = counter(
             "repro_server_connections_total",
             "Connections by final outcome (opened counts at accept).",
+            labels=("outcome",),
+        )
+        groups = counter(
+            "repro_server_groups_total",
+            "Groups answered at FIN: committed, or re-ACK'd as a duplicate "
+            "token.",
             labels=("outcome",),
         )
         self._metric_counters = {
@@ -373,6 +395,8 @@ class CollectionServer:
             "connections_completed": connections.labels(outcome="completed"),
             "connections_rejected": connections.labels(outcome="rejected"),
             "connections_dropped": connections.labels(outcome="dropped"),
+            "groups_committed": groups.labels(outcome="committed"),
+            "groups_duplicate": groups.labels(outcome="duplicate"),
             "checkpoints": counter(
                 "repro_server_checkpoints_total", "Checkpoints written."
             ),
@@ -537,6 +561,8 @@ class CollectionServer:
             "connections_completed": self._connections_completed,
             "connections_rejected": self._connections_rejected,
             "connections_dropped": self._connections_dropped,
+            "groups_committed": self._groups_committed,
+            "groups_duplicate": self._groups_duplicate,
             "checkpoints": self._checkpoints_written,
         }
         if self._log is not None:
@@ -592,6 +618,10 @@ class CollectionServer:
                 "rejected": self._connections_rejected,
                 "dropped": self._connections_dropped,
             },
+            "groups": {
+                "committed": self._groups_committed,
+                "duplicate": self._groups_duplicate,
+            },
             "frames": self._frames_total,
             "reports": self._reports_total,
             "bytes": self._bytes_total,
@@ -623,6 +653,7 @@ class CollectionServer:
         # A stopped server may be started again (the shard sessions carry
         # over); clear any stale stop request so serve_until_stopped serves.
         self._stop_event.clear()
+        self._draining = False
         if self._durable_acks:
             # The snapshot the commit log grows from: it folds in whatever
             # log a restart replayed, and truncates it.
@@ -670,7 +701,7 @@ class CollectionServer:
         """Serve until :meth:`request_stop` (or ``stop_after_reports``) fires.
 
         Starts the server if :meth:`start` was not called yet, then blocks
-        until the stop condition, drains in-flight connections and shuts
+        until the stop condition, lets groups in flight finish and shuts
         down (writing a final checkpoint when configured).
         """
         if self._server is None:
@@ -679,11 +710,18 @@ class CollectionServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting clients, drain handlers, write a final checkpoint."""
+        """Stop accepting clients, drain handlers, write a final checkpoint.
+
+        Connections idle between two groups are closed at once (and count
+        as completed); a connection in the middle of a group gets up to
+        ``drain_timeout`` to reach its ``ACK``, and is closed after it.
+        """
         if self._server is None:
             return
         self._server.close()
-        await self._server.wait_closed()
+        self._draining = True
+        for writer in list(self._idle_writers):
+            writer.close()
         if self._handlers:
             done, pending = await asyncio.wait(
                 set(self._handlers), timeout=self._drain_timeout
@@ -698,6 +736,7 @@ class CollectionServer:
                 for writer in list(self._writers):
                     writer.close()
                 await asyncio.gather(*pending, return_exceptions=True)
+        await self._server.wait_closed()
         if self._checkpoint_task is not None:
             self._checkpoint_task.cancel()
             try:
@@ -844,28 +883,37 @@ class CollectionServer:
         self._connections_active += 1
         shard_index = index % len(self._sessions)
         shard = self._sessions[shard_index]
-        group = _Group(shard.protocol, self._domain)
-        greeted = False
-        finished = False
-        control_plane = False
+        # The open group (None between groups) and its HELLO's token.
+        group: Optional[_Group] = None
         token: Optional[str] = None
         try:
             decoder = FrameDecoder(max_frame_bytes=self._max_frame_bytes)
-            while not finished:
-                chunk = await reader.read(self._read_chunk_bytes)
-                if not chunk:
+            while True:
+                idle = group is None and decoder.at_frame_boundary
+                if idle and self._draining:
+                    break
+                if idle:
+                    self._idle_writers.add(writer)
+                try:
+                    chunk = await reader.read(self._read_chunk_bytes)
+                finally:
+                    self._idle_writers.discard(writer)
+                # stop() closed this idle connection under the read: a
+                # group that arrived with the close is left unanswered and
+                # unfolded rather than committed without its ACK.
+                if not chunk or (idle and self._draining):
                     break
                 decoder.absorb(chunk)
                 for item in decoder.frames():
                     if isinstance(item, ControlMessage):
                         if item.kind == HELLO:
-                            if greeted:
+                            if group is not None:
                                 raise _Reject("duplicate HELLO")
                             with trace.span("server.hello"):
                                 problems = self._check_hello(item.payload)
                             if problems:
                                 raise _Reject("spec mismatch", problems)
-                            greeted = True
+                            group = _Group(shard.protocol, self._domain)
                             token = item.payload.get("token")
                             writer.write(
                                 encode_control(
@@ -882,42 +930,38 @@ class CollectionServer:
                             # stats or the full session state.  Allowed
                             # before HELLO — the puller is a control-plane
                             # peer, not a report client.
-                            control_plane = True
                             await self._answer_pull(writer, item.payload)
                         elif item.kind == STATS:
                             # The observability probe (`repro watch`, live
                             # dashboards): stats plus the merged metrics
                             # snapshot.  Control-plane like PULL.
-                            control_plane = True
                             await self._answer_stats(writer)
                         elif item.kind == FIN:
-                            if not greeted:
+                            if group is None:
                                 raise _Reject("FIN before HELLO")
                             ack_payload = self._commit(shard, group, token)
-                            writer.write(encode_control(ACK, ack_payload))
-                            await writer.drain()
-                            finished = True
-                            break
+                            group, token = None, None
+                            with trace.span("server.ack"):
+                                writer.write(encode_control(ACK, ack_payload))
+                                await writer.drain()
                         else:
                             raise _Reject(
                                 f"unexpected control frame {item.kind!r}"
                             )
                     else:
-                        if not greeted:
+                        if group is None:
                             raise _Reject("report frame before HELLO")
                         # Decode off the receive-buffer view (the fields
                         # are copied out, so the batch never pins it); a
                         # malformed or CRC-failing payload raises right
                         # here, on the connection that sent it.
                         group.add(shard.protocol.decode_reports(item), len(item))
-            if finished:
-                self._connections_completed += 1
-            elif control_plane and decoder.at_frame_boundary:
-                # A PULL peer that hangs up cleanly finished its business;
-                # it never FINs because it never submits.
+            if group is None and decoder.at_frame_boundary:
+                # EOF between groups: every group this connection opened
+                # was ACK'd (a PULL or STATS peer never opens one).
                 self._connections_completed += 1
             else:
-                # EOF without FIN: the client vanished, and its uncommitted
+                # EOF mid-group: the client vanished, and its uncommitted
                 # group (and any trailing partial frame) dies with it.
                 self._connections_dropped += 1
                 if not decoder.at_frame_boundary:
@@ -969,7 +1013,7 @@ class CollectionServer:
         group: _Group,
         token: Optional[str],
     ) -> Dict[str, Any]:
-        """Commit one connection's group at ``FIN``; returns the ACK payload.
+        """Commit one group at its ``FIN``; returns the ACK payload.
 
         Fold the last pending frames, merge the group into the shard,
         record its token, append it to the commit log on a durable server
@@ -983,12 +1027,14 @@ class CollectionServer:
         if token is not None and token in self._acked_tokens:
             if self._unsaved_commits:
                 self.durable_checkpoint()
+            self._groups_duplicate += 1
             return {**self._acked_tokens[token], "duplicate": True}
         counts = group.counts()
         if group.accumulator is not None:
             shard.merge_group(
                 group.accumulator, frames=group.frames, wire_bytes=group.bytes
             )
+        self._groups_committed += 1
         self._frames_total += group.frames
         self._reports_total += group.reports
         self._bytes_total += group.bytes

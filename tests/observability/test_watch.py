@@ -172,3 +172,12 @@ def test_render_shows_a_durable_collectors_commit_log():
     }
     frame = render_watch([payload])
     assert "log     : records=1,500  bytes=3,300,000  compactions=12" in frame
+
+
+def test_render_counts_groups_apart_from_connections():
+    payload = payload_for()
+    assert "groups  :" not in render_watch([payload])
+    payload["stats"]["groups"] = {"committed": 1234, "duplicate": 5}
+    frame = render_watch([payload])
+    assert "conns   : active=1  completed=9" in frame
+    assert "groups  : committed=1,234  duplicate=5" in frame

@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.server import FIN, HELLO, FrameDecoder, encode_control, hello_payload
+from repro.server import (
+    ACK,
+    ERR,
+    FIN,
+    HELLO,
+    FrameDecoder,
+    encode_control,
+    hello_payload,
+)
 
 
 async def send_group(port, spec, attributes, frames, *, token=None, fin=True):
     """One raw connection: HELLO, the frames, optionally FIN; then read
-    every reply until the server closes."""
+    replies until the group's ACK or an ERR (the server keeps a connection
+    open after an ACK, waiting for the next group), or until it closes."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(encode_control(HELLO, hello_payload(spec, attributes, token=token)))
     writer.write(b"".join(frames))
@@ -21,7 +30,7 @@ async def send_group(port, spec, attributes, frames, *, token=None, fin=True):
         return []
     decoder = FrameDecoder()
     replies = []
-    while True:
+    while not any(reply.kind in (ACK, ERR) for reply in replies):
         chunk = await asyncio.wait_for(reader.read(1 << 16), 10.0)
         if not chunk:
             break

@@ -3,11 +3,13 @@
 Random sequences of control frames (every verb, including the ones only a
 server may send), JSON payloads of any shape — non-objects, bad tokens,
 bogus ``PULL`` targets — and valid, mutated or forged report frames go to
-a running :class:`CollectionServer`, in-memory and durable.  The property:
-every connection ends in ``ACK``, ``STATE``/``STATS``, ``ERR`` or a clean
-close, within a timeout; the handler's last-resort crash guard never logs;
-and afterwards a normal :class:`LoadGenerator` run still gets every report
-acknowledged.
+a running :class:`CollectionServer`, in-memory and durable, up to three
+groups per connection.  The property: within a timeout, the replies other
+than ``STATE``/``STATS`` read ``(OK ACK)* OK? ERR?`` and an ``ERR`` is the
+last reply; a token repeated within one connection is re-ACK'd as a
+duplicate with its first counts; the handler's last-resort crash guard
+never logs; and afterwards a normal :class:`LoadGenerator` run still gets
+every report acknowledged.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 import socket
 import struct
 import threading
@@ -49,6 +52,9 @@ SPEC = PROTOCOL.spec()
 FRAMES = encode_frames(PROTOCOL, DATASET, 16)
 FOREIGN_FRAMES = encode_frames(PROTOCOL, small_dataset(n=32, d=5), 16)
 FINAL_KINDS = {ACK, STATE, STATS, ERR}
+#: The replies to one connection, probe answers left out, one letter each.
+GROUP_REPLIES = re.compile(r"(OA)*O?E?")
+LETTERS = {OK: "O", ACK: "A", ERR: "E"}
 
 
 def control_frame(kind: str, body: bytes) -> bytes:
@@ -83,7 +89,7 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=10,
 )
-valid_hellos = st.builds(hello, st.none() | st.sampled_from(["g0", "g1"]) | st.text(max_size=8))
+tokens = st.none() | st.sampled_from(["g0", "g1"]) | st.text(max_size=8)
 #: Non-object payloads, payloads missing the contract, and valid HELLOs
 #: whose token is not a string.
 hostile_hellos = st.builds(json_frame, st.just(HELLO), json_values) | st.builds(
@@ -126,18 +132,29 @@ def hostile_frames(draw):
 
 @st.composite
 def conversations(draw):
-    """Probes, then (usually) a greeted group that may FIN and probe again,
-    with one hostile frame spliced in at a random point half the time."""
+    """Probes, then up to three greeted groups, each of which may FIN and
+    probe again, a later one sometimes replaying an earlier one's token;
+    one hostile frame is spliced in at a random point half the time.
+
+    Returns the frames, each group's token, and whether the conversation
+    is clean (no hostile frame), in which case the i-th ``ACK`` answers
+    the i-th group."""
+    fin = json_frame(FIN, {})
     parts = draw(st.lists(probes, max_size=2))
-    if draw(st.integers(0, 3)):
-        parts.append(draw(valid_hellos))
+    group_tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        used = [token for token in group_tokens if token is not None]
+        token = draw(st.sampled_from(used) if used and draw(st.booleans()) else tokens)
+        group_tokens.append(token)
+        parts.append(hello(token))
         parts += draw(st.lists(st.sampled_from(FRAMES + FOREIGN_FRAMES), max_size=3))
-        parts += draw(
-            st.lists(st.sampled_from([json_frame(FIN, {})]) | probes, max_size=2)
-        )
-    if draw(st.booleans()):
+        parts += draw(st.lists(st.just(fin) | probes, max_size=2))
+        if draw(st.integers(0, 3)):
+            parts.append(fin)
+    clean = draw(st.booleans())
+    if not clean:
         parts.insert(draw(st.integers(0, len(parts))), draw(hostile_frames()))
-    return parts
+    return parts, group_tokens, clean
 
 
 def converse(port: int, payload: bytes) -> list:
@@ -202,16 +219,29 @@ def test_control_plane_fuzz_never_crashes_a_handler(durable, tmp_path):
             suppress_health_check=[HealthCheck.too_slow],
         )
         @given(conversations())
-        def check(parts):
+        def check(conversation):
+            parts, group_tokens, clean = conversation
             errors.messages.clear()
             replies = converse(server.port, b"".join(parts))
             assert errors.messages == []
             kinds = [reply.kind for reply in replies]
             assert set(kinds) <= FINAL_KINDS | {OK}, kinds
-            assert kinds.count(OK) <= 1, kinds
-            for final in FINAL_KINDS - {STATE, STATS}:
-                if final in kinds:
-                    assert kinds.index(final) == len(kinds) - 1, kinds
+            if ERR in kinds:
+                assert kinds.index(ERR) == len(kinds) - 1, kinds
+            letters = "".join(LETTERS.get(kind, "") for kind in kinds)
+            assert GROUP_REPLIES.fullmatch(letters), kinds
+            if clean:
+                acks = [reply.payload for reply in replies if reply.kind == ACK]
+                first = {}
+                for token, ack in zip(group_tokens, acks):
+                    if token in first:
+                        assert ack["duplicate"] is True, (token, ack)
+                        assert {**ack, "duplicate": True} == {
+                            **first[token],
+                            "duplicate": True,
+                        }
+                    elif token is not None:
+                        first[token] = ack
 
         check()
 

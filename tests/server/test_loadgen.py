@@ -175,14 +175,21 @@ class TestFleetRuns:
             )
             report = await fleet.run()
             await server.stop()
-            return report
+            return report, server.stats()
 
-        report = asyncio.run(session())
+        report, stats = asyncio.run(session())
         assert report.clients == 2
         assert report.frames == len(frames)
         assert report.acked_frames == len(frames)
         assert report.bytes == sum(len(frame) for frame in frames)
-        assert report.connections == 4  # 3 frames per client, 2 per connection
+        # 3 frames per client, 2 per group: 2 groups per client, carried
+        # over one connection per client (one address).
+        (target,) = report.acked_by_target.values()
+        assert target["groups"] == 4
+        assert [client.connections for client in report.per_client] == [1, 1]
+        assert report.connections == 2
+        assert stats["groups"] == {"committed": 4, "duplicate": 0}
+        assert stats["connections"]["total"] == 2
         assert report.duration_seconds > 0
         assert report.reports_per_second > 0
         payload = report.to_dict()

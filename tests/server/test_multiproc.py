@@ -66,8 +66,8 @@ def collect_multiprocess(
             collector.port,
             frames=frames,
             num_clients=4,
-            frames_per_connection=1,  # churn: every frame reconnects, so the
-            # kernel can spread connections over both workers
+            frames_per_connection=1,  # one group per frame; the kernel
+            # spreads the four clients' connections over the workers
         )
         report = asyncio.run(fleet.run())
     finally:

@@ -72,9 +72,15 @@ def test_only_the_first_group_to_an_address_waits_for_ok(handshakes):
 
     server, report = asyncio.run(session())
     assert len(handshakes) == 1
-    assert report.connections == len(frames)
+    # One group per frame, all over one kept-alive connection.
+    (target,) = report.acked_by_target.values()
+    assert target["groups"] == len(frames)
+    assert report.connections == 1
     assert report.acked_reports == dataset.size
-    assert server.stats()["connections"]["completed"] == len(frames)
+    stats = server.stats()
+    assert stats["groups"] == {"committed": len(frames), "duplicate": 0}
+    assert stats["connections"]["total"] == 1
+    assert stats["connections"]["completed"] == 1
     assert_estimates_equal(
         estimates_of(server.finalize()),
         estimates_of(

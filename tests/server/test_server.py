@@ -115,7 +115,8 @@ class TestEndToEndEquality:
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_socket_collection_matches_run_streaming(self, name, dataset):
         """The headline proof, per protocol: shards + concurrent clients +
-        connection churn over real sockets == in-process run_streaming."""
+        many groups per connection over real sockets == in-process
+        run_streaming."""
         protocol = build(name)
         frames = encode_frames(protocol, dataset, BATCH_SIZE)
         server, report = collect_over_sockets(
@@ -124,7 +125,7 @@ class TestEndToEndEquality:
             dataset.domain,
             shards=3,
             num_clients=4,
-            frames_per_connection=1,  # maximal churn: one frame per connection
+            frames_per_connection=1,  # one frame per group
         )
         assert report.acked_frames == len(frames)
         assert report.acked_reports == dataset.size

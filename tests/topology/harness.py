@@ -94,7 +94,7 @@ async def drive_fleet(
 ) -> LoadReport:
     """Run a fleet through the tree; optionally kill per the plan.
 
-    One frame per connection group, so with the default single client the
+    One frame per group, so with the default single client the
     router's dealing order — and therefore which groups hit the doomed
     collector — is fully deterministic.  Extra ``fleet_kwargs`` go to the
     :class:`LoadGenerator` constructor (the chaos suite passes

@@ -136,3 +136,50 @@ def test_restarted_collector_reacks_replayed_tokens(tmp_path):
         estimates_of(merged.snapshot()),
         flat_estimates(protocol, dataset, BATCH),
     )
+
+
+def test_kill_restart_under_a_kept_alive_connection_delivers_once(tmp_path):
+    """The client holds a kept-alive connection to c0 when c0 is SIGKILLed
+    and restarted between two of its groups.  The next group to c0 finds
+    that connection at EOF, reconnects to the restarted collector and is
+    delivered exactly once."""
+    protocol = build("InpPS")
+    dataset = small_dataset()
+    domain = Domain.binary(dataset.dimension)
+    frames = encode_frames(protocol, dataset, BATCH)
+
+    async def scenario():
+        with spawn_tree(protocol, domain, tmp_path) as supervisor:
+
+            def kill_and_restart(client_id, group_index):
+                if group_index == 0:  # c0 has just ACK'd group 0
+                    supervisor.kill(0)
+                    supervisor.health_check()
+                    supervisor.restart(0)
+
+            report = await drive_fleet(
+                supervisor,
+                protocol,
+                domain,
+                frames,
+                token_prefix="keep",
+                on_group_done=kill_and_restart,
+            )
+            aggregator = await collect_with_pull_faults(supervisor)
+            return report, aggregator
+
+    report, aggregator = asyncio.run(scenario())
+    # One connection per collector, plus the reconnect to the restart:
+    # the dead connection was dropped before reuse, not found out by a
+    # failed group.
+    assert report.connections == 4
+    assert report.retries == 0
+    assert report.recovered_groups == 0
+    assert report.acked_reports == dataset.size
+    assert sorted(aggregator.collector_ids) == ["c0", "c1", "c2"]
+    merged = aggregator.merged_session()
+    assert merged.num_reports == dataset.size
+    assert_estimates_equal(
+        estimates_of(merged.snapshot()),
+        flat_estimates(protocol, dataset, BATCH),
+    )
