@@ -9,21 +9,27 @@ payload``):
   ``reports.to_bytes()`` (:mod:`repro.protocols.wire`).  The server relays
   them whole to an :class:`~repro.service.AggregationSession`, paying the
   payload decode (CRC check plus ``np.frombuffer`` reads) once at the shard.
-* **control frames** — magic ``b"RPRC"``, a UTF-8 JSON payload.  The
+* **control frames** — magic ``b"RPRC"``, a UTF-8 JSON payload (a
+  ``STATE`` frame adds raw bytes after it, see below).  The
   kinds are the session protocol's verbs: ``HELLO`` (client → server, the
   spec handshake), ``OK``/``ERR`` (server → client), ``FIN`` (client →
   server, end of stream), ``ACK`` (server → client, per-connection
   frame/report counts), plus the topology tier's fan-in pair — ``PULL``
   (aggregator → collector, request stats or session state) and ``STATE``
-  (collector → aggregator, the answer; its payload may carry a
-  base64-encoded session checkpoint, so the *pulling* side raises its
-  decoder's ``STATE`` cap to :data:`MAX_STATE_BYTES` — every other
-  decoder keeps the generic :data:`MAX_CONTROL_BYTES` bound, because a
-  server never legitimately receives an inbound ``STATE`` frame and must
-  not let an unauthenticated peer make it buffer 64 MiB) — and the
-  observability probe ``STATS`` (request *and* answer: ``repro watch``
-  sends an empty ``STATS``, the server answers with its stats dict plus
-  a mergeable metrics snapshot, all within the generic control cap).
+  (collector → aggregator, the answer) — and the observability probe
+  ``STATS`` (request *and* answer: ``repro watch`` sends an empty
+  ``STATS``, the server answers with its stats dict plus a mergeable
+  metrics snapshot, all within the generic control cap).
+
+A ``STATE`` payload is ``u32 head length | JSON head | raw bytes``: the
+head is the JSON object every other control frame carries whole, and the
+raw tail is a state answer's session checkpoint (the
+:meth:`~repro.service.AggregationSession.checkpoint_bytes` frame, shipped
+as is), empty in a stats or oracle answer.  Only the *pulling* side
+raises its decoder's ``STATE`` cap to :data:`MAX_STATE_BYTES` — every
+other decoder keeps the generic :data:`MAX_CONTROL_BYTES` bound, because
+a server never legitimately receives an inbound ``STATE`` frame and must
+not let an unauthenticated peer make it buffer 64 MiB.
 
 :class:`FrameDecoder` is the incremental half: TCP hands the receiver
 arbitrary byte chunks, so the decoder buffers input and emits a frame only
@@ -31,12 +37,14 @@ once every one of its bytes has arrived — a frame split at *any* byte
 boundary reassembles identically.  Anything structurally wrong (bad magic,
 unknown version, oversized declared payload, non-JSON control payload)
 raises :class:`~repro.core.exceptions.WireFormatError` immediately, before
-the stream can make the decoder buffer unbounded input.
+the stream can make the decoder buffer unbounded input; so does a
+``STATE`` head length past its payload.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Union
 
@@ -66,20 +74,21 @@ __all__ = [
     "STATE",
     "STATS",
     "CONTROL_KINDS",
+    "STATE_HEAD_LENGTH",
     "ControlMessage",
     "encode_control",
     "FrameDecoder",
 ]
 
 #: Version stamp carried by every control frame.  Bump on protocol changes.
-SERVER_PROTOCOL_VERSION = 1
+SERVER_PROTOCOL_VERSION = 2
 
 #: Control payloads are small JSON documents (a spec, a diff, counters); a
 #: declared length above this is a corrupted or hostile header.
 MAX_CONTROL_BYTES = 1 << 20
 
-#: ``STATE`` answers alone may carry a whole base64-encoded session
-#: checkpoint, so decoders that *expect* them (the fan-in pull client)
+#: ``STATE`` answers alone may carry a whole raw session checkpoint, so
+#: decoders that *expect* them (the fan-in pull client)
 #: opt into this larger — but still bounded — declared-payload cap via
 #: ``FrameDecoder(max_state_bytes=MAX_STATE_BYTES)``.  Everyone else
 #: keeps :data:`MAX_CONTROL_BYTES` for ``STATE`` too.
@@ -106,6 +115,9 @@ STATS = "STATS"
 CONTROL_KINDS = frozenset({HELLO, OK, ERR, FIN, ACK, PULL, STATE, STATS})
 
 _STATE_KIND_BYTES = STATE.encode("utf-8")
+
+#: The head-length field that opens every ``STATE`` payload.
+STATE_HEAD_LENGTH = struct.Struct("<I")
 
 _DECODE_COUNTERS = None
 
@@ -143,38 +155,58 @@ def _encode_payload_cap(kind: str) -> int:
 
 @dataclass(frozen=True)
 class ControlMessage:
-    """One decoded control frame: a verb plus its JSON payload."""
+    """One decoded control frame: a verb, its JSON payload and, on a
+    ``STATE`` frame only, the raw bytes after the JSON head."""
 
     kind: str
     payload: Dict[str, Any] = field(default_factory=dict)
+    raw: bytes = b""
 
 
-def encode_control(kind: str, payload: Dict[str, Any] = None) -> bytes:
+def encode_control(
+    kind: str, payload: Dict[str, Any] = None, raw: bytes = b""
+) -> bytes:
     """Serialize one control frame (``HELLO``/``OK``/``ERR``/``FIN``/``ACK``/
-    ``PULL``/``STATE``/``STATS``)."""
+    ``PULL``/``STATE``/``STATS``).
+
+    A ``STATE`` payload is the head-length field, the JSON head and then
+    ``raw`` (any bytes, shipped as is); every other kind is its JSON alone
+    and takes no ``raw``.
+    """
     if kind not in CONTROL_KINDS:
         raise WireFormatError(
             f"unknown control kind {kind!r}; expected one of "
             f"{sorted(CONTROL_KINDS)}"
         )
     try:
-        body = json.dumps(payload or {}, sort_keys=True).encode("utf-8")
+        head = json.dumps(payload or {}, sort_keys=True).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise WireFormatError(
             f"control payload for {kind!r} is not JSON-serializable: {error}"
         ) from error
-    payload_cap = _encode_payload_cap(kind)
-    if len(body) > payload_cap:
+    if kind == STATE:
+        parts = [STATE_HEAD_LENGTH.pack(len(head)), head, raw]
+    elif raw:
         raise WireFormatError(
-            f"control payload for {kind!r} serializes to {len(body)} bytes, "
+            f"only STATE frames carry raw bytes, not {kind!r}"
+        )
+    else:
+        parts = [head]
+    length = sum(len(part) for part in parts)
+    payload_cap = _encode_payload_cap(kind)
+    if length > payload_cap:
+        raise WireFormatError(
+            f"control payload for {kind!r} serializes to {length} bytes, "
             f"above the {payload_cap}-byte limit"
         )
     name = kind.encode("utf-8")
-    return (
-        _PREFIX.pack(CONTROL_MAGIC, SERVER_PROTOCOL_VERSION, len(name))
-        + name
-        + _LENGTH.pack(len(body))
-        + body
+    return b"".join(
+        [
+            _PREFIX.pack(CONTROL_MAGIC, SERVER_PROTOCOL_VERSION, len(name)),
+            name,
+            _LENGTH.pack(length),
+            *parts,
+        ]
     )
 
 
@@ -394,9 +426,25 @@ class FrameDecoder:
                 f"unknown control kind {kind!r}; expected one of "
                 f"{sorted(CONTROL_KINDS)}"
             )
-        body = bytes(self._buffer[header_end:frame_end])
+        body = memoryview(self._buffer)[header_end:frame_end]
+        raw = b""
+        if kind == STATE:
+            if len(body) < STATE_HEAD_LENGTH.size:
+                raise WireFormatError(
+                    f"STATE payload of {len(body)} byte(s) is too short for "
+                    "its head-length field"
+                )
+            (head_length,) = STATE_HEAD_LENGTH.unpack_from(body)
+            head_end = STATE_HEAD_LENGTH.size + head_length
+            if head_end > len(body):
+                raise WireFormatError(
+                    f"STATE head declares {head_length} byte(s), past the "
+                    f"{len(body)}-byte payload"
+                )
+            raw = bytes(body[head_end:])
+            body = body[STATE_HEAD_LENGTH.size : head_end]
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(bytes(body).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise WireFormatError(
                 f"control frame {kind!r} payload is not valid JSON: {error}"
@@ -406,4 +454,4 @@ class FrameDecoder:
                 f"control frame {kind!r} payload must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
-        return ControlMessage(kind=kind, payload=payload)
+        return ControlMessage(kind=kind, payload=payload, raw=raw)

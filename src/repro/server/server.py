@@ -54,7 +54,6 @@ snapshot plus a commit log instead (:mod:`repro.server.durable`).
 from __future__ import annotations
 
 import asyncio
-import base64
 import logging
 import socket
 import time
@@ -861,23 +860,28 @@ class CollectionServer:
     # connection handling
 
     async def _on_client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        self._writers.add(writer)
+        with trace.span("server.accept"):
+            task = asyncio.current_task()
+            self._handlers.add(task)
+            self._writers.add(writer)
+            decoder = FrameDecoder(max_frame_bytes=self._max_frame_bytes)
         try:
-            await self._handle_connection(reader, writer)
+            await self._handle_connection(reader, writer, decoder)
         except Exception:  # pragma: no cover - last-resort guard
             _logger.exception("connection handler crashed")
         finally:
             self._handlers.discard(task)
             self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            with trace.span("server.close"):
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
 
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _handle_connection(
+        self, reader, writer, decoder: FrameDecoder
+    ) -> None:
         index = self._connections_total
         self._connections_total += 1
         self._connections_active += 1
@@ -887,7 +891,6 @@ class CollectionServer:
         group: Optional[_Group] = None
         token: Optional[str] = None
         try:
-            decoder = FrameDecoder(max_frame_bytes=self._max_frame_bytes)
             while True:
                 idle = group is None and decoder.at_frame_boundary
                 if idle and self._draining:
@@ -1065,6 +1068,7 @@ class CollectionServer:
     async def _answer_pull(self, writer, payload: Dict[str, Any]) -> None:
         """Answer one ``PULL`` with a ``STATE`` frame (stats or state)."""
         what = payload.get("what", "state")
+        raw = b""
         if what == "stats":
             body: Dict[str, Any] = {
                 "collector_id": self.collector_id,
@@ -1073,26 +1077,26 @@ class CollectionServer:
                 "metrics": self.metrics_snapshot().state_dict(),
             }
         elif what == "state":
+            # Only what the fan-in merges: the token map stays in the
+            # durable snapshot, where restart dedupe and the failover
+            # oracle read it.
             combined = self._merged_shards()
-            blob = combined.checkpoint_bytes(
-                extra={
-                    "collector_id": self.collector_id,
-                    "acked_tokens": self._acked_tokens,
-                }
+            raw = combined.checkpoint_bytes(
+                extra={"collector_id": self.collector_id}
             )
             body = {
                 "collector_id": self.collector_id,
                 "what": "state",
                 "reports": combined.num_reports,
-                "state_b64": base64.b64encode(blob).decode("ascii"),
             }
         else:
             raise _Reject(
                 f"unknown PULL target {what!r}; expected 'stats' or 'state'"
             )
         with trace.span("topology.pull.answer") as span:
-            span.annotate(what=what)
-            writer.write(encode_control(STATE, body))
+            frame = encode_control(STATE, body, raw)
+            span.annotate(what=what, bytes=len(frame))
+            writer.write(frame)
         await writer.drain()
 
     @staticmethod

@@ -5,13 +5,17 @@ current merged state (or stats) and keeps serving.  That makes pulls
 naturally idempotent — a dropped answer is simply re-pulled, a duplicated
 one overwrites the previous snapshot with an equal-or-newer superset —
 which is the property the fault-injection harness leans on.
+
+A state answer carries only what the fan-in merges: the collector's
+session checkpoint, as raw bytes after the ``STATE`` frame's JSON head.
+The acknowledged-token map stays on the collector's disk, where the
+failover oracle and :func:`~repro.topology.fan_in`'s fallback read it
+through :func:`~repro.server.durable.restore_durable`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -32,6 +36,8 @@ from ..service.session import AggregationSession
 
 __all__ = [
     "PulledState",
+    "decode_state",
+    "decode_stats",
     "pull_control",
     "pull_state",
     "pull_stats",
@@ -56,7 +62,11 @@ def _count_pull(outcome: str) -> None:
 
 @dataclass
 class PulledState:
-    """One collector's snapshot: identity, session state, ACK'd tokens."""
+    """One collector's snapshot: identity, session state, ACK'd tokens.
+
+    ``acked_tokens`` is filled for a state recovered from disk and empty
+    for a live pull, whose ``STATE`` answer does not carry the map.
+    """
 
     collector_id: str
     session: AggregationSession
@@ -168,38 +178,40 @@ async def _pull_control_once(
             pass
 
 
-def decode_state(payload: Dict[str, Any]) -> PulledState:
-    """Decode a ``STATE`` payload carrying a base64 session checkpoint."""
+def decode_state(answer: ControlMessage) -> PulledState:
+    """Restore the session a state ``STATE`` answer carries as raw bytes."""
+    payload = answer.payload
     if payload.get("what") != "state":
         raise CollectionServiceError(
             f"STATE answer is not a state snapshot (what="
             f"{payload.get('what')!r})"
         )
-    blob = payload.get("state_b64")
-    if not isinstance(blob, str):
+    if not answer.raw:
         raise CollectionServiceError(
-            "STATE answer carries no state_b64 checkpoint"
+            "STATE answer carries no session checkpoint"
         )
     try:
-        data = base64.b64decode(blob.encode("ascii"), validate=True)
-    except (binascii.Error, ValueError, UnicodeEncodeError) as error:
-        raise CollectionServiceError(
-            f"STATE answer carries undecodable base64 state: {error}"
-        ) from error
-    try:
-        session = AggregationSession.restore_bytes(data)
+        session = AggregationSession.restore_bytes(answer.raw)
     except WireFormatError as error:
         raise CollectionServiceError(
             f"STATE answer carries a corrupted session checkpoint: {error}"
         ) from error
-    tokens = session.checkpoint_extra.get("acked_tokens", {})
-    if not isinstance(tokens, dict):
-        tokens = {}
     return PulledState(
         collector_id=str(payload.get("collector_id", "collector")),
         session=session,
-        acked_tokens={str(key): dict(value) for key, value in tokens.items()},
     )
+
+
+def decode_stats(answer: ControlMessage) -> Dict[str, Any]:
+    """The payload of a stats ``STATE`` answer (stats + metrics snapshot)."""
+    if answer.raw:
+        raise CollectionServiceError(
+            f"stats answer carries {len(answer.raw)} raw byte(s); only a "
+            "state answer may"
+        )
+    if not isinstance(answer.payload.get("stats"), dict):
+        raise CollectionServiceError("stats answer carries no stats")
+    return answer.payload
 
 
 async def pull_state(
@@ -213,7 +225,7 @@ async def pull_state(
     answer = await pull_control(
         host, port, {"what": "state"}, timeout=timeout, retry=retry
     )
-    return decode_state(answer.payload)
+    return decode_state(answer)
 
 
 async def pull_stats(
@@ -224,15 +236,8 @@ async def pull_stats(
     retry: Optional[RetryPolicy] = None,
 ) -> Dict[str, Any]:
     """Pull one collector's stats counters."""
-    answer = await pull_control(
-        host, port, {"what": "stats"}, timeout=timeout, retry=retry
-    )
-    stats = answer.payload.get("stats")
-    if not isinstance(stats, dict):
-        raise CollectionServiceError(
-            f"collector {host}:{port} answered a stats PULL without stats"
-        )
-    return stats
+    payload = await pull_stats_payload(host, port, timeout=timeout, retry=retry)
+    return payload["stats"]
 
 
 async def pull_stats_payload(
@@ -251,9 +256,7 @@ async def pull_stats_payload(
     answer = await pull_control(
         host, port, {"what": "stats"}, timeout=timeout, retry=retry
     )
-    payload = answer.payload
-    if not isinstance(payload.get("stats"), dict):
-        raise CollectionServiceError(
-            f"collector {host}:{port} answered a stats PULL without stats"
-        )
-    return payload
+    try:
+        return decode_stats(answer)
+    except CollectionServiceError as error:
+        raise CollectionServiceError(f"collector {host}:{port}: {error}") from error

@@ -389,9 +389,7 @@ class TopologySupervisor:
         newly_dead = []
         with self._health_lock:
             for handle in self._handles:
-                if handle.status != "live":
-                    continue
-                if handle.process is not None and handle.process.is_alive():
+                if not self._has_died(handle):
                     continue
                 self._recover(handle)
                 handle.status = "dead"
@@ -407,15 +405,28 @@ class TopologySupervisor:
         return newly_dead
 
     async def health_check_async(self) -> List[CollectorHandle]:
-        """:meth:`health_check` off the event loop.
+        """:meth:`health_check` off the event loop, when it has work.
 
-        Recovering a dead collector restores its snapshot and replays its
-        commit log with synchronous file I/O and hashing, so the async
-        paths (the failover oracle, the wire endpoint, :meth:`collect`)
-        run the check in a worker thread — a client mid-failover never
-        waits behind another client's disk read.
+        Whether a live collector's process has died is one ``waitpid``
+        poll, cheap enough for the loop, so a healthy tree costs no thread
+        hop.  Recovering a dead collector restores its snapshot and replays
+        its commit log with synchronous file I/O and hashing, so only then
+        do the async paths (the failover oracle, the wire endpoint,
+        :meth:`collect`) run the check in a worker thread — a client
+        mid-failover never waits behind another client's disk read.  A
+        handle is still ``live`` while another thread recovers it, so this
+        path too waits on that recovery before it can see ``dead``.
         """
+        if not any(self._has_died(handle) for handle in self._handles):
+            return []
         return await asyncio.to_thread(self.health_check)
+
+    @staticmethod
+    def _has_died(handle: CollectorHandle) -> bool:
+        """A handle still marked live whose process is gone."""
+        return handle.status == "live" and not (
+            handle.process is not None and handle.process.is_alive()
+        )
 
     def _recover(self, handle: CollectorHandle) -> None:
         try:

@@ -5,9 +5,11 @@ shipped: it re-coerces every chunk to ``bytes``, deletes each consumed
 frame's prefix eagerly, and copies every report frame out of the buffer.
 The conformance suite in ``test_framing.py`` proves the zero-copy
 :class:`~repro.server.framing.FrameDecoder` equivalent to it (every-byte
-splits, interleaved control/report frames, rejection behaviour).  Its one
-change since then is the report-version check, which it shares with the
-library through :func:`~repro.protocols.wire.check_report_version`.
+splits, interleaved control/report frames, rejection behaviour).  Two
+changes since then: the report-version check, which it shares with the
+library through :func:`~repro.protocols.wire.check_report_version`, and
+the ``STATE`` payload layout (``u32 head length | JSON head | raw
+bytes``), split here with plain slices.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.server.framing import (
     REPORT_MAGIC,
     SERVER_PROTOCOL_VERSION,
     STATE,
+    STATE_HEAD_LENGTH,
     ControlMessage,
 )
 
@@ -153,6 +156,21 @@ class FrameDecoderReference:
                 f"{sorted(CONTROL_KINDS)}"
             )
         body = bytes(self._buffer[header_end:frame_end])
+        raw = b""
+        if kind == STATE:
+            if len(body) < STATE_HEAD_LENGTH.size:
+                raise WireFormatError(
+                    f"STATE payload of {len(body)} byte(s) is too short for "
+                    "its head-length field"
+                )
+            (head_length,) = STATE_HEAD_LENGTH.unpack_from(body)
+            head_end = STATE_HEAD_LENGTH.size + head_length
+            if head_end > len(body):
+                raise WireFormatError(
+                    f"STATE head declares {head_length} byte(s), past the "
+                    f"{len(body)}-byte payload"
+                )
+            body, raw = body[STATE_HEAD_LENGTH.size : head_end], body[head_end:]
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -164,4 +182,4 @@ class FrameDecoderReference:
                 f"control frame {kind!r} payload must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
-        return ControlMessage(kind=kind, payload=payload)
+        return ControlMessage(kind=kind, payload=payload, raw=raw)

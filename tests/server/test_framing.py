@@ -69,6 +69,7 @@ def _assert_items_equal(observed, expected):
             assert isinstance(seen, ControlMessage)
             assert seen.kind == wanted.kind
             assert seen.payload == wanted.payload
+            assert seen.raw == wanted.raw
         else:
             assert isinstance(seen, bytes)
             assert seen == wanted
@@ -385,33 +386,27 @@ class TestPullStateConformance:
     """Satellite: the conformance replay extended to the fan-in frames.
 
     ``PULL``/``STATE`` reuse the report codec's header layout but STATE
-    answers carry base64 session checkpoints that can exceed the generic
-    control cap — a kind-dependent limit the zero-copy and reference
-    decoders must apply identically at every split boundary.
+    answers carry raw session checkpoints after a JSON head, and may
+    exceed the generic control cap — a kind-dependent layout and limit
+    the zero-copy and reference decoders must apply identically at every
+    split boundary.
     """
 
     @pytest.fixture(scope="class")
     def pull_state_stream(self):
         """A full fan-in exchange: state pull, stats pull, answers."""
-        import base64
-
-        blob = base64.b64encode(bytes(range(256)) * 16).decode("ascii")
         items = [
             ControlMessage(PULL, {"what": "state"}),
             ControlMessage(
                 STATE,
-                {
-                    "what": "state",
-                    "collector_id": "c1",
-                    "acked_tokens": {"load/c0/g0": {"frames": 2, "reports": 64}},
-                    "state_b64": blob,
-                },
+                {"what": "state", "collector_id": "c1", "reports": 64},
+                bytes(range(256)) * 16,
             ),
             ControlMessage(PULL, {"what": "stats"}),
             ControlMessage(STATE, {"what": "stats", "stats": {"reports": 64}}),
         ]
         stream = b"".join(
-            encode_control(item.kind, item.payload) for item in items
+            encode_control(item.kind, item.payload, item.raw) for item in items
         )
         return stream, items
 
@@ -456,8 +451,8 @@ class TestPullStateConformance:
         shape) accepts a STATE answer past the generic control cap — an
         equally large generic control frame is still rejected — and the
         two decoders agree at every split boundary."""
-        oversized = "x" * (MAX_CONTROL_BYTES + 1024)
-        state = encode_control(STATE, {"state_b64": oversized})
+        oversized = b"x" * (MAX_CONTROL_BYTES + 1024)
+        state = encode_control(STATE, {"what": "state"}, oversized)
         assert len(state) > MAX_CONTROL_BYTES
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -473,7 +468,7 @@ class TestPullStateConformance:
                 collected.extend(observed)
                 position += step
             assert len(collected) == 1
-            assert collected[0].payload["state_b64"] == oversized
+            assert collected[0].raw == oversized
 
     def test_oversized_generic_control_rejection_parity(self):
         """The same payload under kind OK trips the generic cap in both
@@ -481,8 +476,8 @@ class TestPullStateConformance:
         so the wire bytes are forged by patching the kind)."""
         oversized = "x" * (MAX_CONTROL_BYTES + 1024)
         with pytest.raises(WireFormatError, match="control payload"):
-            encode_control(OK, {"state_b64": oversized})
-        state = encode_control(STATE, {"state_b64": oversized})
+            encode_control(OK, {"padding": oversized})
+        state = encode_control(STATE, {"padding": oversized})
         kind_start = struct.calcsize("<4sHH")
         forged = (
             state[:kind_start]
@@ -524,8 +519,8 @@ class TestPullStateConformance:
         """Server-side decoders never expect inbound STATE frames, so by
         default STATE rides the generic 1 MiB control cap: a hostile
         client cannot make a server buffer a 64 MiB \"checkpoint\"."""
-        oversized = "x" * (MAX_CONTROL_BYTES + 1024)
-        state = encode_control(STATE, {"state_b64": oversized})
+        oversized = b"x" * (MAX_CONTROL_BYTES + 1024)
+        state = encode_control(STATE, {"what": "state"}, oversized)
         fast, reference = FrameDecoder(), FrameDecoderReference()
         with pytest.raises(WireFormatError) as fast_error:
             fast.absorb(state)
