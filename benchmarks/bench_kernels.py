@@ -26,6 +26,7 @@ import time
 import numpy as np
 
 from repro.core import bitops, hadamard
+from repro.core.backends import resolve_backend
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
 from repro.mechanisms.local_hashing import OptimizedLocalHashing
@@ -174,6 +175,7 @@ def bench_olh_support(profile: dict, epsilon: float = LN3) -> dict:
         d=profile["olh_d"],
         num_buckets=oracle.num_buckets,
         decode_batch_size=oracle.decode_batch_size,
+        kernel_backend=resolve_backend().name,
     )
 
 

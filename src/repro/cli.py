@@ -308,8 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
-        help="decode-kernel backend for this collection (numpy, threaded "
-        "or auto; default: $REPRO_KERNEL_BACKEND, then auto)",
+        help="decode-kernel backend for this collection (native, numpy, "
+        "threaded or auto; default: $REPRO_KERNEL_BACKEND, then auto, which "
+        "is native when its C scan built and threaded otherwise)",
     )
     serve_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",

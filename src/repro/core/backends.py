@@ -9,7 +9,7 @@ This module makes those kernels *swappable*: every implementation is a
 ``REPRO_KERNEL_BACKEND`` environment variable, then the process-wide
 default (:func:`set_default_backend`), then an automatic choice.
 
-Two backends ship:
+Three backends ship:
 
 * ``numpy`` — the reference-conformant blocked numpy implementation (the
   exact kernels proven against their references by the property suite).
@@ -17,6 +17,14 @@ Two backends ship:
   numpy releases the GIL inside its ufunc loops, so user-partitioned
   support counting and chunked popcount/parity scale with cores while
   staying bit-for-bit identical (integer partial sums add exactly).
+* ``native`` — the threaded fan-out with a compiled work unit: the whole
+  hash-and-compare chain of the support-count scan fused into one C loop
+  (``_olh_scan.c``), built once per machine with the system C compiler
+  into a private per-user cache and loaded through :mod:`ctypes` (which
+  releases the GIL) at import, so forked collectors inherit the mapping.
+  It is the automatic choice whenever it loaded; without a compiler, or
+  with a failed build or an unusable cache, the automatic choice logs one
+  warning and falls back to ``threaded``/``numpy``.
 
 Every backend computes *identical* integer support counts — backend
 choice is a pure performance knob and is treated exactly like
@@ -31,12 +39,19 @@ from here without circular imports.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import logging
 import os
+import platform
+import shutil
+import subprocess
+import tempfile
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager, suppress
+from pathlib import Path
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +64,7 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "ThreadedBackend",
+    "NativeBackend",
     "registered_backends",
     "get_backend",
     "resolve_backend",
@@ -163,6 +179,15 @@ def _popcount_swar(words: np.ndarray) -> np.ndarray:
 _SCAN_TILE_ELEMENTS = 3 << 14
 
 
+def _scan_operands(
+    seeds: np.ndarray, noisy_buckets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``uint64`` (hoisted seed offsets, targets) every scan consumes."""
+    with np.errstate(over="ignore"):
+        offsets = seeds.astype(np.uint64) * _SEED_MIX
+    return offsets, noisy_buckets.astype(np.uint64)
+
+
 # --------------------------------------------------------------------- #
 # backends
 
@@ -227,11 +252,11 @@ class NumpyBackend(KernelBackend):
     ) -> np.ndarray:
         with trace.span("kernel.support_counts") as span:
             span.annotate(backend=self.name, users=int(seeds.shape[0]))
-            with np.errstate(over="ignore"):
-                offsets = seeds.astype(np.uint64) * _SEED_MIX
-            targets = noisy_buckets.astype(np.uint64)
             return self._scan(
-                offsets, targets, domain_size, num_buckets, batch_size
+                *_scan_operands(seeds, noisy_buckets),
+                domain_size,
+                num_buckets,
+                batch_size,
             )
 
     @staticmethod
@@ -348,21 +373,27 @@ class ThreadedBackend(KernelBackend):
         )
         return np.concatenate(list(parts))
 
+    #: The per-thread work unit: ``(offsets, targets, domain_size,
+    #: num_buckets, batch_size) -> int64 support`` over one user slice.
+    _scan = staticmethod(NumpyBackend._scan)
+
     def support_counts(
         self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
     ) -> np.ndarray:
         num_users = seeds.shape[0]
-        if num_users * domain_size < self.min_work_elements or num_users < 2:
-            return self._numpy.support_counts(
-                seeds, noisy_buckets, domain_size, num_buckets, batch_size
-            )
         with trace.span("kernel.support_counts") as span:
             span.annotate(backend=self.name, users=int(num_users))
-            with np.errstate(over="ignore"):
-                offsets = seeds.astype(np.uint64) * _SEED_MIX
-            targets = noisy_buckets.astype(np.uint64)
+            offsets, targets = _scan_operands(seeds, noisy_buckets)
+            if (
+                num_users * domain_size < self.min_work_elements
+                or num_users < 2
+                or self.workers < 2
+            ):
+                return self._scan(
+                    offsets, targets, domain_size, num_buckets, batch_size
+                )
             partials = self._executor().map(
-                lambda chunk: NumpyBackend._scan(
+                lambda chunk: self._scan(
                     offsets[chunk],
                     targets[chunk],
                     domain_size,
@@ -377,6 +408,44 @@ class ThreadedBackend(KernelBackend):
             return support
 
 
+class NativeBackend(ThreadedBackend):
+    """The threaded fan-out with the fused C scan as its work unit.
+
+    Same pool, user slices, :attr:`min_work_elements` and fork hook as
+    :class:`ThreadedBackend`; each slice runs ``_olh_scan.c`` — add,
+    avalanche, bucket fold, compare and count in one loop per (user,
+    element) instead of numpy's separate passes over a tile — and yields
+    the same integer counts.  ``scan`` is the loaded C function (see
+    :func:`_load_native_scan`); popcount/parity stay numpy.
+    """
+
+    name = "native"
+
+    def __init__(self, scan: Callable, max_workers: Optional[int] = None):
+        super().__init__(max_workers)
+        self._native_scan = scan
+
+    def _scan(self, offsets, targets, domain_size, num_buckets, batch_size):
+        offsets = np.ascontiguousarray(offsets, dtype=np.uint64)
+        targets = np.ascontiguousarray(targets, dtype=np.uint64)
+        if offsets.shape != targets.shape or offsets.ndim != 1 or batch_size < 1:
+            raise ValueError(
+                "native scan needs equal 1-D offsets and targets and a "
+                "decode batch size >= 1"
+            )
+        support = np.zeros(domain_size, dtype=np.int64)
+        self._native_scan(
+            offsets.ctypes.data,
+            targets.ctypes.data,
+            offsets.shape[0],
+            domain_size,
+            num_buckets,
+            batch_size,
+            support.ctypes.data,
+        )
+        return support
+
+
 _THREADED_BACKENDS: "weakref.WeakSet[ThreadedBackend]" = weakref.WeakSet()
 
 
@@ -387,6 +456,117 @@ def _drop_inherited_pools() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_inherited_pools)
+
+
+# --------------------------------------------------------------------- #
+# the native scan: build once per machine, load at import
+
+_NATIVE_SOURCE = Path(__file__).with_name("_olh_scan.c")
+_NATIVE_FLAGS = ("-O3", "-shared", "-fPIC")
+#: A cached library ends in the SHA-256 of everything before it (the ELF
+#: loader ignores trailing bytes), so a truncated file is rebuilt.
+_TRAILER_BYTES = hashlib.sha256().digest_size
+
+
+def _native_cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``), created ``0700``.
+
+    Refuses a directory this user does not own or that group or others
+    can write: anyone who can write it could swap the library loaded here.
+    """
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    directory = Path(base) / "repro"
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = directory.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise OSError(
+            f"{directory} is not owned by this user or is writable by group "
+            f"or others"
+        )
+    return directory
+
+
+def _compiler() -> Tuple[str, bytes]:
+    """The system C compiler's path and its ``--version`` banner."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise OSError("no C compiler (cc) on PATH")
+    banner = subprocess.run(
+        [compiler, "--version"], capture_output=True, check=True, timeout=30
+    ).stdout
+    return compiler, banner
+
+
+def _sealed(path: Path) -> bool:
+    """Whether ``path`` holds a complete library with a valid trailer."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    body, trailer = data[:-_TRAILER_BYTES], data[-_TRAILER_BYTES:]
+    return bool(body) and hashlib.sha256(body).digest() == trailer
+
+
+def _build(compiler: str, target: Path) -> None:
+    """Compile the scan into ``target``: temp name, trailer, ``os.replace``,
+    so processes building the same library at once each install a whole
+    file."""
+    handle, temp = tempfile.mkstemp(
+        dir=target.parent, prefix=".build-", suffix=".so"
+    )
+    os.close(handle)
+    try:
+        subprocess.run(
+            [compiler, *_NATIVE_FLAGS, "-o", temp, str(_NATIVE_SOURCE)],
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        with open(temp, "r+b") as library:
+            library.write(hashlib.sha256(library.read()).digest())
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+def _load_native_scan() -> Callable:
+    """The fused scan's C entry point, built into the cache on first use.
+
+    The cached file is named by the SHA-256 of the source, the flags, the
+    compiler's version banner and the machine, so any change to one of
+    them builds afresh.  Raises ``OSError``/``SubprocessError`` when there
+    is no compiler, the build fails or the cache is unusable.
+    """
+    compiler, banner = _compiler()
+    key = hashlib.sha256(
+        b"\0".join(
+            (
+                _NATIVE_SOURCE.read_bytes(),
+                " ".join(_NATIVE_FLAGS).encode(),
+                banner,
+                platform.machine().encode(),
+            )
+        )
+    ).hexdigest()
+    path = _native_cache_dir() / f"olh_scan-{key[:32]}.so"
+    if not _sealed(path):
+        _build(compiler, path)
+    scan = ctypes.CDLL(str(path)).repro_olh_support_counts
+    scan.restype = None
+    scan.argtypes = (
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_uint64,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+    )
+    return scan
 
 
 # --------------------------------------------------------------------- #
@@ -420,6 +600,30 @@ _register(NumpyBackend())
 _register(ThreadedBackend())
 
 
+def _install_native() -> Optional[str]:
+    """Load the native scan and register ``native``; never raises.
+
+    Returns ``None`` when it loaded, else why not (``native`` is then left
+    unregistered).  The reason goes into the one warning
+    :func:`_auto_backend` logs when it first falls back, not into a
+    warning here, at import, before a program has set up its logging.
+    """
+    try:
+        scan = _load_native_scan()
+    except (OSError, subprocess.SubprocessError, AttributeError) as error:
+        _BACKENDS.pop(NativeBackend.name, None)
+        output = getattr(error, "stderr", None)
+        detail = output.decode(errors="replace").strip() if output else ""
+        return f"{error}: {detail.splitlines()[-1]}" if detail else str(error)
+    _register(NativeBackend(scan))
+    return None
+
+
+#: Loaded here, at import, so that processes forked later (the collectors)
+#: inherit the mapped library and pay neither the build nor the load.
+_NATIVE_FAILURE = _install_native()
+
+
 def registered_backends() -> Tuple[str, ...]:
     """Every registered backend name (sorted)."""
     return tuple(sorted(_BACKENDS))
@@ -437,6 +641,15 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def _auto_backend() -> KernelBackend:
+    native = _BACKENDS.get(NativeBackend.name)
+    if native is not None:
+        return native
+    if _NATIVE_FAILURE is not None:
+        _warn_once(
+            NativeBackend.name,
+            f"native OLH support-count scan unavailable ({_NATIVE_FAILURE}); "
+            f"falling back to the numpy kernels",
+        )
     if (os.cpu_count() or 1) > 1:
         return _BACKENDS["threaded"]
     return _BACKENDS["numpy"]
@@ -454,11 +667,12 @@ def resolve_backend(name: str = "") -> KernelBackend:
     Selection order: the explicit ``name`` argument (a protocol's
     ``kernel_backend`` tuning option), then the ``REPRO_KERNEL_BACKEND``
     environment variable, then the process-wide default installed by
-    :func:`set_default_backend`, then automatic (``threaded`` on
-    multi-core hosts, ``numpy`` otherwise).  ``"auto"`` at any level
-    selects the automatic choice; an unknown name logs a
-    warning (once per name) and falls through to the next level instead
-    of failing — backend choice must never break an aggregation.
+    :func:`set_default_backend`, then automatic (``native`` when it
+    loaded, else ``threaded`` on multi-core hosts, ``numpy`` otherwise).
+    ``"auto"`` at any level selects the automatic choice; an unknown name
+    (``native`` too, where it did not load) logs a warning (once per name)
+    and falls through to the next level instead of failing — backend
+    choice must never break an aggregation.
     """
     candidates = (
         (name, "requested"),

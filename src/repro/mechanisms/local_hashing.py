@@ -36,10 +36,11 @@ _MERSENNE_PRIME = (1 << 61) - 1
 #: Default cap on the number of domain elements hashed per decode block,
 #: exposed as ``OptimizedLocalHashing.decode_batch_size`` /
 #: ``InpOLH(..., decode_batch_size=...)`` for tuning.  It does not set the
-#: memory of the scan: the kernel fills each tile with as many users as fit
-#: its fixed L2-sized element budget at the block's real width
+#: memory of the scan: the numpy kernel fills each tile with as many users
+#: as fit its fixed L2-sized element budget at the block's real width
 #: (``min(decode_batch_size, domain_size)``), so a wide block only means
-#: fewer users per tile.
+#: fewer users per tile; the native kernel sweeps every user over one
+#: block's counters, which stay in L1 at this width.
 DEFAULT_DECODE_BATCH_SIZE = 1024
 
 def _hash(values: np.ndarray, seeds: np.ndarray, buckets: int) -> np.ndarray:
@@ -74,9 +75,10 @@ class OptimizedLocalHashing:
         ``floor(e^eps) + 1``.
     decode_batch_size:
         Domain elements hashed per decode block in :meth:`support_counts`
-        (``0`` selects :data:`DEFAULT_DECODE_BATCH_SIZE`).  A pure
-        performance knob: the counts are exact for any value, so it is
-        excluded from equality/merge-signature comparisons.
+        (``0`` selects :data:`DEFAULT_DECODE_BATCH_SIZE`), by every kernel
+        backend: the numpy scan's tile width and the native scan's outer
+        loop.  A pure performance knob: the counts are exact for any
+        value, so it is excluded from equality/merge-signature comparisons.
     kernel_backend:
         Which kernel backend decodes support counts (``""`` defers to
         :func:`repro.core.backends.resolve_backend`'s env/default chain).
@@ -157,8 +159,9 @@ class OptimizedLocalHashing:
 
         This is the ``O(N * 2^d)`` hot loop of the library; the scan itself
         is delegated to the selected kernel backend
-        (:func:`repro.core.backends.resolve_backend` — the numpy blocked
-        scan or its thread-pool fan-out).  Every backend
+        (:func:`repro.core.backends.resolve_backend` — the fused C scan
+        when it built, else the numpy blocked scan or its thread-pool
+        fan-out).  Every backend
         produces identical ``int64`` counts for any ``batch_size`` (``0``
         selects :attr:`decode_batch_size`);
         :meth:`support_counts_reference` keeps the original implementation

@@ -21,6 +21,7 @@ from repro.core import bitops
 from repro.core.backends import (
     _SEED_MIX,
     BACKEND_ENV_VAR,
+    NativeBackend,
     NumpyBackend,
     ThreadedBackend,
     get_backend,
@@ -34,15 +35,31 @@ from repro.core.privacy import PrivacyBudget
 from repro.mechanisms.local_hashing import OptimizedLocalHashing, _hash
 
 
+#: The registered native backend, or ``None`` where the C scan did not
+#: build (no compiler); its tests skip there, and CI asserts it loaded.
+NATIVE = backends_module._BACKENDS.get("native")
+needs_native = pytest.mark.skipif(
+    NATIVE is None, reason="the native scan did not build on this host"
+)
+
+
 def _conformance_backends():
-    """Every backend, with the threaded one also forced onto its thread
-    pool (instance-level threshold override) so small test inputs exercise
-    the fan-out path, not just the small-input passthrough."""
-    return [NumpyBackend(), ThreadedBackend(), _pooled_backend()]
+    """Every backend, with the fanned-out ones also forced onto their
+    thread pool (instance-level threshold override) so small test inputs
+    exercise the fan-out path, not just the small-input passthrough."""
+    backends = [NumpyBackend(), ThreadedBackend(), _pooled_backend()]
+    if NATIVE is not None:
+        backends += [NATIVE, _pooled_backend(native=True)]
+    return backends
 
 
-def _pooled_backend(max_workers: int = 3) -> ThreadedBackend:
-    pooled = ThreadedBackend(max_workers=max_workers)
+def _pooled_backend(
+    max_workers: int = 3, native: bool = False
+) -> ThreadedBackend:
+    if native:
+        pooled = NativeBackend(NATIVE._native_scan, max_workers=max_workers)
+    else:
+        pooled = ThreadedBackend(max_workers=max_workers)
     pooled.min_work_elements = 1  # force the pool even for tiny inputs
     return pooled
 
@@ -119,7 +136,17 @@ class TestConformanceMatrix:
 
 class TestSelectionOrder:
     def test_registry_contents(self):
-        assert registered_backends() == ("numpy", "threaded")
+        expected = ("numpy", "threaded") if NATIVE is None else (
+            "native", "numpy", "threaded"
+        )
+        assert registered_backends() == expected
+
+    def test_auto_prefers_native_when_it_loaded(self):
+        expected = "native" if NATIVE is not None else (
+            "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
+        )
+        assert resolve_backend().name == expected
+        assert resolve_backend("auto").name == expected
 
     def test_explicit_name_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "threaded")
@@ -136,7 +163,7 @@ class TestSelectionOrder:
 
     def test_auto_is_a_valid_name_at_every_level(self, monkeypatch):
         auto = resolve_backend("auto").name
-        assert auto in ("numpy", "threaded")
+        assert auto in ("native", "numpy", "threaded")
         monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
         assert resolve_backend().name == auto
 
@@ -162,7 +189,7 @@ class TestGracefulFallback:
         monkeypatch.setenv(BACKEND_ENV_VAR, "definitely-not-a-backend")
         with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
             backend = resolve_backend()
-        assert backend.name in ("numpy", "threaded")
+        assert backend.name in ("native", "numpy", "threaded")
         assert any(
             "definitely-not-a-backend" in record.message
             for record in caplog.records
@@ -176,7 +203,7 @@ class TestGracefulFallback:
         with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
             first = resolve_backend()
             second = resolve_backend()
-        assert first.name in ("numpy", "threaded")
+        assert first.name in ("native", "numpy", "threaded")
         assert second is first
         warnings = [r for r in caplog.records if "'numba'" in r.message]
         assert len(warnings) == 1
@@ -318,7 +345,20 @@ class TestFork:
     def test_forked_child_does_not_wait_on_the_inherited_pool(self):
         """A child forked after the pool started inherits the executor but
         not its threads; it must build its own pool instead of hanging."""
-        pooled = _pooled_backend(max_workers=2)
+        self._assert_forked_child_counts(_pooled_backend(max_workers=2))
+
+    @needs_native
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_native_child_uses_the_inherited_library(self):
+        """The same after the native pool started: the child also calls
+        the library it inherited mapped, without loading it again."""
+        self._assert_forked_child_counts(
+            _pooled_backend(max_workers=2, native=True)
+        )
+
+    @staticmethod
+    def _assert_forked_child_counts(pooled):
         rng = np.random.default_rng(3)
         seeds = rng.integers(1, 2**62, size=400, dtype=np.int64)
         noisy = rng.integers(0, 4, size=400, dtype=np.int64)

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.backends import use_backend
+from repro.core.backends import registered_backends, use_backend
 from repro.core.domain import Domain
 from repro.core.exceptions import (
     CollectionServiceError,
@@ -139,7 +139,20 @@ class TestEndToEndEquality:
         )
         assert_estimates_equal(estimates_of(server.finalize()), expected)
 
-    @pytest.mark.parametrize("backend", ["numpy", "threaded"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            "threaded",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    "native" not in registered_backends(),
+                    reason="the native scan did not build on this host",
+                ),
+            ),
+        ],
+    )
     def test_olh_socket_equality_per_kernel_backend(self, backend, dataset):
         """The headline proof holds under every kernel backend.
 
