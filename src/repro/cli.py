@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import dataclasses
 import json
 import os
@@ -80,7 +81,7 @@ from .io import load_protocol_spec, save_protocol_spec, save_sweep_json
 from .observability import configure_logging, get_logger
 from .protocols.registry import available_protocols, make_protocol
 from .resilience import defaults as resilience_defaults
-from .server import CollectionServer, LoadGenerator, MultiProcessCollector
+from .server import DEFAULT_MAX_FRAME_BYTES, CollectionServer, LoadGenerator
 from .service import AggregationSession, ProtocolSpec, split_report_frames
 from .topology import ROUTING_POLICIES
 
@@ -302,9 +303,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--processes", type=_positive_int, default=1, metavar="P",
-        help="run P collector processes sharing the port via SO_REUSEPORT; "
-        "their checkpoints merge to the same estimates as one process; the "
-        "kernel balances connections, not groups (default: 1)",
+        help="run a supervised fleet of P durable collector processes sharing "
+        "the port via SO_REUSEPORT (ACKs wait for the commit-log sync); it is "
+        "stopped, then fanned in to the same estimates as one process, and "
+        "state lives in DIR/c<i>/ under --checkpoint-dir; the kernel "
+        "balances connections, not groups (default: 1)",
     )
     serve_parser.add_argument(
         "--kernel-backend", metavar="NAME", default=None,
@@ -1237,119 +1240,169 @@ async def _serve_stats_ticker(
         last_reports, last_bytes = reports, num_bytes
 
 
-async def _serve_main(
-    server: CollectionServer, stats_interval: Optional[float] = None
-) -> None:
-    """Start the server, announce readiness, serve until a stop signal."""
+@contextlib.contextmanager
+def _stop_signals(callback):
+    """Route SIGINT/SIGTERM to ``callback`` on the running loop, inside.
+
+    Enter before printing a readiness line: a caller that signals the
+    moment it sees the line must always get the graceful shutdown.
+    """
     loop = asyncio.get_running_loop()
-    logger = get_logger("serve")
     registered = []
-    # Handlers first, readiness line second: a supervisor that signals the
-    # moment it sees the line must always get the graceful shutdown.
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
-            loop.add_signal_handler(signum, server.request_stop)
+            loop.add_signal_handler(signum, callback)
             registered.append(signum)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-unix loops / nested loops: Ctrl-C still interrupts
-    ticker = None
     try:
-        await server.start()
-        logger.info(
-            "serving %s over %d attribute(s) on %s:%d (%d shard(s))",
-            server.spec.describe(),
-            server.domain.dimension,
-            server.host,
-            server.port,
-            server.num_shards,
-        )
-        if stats_interval is not None:
-            ticker = asyncio.create_task(
-                _serve_stats_ticker(server, stats_interval)
-            )
-        await server.serve_until_stopped()
+        yield
     finally:
-        if ticker is not None:
-            ticker.cancel()
-            try:
-                await ticker
-            except asyncio.CancelledError:
-                pass
         for signum in registered:
             loop.remove_signal_handler(signum)
 
 
-def _serve_multiprocess(arguments: argparse.Namespace, spec, domain):
-    """``serve --processes P``: SO_REUSEPORT workers merged via checkpoints.
+async def _serve_main(
+    server: CollectionServer, stats_interval: Optional[float] = None
+) -> None:
+    """Start the server, announce readiness, serve until a stop signal."""
+    logger = get_logger("serve")
+    ticker = None
+    with _stop_signals(server.request_stop):
+        try:
+            await server.start()
+            logger.info(
+                "serving %s over %d attribute(s) on %s:%d (%d shard(s))",
+                server.spec.describe(),
+                server.domain.dimension,
+                server.host,
+                server.port,
+                server.num_shards,
+            )
+            if stats_interval is not None:
+                ticker = asyncio.create_task(
+                    _serve_stats_ticker(server, stats_interval)
+                )
+            await server.serve_until_stopped()
+        finally:
+            if ticker is not None:
+                ticker.cancel()
+                try:
+                    await ticker
+                except asyncio.CancelledError:
+                    pass
 
-    Returns ``(combined_session, stats_payload)``.  Without an explicit
-    ``--checkpoint-dir`` the worker checkpoints (the merge channel) live in
-    a temporary directory deleted after the merge.
+
+async def _supervise(
+    arguments: argparse.Namespace, supervisor, start
+) -> Optional[str]:
+    """The wait loop of a supervised fleet (``serve --processes``, ``topo
+    launch``): run ``start()``, then health-check the fleet until
+    SIGINT/SIGTERM or ``--stop-after-reports`` durably committed reports.
+
+    ``--kill-after-reports`` (``topo launch`` only) SIGKILLs collector
+    ``--kill-collector`` once that many reports are committed; the killed
+    collector's id is returned.
     """
-    checkpoint_dir = arguments.checkpoint_dir
-    scratch = None
-    if checkpoint_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-serve-")
-        checkpoint_dir = scratch.name
-    try:
-        extra = {}
-        if arguments.max_frame_bytes is not None:
-            extra["max_frame_bytes"] = arguments.max_frame_bytes
-        collector = MultiProcessCollector(
+    stop_requested = asyncio.Event()
+    kill_after = getattr(arguments, "kill_after_reports", None)
+    killed = None
+    with _stop_signals(stop_requested.set):
+        await start()
+        while not stop_requested.is_set():
+            await supervisor.health_check_async()
+            reports = supervisor.num_reports
+            if killed is None and kill_after is not None and reports >= kill_after:
+                index = arguments.kill_collector
+                if not 0 <= index < len(supervisor.handles):
+                    raise ReproError(
+                        f"--kill-collector {index} is out of range for "
+                        f"{len(supervisor.handles)} collector(s)"
+                    )
+                if supervisor.is_alive(index):
+                    supervisor.kill(index)
+                    killed = supervisor.handles[index].collector_id
+                    get_logger("topo").info(
+                        "topology: killed collector %s after %d durable "
+                        "report(s)",
+                        killed,
+                        reports,
+                    )
+            if (
+                arguments.stop_after_reports is not None
+                and reports >= arguments.stop_after_reports
+            ):
+                break
+            try:
+                await asyncio.wait_for(
+                    stop_requested.wait(),
+                    resilience_defaults.WATCH_INTERVAL_SECONDS,
+                )
+            except asyncio.TimeoutError:
+                pass
+    return killed
+
+
+def _serve_fleet(arguments: argparse.Namespace, spec, domain):
+    """``serve --processes P``: P durable collectors sharing the serve
+    port, stopped, then fanned in; returns ``(session, stats_payload)``.
+
+    Their state is ``c<i>/`` under ``--checkpoint-dir``, or under a
+    temporary directory deleted after the fan-in.
+    """
+    from .topology import TopologySupervisor
+
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
+        supervisor = TopologySupervisor(
             spec,
             domain,
-            processes=arguments.processes,
-            checkpoint_dir=checkpoint_dir,
+            collectors=arguments.processes,
+            base_dir=arguments.checkpoint_dir or scratch,
             host=arguments.host,
             port=arguments.port,
             shards=arguments.shards,
-            stop_after_reports=arguments.stop_after_reports,
-            **extra,
+            max_frame_bytes=arguments.max_frame_bytes or DEFAULT_MAX_FRAME_BYTES,
+            checkpoint_interval=arguments.checkpoint_interval,
         )
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(
-                    signum, lambda *_: collector.stop()
-                )
-            except (ValueError, OSError):  # pragma: no cover - non-main thread
-                pass
-        try:
-            collector.start()
+
+        async def start() -> None:
+            supervisor.start()
             get_logger("serve").info(
                 "serving %s over %d attribute(s) on %s:%d "
                 "(%d process(es), %d shard(s) each)",
                 spec.describe(),
                 domain.dimension,
                 arguments.host,
-                collector.port,
+                supervisor.addresses[0][1],
                 arguments.processes,
                 arguments.shards,
             )
-            combined = collector.join()
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+
+        async def serve():
+            try:
+                await _supervise(arguments, supervisor, start)
+            finally:
+                supervisor.shutdown()
+            return await supervisor.collect()
+
+        combined = asyncio.run(serve()).merged_session()
+        metrics = supervisor.metrics_snapshot()
     metadata = combined.metadata
     get_logger("serve").info(
-        "collected %d reports in %d frame(s) across %d worker process(es)",
+        "collected %d reports in %d frame(s) across %d collector process(es)",
         combined.num_reports,
         metadata["wire_batches"],
         arguments.processes,
     )
     stats = {
-        "address": {"host": arguments.host, "port": collector.port},
+        "address": {"host": arguments.host, "port": supervisor.addresses[0][1]},
         "spec": spec.to_dict(),
         "processes": arguments.processes,
         "reports": combined.num_reports,
         "frames": metadata["wire_batches"],
         "bytes": metadata["wire_bytes_total"],
+        "metrics": metrics.state_dict(),
     }
-    if collector.metrics_snapshot is not None:
-        stats["metrics"] = collector.metrics_snapshot.state_dict()
     return combined, stats
 
 
@@ -1368,24 +1421,17 @@ def _run_serve(arguments: argparse.Namespace) -> int:
             set_default_backend(arguments.kernel_backend)
             os.environ[BACKEND_ENV_VAR] = arguments.kernel_backend
         if arguments.processes > 1:
-            if arguments.checkpoint_interval is not None:
-                print(
-                    "serve: --checkpoint-interval is not supported with "
-                    "--processes > 1 (workers checkpoint on shutdown)",
-                    file=sys.stderr,
-                )
-                return 2
             if arguments.metrics_port is not None or (
                 arguments.stats_interval is not None
             ):
                 print(
                     "serve: --metrics-port/--stats-interval need the "
-                    "single-process server (workers cannot share one "
+                    "single-process server (collectors cannot share one "
                     "scrape socket); drop --processes or the metrics flags",
                     file=sys.stderr,
                 )
                 return 2
-            combined, stats = _serve_multiprocess(arguments, spec, domain)
+            combined, stats = _serve_fleet(arguments, spec, domain)
         else:
             extra = {}
             if arguments.max_frame_bytes is not None:
@@ -1616,45 +1662,11 @@ def _run_load(arguments: argparse.Namespace) -> int:
     return 0
 
 
-async def _topo_durable_reports(supervisor) -> int:
-    """Durably acknowledged reports across the whole tree, counted once.
-
-    Live collectors report ``sum(shard_reports)`` — shard sessions only
-    grow when a group is folded (ACK'd) in durable mode — and dead ones
-    contribute their recovered checkpoint.  Restarted collectors resume
-    from the same checkpoint the supervisor drops on restart, so nothing
-    is counted twice.
-    """
-    from .topology.pull import pull_stats
-
-    total = sum(
-        state.num_reports for state in supervisor.recovered_states().values()
-    )
-    for handle in supervisor.handles:
-        if handle.status != "live":
-            continue
-        try:
-            stats = await pull_stats(handle.host, handle.port, timeout=5.0)
-        except ReproError:
-            continue  # death between health checks; next tick recovers it
-        total += sum(stats.get("shard_reports", []))
-    return total
-
-
 async def _topo_launch_main(arguments, topology) -> Dict:
     """Serve the tree until stopped/complete; returns the final stats."""
     supervisor = topology.supervisor
-    stop_requested = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    registered = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop_requested.set)
-            registered.append(signum)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-unix loops / nested loops: Ctrl-C still interrupts
-    killed = None
-    try:
+
+    async def start() -> None:
         await topology.start()
         ports = ", ".join(str(port) for _, port in supervisor.addresses)
         get_logger("topo").info(
@@ -1667,39 +1679,10 @@ async def _topo_launch_main(arguments, topology) -> Dict:
             topology.endpoint.port,
             topology.manifest_path,
         )
-        while not stop_requested.is_set():
-            supervisor.health_check()
-            durable = await _topo_durable_reports(supervisor)
-            if (
-                killed is None
-                and arguments.kill_after_reports is not None
-                and durable >= arguments.kill_after_reports
-            ):
-                index = arguments.kill_collector
-                if not 0 <= index < arguments.collectors:
-                    raise ReproError(
-                        f"--kill-collector {index} is out of range for "
-                        f"{arguments.collectors} collector(s)"
-                    )
-                if supervisor.is_alive(index):
-                    supervisor.kill(index)
-                    killed = supervisor.handles[index].collector_id
-                    get_logger("topo").info(
-                        "topology: killed collector %s after %d durable "
-                        "report(s)",
-                        killed,
-                        durable,
-                    )
-            if (
-                arguments.stop_after_reports is not None
-                and durable >= arguments.stop_after_reports
-            ):
-                break
-            try:
-                await asyncio.wait_for(stop_requested.wait(), 0.2)
-            except asyncio.TimeoutError:
-                pass
-        aggregator = await topology.collect()
+
+    try:
+        killed = await _supervise(arguments, supervisor, start)
+        aggregator = await supervisor.collect()
         merged = aggregator.merged_session()
         recovered_reports = sum(
             state.num_reports
@@ -1721,8 +1704,6 @@ async def _topo_launch_main(arguments, topology) -> Dict:
             },
         }
     finally:
-        for signum in registered:
-            loop.remove_signal_handler(signum)
         await topology.stop()
 
 
@@ -1868,31 +1849,25 @@ def _expected_reports_by_collector(
             f"acked_by_target ledger — re-run `repro load --json` with "
             f"this build"
         )
-    by_address = {
-        f"{entry['host']}:{int(entry['port'])}": entry["collector_id"]
-        for entry in manifest["collectors"]
-    }
-    expected: Dict[str, int] = {}
-    for address, counts in by_target.items():
-        collector_id = by_address.get(str(address))
-        if collector_id is None:
-            raise CollectionServiceError(
-                f"load report {arguments.expected_reports} credits "
-                f"{address}, which is not a collector in this topology"
-            )
-        expected[collector_id] = expected.get(collector_id, 0) + int(
-            counts.get("reports", 0)
-        )
-    return expected
+    from .topology.aggregator import expected_by_collector
+
+    try:
+        return expected_by_collector(manifest["collectors"], by_target)
+    except CollectionServiceError as error:
+        raise CollectionServiceError(
+            f"load report {arguments.expected_reports}: {error}"
+        ) from error
 
 
 def _run_topo_finalize(arguments: argparse.Namespace) -> int:
     """Fan in an existing tree from outside the launcher process.
 
     Live collectors are pulled over the wire; unreachable ones fall back
-    to their durable snapshot and commit log — the same
-    supersede-by-collector-id merge the supervisor performs, so the result
-    is identical to what the launcher would print.
+    to their durable snapshot and commit log.  It is the walk the
+    launcher's supervisor runs (:func:`repro.topology.walk`), and the
+    ledger labels a quarantined state ``quarantined`` as the supervisor's
+    does, so the estimates and coverage match what the launcher would
+    print for the same collector states.
     """
     from .core.exceptions import PartialCoverageError
     from .topology import fan_in, load_manifest

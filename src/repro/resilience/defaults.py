@@ -47,16 +47,11 @@ BREAKER_COOLDOWN_SECONDS    1.0 s      Open hold-off before the
                                        half-open probe; matches the
                                        supervisor restart latency.
 BREAKER_HALF_OPEN_PROBES    1          One probe decides recovery.
-WATCH_INTERVAL_SECONDS      0.05 s     Supervisor health-watch cadence
-                                       (was a private constant in
-                                       ``supervisor.py``).
-COUNTER_POLL_SECONDS        0.01 s     Multi-process worker poll of the
-                                       shared report counter; tighter
-                                       than the health watch because it
+WATCH_INTERVAL_SECONDS      0.05 s     Supervisor health-watch cadence,
+                                       also the CLI fleet loop's poll of
+                                       the committed-report counter (it
                                        bounds shutdown latency after the
-                                       report target is reached (was a
-                                       private constant in
-                                       ``multiproc.py``).
+                                       report target is reached).
 CONNECT_POLL_SECONDS        0.05 s     Client reconnect poll while a
                                        target's socket is not accepting
                                        (was inline in ``_connect``).
@@ -85,7 +80,6 @@ BREAKER_COOLDOWN_SECONDS = 1.0
 BREAKER_HALF_OPEN_PROBES = 1
 
 WATCH_INTERVAL_SECONDS = 0.05
-COUNTER_POLL_SECONDS = 0.01
 CONNECT_POLL_SECONDS = 0.05
 
 

@@ -50,7 +50,6 @@ from .framing import (
 from .durable import COMMIT_LOG_FILENAME, restore_durable
 from .handshake import check_hello, hello_payload, spec_hash
 from .loadgen import ClientResult, LoadGenerator, LoadReport
-from .multiproc import MultiProcessCollector
 from .server import (
     DEFAULT_BATCH_MAX_USERS,
     DEFAULT_MAX_FRAME_BYTES,
@@ -90,7 +89,6 @@ __all__ = [
     "restore_durable",
     "CollectionServer",
     "merge_checkpoints",
-    "MultiProcessCollector",
     # loadgen
     "ClientResult",
     "LoadGenerator",

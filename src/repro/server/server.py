@@ -201,10 +201,10 @@ class CollectionServer:
     reuse_port:
         Bind with ``SO_REUSEPORT`` so several collector processes can
         share one address, the kernel load-balancing connections across
-        them (the ``--processes`` tier; see
-        :mod:`repro.server.multiproc`).  The kernel balances connections,
-        not groups: every group a kept-alive connection carries goes to
-        the process that accepted it.
+        them (a :class:`~repro.topology.TopologySupervisor` given a
+        ``port``, which ``repro serve --processes`` runs).  The kernel
+        balances connections, not groups: every group a kept-alive
+        connection carries goes to the process that accepted it.
     checkpoint_dir, checkpoint_interval:
         When set, every shard is checkpointed to
         ``checkpoint_dir/shard-NN.npz`` every ``checkpoint_interval``
@@ -214,9 +214,10 @@ class CollectionServer:
         reports have been collected (groups in flight finish first).
     report_observer:
         Optional callable invoked with each committed group's user-report
-        count (always positive; counters only advance at commit) — the
-        hook the multi-process tier uses to maintain a shared report
-        counter.
+        count (always positive; counters only advance at commit), after
+        the group is durable on a ``durable_acks`` server — the hook a
+        :class:`~repro.topology.TopologySupervisor` uses to keep one
+        fleet-wide count of committed reports.
     collector_id:
         Stable name this collector reports in ``STATE`` answers and stamps
         into its durable checkpoints (defaults to ``host:port``).  The
@@ -1041,12 +1042,12 @@ class CollectionServer:
         self._frames_total += group.frames
         self._reports_total += group.reports
         self._bytes_total += group.bytes
-        if self._report_observer is not None:
-            self._report_observer(group.reports)
         if token is not None:
             self._acked_tokens[token] = counts
         if self._durable_acks:
             self._make_durable(group, token, counts)
+        if self._report_observer is not None:
+            self._report_observer(group.reports)
         if (
             self._stop_after_reports is not None
             and self._reports_total >= self._stop_after_reports

@@ -8,14 +8,16 @@ The pieces, bottom-up:
 * :mod:`~repro.topology.pull` — the ``PULL``/``STATE`` wire client that
   snapshots a collector's merged session without consuming it.
 * :mod:`~repro.topology.aggregator` — :class:`FanInAggregator`, one
-  snapshot per collector id, merged exactly by the accumulator algebra.
+  snapshot per collector id, merged exactly by the accumulator algebra,
+  and :func:`walk`, the one fan-in walk every caller fills it through:
+  live collectors over the wire, the rest from disk.
 * :mod:`~repro.topology.supervisor` — :class:`TopologySupervisor` spawns
   and health-checks durable collector processes, recovers the last atomic
   checkpoint of a dead one, and answers the failover oracle (also on a
   socket via :class:`SupervisorEndpoint`).
 * :mod:`~repro.topology.tree` — :class:`LocalTopology` glues it all
   together and writes the ``topology.json`` manifest other processes use
-  to join the tree; :func:`fan_in` is the manifest-driven fan-in walk
+  to join the tree; :func:`fan_in` runs the fan-in walk from a manifest
   (pull, then durable fallback) behind `repro topo finalize` and
   `repro hh discover --topology`.
 
@@ -24,8 +26,8 @@ through plain parameters — ``targets``, ``routing``, ``failover`` — so
 `repro load` can drive a whole tree through one router.
 """
 
-from .aggregator import FanInAggregator
-from .pull import PulledState, pull_state, pull_stats
+from .aggregator import FanIn, FanInAggregator, walk
+from .pull import PulledState, pull_state
 from .router import (
     ROUTING_POLICIES,
     ConsistentHashRouter,
@@ -36,7 +38,6 @@ from .router import (
 from .supervisor import CollectorHandle, SupervisorEndpoint, TopologySupervisor
 from .tree import (
     MANIFEST_FILENAME,
-    FanIn,
     LocalTopology,
     fan_in,
     load_manifest,
@@ -45,9 +46,9 @@ from .tree import (
 
 __all__ = [
     "FanInAggregator",
+    "walk",
     "PulledState",
     "pull_state",
-    "pull_stats",
     "ROUTING_POLICIES",
     "ConsistentHashRouter",
     "RoundRobinRouter",

@@ -40,7 +40,6 @@ __all__ = [
     "decode_stats",
     "pull_control",
     "pull_state",
-    "pull_stats",
     "pull_stats_payload",
 ]
 
@@ -228,18 +227,6 @@ async def pull_state(
     return decode_state(answer)
 
 
-async def pull_stats(
-    host: str,
-    port: int,
-    *,
-    timeout: float = 10.0,
-    retry: Optional[RetryPolicy] = None,
-) -> Dict[str, Any]:
-    """Pull one collector's stats counters."""
-    payload = await pull_stats_payload(host, port, timeout=timeout, retry=retry)
-    return payload["stats"]
-
-
 async def pull_stats_payload(
     host: str,
     port: int,
@@ -247,12 +234,9 @@ async def pull_stats_payload(
     timeout: float = 10.0,
     retry: Optional[RetryPolicy] = None,
 ) -> Dict[str, Any]:
-    """Pull one collector's full stats answer (stats + metrics snapshot).
-
-    Like :func:`pull_stats` but keeps the whole ``STATE`` payload, whose
-    ``"metrics"`` key (a metrics-snapshot ``state_dict``) lets callers
-    roll up instrumentation across a topology tree.
-    """
+    """Pull one collector's stats answer: its ``"stats"`` counters and,
+    under ``"metrics"``, a metrics-snapshot ``state_dict`` that callers
+    roll up across a topology tree."""
     answer = await pull_control(
         host, port, {"what": "stats"}, timeout=timeout, retry=retry
     )

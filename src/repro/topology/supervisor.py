@@ -19,6 +19,11 @@ re-merges without losing a single acknowledged report:
   group is replayed to a surviving collector, which has never seen its
   token.
 
+Given a ``port``, every collector binds it with ``SO_REUSEPORT`` — the
+``repro serve --processes`` fleet.  :meth:`collect` runs
+:func:`~.aggregator.walk`, the fan-in walk :func:`~repro.topology.fan_in`
+runs from a manifest.
+
 :class:`SupervisorEndpoint` exposes that oracle over the wire (the same
 ``PULL``/``STATE`` frames the collectors speak) so an out-of-process load
 generator — ``repro load --topology`` — can fail over identically.
@@ -29,28 +34,17 @@ from __future__ import annotations
 import asyncio
 import logging
 import multiprocessing
+import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.domain import Domain
-from ..core.exceptions import (
-    CollectionServiceError,
-    ProtocolConfigurationError,
-    WireFormatError,
-)
-from ..resilience.coverage import (
-    STATUS_LOST,
-    STATUS_OK,
-    STATUS_QUARANTINED,
-    STATUS_RECOVERED,
-    CollectorCoverage,
-    CoverageReport,
-)
+from ..core.exceptions import CollectionServiceError, ProtocolConfigurationError
+from ..observability import MetricsSnapshot
 from ..resilience.defaults import WATCH_INTERVAL_SECONDS
-from ..server.durable import DURABLE_STATE_FILENAME, restore_durable
 from ..server.framing import (
     ERR,
     PULL,
@@ -59,10 +53,17 @@ from ..server.framing import (
     FrameDecoder,
     encode_control,
 )
-from ..server.server import CollectionServer
+from ..server.server import DEFAULT_MAX_FRAME_BYTES, CollectionServer
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
-from .aggregator import FanInAggregator
+from .aggregator import (
+    FanIn,
+    FanInAggregator,
+    expected_by_collector,
+    read_durable,
+    union_tokens,
+    walk,
+)
 from .pull import PulledState
 
 __all__ = ["CollectorHandle", "TopologySupervisor", "SupervisorEndpoint"]
@@ -70,6 +71,9 @@ __all__ = ["CollectorHandle", "TopologySupervisor", "SupervisorEndpoint"]
 _logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
+
+#: Each collector's metrics snapshot, written into its directory at exit.
+METRICS_FILENAME = "metrics.json"
 
 
 def _collector_main(
@@ -80,16 +84,21 @@ def _collector_main(
     port_value,
     ready_event,
     stop_event,
+    counter,
 ) -> None:
     """One front-line collector process: bind, serve durably, exit.
 
     Top-level (not a closure) so every multiprocessing start method can
     pickle it; all coordination state comes in as arguments.  The bound
     port is reported back through ``port_value`` before ``ready_event``
-    fires.
+    fires; every durably committed group adds its reports to ``counter``.
     """
     spec = ProtocolSpec.from_dict(spec_dict)
     domain = Domain(attributes)
+
+    def observe(delta: int) -> None:
+        with counter.get_lock():
+            counter.value += delta
 
     async def main() -> None:
         server = CollectionServer(
@@ -97,11 +106,14 @@ def _collector_main(
             domain,
             host=config["host"],
             port=config["port"],
+            reuse_port=config["reuse_port"],
             shards=config["shards"],
+            max_frame_bytes=config["max_frame_bytes"],
             checkpoint_dir=config["checkpoint_dir"],
             checkpoint_interval=config.get("checkpoint_interval"),
             durable_acks=True,
             collector_id=collector_id,
+            report_observer=observe,
         )
         await server.start()
         port_value.value = server.port
@@ -121,6 +133,9 @@ def _collector_main(
                 await watcher
             except asyncio.CancelledError:
                 pass
+        # Metrics ride the state's channel: a file the parent merges.
+        metrics_path = Path(config["checkpoint_dir"]) / METRICS_FILENAME
+        metrics_path.write_text(server.metrics_snapshot().to_json())
 
     asyncio.run(main())
 
@@ -167,8 +182,14 @@ class TopologySupervisor:
         How many front-line collector processes to run.
     base_dir:
         Every collector checkpoints under ``base_dir/<collector_id>/``.
+    port:
+        ``None`` (the default) gives every collector a port of its own.
+        An int makes every collector bind that one port with
+        ``SO_REUSEPORT``; ``0`` reserves a free one.
     shards:
         Shard sessions *inside* each collector.
+    max_frame_bytes:
+        Per-frame payload cap of every collector.
     checkpoint_interval:
         Periodic ``state.npz`` snapshot inside each collector, on top of
         the per-ACK commit-log appends and the compactions.
@@ -182,13 +203,20 @@ class TopologySupervisor:
         collectors: int = 3,
         base_dir: PathLike,
         host: str = "127.0.0.1",
+        port: Optional[int] = None,
         shards: int = 1,
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         checkpoint_interval: Optional[float] = None,
         start_timeout: float = 30.0,
     ):
         if collectors < 1:
             raise ProtocolConfigurationError(
                 f"collector count must be >= 1, got {collectors}"
+            )
+        if port is not None and not hasattr(socket, "SO_REUSEPORT"):
+            raise ProtocolConfigurationError(
+                "collectors sharing one port need SO_REUSEPORT, which this "
+                "platform does not support"
             )
         if not isinstance(spec, ProtocolSpec):
             spec = ProtocolSpec.from_protocol(spec)
@@ -200,11 +228,15 @@ class TopologySupervisor:
         self._spec = spec
         self._domain = domain
         self._host = host
+        self._shared_port = None if port is None else int(port)
+        self._placeholder: Optional[socket.socket] = None
         self._shards = int(shards)
+        self._max_frame_bytes = int(max_frame_bytes)
         self._checkpoint_interval = checkpoint_interval
         self._start_timeout = float(start_timeout)
         self._base_dir = Path(base_dir)
         self._context = multiprocessing.get_context()
+        self._counter = self._context.Value("q", 0)
         self._handles = [
             CollectorHandle(
                 index=index,
@@ -252,6 +284,13 @@ class TopologySupervisor:
             if handle.status == "dead"
         )
 
+    @property
+    def num_reports(self) -> int:
+        """Reports every collector durably committed so far, counted once
+        (a restarted collector does not count its restored state again)."""
+        with self._counter.get_lock():
+            return int(self._counter.value)
+
     def describe(self) -> List[Dict[str, Any]]:
         return [handle.describe() for handle in self._handles]
 
@@ -268,10 +307,25 @@ class TopologySupervisor:
             raise ProtocolConfigurationError(
                 "the supervisor is already started"
             )
+        port = self._shared_port
+        if port == 0:
+            # Reserve a port with a bound, not listening, socket in the
+            # SO_REUSEPORT group until every collector has joined it.
+            self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            self._placeholder.bind((self._host, 0))
+            port = self._placeholder.getsockname()[1]
         for handle in self._handles:
+            handle.port = port
             self._spawn(handle)
         self._await_ready(self._handles)
+        self._release_placeholder()
         return self
+
+    def _release_placeholder(self) -> None:
+        if self._placeholder is not None:
+            self._placeholder.close()
+            self._placeholder = None
 
     def _spawn(self, handle: CollectorHandle) -> None:
         handle.stop_event = self._context.Event()
@@ -282,7 +336,9 @@ class TopologySupervisor:
             # A restarted collector rebinds its original port so its
             # address — what routers and manifests carry — stays stable.
             "port": handle.port or 0,
+            "reuse_port": self._shared_port is not None,
             "shards": self._shards,
+            "max_frame_bytes": self._max_frame_bytes,
             "checkpoint_dir": str(handle.checkpoint_dir),
             "checkpoint_interval": self._checkpoint_interval,
         }
@@ -296,6 +352,7 @@ class TopologySupervisor:
                 handle._port_value,
                 handle._ready_event,
                 handle.stop_event,
+                self._counter,
             ),
             daemon=True,
         )
@@ -352,12 +409,6 @@ class TopologySupervisor:
         self._lost.pop(handle.collector_id, None)
         return handle
 
-    def stop_collector(self, index: int) -> None:
-        """Graceful stop: the collector drains, checkpoints and exits."""
-        handle = self._handles[index]
-        if handle.stop_event is not None:
-            handle.stop_event.set()
-
     def shutdown(self, timeout: float = 15.0) -> None:
         """Stop every live collector and reap every process."""
         for handle in self._handles:
@@ -374,6 +425,7 @@ class TopologySupervisor:
                 process.join(timeout=5.0)
             if handle.status == "live":
                 handle.status = "stopped"
+        self._release_placeholder()
 
     # ------------------------------------------------------------------ #
     # failure detection and recovery
@@ -429,37 +481,19 @@ class TopologySupervisor:
         )
 
     def _recover(self, handle: CollectorHandle) -> None:
-        try:
-            session = restore_durable(handle.checkpoint_dir)
-        except WireFormatError as error:
-            # Covers bad layouts and integrity mismatches in the snapshot
-            # or a complete log record (CheckpointIntegrityError subclasses
-            # WireFormatError): restore_durable quarantined both files, so
+        session, reason = read_durable(handle.checkpoint_dir)
+        if reason is not None:
+            # A state that failed restore is quarantined, and a collector
+            # that died before its startup snapshot never ACK'd anything:
             # recover as empty.  The empty token set makes clients replay
-            # every group the quarantined state held, so the loss is
-            # repaired wherever the clients are still alive to replay.
+            # every group a quarantined state held, so the loss is repaired
+            # wherever the clients are still alive to replay.
             _logger.error(
-                "collector %s left corrupt durable state (%s); recovering "
-                "as empty",
+                "collector %s: %s; recovering as empty",
                 handle.collector_id,
-                error,
+                reason,
             )
-            session = None
-            self._lost[handle.collector_id] = f"checkpoint quarantined: {error}"
-        else:
-            if session is None:
-                # Death before the startup snapshot: nothing was ever
-                # acknowledged, so an empty recovered state loses nothing.
-                _logger.warning(
-                    "collector %s left no %s; recovering as empty",
-                    handle.collector_id,
-                    DURABLE_STATE_FILENAME,
-                )
-                self._lost[handle.collector_id] = (
-                    f"no durable {DURABLE_STATE_FILENAME} "
-                    f"(died before its first acknowledged group)"
-                )
-        if session is None:
+            self._lost[handle.collector_id] = reason
             session = AggregationSession(self._spec, self._domain)
         self._recovered[handle.collector_id] = PulledState(
             collector_id=handle.collector_id,
@@ -473,11 +507,7 @@ class TopologySupervisor:
 
     def recovered_tokens(self) -> Dict[str, Dict[str, int]]:
         """Acknowledged-group tokens across every recovered collector."""
-        union: Dict[str, Dict[str, int]] = {}
-        for state in self._recovered.values():
-            for token, counts in state.acked_tokens.items():
-                union[token] = dict(counts)
-        return union
+        return union_tokens(self._recovered.values())
 
     async def failover(self, address) -> Dict[str, Any]:
         """The failover oracle clients consult after a broken connection.
@@ -509,114 +539,79 @@ class TopologySupervisor:
         (recovered-as-empty or quarantined), with the readable reason."""
         return dict(self._lost)
 
+    def metrics_snapshot(self) -> MetricsSnapshot:
+        """Every collector's exit-time metrics, merged (a collector still
+        running or killed hard contributes nothing)."""
+        merged = MetricsSnapshot.empty()
+        for handle in self._handles:
+            path = handle.checkpoint_dir / METRICS_FILENAME
+            try:
+                merged = merged.merge(MetricsSnapshot.from_json(path.read_text()))
+            except (OSError, ValueError):
+                continue
+        return merged
+
+    async def _walk(self, *, partial: bool, timeout: float, retry) -> FanIn:
+        await self.health_check_async()
+        live = [handle for handle in self._handles if handle.status == "live"]
+        if live and self._shared_port is not None:
+            raise CollectionServiceError(
+                f"{len(live)} collector(s) share port {self._shared_port} "
+                f"and cannot be pulled apart; collect this fleet after "
+                f"shutdown()"
+            )
+        return await walk(
+            FanInAggregator(self._spec, self._domain),
+            pull=[handle.describe() for handle in live],
+            read=[
+                handle.describe()
+                for handle in self._handles
+                if handle.status == "stopped"
+            ],
+            recovered=self._recovered,
+            lost=self._lost,
+            fallback=False,
+            partial=partial,
+            timeout=timeout,
+            retry=retry,
+        )
+
     async def collect(
         self, *, timeout: float = 15.0, retry=None
     ) -> FanInAggregator:
-        """Pull every live collector's state, add the recovered dead ones.
-
-        The returned :class:`FanInAggregator` holds exactly one snapshot
-        per collector id — live snapshots win over recovered ones — so
-        :meth:`FanInAggregator.merged_session` counts every acknowledged
-        report exactly once.  ``retry`` is an optional
+        """Every collector's state, each counted once, before or after
+        :meth:`shutdown`.  Raises when a live collector does not answer
+        or a stopped one's state is gone; ``retry`` is an optional
         :class:`~repro.resilience.RetryPolicy` for the (idempotent) pulls.
         """
-        await self.health_check_async()
-        aggregator = FanInAggregator(self._spec, self._domain)
-        live = [
-            handle for handle in self._handles if handle.status == "live"
-        ]
-        results = await asyncio.gather(
-            *(
-                aggregator.pull(
-                    handle.host, handle.port, timeout=timeout, retry=retry
-                )
-                for handle in live
-            ),
-            return_exceptions=True,
-        )
-        for handle, result in zip(live, results):
-            if isinstance(result, BaseException):
-                raise CollectionServiceError(
-                    f"cannot pull state from live collector "
-                    f"{handle.collector_id} ({handle.host}:{handle.port}): "
-                    f"{result}"
-                ) from result
-        for collector_id, state in self._recovered.items():
-            if collector_id not in aggregator.collector_ids:
-                aggregator.ingest(state)
-        return aggregator
-
-    def coverage_report(
-        self,
-        aggregator: FanInAggregator,
-        expected_by_address: Optional[Dict[str, Any]] = None,
-    ) -> CoverageReport:
-        """Build the finalize ledger from supervisor knowledge.
-
-        ``expected_by_address`` maps ``"host:port"`` strings to
-        acknowledged report counts — either plain ints, or the
-        ``{"frames", "reports", "groups"}`` counters a
-        :class:`~repro.server.LoadReport` records in ``acked_by_target``
-        (so ``report.acked_by_target`` can be passed verbatim); they are
-        translated to collector ids here.  Status per collector: ``ok``
-        while live, ``recovered`` when dead but restored from durable
-        state, ``lost``/``quarantined`` when its state is gone.
-        """
-        expected: Dict[str, int] = {}
-        for handle in self._handles:
-            key = f"{handle.host}:{handle.port}"
-            if expected_by_address and key in expected_by_address:
-                counts = expected_by_address[key]
-                if isinstance(counts, dict):
-                    counts = counts.get("reports", 0)
-                expected[handle.collector_id] = int(counts)
-        received = aggregator.reports_by_collector()
-        report = CoverageReport()
-        for handle in self._handles:
-            collector_id = handle.collector_id
-            if collector_id in self._lost:
-                detail = self._lost[collector_id]
-                status = (
-                    STATUS_QUARANTINED
-                    if detail.startswith("checkpoint quarantined")
-                    else STATUS_LOST
-                )
-            elif handle.status == "dead":
-                status, detail = STATUS_RECOVERED, "merged from durable state"
-            else:
-                status, detail = STATUS_OK, ""
-            report.add(
-                CollectorCoverage(
-                    collector_id=collector_id,
-                    expected=expected.get(collector_id),
-                    received=received.get(collector_id, 0),
-                    status=status,
-                    detail=detail,
-                )
-            )
-        return report
+        gathered = await self._walk(partial=False, timeout=timeout, retry=retry)
+        return gathered.aggregator
 
     async def finalize(
         self,
         *,
         allow_partial: bool = False,
-        expected_by_address: Optional[Dict[str, int]] = None,
+        expected_by_address: Optional[Dict[str, Any]] = None,
         timeout: float = 15.0,
         retry=None,
     ):
         """Collect the whole tree and finalize with coverage accounting.
 
-        Strict by default: any collector whose reports are known (or
-        expected) to be missing raises
-        :class:`~repro.core.exceptions.PartialCoverageError` carrying the
-        :class:`~repro.resilience.CoverageReport`; ``allow_partial=True``
-        returns the estimator anyway with the report in its metadata.
+        ``expected_by_address`` is as for
+        :func:`~.aggregator.expected_by_collector`.  Strict by default:
+        any collector whose reports are known (or expected) to be missing
+        raises :class:`~repro.core.exceptions.PartialCoverageError`
+        carrying the :class:`~repro.resilience.CoverageReport`;
+        ``allow_partial=True`` returns the estimator anyway with the
+        report in its metadata.
         """
-        aggregator = await self.collect(timeout=timeout, retry=retry)
-        coverage = self.coverage_report(
-            aggregator, expected_by_address=expected_by_address
+        gathered = await self._walk(partial=True, timeout=timeout, retry=retry)
+        coverage = gathered.aggregator.coverage_report(
+            expected_by_collector(self.describe(), expected_by_address or {}),
+            gathered.lost,
+            gathered.statuses,
         )
-        return aggregator.finalize(
+        return gathered.aggregator.finalize(
             allow_partial=allow_partial, coverage=coverage
         )
 

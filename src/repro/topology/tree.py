@@ -6,9 +6,9 @@ processes, a :class:`~.supervisor.SupervisorEndpoint` exposing the
 failover oracle on a socket, and a ``topology.json`` manifest so that
 *other* processes (``repro load --topology``, ``repro topo inspect``)
 can find every address and the collection contract without sharing
-memory with the launcher.  :func:`fan_in` is the cross-process fan-in walk:
-it pulls each collector and reads one that does not answer from its
-durable state through :func:`~repro.server.durable.restore_durable`.
+memory with the launcher.  :func:`fan_in` runs the fan-in walk from a
+manifest: it pulls each collector and reads one that does not answer from
+its durable state through :func:`~repro.server.durable.restore_durable`.
 """
 
 from __future__ import annotations
@@ -16,22 +16,14 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..core.domain import Domain
-from ..core.exceptions import (
-    CollectionServiceError,
-    ProtocolConfigurationError,
-    ReproError,
-    WireFormatError,
-)
-from ..resilience.coverage import STATUS_RECOVERED
+from ..core.exceptions import CollectionServiceError, ProtocolConfigurationError
 from ..resilience.policies import ResilienceConfig, RetryPolicy
-from ..server.durable import restore_durable
 from ..service.spec import ProtocolSpec
-from .aggregator import FanInAggregator
+from .aggregator import FanIn, FanInAggregator, walk
 from .router import ROUTING_POLICIES
 from .supervisor import SupervisorEndpoint, TopologySupervisor
 
@@ -165,10 +157,6 @@ class LocalTopology:
         scratch.replace(path)
         return path
 
-    async def collect(self, *, timeout: float = 15.0) -> FanInAggregator:
-        """Fan in: live collectors over the wire, dead ones from disk."""
-        return await self._supervisor.collect(timeout=timeout)
-
     async def stop(self) -> None:
         await self._endpoint.stop()
         self._supervisor.shutdown()
@@ -232,23 +220,8 @@ def wait_for_manifest(
             time.sleep(poll)
 
 
-@dataclass
-class FanIn:
-    """What :func:`fan_in` gathered from a tree's collectors."""
-
-    aggregator: FanInAggregator
-    #: Collector ids that did not answer their ``PULL``.
-    unreachable: List[str] = field(default_factory=list)
-    #: Partial mode only: collector id -> why its reports are gone.
-    lost: Dict[str, str] = field(default_factory=dict)
-    #: Collector id -> coverage status (``recovered`` from durable state).
-    statuses: Dict[str, str] = field(default_factory=dict)
-    #: One readable line per collector that needed the fallback.
-    notes: List[str] = field(default_factory=list)
-
-
 def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
-    """Pull every collector of a manifest, falling back to its disk state.
+    """Fan in every collector of a manifest through :func:`.aggregator.walk`.
 
     Each collector is pulled over the wire (with a short retry); one that
     does not answer is read from its durable state — the ``state.npz``
@@ -262,50 +235,11 @@ def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
     aggregator = FanInAggregator(
         ProtocolSpec.from_dict(manifest["spec"]), Domain(manifest["attributes"])
     )
-    result = FanIn(aggregator)
-    retry = RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0)
-    fallbacks = []
-
-    async def gather() -> None:
-        for entry in manifest["collectors"]:
-            try:
-                await aggregator.pull(
-                    entry["host"], int(entry["port"]), timeout=5.0, retry=retry
-                )
-            except ReproError:
-                fallbacks.append(entry)
-
-    asyncio.run(gather())
-    for entry in fallbacks:
-        collector_id = entry["collector_id"]
-        result.unreachable.append(collector_id)
-        directory = Path(entry["checkpoint_dir"])
-        try:
-            session = restore_durable(directory, quarantine=partial)
-        except WireFormatError as error:
-            if not partial:
-                raise
-            result.lost[collector_id] = f"checkpoint quarantined: {error}"
-            result.notes.append(
-                f"collector {collector_id} is unreachable and its durable "
-                f"state failed verification; quarantined in {directory}"
-            )
-            continue
-        if session is None:
-            reason = f"unreachable and left no durable state in {directory}"
-            if not partial:
-                raise CollectionServiceError(f"collector {collector_id} is {reason}")
-            result.lost[collector_id] = reason
-            result.notes.append(
-                f"collector {collector_id} is {reason}; counting it as empty"
-            )
-            continue
-        aggregator.ingest_session(
-            collector_id, session, session.checkpoint_extra["acked_tokens"]
+    return asyncio.run(
+        walk(
+            aggregator,
+            pull=manifest["collectors"],
+            partial=partial,
+            retry=RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0),
         )
-        result.statuses[collector_id] = STATUS_RECOVERED
-        result.notes.append(
-            f"collector {collector_id} is unreachable; recovered "
-            f"{session.num_reports} report(s) from {directory}"
-        )
-    return result
+    )

@@ -9,7 +9,7 @@ checkpoint and a stats answer with raw bytes must each end in
 another exception, and never a restored session.  Both frame decoders
 split every frame identically at any chunk boundary, and the same
 hostile answers sent by a fake collector fail :func:`pull_state` and
-:func:`pull_stats` over a real socket.
+:func:`pull_stats_payload` over a real socket.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from repro.server.framing import (
     encode_control,
 )
 from repro.service import AggregationSession
-from repro.topology.pull import decode_state, decode_stats, pull_state, pull_stats
+from repro.topology.pull import (
+    decode_state,
+    decode_stats,
+    pull_state,
+    pull_stats_payload,
+)
 
 from ..service.util import ALL_PROTOCOLS, build, encode_frames, small_dataset
 from .reference_decoder import FrameDecoderReference
@@ -246,7 +251,7 @@ def test_a_fake_collector_cannot_make_a_pull_restore(answer):
 
         server = await asyncio.start_server(collector, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        pull = pull_state if what == "state" else pull_stats
+        pull = pull_state if what == "state" else pull_stats_payload
         try:
             with pytest.raises((WireFormatError, CollectionServiceError)):
                 await pull("127.0.0.1", port, timeout=5.0)

@@ -674,6 +674,82 @@ class TestServeLoadRoundTrip:
         assert fleet_report["acked_reports"] == 600
         assert fleet_report["rejected_connections"] == 2
 
+    def test_serve_processes_with_checkpoint_interval_completes(
+        self, tmp_path, capsys
+    ):
+        """``--processes`` runs a supervised shared-port fleet, which takes
+        ``--checkpoint-interval`` and keeps its state in ``DIR/c<i>/``."""
+        import os
+        import re
+        import subprocess
+        import sys
+
+        import numpy as np
+
+        import repro
+        from repro.experiments.harness import make_dataset
+        from repro.protocols.registry import make_protocol
+
+        source_root = __import__("pathlib").Path(
+            repro.__file__
+        ).resolve().parents[1]
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            [str(source_root)]
+            + ([environment["PYTHONPATH"]] if "PYTHONPATH" in environment else [])
+        )
+        server_json = tmp_path / "server.json"
+        state_dir = tmp_path / "state"
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
+                "--dimension", "5", "--port", "0", "--processes", "2",
+                "--checkpoint-interval", "1", "--checkpoint-dir", str(state_dir),
+                "--stop-after-reports", "600", "--json", str(server_json),
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=environment,
+        )
+        try:
+            ready = process.stderr.readline()
+            match = re.search(r"on 127\.0\.0\.1:(\d+)", ready)
+            assert match, f"no readiness line: {ready!r}"
+            assert main([
+                "load",
+                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
+                "--dimension", "5", "--port", match.group(1), "--clients", "10",
+                "--dataset", "uniform", "-n", "600", "--batch-size", "100",
+                "--seed", "11",
+            ]) == 0
+            assert "600 acked" in capsys.readouterr().out
+            process.wait(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stderr.close()
+        assert process.returncode == 0
+
+        payload = json.loads(server_json.read_text())
+        assert payload["num_reports"] == 600
+        assert payload["server"]["processes"] == 2
+        assert payload["server"]["reports"] == 600
+        for index in range(2):
+            assert (state_dir / f"c{index}" / "state.npz").exists()
+
+        generator = np.random.default_rng(11)
+        dataset = make_dataset("uniform", 600, 5, generator)
+        baseline = make_protocol("InpRR", 1.1, 2).run_streaming(
+            dataset, rng=generator, batch_size=100
+        )
+        expected = [
+            [float(value) for value in table.values]
+            for _, table in sorted(baseline.query_all().items())
+        ]
+        assert [entry["values"] for entry in payload["marginals"]] == expected
+
     def test_serve_with_no_reports_emits_consistent_json(self, tmp_path):
         import os
         import re
