@@ -22,9 +22,17 @@ Three backends ship:
   (``_olh_scan.c``), built once per machine with the system C compiler
   into a private per-user cache and loaded through :mod:`ctypes` (which
   releases the GIL) at import, so forked collectors inherit the mapping.
-  It is the automatic choice whenever it loaded; without a compiler, or
-  with a failed build or an unusable cache, the automatic choice logs one
-  warning and falls back to ``threaded``/``numpy``.
+  The library carries x86-64-v4 (AVX-512), avx2 and default clones of
+  every entry point, and the loader runs the widest the CPU supports
+  (:func:`native_clone` names it).  It is the automatic choice whenever
+  it loaded; without a compiler, or with a failed build or an unusable
+  cache, the automatic choice logs one warning and falls back to
+  ``threaded``/``numpy``.
+
+Besides the one-domain scan, every backend answers
+:meth:`KernelBackend.support_counts_levels`, which counts all prefix
+levels of a heavy-hitter batch at once: ``native`` in one C call, the
+numpy backends through the base class's loop over the levels.
 
 Every backend computes *identical* integer support counts — backend
 choice is a pure performance knob and is treated exactly like
@@ -65,6 +73,7 @@ __all__ = [
     "NumpyBackend",
     "ThreadedBackend",
     "NativeBackend",
+    "native_clone",
     "registered_backends",
     "get_backend",
     "resolve_backend",
@@ -225,7 +234,60 @@ class KernelBackend:
         their hash of ``x`` — an exact integer count, so any partition of
         the users (blocks, threads, processes) sums to the same result.
         """
+        with trace.span("kernel.support_counts") as span:
+            span.annotate(backend=self.name, users=int(seeds.shape[0]))
+            return self._support_counts(
+                seeds, noisy_buckets, domain_size, num_buckets, batch_size
+            )
+
+    def support_counts_levels(
+        self,
+        levels: np.ndarray,
+        pairs: np.ndarray,
+        domains: np.ndarray,
+        num_buckets: int,
+        batch_size: int,
+    ) -> np.ndarray:
+        """The support counts of every prefix level of a heavy-hitter batch.
+
+        User ``i`` sits on level ``levels[i]`` (which must lie in
+        ``[0, len(domains))``) and reports the ``int64`` pair
+        ``pairs[i] = (seed, noisy bucket)``.  Returns one ``int64`` array
+        of ``sum(domains)`` counts: level ``l``'s ``domains[l]`` counts,
+        equal to :meth:`support_counts` over that level's users, follow
+        level ``l - 1``'s.  One ``kernel.support_counts`` span covers all
+        the levels.
+        """
+        with trace.span("kernel.support_counts") as span:
+            span.annotate(backend=self.name, users=int(levels.shape[0]))
+            return self._support_counts_levels(
+                levels, pairs, domains, num_buckets, batch_size
+            )
+
+    def _support_counts(
+        self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
+    ) -> np.ndarray:
+        """:meth:`support_counts` without its span."""
         raise NotImplementedError
+
+    def _support_counts_levels(
+        self, levels, pairs, domains, num_buckets, batch_size
+    ) -> np.ndarray:
+        """:meth:`support_counts_levels` without its span: one one-domain
+        count per level, over that level's users."""
+        counts = []
+        for level, domain_size in enumerate(domains):
+            members = pairs[levels == level]
+            counts.append(
+                self._support_counts(
+                    members[:, 0],
+                    members[:, 1],
+                    int(domain_size),
+                    num_buckets,
+                    batch_size,
+                )
+            )
+        return np.concatenate(counts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -247,17 +309,15 @@ class NumpyBackend(KernelBackend):
             x = x ^ (x >> np.uint64(shift))
         return (x & np.uint64(1)).astype(np.int64)
 
-    def support_counts(
+    def _support_counts(
         self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
     ) -> np.ndarray:
-        with trace.span("kernel.support_counts") as span:
-            span.annotate(backend=self.name, users=int(seeds.shape[0]))
-            return self._scan(
-                *_scan_operands(seeds, noisy_buckets),
-                domain_size,
-                num_buckets,
-                batch_size,
-            )
+        return self._scan(
+            *_scan_operands(seeds, noisy_buckets),
+            domain_size,
+            num_buckets,
+            batch_size,
+        )
 
     @staticmethod
     def _scan(offsets, targets, domain_size, num_buckets, batch_size):
@@ -377,35 +437,41 @@ class ThreadedBackend(KernelBackend):
     #: num_buckets, batch_size) -> int64 support`` over one user slice.
     _scan = staticmethod(NumpyBackend._scan)
 
-    def support_counts(
+    def _fan_out(self, num_users: int, work: int) -> bool:
+        """Whether ``work`` elements over ``num_users`` users pay for the pool."""
+        return (
+            work >= self.min_work_elements
+            and num_users >= 2
+            and self.workers >= 2
+        )
+
+    def _sum_over_slices(self, num_users: int, count: Callable) -> np.ndarray:
+        """``count(user_slice)`` on the pool for every slice, summed."""
+        partials = iter(self._executor().map(count, self._slices(num_users)))
+        support = next(partials)
+        for partial in partials:
+            support += partial
+        return support
+
+    def _support_counts(
         self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
     ) -> np.ndarray:
         num_users = seeds.shape[0]
-        with trace.span("kernel.support_counts") as span:
-            span.annotate(backend=self.name, users=int(num_users))
-            offsets, targets = _scan_operands(seeds, noisy_buckets)
-            if (
-                num_users * domain_size < self.min_work_elements
-                or num_users < 2
-                or self.workers < 2
-            ):
-                return self._scan(
-                    offsets, targets, domain_size, num_buckets, batch_size
-                )
-            partials = self._executor().map(
-                lambda chunk: self._scan(
-                    offsets[chunk],
-                    targets[chunk],
-                    domain_size,
-                    num_buckets,
-                    batch_size,
-                ),
-                self._slices(num_users),
+        offsets, targets = _scan_operands(seeds, noisy_buckets)
+        if not self._fan_out(num_users, num_users * domain_size):
+            return self._scan(
+                offsets, targets, domain_size, num_buckets, batch_size
             )
-            support = np.zeros(domain_size, dtype=np.int64)
-            for partial in partials:
-                support += partial
-            return support
+        return self._sum_over_slices(
+            num_users,
+            lambda chunk: self._scan(
+                offsets[chunk],
+                targets[chunk],
+                domain_size,
+                num_buckets,
+                batch_size,
+            ),
+        )
 
 
 class NativeBackend(ThreadedBackend):
@@ -415,15 +481,22 @@ class NativeBackend(ThreadedBackend):
     :class:`ThreadedBackend`; each slice runs ``_olh_scan.c`` — add,
     avalanche, bucket fold, compare and count in one loop per (user,
     element) instead of numpy's separate passes over a tile — and yields
-    the same integer counts.  ``scan`` is the loaded C function (see
-    :func:`_load_native_scan`); popcount/parity stay numpy.
+    the same integer counts.  A heavy-hitter batch's levels take one C
+    call per slice, which also sorts the users by level and hoists the
+    seed products.  ``library`` is the loaded scan (see
+    :func:`_load_native_library`); popcount/parity stay numpy.
     """
 
     name = "native"
 
-    def __init__(self, scan: Callable, max_workers: Optional[int] = None):
+    def __init__(self, library: ctypes.CDLL, max_workers: Optional[int] = None):
         super().__init__(max_workers)
-        self._native_scan = scan
+        self._library = library
+
+    @property
+    def clone(self) -> str:
+        """The clone the loader dispatches to on this CPU."""
+        return self._library.repro_olh_clone().decode()
 
     def _scan(self, offsets, targets, domain_size, num_buckets, batch_size):
         offsets = np.ascontiguousarray(offsets, dtype=np.uint64)
@@ -434,7 +507,7 @@ class NativeBackend(ThreadedBackend):
                 "decode batch size >= 1"
             )
         support = np.zeros(domain_size, dtype=np.int64)
-        self._native_scan(
+        self._library.repro_olh_support_counts(
             offsets.ctypes.data,
             targets.ctypes.data,
             offsets.shape[0],
@@ -444,6 +517,52 @@ class NativeBackend(ThreadedBackend):
             support.ctypes.data,
         )
         return support
+
+    def _support_counts_levels(
+        self, levels, pairs, domains, num_buckets, batch_size
+    ) -> np.ndarray:
+        levels = np.ascontiguousarray(levels, dtype=np.int64)
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        domains = np.ascontiguousarray(domains, dtype=np.int64)
+        num_users = levels.shape[0]
+        if (
+            levels.ndim != 1
+            or pairs.shape != (num_users, 2)
+            or domains.ndim != 1
+            or (domains.size and domains.min() < 0)
+            or batch_size < 1
+        ):
+            raise ValueError(
+                "native level scan needs 1-D levels, one (seed, bucket) "
+                "pair per user, non-negative 1-D domains and a decode "
+                "batch size >= 1"
+            )
+        total = int(domains.sum())
+
+        def count(chunk: slice) -> np.ndarray:
+            support = np.zeros(total, dtype=np.int64)
+            status = self._library.repro_olh_support_counts_levels(
+                levels[chunk].ctypes.data,
+                pairs[chunk].ctypes.data,
+                chunk.stop - chunk.start,
+                domains.shape[0],
+                domains.ctypes.data,
+                num_buckets,
+                batch_size,
+                support.ctypes.data,
+            )
+            if status == _NATIVE_BAD_LEVEL:
+                raise ValueError(
+                    f"report levels must lie in [0, {domains.shape[0]})"
+                )
+            if status == _NATIVE_NO_MEMORY:
+                raise MemoryError("native level scan could not allocate")
+            return support
+
+        widest = int(domains.max()) if domains.size else 0
+        if not self._fan_out(num_users, num_users * widest):
+            return count(slice(0, num_users))
+        return self._sum_over_slices(num_users, count)
 
 
 _THREADED_BACKENDS: "weakref.WeakSet[ThreadedBackend]" = weakref.WeakSet()
@@ -533,8 +652,28 @@ def _build(compiler: str, target: Path) -> None:
         raise
 
 
-def _load_native_scan() -> Callable:
-    """The fused scan's C entry point, built into the cache on first use.
+#: ``repro_olh_support_counts_levels``'s failure codes.
+_NATIVE_BAD_LEVEL = 1
+_NATIVE_NO_MEMORY = 2
+
+
+def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the C signatures of the scan library's entry points."""
+    pointer, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    scan = library.repro_olh_support_counts
+    scan.restype = None
+    scan.argtypes = (pointer, pointer, i64, i64, u64, i64, pointer)
+    levels = library.repro_olh_support_counts_levels
+    levels.restype = ctypes.c_int
+    levels.argtypes = (pointer, pointer, i64, i64, pointer, u64, i64, pointer)
+    clone = library.repro_olh_clone
+    clone.restype = ctypes.c_char_p
+    clone.argtypes = ()
+    return library
+
+
+def _load_native_library() -> ctypes.CDLL:
+    """The fused scan's C library, built into the cache on first use.
 
     The cached file is named by the SHA-256 of the source, the flags, the
     compiler's version banner and the machine, so any change to one of
@@ -555,18 +694,7 @@ def _load_native_scan() -> Callable:
     path = _native_cache_dir() / f"olh_scan-{key[:32]}.so"
     if not _sealed(path):
         _build(compiler, path)
-    scan = ctypes.CDLL(str(path)).repro_olh_support_counts
-    scan.restype = None
-    scan.argtypes = (
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_uint64,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-    )
-    return scan
+    return _bind(ctypes.CDLL(str(path)))
 
 
 # --------------------------------------------------------------------- #
@@ -609,19 +737,26 @@ def _install_native() -> Optional[str]:
     warning here, at import, before a program has set up its logging.
     """
     try:
-        scan = _load_native_scan()
+        library = _load_native_library()
     except (OSError, subprocess.SubprocessError, AttributeError) as error:
         _BACKENDS.pop(NativeBackend.name, None)
         output = getattr(error, "stderr", None)
         detail = output.decode(errors="replace").strip() if output else ""
         return f"{error}: {detail.splitlines()[-1]}" if detail else str(error)
-    _register(NativeBackend(scan))
+    _register(NativeBackend(library))
     return None
 
 
 #: Loaded here, at import, so that processes forked later (the collectors)
 #: inherit the mapped library and pay neither the build nor the load.
 _NATIVE_FAILURE = _install_native()
+
+
+def native_clone() -> Optional[str]:
+    """The native scan's clone this CPU runs (``"x86-64-v4"``, ``"avx2"``
+    or ``"default"``), or ``None`` when ``native`` did not load."""
+    native = _BACKENDS.get(NativeBackend.name)
+    return None if native is None else native.clone
 
 
 def registered_backends() -> Tuple[str, ...]:

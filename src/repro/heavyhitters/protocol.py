@@ -30,6 +30,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
+from ..core.backends import resolve_backend
 from ..core.domain import Domain
 from ..core.exceptions import AggregationError, ProtocolConfigurationError
 from ..core.marginals import MarginalWorkload
@@ -142,12 +143,25 @@ class HeavyHittersAccumulator(Accumulator):
         self._inner = tuple(inner)
         self._oracle_name = oracle
         self._config = config
+        # Each level's prefix-domain size, for the OLH level scan.
+        self._domains = np.array([1 << bits for bits in level_bits], np.int64)
 
     def _ingest(self, reports: HeavyHitterReports) -> None:
         levels = np.asarray(reports.levels, dtype=np.int64)
         int_data = np.asarray(reports.int_data, dtype=np.int64)
         float_data = np.asarray(reports.float_data, dtype=np.float64)
         num_levels = len(self._inner)
+        if (
+            levels.ndim != 1
+            or int_data.ndim != 2
+            or float_data.ndim != 2
+            or not levels.shape[0] == int_data.shape[0] == float_data.shape[0]
+        ):
+            raise AggregationError(
+                f"HH reports need one level, one int row and one float row "
+                f"per user, got shapes {levels.shape}, {int_data.shape} and "
+                f"{float_data.shape}"
+            )
         if levels.size and (levels.min() < 0 or levels.max() >= num_levels):
             raise AggregationError(
                 f"report levels must lie in [0, {num_levels})"
@@ -159,6 +173,11 @@ class HeavyHittersAccumulator(Accumulator):
                 f"({int_columns} int, {float_columns} float) columns, got "
                 f"({int_data.shape[1]}, {float_data.shape[1]})"
             )
+        if not levels.size:
+            return
+        if self._oracle_name == "InpOLH":
+            self._ingest_olh(levels, int_data)
+            return
         for index, accumulator in enumerate(self._inner):
             members = levels == index
             if not members.any():
@@ -168,6 +187,22 @@ class HeavyHittersAccumulator(Accumulator):
                     self._oracle_name, int_data[members], float_data[members]
                 )
             )
+
+    def _ingest_olh(self, levels: np.ndarray, pairs: np.ndarray) -> None:
+        """Every level's OLH support counts from one backend call (the
+        levels share g, the decode batch size and the backend)."""
+        oracle = self._inner[0].oracle
+        support = resolve_backend(oracle.kernel_backend).support_counts_levels(
+            levels,
+            pairs,
+            self._domains,
+            oracle.num_buckets,
+            oracle.decode_batch_size,
+        )
+        members = np.bincount(levels, minlength=len(self._inner))
+        counts = np.split(support, np.cumsum(self._domains)[:-1])
+        for accumulator, users, level in zip(self._inner, members, counts):
+            accumulator.add_support(level, int(users))
 
     def _absorb(self, other: "HeavyHittersAccumulator") -> None:
         for mine, theirs in zip(self._inner, other._inner):

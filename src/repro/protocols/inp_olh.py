@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.domain import Domain
+from ..core.exceptions import AggregationError
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng
@@ -67,10 +68,28 @@ class InpOLHAccumulator(Accumulator):
         self._oracle = oracle
         self._support = np.zeros(workload.domain.size, dtype=np.float64)
 
+    @property
+    def oracle(self) -> OptimizedLocalHashing:
+        """The OLH oracle this accumulator decodes with."""
+        return self._oracle
+
     def _ingest(self, reports: InpOLHReports) -> None:
         self._support += self._oracle.support_counts(
             reports.seeds, reports.noisy_buckets
         )
+
+    def add_support(self, support: np.ndarray, num_reports: int) -> None:
+        """Fold ``num_reports`` reports already decoded into ``support``
+        counts by a kernel backend: the part of :meth:`update` after its
+        decode, for callers that decode many accumulators' reports at once
+        (the heavy-hitter levels)."""
+        if support.shape != self._support.shape or num_reports < 0:
+            raise AggregationError(
+                f"support counts must have shape {self._support.shape} and "
+                f"cover >= 0 reports, got {support.shape} for {num_reports}"
+            )
+        self._support += support
+        self._num_reports += num_reports
 
     def _absorb(self, other: "InpOLHAccumulator") -> None:
         self._support += other._support

@@ -57,7 +57,7 @@ def _pooled_backend(
     max_workers: int = 3, native: bool = False
 ) -> ThreadedBackend:
     if native:
-        pooled = NativeBackend(NATIVE._native_scan, max_workers=max_workers)
+        pooled = NativeBackend(NATIVE._library, max_workers=max_workers)
     else:
         pooled = ThreadedBackend(max_workers=max_workers)
     pooled.min_work_elements = 1  # force the pool even for tiny inputs
@@ -132,6 +132,38 @@ class TestConformanceMatrix:
         ]
         for other in counts[1:]:
             np.testing.assert_array_equal(counts[0], other)
+
+    @pytest.mark.parametrize("num_buckets", [4, 21])
+    def test_support_counts_levels_concatenate_the_levels(
+        self, backend, num_buckets
+    ):
+        """The all-levels entry point is the one-domain scan of each
+        level's users, level after level, an empty middle level included."""
+        rng = np.random.default_rng(22)
+        users = 301
+        levels = rng.choice([0, 2, 3], size=users)
+        pairs = np.column_stack(
+            (
+                rng.integers(-(2**63), 2**63 - 1, size=users, dtype=np.int64),
+                rng.integers(0, num_buckets, size=users, dtype=np.int64),
+            )
+        )
+        domains = np.array([16, 64, 256, 40])
+        observed = backend.support_counts_levels(
+            levels, pairs, domains, num_buckets, 32
+        )
+        expected = [
+            NumpyBackend().support_counts(
+                pairs[levels == level, 0],
+                pairs[levels == level, 1],
+                int(domain),
+                num_buckets,
+                32,
+            )
+            for level, domain in enumerate(domains)
+        ]
+        assert observed.dtype == np.int64
+        np.testing.assert_array_equal(observed, np.concatenate(expected))
 
 
 class TestSelectionOrder:

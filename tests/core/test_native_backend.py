@@ -2,14 +2,18 @@
 cache safety.
 
 ``native`` must count exactly what the numpy scan and the retained
-reference count, for every bucket count and block shape, threaded or not;
-when it cannot be built it must degrade to the numpy kernels with one
-warning and bit-for-bit identical estimates; and its on-disk cache must
-survive truncation, concurrent first builds and hostile permissions.
+reference count, for every bucket count and block shape, threaded or not,
+through both entry points (one domain, and every heavy-hitter level in one
+call), and in every single-ISA build this CPU can run, not only the clone
+it dispatches; when it cannot be built it must degrade to the numpy
+kernels with one warning and bit-for-bit identical estimates; and its
+on-disk cache must survive truncation, concurrent first builds and hostile
+permissions.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import signal
@@ -25,6 +29,7 @@ from repro.core.backends import (
     BACKEND_ENV_VAR,
     NativeBackend,
     NumpyBackend,
+    native_clone,
     resolve_backend,
     set_default_backend,
 )
@@ -46,8 +51,20 @@ pytestmark = pytest.mark.skipif(
 BUCKETS = [2, 3, 4, 5, 7, 21, 256, (1 << 33) + 6]
 
 
+#: Noisy buckets no honest client sends; any int64 can arrive off the wire.
+HOSTILE_BUCKETS = [-1, -(2**63), 2**62, 2**63 - 1]
+
+#: Single-ISA builds of the scan (``-DHOT=`` plus these flags), in the
+#: order the clone loader ranks them, lowest first.
+SINGLE_ISA_BUILDS = [
+    ("default", ()),
+    ("avx2", ("-mavx2",)),
+    ("x86-64-v4", ("-march=x86-64-v4",)),
+]
+
+
 def _pooled_native(max_workers: int = 3) -> NativeBackend:
-    pooled = NativeBackend(NATIVE._native_scan, max_workers=max_workers)
+    pooled = NativeBackend(NATIVE._library, max_workers=max_workers)
     pooled.min_work_elements = 1  # force the pool even for tiny inputs
     return pooled
 
@@ -78,6 +95,33 @@ def _reports(seed, users, num_buckets):
     seeds = rng.integers(-(2**63), 2**63 - 1, size=users, dtype=np.int64)
     noisy = rng.integers(0, min(num_buckets, 2**62), size=users, dtype=np.int64)
     return seeds, noisy
+
+
+def _level_batch(seed, users, num_levels, num_buckets):
+    """Users spread over ``num_levels`` levels with full-range seeds and a
+    fifth of their buckets hostile."""
+    rng = np.random.default_rng(seed)
+    seeds, noisy = _reports(seed, users, num_buckets)
+    hostile = rng.random(users) < 0.2
+    noisy[hostile] = rng.choice(HOSTILE_BUCKETS, size=int(hostile.sum()))
+    levels = rng.integers(0, num_levels, size=users)
+    return levels, np.column_stack((seeds, noisy))
+
+
+def _per_level_numpy(levels, pairs, domains, num_buckets, batch_size):
+    numpy = NumpyBackend()
+    return np.concatenate(
+        [
+            numpy.support_counts(
+                pairs[levels == level, 0],
+                pairs[levels == level, 1],
+                domain,
+                num_buckets,
+                batch_size,
+            )
+            for level, domain in enumerate(domains)
+        ]
+    )
 
 
 class TestConformance:
@@ -196,6 +240,155 @@ class TestConformance:
         assert observed[0] == sum(word % g == target for word, target in pairs)
 
 
+class TestLevels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_buckets=st.sampled_from(BUCKETS),
+        domains=st.lists(st.integers(2, 300), min_size=1, max_size=4),
+        batch_size=st.sampled_from([1, 7, 64, 1024]),
+        users=st.sampled_from([0, 1, 3, 37, 129]),
+        pooled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_call_equals_numpy_level_by_level(
+        self, num_buckets, domains, batch_size, users, pooled, seed
+    ):
+        """Every level's slice of the one-call result is the numpy scan
+        over that level's users, with empty levels, hostile buckets and
+        the threaded fan-out forced on."""
+        backend = _pooled_native() if pooled else NATIVE
+        levels, pairs = _level_batch(seed, users, len(domains), num_buckets)
+        observed = backend.support_counts_levels(
+            levels, pairs, np.array(domains), num_buckets, batch_size
+        )
+        assert observed.dtype == np.int64
+        np.testing.assert_array_equal(
+            observed,
+            _per_level_numpy(levels, pairs, domains, num_buckets, batch_size),
+        )
+
+    def test_extreme_seeds_on_every_level(self):
+        """Seeds at both ends of int64: the C side wraps ``seed * mix``
+        exactly as numpy's ``uint64`` product does."""
+        seeds = np.array([-(2**63), 2**63 - 1, -1, 0] * 6, dtype=np.int64)
+        noisy = np.arange(24, dtype=np.int64) % 21
+        levels = np.arange(24) % 3
+        pairs = np.column_stack((seeds, noisy))
+        domains = [16, 256, 1024]
+        np.testing.assert_array_equal(
+            NATIVE.support_counts_levels(levels, pairs, np.array(domains), 21, 64),
+            _per_level_numpy(levels, pairs, domains, 21, 64),
+        )
+
+    def test_malformed_operands_are_refused(self):
+        """Shapes the C loop would read past, a block width that never
+        advances it, a negative domain it would index backwards with, and
+        levels outside the plan (which the C side itself refuses)."""
+        levels = np.zeros(4, dtype=np.int64)
+        pairs = np.zeros((4, 2), dtype=np.int64)
+        domains = np.array([16, 32])
+        bad = [
+            (levels[:3], pairs, domains, 8),
+            (levels, pairs[:3], domains, 8),
+            (levels, pairs[:, :1], domains, 8),
+            (levels[:, None], pairs, domains, 8),
+            (levels, pairs, domains, 0),
+            (levels, pairs, np.array([16, -1]), 8),
+        ]
+        for case in bad:
+            with pytest.raises(ValueError, match="native level scan"):
+                NATIVE._support_counts_levels(case[0], case[1], case[2], 4, case[3])
+        for level in (-1, 2):
+            with pytest.raises(ValueError, match=r"levels must lie in \[0, 2\)"):
+                NATIVE.support_counts_levels(
+                    np.array([0, level, 1]), pairs[:3], domains, 4, 8
+                )
+
+    def test_a_failed_allocation_raises_memory_error(self):
+        class NoMemory:
+            @staticmethod
+            def repro_olh_support_counts_levels(*arguments):
+                return backends_module._NATIVE_NO_MEMORY
+
+        with pytest.raises(MemoryError):
+            NativeBackend(NoMemory()).support_counts_levels(
+                np.zeros(2, np.int64), np.zeros((2, 2), np.int64),
+                np.array([4]), 4, 8,
+            )
+
+
+def _runnable(build: str) -> bool:
+    """Whether this CPU runs ``build``: the dispatched clone, found with
+    ``__builtin_cpu_supports``, ranks at or above it."""
+    names = [name for name, _ in SINGLE_ISA_BUILDS]
+    dispatched = native_clone()
+    return dispatched in names and names.index(build) <= names.index(dispatched)
+
+
+@pytest.fixture(scope="module", params=SINGLE_ISA_BUILDS, ids=lambda b: b[0])
+def single_isa(request, tmp_path_factory):
+    """The scan compiled for one ISA only, as a native backend."""
+    name, flags = request.param
+    if not _runnable(name):
+        pytest.skip(f"this CPU cannot run the {name} build")
+    compiler, _ = backends_module._compiler()
+    library = tmp_path_factory.mktemp(f"olh-{name}") / "olh_scan.so"
+    subprocess.run(
+        [
+            compiler,
+            *backends_module._NATIVE_FLAGS,
+            "-DHOT=",
+            *flags,
+            "-o",
+            str(library),
+            str(backends_module._NATIVE_SOURCE),
+        ],
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    return NativeBackend(backends_module._bind(ctypes.CDLL(str(library))))
+
+
+class TestClones:
+    def test_native_clone_names_the_dispatched_clone(self):
+        assert native_clone() == NATIVE.clone
+        assert native_clone() in [name for name, _ in SINGLE_ISA_BUILDS]
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        num_buckets=st.sampled_from(BUCKETS),
+        domains=st.lists(st.integers(2, 300), min_size=1, max_size=4),
+        batch_size=st.sampled_from([1, 7, 64, 1024]),
+        users=st.sampled_from([0, 1, 3, 37, 129]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_isa_build_equals_numpy(
+        self, single_isa, num_buckets, domains, batch_size, users, seed
+    ):
+        """Both entry points of a build that runs only this ISA's code,
+        against the numpy scan."""
+        levels, pairs = _level_batch(seed, users, len(domains), num_buckets)
+        np.testing.assert_array_equal(
+            single_isa.support_counts_levels(
+                levels, pairs, np.array(domains), num_buckets, batch_size
+            ),
+            _per_level_numpy(levels, pairs, domains, num_buckets, batch_size),
+        )
+        np.testing.assert_array_equal(
+            single_isa.support_counts(
+                pairs[:, 0], pairs[:, 1], domains[0], num_buckets, batch_size
+            ),
+            NumpyBackend().support_counts(
+                pairs[:, 0], pairs[:, 1], domains[0], num_buckets, batch_size
+            ),
+        )
+
+
 def _seed_hashing_candidate_zero_to(word: int) -> int:
     """The seed whose avalanched candidate 0 is ``word``: splitmix64's
     finaliser is a bijection, so invert it, then solve
@@ -239,6 +432,14 @@ class TestObservability:
         span = trace.recent("kernel.support_counts")[-1]
         assert span["backend"] == "native"
         assert span["users"] == 20
+
+    def test_one_span_covers_every_level(self):
+        levels, pairs = _level_batch(5, 30, 3, 21)
+        trace.clear()
+        NATIVE.support_counts_levels(levels, pairs, np.array([16, 256, 64]), 21, 64)
+        (span,) = trace.recent("kernel.support_counts")
+        assert span["backend"] == "native"
+        assert span["users"] == 30
 
 
 def _olh_and_hh_estimates():
@@ -312,27 +513,27 @@ class TestFallback:
             backends_module._NATIVE_FLAGS + ("--no-such-flag",),
         )
         with pytest.raises(subprocess.CalledProcessError):
-            backends_module._load_native_scan()
+            backends_module._load_native_library()
         assert list((cache_home / "repro").iterdir()) == []
 
 
-def _native_counts(scan):
+def _native_counts(library):
     seeds, noisy = _reports(11, 257, 21)
-    return NativeBackend(scan).support_counts(seeds, noisy, 300, 21, 64)
+    return NativeBackend(library).support_counts(seeds, noisy, 300, 21, 64)
 
 
 class TestCache:
     def test_first_use_builds_a_private_sealed_library(self, cache_home):
-        scan = backends_module._load_native_scan()
+        loaded = backends_module._load_native_library()
         directory = cache_home / "repro"
         assert directory.stat().st_mode & 0o777 == 0o700
         assert backends_module._sealed(_library(cache_home))
         np.testing.assert_array_equal(
-            _native_counts(scan), _native_counts(NATIVE._native_scan)
+            _native_counts(loaded), _native_counts(NATIVE._library)
         )
 
     def test_a_truncated_library_is_rebuilt(self, cache_home):
-        backends_module._load_native_scan()
+        backends_module._load_native_library()
         library = _library(cache_home)
         whole = library.read_bytes()
         # A new file, not an in-place truncation: this process has the
@@ -341,10 +542,10 @@ class TestCache:
         partial.write_bytes(whole[: len(whole) // 2])
         os.replace(partial, library)
         assert not backends_module._sealed(library)
-        scan = backends_module._load_native_scan()
+        loaded = backends_module._load_native_library()
         assert backends_module._sealed(library)
         np.testing.assert_array_equal(
-            _native_counts(scan), _native_counts(NATIVE._native_scan)
+            _native_counts(loaded), _native_counts(NATIVE._library)
         )
 
     @pytest.mark.parametrize("mode", [0o777, 0o720, 0o702])
@@ -353,7 +554,7 @@ class TestCache:
         directory.mkdir(parents=True)
         directory.chmod(mode)
         with pytest.raises(OSError, match="writable by group or others"):
-            backends_module._load_native_scan()
+            backends_module._load_native_library()
         assert list(directory.iterdir()) == []
 
     def test_a_cache_owned_by_another_user_is_refused(
@@ -362,7 +563,7 @@ class TestCache:
         owner = os.getuid()
         monkeypatch.setattr(backends_module.os, "getuid", lambda: owner + 1)
         with pytest.raises(OSError, match="not owned by this user"):
-            backends_module._load_native_scan()
+            backends_module._load_native_library()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -376,8 +577,8 @@ class TestCache:
                 status = 1
                 try:
                     signal.alarm(60)
-                    scan = backends_module._load_native_scan()
-                    np.save(tmp_path / f"counts-{index}.npy", _native_counts(scan))
+                    loaded = backends_module._load_native_library()
+                    np.save(tmp_path / f"counts-{index}.npy", _native_counts(loaded))
                     status = 0
                 finally:
                     os._exit(status)
@@ -385,7 +586,7 @@ class TestCache:
         for pid in children:
             _, status = os.waitpid(pid, 0)
             assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-        expected = _native_counts(NATIVE._native_scan)
+        expected = _native_counts(NATIVE._library)
         for index in range(3):
             np.testing.assert_array_equal(
                 np.load(tmp_path / f"counts-{index}.npy"), expected
