@@ -29,7 +29,10 @@ from repro.core import bitops, hadamard
 from repro.core.backends import resolve_backend
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
-from repro.mechanisms.local_hashing import OptimizedLocalHashing
+from repro.mechanisms.local_hashing import (
+    DEFAULT_DECODE_BATCH_SIZE,
+    OptimizedLocalHashing,
+)
 from repro.protocols.registry import make_protocol
 
 LN3 = float(np.log(3.0))
@@ -174,7 +177,7 @@ def bench_olh_support(profile: dict, epsilon: float = LN3) -> dict:
         users=profile["olh_users"],
         d=profile["olh_d"],
         num_buckets=oracle.num_buckets,
-        decode_batch_size=oracle.decode_batch_size,
+        decode_batch_size=DEFAULT_DECODE_BATCH_SIZE,
         kernel_backend=resolve_backend().name,
     )
 

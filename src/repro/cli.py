@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core.backends import BACKEND_ENV_VAR, set_default_backend
 from .core.domain import Domain
 from .core.exceptions import ReproError
 from .core.rng import spawn_rngs
@@ -241,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     aggregate_parser = subparsers.add_parser(
         "aggregate",
         help="server side: feed report frames to an AggregationSession and "
-        "print the estimated marginals",
+        "print the estimated marginals (and, for HH, the discovered "
+        "heavy hitters)",
     )
     aggregate_parser.add_argument(
         "--spec", metavar="PATH",
@@ -271,8 +271,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the session checkpoint here after ingesting the frames",
     )
     aggregate_parser.add_argument(
+        "--top-k", type=_positive_int, default=None, metavar="K",
+        dest="top_k", help="heavy hitters to discover, for a protocol whose "
+        "estimator discovers them (HH; default: the spec's top_k)",
+    )
+    aggregate_parser.add_argument(
+        "--confidence", type=float, default=0.95, metavar="C",
+        help="two-sided confidence level of the heavy hitters' frequency "
+        "intervals (default: 0.95)",
+    )
+    aggregate_parser.add_argument(
         "--json", metavar="PATH",
-        help="also write the estimates and session metadata to this JSON file",
+        help="also write the estimates, any discovery and the session "
+        "metadata to this JSON file",
     )
     aggregate_parser.add_argument(
         "--output", metavar="PATH",
@@ -308,12 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "stopped, then fanned in to the same estimates as one process, and "
         "state lives in DIR/c<i>/ under --checkpoint-dir; the kernel "
         "balances connections, not groups (default: 1)",
-    )
-    serve_parser.add_argument(
-        "--kernel-backend", metavar="NAME", default=None,
-        help="decode-kernel backend for this collection (native, numpy, "
-        "threaded or auto; default: $REPRO_KERNEL_BACKEND, then auto, which "
-        "is native when its C scan built and threaded otherwise)",
     )
     serve_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -599,144 +604,63 @@ def _build_parser() -> argparse.ArgumentParser:
         "for the top-k",
     )
     hh_subparsers = hh_parser.add_subparsers(dest="hh_command", required=True)
-
-    def _add_hh_protocol_arguments(
-        parser: argparse.ArgumentParser, require_epsilon: bool
-    ) -> None:
-        parser.add_argument(
-            "--epsilon", type=float, required=require_epsilon,
-            help="per-user privacy budget (one report per user, so the "
-            "whole discovery is epsilon-LDP with no composition)",
-        )
-        parser.add_argument(
-            "--width", type=_positive_int, default=2, metavar="K",
-            help="marginal workload width k for itemset queries on the "
-            "final estimator (default: 2)",
-        )
-        parser.add_argument(
-            "--oracle", choices=("InpOLH", "InpHT", "InpHTCMS"),
-            default="InpOLH",
-            help="per-level frequency oracle (default: InpOLH)",
-        )
-        parser.add_argument(
-            "--fanout", type=_positive_int, default=2, metavar="F",
-            help="prefix bits each level adds (default: 2)",
-        )
-        parser.add_argument(
-            "--threshold", type=float, default=0.0, metavar="T",
-            help="fixed pruning threshold; 0 = adaptive, each level prunes "
-            "at its oracle's confidence half-width (default: 0)",
-        )
-        parser.add_argument(
-            "--top-k", type=_positive_int, default=8, metavar="K",
-            dest="top_k", help="heavy hitters to emit (default: 8)",
-        )
-        parser.add_argument(
-            "--option", action="append", default=[], metavar="KEY=VALUE",
-            help="extra HH protocol option, e.g. --option width=512 for "
-            "the InpHTCMS sketch (repeatable; value parsed as JSON; "
-            "overrides the dedicated flags above)",
-        )
-
-    def _add_hh_dataset_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--dataset", choices=DATASET_NAMES, default="skewed",
-            help="population generator simulating the clients "
-            "(default: skewed — a zipf-style heavy-tailed population)",
-        )
-        parser.add_argument(
-            "-n", "--population", type=_positive_int, default=20_000,
-            metavar="N", help="number of simulated users (default: 20000)",
-        )
-        parser.add_argument(
-            "--seed", type=int, default=20180610, help="master random seed"
-        )
-        parser.add_argument(
-            "--batch-size", type=_positive_int, default=None, metavar="B",
-            help="encode the population in record batches of this size "
-            "(default: one batch)",
-        )
-
-    hh_encode = hh_subparsers.add_parser(
-        "encode",
-        help="client side: partition a simulated population across prefix "
-        "levels and emit serialized HH report frames",
-    )
-    _add_hh_protocol_arguments(hh_encode, require_epsilon=True)
-    _add_hh_dataset_arguments(hh_encode)
-    hh_encode.add_argument(
-        "-d", "--dimension", type=_positive_int, default=8, metavar="D",
-        help="number of binary attributes (default: 8)",
-    )
-    hh_encode.add_argument(
-        "--spec-out", metavar="PATH",
-        help="also write the protocol spec (the out-of-band client/server "
-        "contract) to this JSON file",
-    )
-    hh_encode.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="where to write the report frames ('-' = stdout, the default)",
-    )
-
-    hh_aggregate = hh_subparsers.add_parser(
-        "aggregate",
-        help="server side: feed HH report frames to an AggregationSession "
-        "and print the discovered top-k",
-    )
-    hh_aggregate.add_argument(
-        "--spec", metavar="PATH",
-        help="protocol spec JSON written by 'hh encode --spec-out' "
-        "(required unless --restore is given)",
-    )
-    hh_domain_group = hh_aggregate.add_mutually_exclusive_group()
-    hh_domain_group.add_argument(
-        "-d", "--dimension", type=_positive_int, metavar="D",
-        help="number of binary attributes (names default to attr0..attrD-1)",
-    )
-    hh_domain_group.add_argument(
-        "--attributes", metavar="A,B,C",
-        help="comma-separated attribute names of the collection domain",
-    )
-    hh_aggregate.add_argument(
-        "--input", default="-", metavar="PATH",
-        help="report-frame stream to consume ('-' = stdin, the default; "
-        "'none' = no frames, e.g. to re-discover from a checkpoint)",
-    )
-    hh_aggregate.add_argument(
-        "--restore", metavar="PATH",
-        help="resume a checkpointed session instead of starting fresh",
-    )
-    hh_aggregate.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="write the session checkpoint here after ingesting the frames",
-    )
-    hh_aggregate.add_argument(
-        "--top-k", type=_positive_int, default=None, metavar="K",
-        dest="top_k", help="override the spec's top-k at discovery time",
-    )
-    hh_aggregate.add_argument(
-        "--confidence", type=float, default=0.95, metavar="C",
-        help="two-sided confidence level for the frequency intervals "
-        "(default: 0.95)",
-    )
-    hh_aggregate.add_argument(
-        "--json", metavar="PATH",
-        help="also write the discovery result and session metadata to "
-        "this JSON file",
-    )
-    hh_aggregate.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text result to this file",
-    )
-
     hh_discover = hh_subparsers.add_parser(
         "discover",
         help="end to end: simulate the population, collect the reports "
         "(in-process, or through a `repro topo launch` tree), and score "
         "the discovered top-k against the exact one",
     )
-    _add_hh_protocol_arguments(hh_discover, require_epsilon=False)
-    _add_hh_dataset_arguments(hh_discover)
+    hh_discover.add_argument(
+        "--epsilon", type=float,
+        help="per-user privacy budget (one report per user, so the "
+        "whole discovery is epsilon-LDP with no composition)",
+    )
+    hh_discover.add_argument(
+        "--width", type=_positive_int, default=2, metavar="K",
+        help="marginal workload width k for itemset queries on the "
+        "final estimator (default: 2)",
+    )
+    hh_discover.add_argument(
+        "--oracle", choices=("InpOLH", "InpHT", "InpHTCMS"),
+        default="InpOLH",
+        help="per-level frequency oracle (default: InpOLH)",
+    )
+    hh_discover.add_argument(
+        "--fanout", type=_positive_int, default=2, metavar="F",
+        help="prefix bits each level adds (default: 2)",
+    )
+    hh_discover.add_argument(
+        "--threshold", type=float, default=0.0, metavar="T",
+        help="fixed pruning threshold; 0 = adaptive, each level prunes "
+        "at its oracle's confidence half-width (default: 0)",
+    )
+    hh_discover.add_argument(
+        "--top-k", type=_positive_int, default=8, metavar="K",
+        dest="top_k", help="heavy hitters to emit (default: 8)",
+    )
+    hh_discover.add_argument(
+        "--option", action="append", default=[], metavar="KEY=VALUE",
+        help="extra HH protocol option, e.g. --option width=512 for "
+        "the InpHTCMS sketch (repeatable; value parsed as JSON; "
+        "overrides the dedicated flags above)",
+    )
+    hh_discover.add_argument(
+        "--dataset", choices=DATASET_NAMES, default="skewed",
+        help="population generator simulating the clients "
+        "(default: skewed — a zipf-style heavy-tailed population)",
+    )
+    hh_discover.add_argument(
+        "-n", "--population", type=_positive_int, default=20_000,
+        metavar="N", help="number of simulated users (default: 20000)",
+    )
+    hh_discover.add_argument(
+        "--seed", type=int, default=20180610, help="master random seed"
+    )
+    hh_discover.add_argument(
+        "--batch-size", type=_positive_int, default=None, metavar="B",
+        help="encode the population in record batches of this size "
+        "(default: one batch)",
+    )
     hh_discover.add_argument(
         "-d", "--dimension", type=_positive_int, default=8, metavar="D",
         help="number of binary attributes (default: 8; --topology mode "
@@ -877,7 +801,6 @@ def _protocol_listing() -> Dict[str, Dict]:
                 ProtocolSpec.accepted_options(protocol_class)
             ),
             "default_options": instance.spec_options(),
-            "tuning_options": sorted(instance.tuning_options()),
         }
     return listing
 
@@ -1196,6 +1119,13 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
             session.checkpoint(arguments.checkpoint)
             print(f"wrote {arguments.checkpoint}", file=sys.stderr)
         estimator = session.snapshot()
+        discovery = (
+            estimator.discover(
+                top_k=arguments.top_k, confidence=arguments.confidence
+            )
+            if hasattr(estimator, "discover")
+            else None
+        )
     except BrokenPipeError:
         raise  # handled quietly in main(); not an aggregate failure
     except (ReproError, OSError, ValueError) as error:
@@ -1203,14 +1133,20 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         print(f"aggregate: {error}", file=sys.stderr)
         return 2
     rendered = _render_estimates(estimator, session)
+    if discovery is not None:
+        rendered += "\n\n" + _render_discovery(discovery)
     print(rendered)
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
         print(f"wrote {arguments.output}", file=sys.stderr)
     if arguments.json:
+        payload = _estimates_payload(estimator, session)
+        payload["discovery"] = (
+            discovery.to_dict() if discovery is not None else None
+        )
         with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(_estimates_payload(estimator, session), handle, indent=2)
+            json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"wrote {arguments.json}", file=sys.stderr)
     return 0
@@ -1415,11 +1351,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if arguments.kernel_backend:
-            # Validate and pin the decode backend; the env var carries the
-            # choice into --processes workers regardless of start method.
-            set_default_backend(arguments.kernel_backend)
-            os.environ[BACKEND_ENV_VAR] = arguments.kernel_backend
         if arguments.processes > 1:
             if arguments.metrics_port is not None or (
                 arguments.stats_interval is not None
@@ -1935,16 +1866,11 @@ def _hh_option_strings(arguments: argparse.Namespace) -> list:
     ]
 
 
-def _render_discovery(result, spec: ProtocolSpec, num_reports: int) -> str:
+def _render_discovery(result) -> str:
     """Human-readable discovery walk (``result=None`` for no reports)."""
-    lines = [
-        f"protocol  : {spec.describe()}",
-        f"reports   : {num_reports}",
-    ]
     if result is None:
-        lines.append("no reports; nothing to discover")
-        return "\n".join(lines)
-    lines.append(
+        return "no reports; nothing to discover"
+    lines = [
         "levels    : "
         + "  ".join(
             f"b={bits}:n={count},cut={threshold:.4f}"
@@ -1952,7 +1878,7 @@ def _render_discovery(result, spec: ProtocolSpec, num_reports: int) -> str:
                 result.level_bits, result.level_reports, result.thresholds
             )
         )
-    )
+    ]
     lines.append(
         f"top-{len(result.hitters)} heavy hitters "
         f"({result.confidence:.0%} confidence):"
@@ -1965,126 +1891,6 @@ def _render_discovery(result, spec: ProtocolSpec, num_reports: int) -> str:
             f"[{names}]"
         )
     return "\n".join(lines)
-
-
-def _run_hh_encode(arguments: argparse.Namespace) -> int:
-    # `hh encode` is `encode` with the protocol pinned to HH and the
-    # dedicated discovery flags folded into the option list.
-    arguments.protocol = "HH"
-    arguments.option = _hh_option_strings(arguments) + list(arguments.option)
-    return _run_encode(arguments)
-
-
-def _run_hh_aggregate(arguments: argparse.Namespace) -> int:
-    try:
-        if arguments.restore and (
-            arguments.spec or arguments.dimension or arguments.attributes
-        ):
-            print(
-                "hh aggregate: --restore carries the session's own spec and "
-                "domain; --spec/--dimension/--attributes cannot be combined "
-                "with it",
-                file=sys.stderr,
-            )
-            return 2
-        domain = None
-        if not arguments.restore:
-            if not arguments.spec:
-                print(
-                    "hh aggregate: --spec is required unless --restore is "
-                    "given",
-                    file=sys.stderr,
-                )
-                return 2
-            if arguments.attributes:
-                domain = Domain(
-                    [name.strip() for name in arguments.attributes.split(",")]
-                )
-            elif arguments.dimension:
-                domain = Domain.binary(arguments.dimension)
-            else:
-                print(
-                    "hh aggregate: pass --dimension or --attributes to "
-                    "describe the collection domain (or --restore a "
-                    "checkpoint)",
-                    file=sys.stderr,
-                )
-                return 2
-        no_input = arguments.input == "none" or (
-            arguments.restore
-            and arguments.input == "-"
-            and sys.stdin.isatty()
-        )
-        # Same first-frame trick as `aggregate`: in an `hh encode |
-        # hh aggregate` pipeline, having one frame (or EOF) in hand
-        # guarantees the producer already wrote --spec-out.
-        stdin_frames = None
-        first_frame = None
-        if not no_input and arguments.input == "-":
-            stdin_frames = split_report_frames(sys.stdin.buffer)
-            first_frame = next(stdin_frames, None)
-        if arguments.restore:
-            session = AggregationSession.restore(arguments.restore)
-            print(
-                f"restored session with {session.num_reports} reports from "
-                f"{arguments.restore}",
-                file=sys.stderr,
-            )
-        else:
-            session = AggregationSession(
-                load_protocol_spec(arguments.spec), domain
-            )
-        if session.spec.protocol != "HH":
-            print(
-                f"hh aggregate: the spec describes "
-                f"{session.spec.protocol!r}, not the HH discovery protocol "
-                f"(use plain `repro aggregate` for marginal estimates)",
-                file=sys.stderr,
-            )
-            return 2
-        if stdin_frames is not None:
-            if first_frame is not None:
-                session.submit(first_frame)
-                for frame in stdin_frames:
-                    session.submit(frame)
-        elif not no_input:
-            with open(arguments.input, "rb") as source:
-                for frame in split_report_frames(source):
-                    session.submit(frame)
-        if arguments.checkpoint:
-            session.checkpoint(arguments.checkpoint)
-            print(f"wrote {arguments.checkpoint}", file=sys.stderr)
-        estimator = session.snapshot()
-        result = (
-            estimator.discover(
-                top_k=arguments.top_k, confidence=arguments.confidence
-            )
-            if estimator is not None
-            else None
-        )
-    except BrokenPipeError:
-        raise  # handled quietly in main(); not an aggregate failure
-    except (ReproError, OSError, ValueError) as error:
-        print(f"hh aggregate: {error}", file=sys.stderr)
-        return 2
-    rendered = _render_discovery(result, session.spec, session.num_reports)
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload = {
-            "spec": session.spec.to_dict(),
-            "num_reports": session.num_reports,
-            "session": session.metadata,
-            "discovery": result.to_dict() if result is not None else None,
-        }
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
 
 
 def _hh_topology_fan_in(arguments: argparse.Namespace) -> AggregationSession:
@@ -2203,7 +2009,9 @@ def _run_hh_discover(arguments: argparse.Namespace) -> int:
         return 2
     rendered = "\n".join(
         [
-            _render_discovery(result, spec, num_reports),
+            f"protocol  : {spec.describe()}",
+            f"reports   : {num_reports}",
+            _render_discovery(result),
             "exact     : " + " ".join(str(index) for index in exact),
             f"precision : {precision:.3f}    recall : {recall:.3f}",
         ]
@@ -2235,14 +2043,6 @@ def _run_hh_discover(arguments: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"wrote {arguments.json}", file=sys.stderr)
     return 0
-
-
-def _run_hh(arguments: argparse.Namespace) -> int:
-    if arguments.hh_command == "encode":
-        return _run_hh_encode(arguments)
-    if arguments.hh_command == "aggregate":
-        return _run_hh_aggregate(arguments)
-    return _run_hh_discover(arguments)
 
 
 def _watch_targets(arguments: argparse.Namespace) -> List[Tuple[str, int]]:
@@ -2324,7 +2124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if arguments.command == "topo":
             return _run_topo(arguments)
         if arguments.command == "hh":
-            return _run_hh(arguments)
+            return _run_hh_discover(arguments)
         if arguments.command == "watch":
             return _run_watch(arguments)
         return _run_experiment(arguments)

@@ -1,22 +1,12 @@
-"""Pluggable kernel backends for the library's bit-level hot loops.
+"""The kernel backends for the library's bit-level hot loops.
 
 The decode-side cost of the reproduction concentrates in a handful of
 array kernels: the OLH support-count scan (``O(N * 2^d)``, the ``InpOLH``
 bottleneck) and the popcount/parity folds behind the Hadamard machinery.
-This module makes those kernels *swappable*: every implementation is a
-:class:`KernelBackend` registered by name, and callers pick one through
-:func:`resolve_backend` — explicit argument first, then the
-``REPRO_KERNEL_BACKEND`` environment variable, then the process-wide
-default (:func:`set_default_backend`), then an automatic choice.
+Each implementation is a :class:`KernelBackend`; which one runs is a fact
+about the machine, fixed at import and returned by
+:func:`resolve_backend`.  Three ship, in this order of preference:
 
-Three backends ship:
-
-* ``numpy`` — the reference-conformant blocked numpy implementation (the
-  exact kernels proven against their references by the property suite).
-* ``threaded`` — the same numpy kernels fanned out over a thread pool.
-  numpy releases the GIL inside its ufunc loops, so user-partitioned
-  support counting and chunked popcount/parity scale with cores while
-  staying bit-for-bit identical (integer partial sums add exactly).
 * ``native`` — the threaded fan-out with a compiled work unit: the whole
   hash-and-compare chain of the support-count scan fused into one C loop
   (``_olh_scan.c``), built once per machine with the system C compiler
@@ -24,22 +14,28 @@ Three backends ship:
   releases the GIL) at import, so forked collectors inherit the mapping.
   The library carries x86-64-v4 (AVX-512), avx2 and default clones of
   every entry point, and the loader runs the widest the CPU supports
-  (:func:`native_clone` names it).  It is the automatic choice whenever
-  it loaded; without a compiler, or with a failed build or an unusable
-  cache, the automatic choice logs one warning and falls back to
-  ``threaded``/``numpy``.
+  (:func:`native_clone` names it).  It runs whenever it loaded; without
+  a compiler, or with a failed build or an unusable cache, the first
+  :func:`resolve_backend` call logs one warning and one of the numpy
+  backends runs instead.
+* ``threaded`` — the numpy kernels fanned out over a thread pool, on a
+  multi-core host.  numpy releases the GIL inside its ufunc loops, so
+  user-partitioned support counting and chunked popcount/parity scale
+  with cores while staying bit-for-bit identical (integer partial sums
+  add exactly).
+* ``numpy`` — the reference-conformant blocked numpy implementation (the
+  exact kernels proven against their references by the property suite),
+  on a single-core host.
 
 Besides the one-domain scan, every backend answers
 :meth:`KernelBackend.support_counts_levels`, which counts all prefix
 levels of a heavy-hitter batch at once: ``native`` in one C call, the
 numpy backends through the base class's loop over the levels.
 
-Every backend computes *identical* integer support counts — backend
-choice is a pure performance knob and is treated exactly like
-``decode_batch_size`` by the protocol layer (excluded from equality and
-merge-signature comparisons).
+Every backend computes *identical* integer support counts, so the choice
+changes only speed, never an estimate, a checkpoint or a spec.
 
-This module is self-contained on purpose (numpy + exceptions only): it
+This module is self-contained on purpose (numpy + observability only): it
 *owns* the splitmix64 avalanche and the SWAR popcount so that both
 ``repro.core.bitops`` and ``repro.mechanisms.local_hashing`` can import
 from here without circular imports.
@@ -57,36 +53,26 @@ import subprocess
 import tempfile
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..observability import get_registry, trace
-from .exceptions import ProtocolConfigurationError
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "HAS_BITWISE_COUNT",
     "KernelBackend",
     "NumpyBackend",
     "ThreadedBackend",
     "NativeBackend",
     "native_clone",
-    "registered_backends",
-    "get_backend",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "fold_buckets",
 ]
 
 _logger = logging.getLogger(__name__)
-
-#: Environment variable consulted by :func:`resolve_backend` when no
-#: explicit backend name is passed.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Whether this numpy ships the hardware-popcount ufunc (numpy >= 2.0).
 HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -209,7 +195,8 @@ class KernelBackend:
     return results bit-for-bit identical to :class:`NumpyBackend`.
     """
 
-    #: Registry key; also what ``REPRO_KERNEL_BACKEND`` selects.
+    #: The label of ``repro_kernel_dispatch_total`` and of the
+    #: ``kernel.support_counts`` span.
     name: str = "abstract"
 
     def popcount(self, words: np.ndarray) -> np.ndarray:
@@ -294,7 +281,7 @@ class KernelBackend:
 
 
 class NumpyBackend(KernelBackend):
-    """The reference-conformant blocked numpy kernels (the default)."""
+    """The reference-conformant blocked numpy kernels."""
 
     name = "numpy"
 
@@ -698,168 +685,64 @@ def _load_native_library() -> ctypes.CDLL:
 
 
 # --------------------------------------------------------------------- #
-# registry and selection
-
-_BACKENDS: Dict[str, KernelBackend] = {}
-_DEFAULT_OVERRIDE: Optional[str] = None
-_WARNED: set = set()
-
-_DISPATCH_COUNTER = None
+# the machine's backend
 
 
-def _count_dispatch(backend_name: str) -> None:
-    """One resolved kernel dispatch, labelled by the backend that won."""
-    global _DISPATCH_COUNTER
-    if _DISPATCH_COUNTER is None:
-        _DISPATCH_COUNTER = get_registry().counter(
-            "repro_kernel_dispatch_total",
-            "Kernel-backend resolutions, by winning backend.",
-            labels=("backend",),
-        )
-    _DISPATCH_COUNTER.labels(backend=backend_name).inc()
+def _machine_backend() -> Tuple[KernelBackend, Optional[str]]:
+    """This machine's backend and, when ``native`` did not load, the
+    warning that says why.
 
-
-def _register(backend: KernelBackend) -> KernelBackend:
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-_register(NumpyBackend())
-_register(ThreadedBackend())
-
-
-def _install_native() -> Optional[str]:
-    """Load the native scan and register ``native``; never raises.
-
-    Returns ``None`` when it loaded, else why not (``native`` is then left
-    unregistered).  The reason goes into the one warning
-    :func:`_auto_backend` logs when it first falls back, not into a
-    warning here, at import, before a program has set up its logging.
+    Never raises, and logs nothing: :func:`resolve_backend` logs the
+    warning at its first call, not here, at import, before a program has
+    set up its logging.
     """
     try:
-        library = _load_native_library()
+        return NativeBackend(_load_native_library()), None
     except (OSError, subprocess.SubprocessError, AttributeError) as error:
-        _BACKENDS.pop(NativeBackend.name, None)
         output = getattr(error, "stderr", None)
         detail = output.decode(errors="replace").strip() if output else ""
-        return f"{error}: {detail.splitlines()[-1]}" if detail else str(error)
-    _register(NativeBackend(library))
-    return None
+        reason = f"{error}: {detail.splitlines()[-1]}" if detail else str(error)
+    warning = (
+        f"native OLH support-count scan unavailable ({reason}); falling "
+        f"back to the numpy kernels"
+    )
+    if (os.cpu_count() or 1) > 1:
+        return ThreadedBackend(), warning
+    return NumpyBackend(), warning
 
 
-#: Loaded here, at import, so that processes forked later (the collectors)
+#: Chosen here, at import, so that processes forked later (the collectors)
 #: inherit the mapped library and pay neither the build nor the load.
-_NATIVE_FAILURE = _install_native()
+#: The warning is cleared once logged.
+_BACKEND, _FALLBACK_WARNING = _machine_backend()
+
+_DISPATCH_COUNTER = None
 
 
 def native_clone() -> Optional[str]:
     """The native scan's clone this CPU runs (``"x86-64-v4"``, ``"avx2"``
     or ``"default"``), or ``None`` when ``native`` did not load."""
-    native = _BACKENDS.get(NativeBackend.name)
-    return None if native is None else native.clone
+    if isinstance(_BACKEND, NativeBackend):
+        return _BACKEND.clone
+    return None
 
 
-def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name (sorted)."""
-    return tuple(sorted(_BACKENDS))
+def resolve_backend() -> KernelBackend:
+    """This machine's kernel backend, counted as one dispatch.
 
-
-def get_backend(name: str) -> KernelBackend:
-    """The backend registered under ``name`` (which must exist)."""
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ProtocolConfigurationError(
-            f"unknown kernel backend {name!r}; registered backends: "
-            f"{list(registered_backends())}"
-        )
-    return backend
-
-
-def _auto_backend() -> KernelBackend:
-    native = _BACKENDS.get(NativeBackend.name)
-    if native is not None:
-        return native
-    if _NATIVE_FAILURE is not None:
-        _warn_once(
-            NativeBackend.name,
-            f"native OLH support-count scan unavailable ({_NATIVE_FAILURE}); "
-            f"falling back to the numpy kernels",
-        )
-    if (os.cpu_count() or 1) > 1:
-        return _BACKENDS["threaded"]
-    return _BACKENDS["numpy"]
-
-
-def _warn_once(name: str, message: str) -> None:
-    if name not in _WARNED:
-        _WARNED.add(name)
-        _logger.warning(message)
-
-
-def resolve_backend(name: str = "") -> KernelBackend:
-    """Pick the kernel backend for one call.
-
-    Selection order: the explicit ``name`` argument (a protocol's
-    ``kernel_backend`` tuning option), then the ``REPRO_KERNEL_BACKEND``
-    environment variable, then the process-wide default installed by
-    :func:`set_default_backend`, then automatic (``native`` when it
-    loaded, else ``threaded`` on multi-core hosts, ``numpy`` otherwise).
-    ``"auto"`` at any level selects the automatic choice; an unknown name
-    (``native`` too, where it did not load) logs a warning (once per name)
-    and falls through to the next level instead of failing — backend
-    choice must never break an aggregation.
+    ``native`` when the C scan loaded, else ``threaded`` on a multi-core
+    host, else ``numpy``.  On a fallback, the first call logs why
+    ``native`` did not load.
     """
-    candidates = (
-        (name, "requested"),
-        (os.environ.get(BACKEND_ENV_VAR, ""), f"${BACKEND_ENV_VAR}"),
-        (_DEFAULT_OVERRIDE or "", "default"),
-    )
-    for candidate, source in candidates:
-        if not candidate:
-            continue
-        if candidate == "auto":
-            backend = _auto_backend()
-            _count_dispatch(backend.name)
-            return backend
-        backend = _BACKENDS.get(candidate)
-        if backend is None:
-            _warn_once(
-                candidate,
-                f"unknown kernel backend {candidate!r} ({source}); known "
-                f"backends: {list(registered_backends())} — falling back",
-            )
-            continue
-        _count_dispatch(backend.name)
-        return backend
-    backend = _auto_backend()
-    _count_dispatch(backend.name)
-    return backend
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Install a process-wide default backend (``None``/``""`` clears it).
-
-    The name must be registered (``"auto"`` is allowed).
-    """
-    global _DEFAULT_OVERRIDE
-    if not name:
-        _DEFAULT_OVERRIDE = None
-        return
-    if name != "auto" and name not in _BACKENDS:
-        raise ProtocolConfigurationError(
-            f"unknown kernel backend {name!r}; registered backends: "
-            f"{list(registered_backends())}"
+    global _DISPATCH_COUNTER, _FALLBACK_WARNING
+    if _FALLBACK_WARNING is not None:
+        _logger.warning(_FALLBACK_WARNING)
+        _FALLBACK_WARNING = None
+    if _DISPATCH_COUNTER is None:
+        _DISPATCH_COUNTER = get_registry().counter(
+            "repro_kernel_dispatch_total",
+            "Kernel dispatches, by backend.",
+            labels=("backend",),
         )
-    _DEFAULT_OVERRIDE = name
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily install ``name`` as the process-wide default backend."""
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    set_default_backend(name)
-    try:
-        yield resolve_backend()
-    finally:
-        _DEFAULT_OVERRIDE = previous
+    _DISPATCH_COUNTER.labels(backend=_BACKEND.name).inc()
+    return _BACKEND

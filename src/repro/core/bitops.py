@@ -55,7 +55,7 @@ __all__ = [
 def popcount(values):
     """Number of set bits of ``values`` (scalar int or integer array).
 
-    Array inputs go through the selected kernel backend
+    Array inputs go through this machine's kernel backend
     (:func:`repro.core.backends.resolve_backend`): the numpy backend uses
     ``np.bitwise_count`` where available and a SWAR fold over 64-bit words
     otherwise; the threaded backend chunks large arrays over a thread pool
@@ -97,7 +97,7 @@ def parity(values):
     """Parity (0/1) of the number of set bits in ``values``.
 
     Arrays are folded with six XOR shifts (no popcount needed) by the
-    selected kernel backend; scalars use ``int.bit_count``.
+    machine's kernel backend; scalars use ``int.bit_count``.
     """
     if np.isscalar(values) and not isinstance(values, np.generic):
         return int(values).bit_count() & 1

@@ -36,6 +36,7 @@ from ..core.exceptions import AggregationError, ProtocolConfigurationError
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng
+from ..mechanisms.local_hashing import DEFAULT_DECODE_BATCH_SIZE
 from ..protocols.base import (
     Accumulator,
     MarginalReleaseProtocol,
@@ -190,14 +191,13 @@ class HeavyHittersAccumulator(Accumulator):
 
     def _ingest_olh(self, levels: np.ndarray, pairs: np.ndarray) -> None:
         """Every level's OLH support counts from one backend call (the
-        levels share g, the decode batch size and the backend)."""
-        oracle = self._inner[0].oracle
-        support = resolve_backend(oracle.kernel_backend).support_counts_levels(
+        levels share g)."""
+        support = resolve_backend().support_counts_levels(
             levels,
             pairs,
             self._domains,
-            oracle.num_buckets,
-            oracle.decode_batch_size,
+            self._inner[0].oracle.num_buckets,
+            DEFAULT_DECODE_BATCH_SIZE,
         )
         members = np.bincount(levels, minlength=len(self._inner))
         counts = np.split(support, np.cumsum(self._domains)[:-1])
@@ -276,9 +276,8 @@ class HeavyHitters(MarginalReleaseProtocol):
     adds; ``threshold`` is the pruning bar (``0`` = adaptive, each level
     prunes at its oracle's confidence half-width) and ``top_k`` how many
     hitters :meth:`HeavyHitterEstimator.discover` emits by default.
-    ``num_buckets``/``decode_batch_size``/``kernel_backend`` forward to the
-    OLH oracle and ``num_hashes``/``width`` to the HCMS sketch, mirroring
-    those protocols' own options.
+    ``num_buckets`` forwards to the OLH oracle and ``num_hashes``/``width``
+    to the HCMS sketch, mirroring those protocols' own options.
     """
 
     name = "HH"
@@ -294,8 +293,6 @@ class HeavyHitters(MarginalReleaseProtocol):
         num_buckets: int = 0,
         num_hashes: int = 5,
         width: int = 256,
-        decode_batch_size: int = 0,
-        kernel_backend: str = "",
     ):
         super().__init__(budget, max_width)
         oracle = str(oracle)
@@ -326,8 +323,6 @@ class HeavyHitters(MarginalReleaseProtocol):
         self._num_buckets = int(num_buckets)
         self._num_hashes = int(num_hashes)
         self._width = int(width)
-        self._decode_batch_size = int(decode_batch_size)
-        self._kernel_backend = str(kernel_backend)
 
     def spec_options(self):
         return {
@@ -338,13 +333,7 @@ class HeavyHitters(MarginalReleaseProtocol):
             "num_buckets": self._num_buckets,
             "num_hashes": self._num_hashes,
             "width": self._width,
-            "decode_batch_size": self._decode_batch_size,
-            "kernel_backend": self._kernel_backend,
         }
-
-    def tuning_options(self):
-        # Forwarded verbatim to the OLH decode path; estimates never change.
-        return frozenset({"decode_batch_size", "kernel_backend"})
 
     @property
     def oracle_name(self) -> str:
@@ -390,13 +379,7 @@ class HeavyHitters(MarginalReleaseProtocol):
         reconstruction exact in expectation).
         """
         if self._oracle_name == "InpOLH":
-            return InpOLH(
-                self.budget,
-                bits,
-                num_buckets=self._num_buckets,
-                decode_batch_size=self._decode_batch_size,
-                kernel_backend=self._kernel_backend,
-            )
+            return InpOLH(self.budget, bits, num_buckets=self._num_buckets)
         if self._oracle_name == "InpHT":
             return InpHT(self.budget, bits)
         return InpHTCMS(

@@ -14,7 +14,7 @@ its decoding cost (``O(N * 2^d)``) quickly becomes the bottleneck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import math
@@ -33,14 +33,14 @@ __all__ = ["OptimizedLocalHashing", "DEFAULT_DECODE_BATCH_SIZE"]
 _MULTIPLIER_BITS = 61
 _MERSENNE_PRIME = (1 << 61) - 1
 
-#: Default cap on the number of domain elements hashed per decode block,
-#: exposed as ``OptimizedLocalHashing.decode_batch_size`` /
-#: ``InpOLH(..., decode_batch_size=...)`` for tuning.  It does not set the
-#: memory of the scan: the numpy kernel fills each tile with as many users
-#: as fit its fixed L2-sized element budget at the block's real width
-#: (``min(decode_batch_size, domain_size)``), so a wide block only means
-#: fewer users per tile; the native kernel sweeps every user over one
-#: block's counters, which stay in L1 at this width.
+#: The number of domain elements hashed per decode block, by every kernel
+#: backend: the numpy scan's tile width and the native scan's outer loop.
+#: It does not set the memory of the scan: the numpy kernel fills each tile
+#: with as many users as fit its fixed L2-sized element budget at the
+#: block's real width (``min(DEFAULT_DECODE_BATCH_SIZE, domain_size)``), so
+#: a wide block only means fewer users per tile; the native kernel sweeps
+#: every user over one block's counters, which stay in L1 at this width.
+#: The counts are exact for any block width.
 DEFAULT_DECODE_BATCH_SIZE = 1024
 
 def _hash(values: np.ndarray, seeds: np.ndarray, buckets: int) -> np.ndarray:
@@ -73,24 +73,11 @@ class OptimizedLocalHashing:
     num_buckets:
         Hash range ``g``; defaults to the variance-optimal
         ``floor(e^eps) + 1``.
-    decode_batch_size:
-        Domain elements hashed per decode block in :meth:`support_counts`
-        (``0`` selects :data:`DEFAULT_DECODE_BATCH_SIZE`), by every kernel
-        backend: the numpy scan's tile width and the native scan's outer
-        loop.  A pure performance knob: the counts are exact for any
-        value, so it is excluded from equality/merge-signature comparisons.
-    kernel_backend:
-        Which kernel backend decodes support counts (``""`` defers to
-        :func:`repro.core.backends.resolve_backend`'s env/default chain).
-        Every backend produces identical counts, so this is a pure
-        performance knob like ``decode_batch_size``.
     """
 
     domain_size: int
     budget: PrivacyBudget
     num_buckets: int = 0
-    decode_batch_size: int = field(default=0, compare=False)
-    kernel_backend: str = field(default="", compare=False)
 
     def __post_init__(self):
         if int(self.domain_size) < 2:
@@ -102,21 +89,8 @@ class OptimizedLocalHashing:
             buckets = int(math.floor(self.budget.exp_epsilon)) + 1
         if buckets < 2:
             buckets = 2
-        decode_batch = int(self.decode_batch_size)
-        if decode_batch < 0:
-            raise ProtocolConfigurationError(
-                f"decode batch size must be >= 0 (0 = default), got {decode_batch}"
-            )
-        if decode_batch == 0:
-            decode_batch = DEFAULT_DECODE_BATCH_SIZE
-        if not isinstance(self.kernel_backend, str):
-            raise ProtocolConfigurationError(
-                f"kernel_backend must be a backend name string, got "
-                f"{type(self.kernel_backend).__name__}"
-            )
         object.__setattr__(self, "domain_size", int(self.domain_size))
         object.__setattr__(self, "num_buckets", buckets)
-        object.__setattr__(self, "decode_batch_size", decode_batch)
 
     @property
     def encoder(self) -> DirectEncoding:
@@ -149,7 +123,7 @@ class OptimizedLocalHashing:
     # Aggregator side
     # ------------------------------------------------------------------ #
     def support_counts(
-        self, seeds: np.ndarray, noisy_buckets: np.ndarray, batch_size: int = 0
+        self, seeds: np.ndarray, noisy_buckets: np.ndarray
     ) -> np.ndarray:
         """Per-element support counts — OLH's mergeable aggregation state.
 
@@ -158,12 +132,11 @@ class OptimizedLocalHashing:
         computed on disjoint report batches add exactly.
 
         This is the ``O(N * 2^d)`` hot loop of the library; the scan itself
-        is delegated to the selected kernel backend
+        is delegated to this machine's kernel backend
         (:func:`repro.core.backends.resolve_backend` — the fused C scan
         when it built, else the numpy blocked scan or its thread-pool
-        fan-out).  Every backend
-        produces identical ``int64`` counts for any ``batch_size`` (``0``
-        selects :attr:`decode_batch_size`);
+        fan-out), in blocks of :data:`DEFAULT_DECODE_BATCH_SIZE` elements.
+        Every backend produces identical ``int64`` counts;
         :meth:`support_counts_reference` keeps the original implementation
         as the conformance ground truth.
         """
@@ -173,14 +146,12 @@ class OptimizedLocalHashing:
             raise ProtocolConfigurationError(
                 "seeds and noisy buckets must be 1-D arrays of the same length"
             )
-        batch = int(batch_size) if batch_size else self.decode_batch_size
-        if batch < 1:
-            raise ProtocolConfigurationError(
-                f"decode batch size must be >= 1, got {batch}"
-            )
-        backend = resolve_backend(self.kernel_backend)
-        support = backend.support_counts(
-            seeds, noisy_buckets, self.domain_size, self.num_buckets, batch
+        support = resolve_backend().support_counts(
+            seeds,
+            noisy_buckets,
+            self.domain_size,
+            self.num_buckets,
+            DEFAULT_DECODE_BATCH_SIZE,
         )
         return support.astype(np.float64)
 
@@ -224,8 +195,8 @@ class OptimizedLocalHashing:
         return (support / num_users - uniform) / (p - uniform)
 
     def estimate_frequencies(
-        self, seeds: np.ndarray, noisy_buckets: np.ndarray, batch_size: int = 0
+        self, seeds: np.ndarray, noisy_buckets: np.ndarray
     ) -> np.ndarray:
         """Estimate the frequency of every domain element in one pass."""
-        support = self.support_counts(seeds, noisy_buckets, batch_size=batch_size)
+        support = self.support_counts(seeds, noisy_buckets)
         return self.estimate_from_support(support, np.asarray(seeds).shape[0])

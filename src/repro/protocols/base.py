@@ -509,15 +509,6 @@ class MarginalReleaseProtocol(abc.ABC):
         """
         return {}
 
-    def tuning_options(self) -> frozenset:
-        """Names of :meth:`spec_options` that are pure performance knobs.
-
-        These have no effect on the estimates, so spec comparisons that
-        gate merging (e.g. ``AggregationSession.merge``) ignore them —
-        collectors tuned for different hardware still combine.
-        """
-        return frozenset()
-
     def spec(self):
         """This instance's declarative :class:`~repro.service.ProtocolSpec`.
 

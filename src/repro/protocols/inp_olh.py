@@ -112,14 +112,7 @@ class InpOLHAccumulator(Accumulator):
 
 
 class InpOLH(MarginalReleaseProtocol):
-    """Optimised Local Hashing applied to the full-domain index.
-
-    ``decode_batch_size`` tunes how many domain elements the ``O(N * 2^d)``
-    support-count decode hashes per block (0 = the library default) and
-    ``kernel_backend`` picks the decode kernel implementation
-    (:mod:`repro.core.backends`; ``""`` defers to the env/default chain).
-    Both are pure performance knobs with no effect on the estimates.
-    """
+    """Optimised Local Hashing applied to the full-domain index."""
 
     name = "InpOLH"
 
@@ -128,26 +121,12 @@ class InpOLH(MarginalReleaseProtocol):
         budget: PrivacyBudget,
         max_width: int,
         num_buckets: int = 0,
-        decode_batch_size: int = 0,
-        kernel_backend: str = "",
     ):
         super().__init__(budget, max_width)
         self._num_buckets = int(num_buckets)
-        self._decode_batch_size = int(decode_batch_size)
-        self._kernel_backend = str(kernel_backend)
 
     def spec_options(self):
-        return {
-            "num_buckets": self._num_buckets,
-            "decode_batch_size": self._decode_batch_size,
-            "kernel_backend": self._kernel_backend,
-        }
-
-    def tuning_options(self):
-        # decode_batch_size and kernel_backend only shape the O(N * 2^d)
-        # decode; they never change the estimates, so differently tuned
-        # collectors may merge.
-        return frozenset({"decode_batch_size", "kernel_backend"})
+        return {"num_buckets": self._num_buckets}
 
     def oracle(self, dimension: int) -> OptimizedLocalHashing:
         """The OLH frequency oracle over ``{0,1}^d``."""
@@ -155,8 +134,6 @@ class InpOLH(MarginalReleaseProtocol):
             domain_size=1 << dimension,
             budget=self.budget,
             num_buckets=self._num_buckets,
-            decode_batch_size=self._decode_batch_size,
-            kernel_backend=self._kernel_backend,
         )
 
     def encode_batch(self, records, rng: RngLike = None) -> InpOLHReports:

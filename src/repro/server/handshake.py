@@ -4,11 +4,8 @@ The first frame on every connection is a ``HELLO`` control frame carrying
 the client's full :class:`~repro.service.ProtocolSpec` (as ``to_dict``),
 the SHA-256 of its canonical JSON form, and the attribute names of the
 domain the client reports over.  The server diffs the client spec against
-its own in canonical form — defaults spelled out, pure performance knobs
-(:meth:`~repro.protocols.base.MarginalReleaseProtocol.tuning_options`)
-ignored — so a rejection carries the exact per-field disagreement instead
-of an opaque hash mismatch, and two collectors tuned for different
-hardware still interoperate.
+its own in canonical form, defaults spelled out, so a rejection carries
+the exact per-field disagreement instead of an opaque hash mismatch.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ def hello_payload(
 def check_hello(
     payload: Dict[str, Any],
     server_spec: ProtocolSpec,
-    tuning_options: frozenset,
     attributes: Sequence[str],
 ) -> List[str]:
     """Validate a ``HELLO`` payload against the server's contract.
@@ -66,8 +62,7 @@ def check_hello(
     ``server_spec`` must already be canonical.  A ``spec_hash`` in the
     payload is checked against the canonical form of the spec *in the same
     payload* (an integrity check on the handshake itself); spec agreement
-    with the server is always decided by the canonical diff, so tuning-only
-    differences never reject.
+    with the server is always decided by the canonical diff.
     """
     problems: List[str] = []
     spec_dict = payload.get("spec")
@@ -85,9 +80,7 @@ def check_hello(
             "spec_hash: does not match the canonical form of the spec sent "
             "in this HELLO (corrupted or stale handshake)"
         )
-    problems.extend(
-        server_spec.diff(client_canonical, ignore_options=tuning_options)
-    )
+    problems.extend(server_spec.diff(client_canonical))
     client_attributes = payload.get("attributes")
     if not isinstance(client_attributes, list) or not all(
         isinstance(name, str) for name in client_attributes

@@ -316,11 +316,10 @@ class CollectionServer:
         self._spec = self._sessions[0].spec
         self._domain = domain
         # The handshake compares canonical forms so clients that spell
-        # defaults differently (or tune pure performance knobs) still pass.
+        # defaults differently still pass.
         self._canonical_spec = ProtocolSpec.from_protocol(
             self._sessions[0].protocol
         )
-        self._tuning_options = self._sessions[0].protocol.tuning_options()
         self._spec_hash = spec_hash(self._canonical_spec)
         self._host = host
         self._requested_port = port
@@ -1002,10 +1001,7 @@ class CollectionServer:
         if key == self._accepted_hello:
             return check_token(payload)
         problems = check_hello(
-            payload,
-            self._canonical_spec,
-            self._tuning_options,
-            self._domain.attributes,
+            payload, self._canonical_spec, self._domain.attributes
         )
         if not problems:
             self._accepted_hello = key

@@ -319,8 +319,8 @@ class AggregationSession:
         """Absorb a peer session (e.g. another collector shard).
 
         Both sessions must describe the same collection — specs are
-        compared in canonical form (defaults spelled out, pure performance
-        knobs ignored) over the same domain; a mismatch raises
+        compared in canonical form (defaults spelled out) over the same
+        domain; a mismatch raises
         :class:`AggregationError` carrying the readable spec diff.  Equal
         specs (a server's own shards share one) skip the canonical diff.
         """
@@ -331,8 +331,7 @@ class AggregationSession:
             )
         mismatch = other._spec != self._spec and (
             ProtocolSpec.from_protocol(self._protocol).diff(
-                ProtocolSpec.from_protocol(other._protocol),
-                ignore_options=self._protocol.tuning_options(),
+                ProtocolSpec.from_protocol(other._protocol)
             )
         )
         if mismatch:

@@ -240,15 +240,12 @@ class ProtocolSpec:
             ) from error
         return cls.from_dict(payload)
 
-    def diff(self, other: "ProtocolSpec", ignore_options=frozenset()) -> List[str]:
+    def diff(self, other: "ProtocolSpec") -> List[str]:
         """Readable, per-field differences against another spec.
 
         Empty when the specs agree; otherwise one line per disagreement,
         options compared key by key.  This is the message body of every
-        spec-mismatch error in the service layer.  ``ignore_options`` names
-        option keys excluded from the comparison — the protocols'
-        :meth:`~repro.protocols.base.MarginalReleaseProtocol.tuning_options`,
-        pure performance knobs with no effect on the estimates.
+        spec-mismatch error in the service layer.
         """
         if not isinstance(other, ProtocolSpec):
             raise ProtocolConfigurationError(
@@ -263,8 +260,6 @@ class ProtocolSpec:
         if self.max_width != other.max_width:
             lines.append(f"max_width: {self.max_width} != {other.max_width}")
         for key in sorted(set(self.options) | set(other.options)):
-            if key in ignore_options:
-                continue
             if key not in self.options:
                 lines.append(f"option {key!r}: absent != {other.options[key]!r}")
             elif key not in other.options:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import PrivacyBudget
+from repro.core import backends as backends_module
 from repro.core.domain import Domain
 from repro.datasets import BinaryDataset, make_movielens_dataset, make_taxi_dataset
 
@@ -29,6 +30,22 @@ def _isolate_repro_logger():
     logger.handlers[:] = saved_handlers
     logger.setLevel(saved_level)
     logger.propagate = saved_propagate
+
+
+@pytest.fixture
+def machine_backend(monkeypatch):
+    """Install a kernel backend as this process's for one test.
+
+    ``machine_backend(backend)`` makes :func:`resolve_backend` return
+    ``backend`` until the test ends, which is how a test runs the library
+    on a backend this host would not choose.
+    """
+
+    def install(backend):
+        monkeypatch.setattr(backends_module, "_BACKEND", backend)
+        return backend
+
+    return install
 
 
 @pytest.fixture

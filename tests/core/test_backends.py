@@ -1,9 +1,9 @@
-"""Kernel-backend registry: conformance matrix, selection order, fallback.
+"""Kernel backends: conformance matrix, the machine's choice, fallback.
 
-Backend choice is a pure performance knob — every backend must produce
-*identical* integer support counts and popcount/parity results, and a bad
-choice (an unknown name) must degrade to a working backend with a logged
-warning, never break an aggregation.
+Every backend must produce *identical* integer support counts and
+popcount/parity results, so which one the machine runs changes only
+speed; a fallback from ``native`` says why once and never breaks an
+aggregation.
 """
 
 from __future__ import annotations
@@ -20,24 +20,23 @@ from repro.core import backends as backends_module
 from repro.core import bitops
 from repro.core.backends import (
     _SEED_MIX,
-    BACKEND_ENV_VAR,
     NativeBackend,
     NumpyBackend,
     ThreadedBackend,
-    get_backend,
-    registered_backends,
+    native_clone,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
-from repro.core.exceptions import ProtocolConfigurationError
 from repro.core.privacy import PrivacyBudget
 from repro.mechanisms.local_hashing import OptimizedLocalHashing, _hash
 
 
-#: The registered native backend, or ``None`` where the C scan did not
+#: The machine's native backend, or ``None`` where the C scan did not
 #: build (no compiler); its tests skip there, and CI asserts it loaded.
-NATIVE = backends_module._BACKENDS.get("native")
+NATIVE = (
+    backends_module._BACKEND
+    if isinstance(backends_module._BACKEND, NativeBackend)
+    else None
+)
 needs_native = pytest.mark.skipif(
     NATIVE is None, reason="the native scan did not build on this host"
 )
@@ -67,15 +66,6 @@ def _pooled_backend(
 @pytest.fixture(params=_conformance_backends(), ids=lambda b: f"{b.name}")
 def backend(request):
     return request.param
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection_state(monkeypatch):
-    """Isolate each test from ambient env/default backend selection."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
 
 
 class TestConformanceMatrix:
@@ -166,110 +156,25 @@ class TestConformanceMatrix:
         np.testing.assert_array_equal(observed, np.concatenate(expected))
 
 
-class TestSelectionOrder:
-    def test_registry_contents(self):
-        expected = ("numpy", "threaded") if NATIVE is None else (
-            "native", "numpy", "threaded"
-        )
-        assert registered_backends() == expected
-
-    def test_auto_prefers_native_when_it_loaded(self):
+class TestMachineBackend:
+    def test_native_when_it_loaded_else_a_numpy_backend(self):
         expected = "native" if NATIVE is not None else (
             "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
         )
         assert resolve_backend().name == expected
-        assert resolve_backend("auto").name == expected
+        assert resolve_backend() is resolve_backend()
+        assert (native_clone() is None) == (NATIVE is None)
 
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threaded")
-        assert resolve_backend("numpy").name == "numpy"
-
-    def test_env_wins_over_default(self, monkeypatch):
-        set_default_backend("threaded")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend().name == "numpy"
-
-    def test_default_wins_over_auto(self):
-        set_default_backend("numpy")
-        assert resolve_backend().name == "numpy"
-
-    def test_auto_is_a_valid_name_at_every_level(self, monkeypatch):
-        auto = resolve_backend("auto").name
-        assert auto in ("native", "numpy", "threaded")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert resolve_backend().name == auto
-
-    def test_use_backend_restores_previous_default(self):
-        set_default_backend("numpy")
-        with use_backend("threaded") as backend:
-            assert backend.name == "threaded"
-            assert resolve_backend().name == "threaded"
-        assert resolve_backend().name == "numpy"
-
-    def test_set_default_backend_rejects_unknown_names(self):
-        with pytest.raises(ProtocolConfigurationError, match="unknown"):
-            set_default_backend("cuda")
-
-    def test_get_backend_rejects_unknown_names(self):
-        with pytest.raises(ProtocolConfigurationError, match="unknown"):
-            get_backend("cuda")
-
-
-class TestGracefulFallback:
-    def test_unknown_env_name_warns_and_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setattr(backends_module, "_WARNED", set())
-        monkeypatch.setenv(BACKEND_ENV_VAR, "definitely-not-a-backend")
-        with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            backend = resolve_backend()
-        assert backend.name in ("native", "numpy", "threaded")
-        assert any(
-            "definitely-not-a-backend" in record.message
-            for record in caplog.records
+    def test_fallback_warning_fires_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(backends_module, "_BACKEND", ThreadedBackend())
+        monkeypatch.setattr(
+            backends_module, "_FALLBACK_WARNING", "scan unavailable (bogus)"
         )
-
-    def test_retired_numba_name_in_env_is_unknown(self, monkeypatch, caplog):
-        """The numba backend is gone: ``$REPRO_KERNEL_BACKEND=numba`` takes
-        the unknown-name path, warns once and falls back."""
-        monkeypatch.setattr(backends_module, "_WARNED", set())
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
         with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
             first = resolve_backend()
             second = resolve_backend()
-        assert first.name in ("native", "numpy", "threaded")
-        assert second is first
-        warnings = [r for r in caplog.records if "'numba'" in r.message]
-        assert len(warnings) == 1
-        assert "unknown kernel backend" in warnings[0].message
-        with pytest.raises(ProtocolConfigurationError, match="unknown"):
-            get_backend("numba")
-
-    def test_retired_numba_name_in_spec_falls_back(self, monkeypatch, caplog):
-        """A protocol spec naming ``numba`` still aggregates, with the same
-        counts as the default backend."""
-        monkeypatch.setattr(backends_module, "_WARNED", set())
-        budget = PrivacyBudget(np.log(3.0))
-        pinned = OptimizedLocalHashing(
-            domain_size=64, budget=budget, kernel_backend="numba"
-        )
-        default = OptimizedLocalHashing(domain_size=64, budget=budget)
-        rng = np.random.default_rng(14)
-        seeds, noisy = pinned.perturb(rng.integers(0, 64, size=500), rng=rng)
-        with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            counts = pinned.support_counts(seeds, noisy)
-        np.testing.assert_array_equal(
-            counts, default.support_counts(seeds, noisy)
-        )
-        assert any(
-            "unknown kernel backend 'numba' (requested)" in record.message
-            for record in caplog.records
-        )
-
-    def test_fallback_warning_fires_once_per_name(self, monkeypatch, caplog):
-        monkeypatch.setattr(backends_module, "_WARNED", set())
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            resolve_backend()
-            resolve_backend()
+        assert first is second and first.name == "threaded"
+        assert native_clone() is None
         warnings = [r for r in caplog.records if "bogus" in r.message]
         assert len(warnings) == 1
 

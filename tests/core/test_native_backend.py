@@ -26,12 +26,10 @@ from hypothesis import strategies as st
 
 from repro.core import backends as backends_module
 from repro.core.backends import (
-    BACKEND_ENV_VAR,
     NativeBackend,
     NumpyBackend,
     native_clone,
     resolve_backend,
-    set_default_backend,
 )
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
@@ -41,7 +39,11 @@ from repro.observability import get_registry, metrics_enabled, set_enabled
 from repro.observability.tracing import trace
 from repro.protocols.inp_olh import InpOLH
 
-NATIVE = backends_module._BACKENDS.get("native")
+NATIVE = (
+    backends_module._BACKEND
+    if isinstance(backends_module._BACKEND, NativeBackend)
+    else None
+)
 pytestmark = pytest.mark.skipif(
     NATIVE is None, reason="the native scan did not build on this host"
 )
@@ -67,14 +69,6 @@ def _pooled_native(max_workers: int = 3) -> NativeBackend:
     pooled = NativeBackend(NATIVE._library, max_workers=max_workers)
     pooled.min_work_elements = 1  # force the pool even for tiny inputs
     return pooled
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection_state(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
 
 
 @pytest.fixture
@@ -460,7 +454,7 @@ def _olh_and_hh_estimates():
 
 class TestFallback:
     def test_no_compiler_falls_back_with_one_warning(
-        self, monkeypatch, caplog, cache_home
+        self, monkeypatch, caplog, cache_home, machine_backend
     ):
         assert resolve_backend().name == "native"
         native_estimates = _olh_and_hh_estimates()
@@ -469,19 +463,16 @@ class TestFallback:
             raise OSError("no C compiler (cc) on PATH")
 
         monkeypatch.setattr(backends_module, "_compiler", no_compiler)
-        monkeypatch.setattr(
-            backends_module, "_BACKENDS", dict(backends_module._BACKENDS)
-        )
-        monkeypatch.setattr(backends_module, "_WARNED", set())
         with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            failure = backends_module._install_native()
+            backend, warning = backends_module._machine_backend()
             assert caplog.records == []  # nothing at load time
-            monkeypatch.setattr(backends_module, "_NATIVE_FAILURE", failure)
-            fallback = resolve_backend("auto")
+            machine_backend(backend)
+            monkeypatch.setattr(backends_module, "_FALLBACK_WARNING", warning)
+            fallback = resolve_backend()
             fallback_estimates = _olh_and_hh_estimates()
         expected = "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
         assert fallback.name == expected
-        assert "native" not in backends_module.registered_backends()
+        assert native_clone() is None
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "no C compiler" in message and "falling back" in message
@@ -489,20 +480,6 @@ class TestFallback:
         assert len(native_estimates) == len(fallback_estimates)
         for ours, theirs in zip(native_estimates, fallback_estimates):
             np.testing.assert_array_equal(ours, theirs)
-
-    def test_requesting_an_unavailable_native_takes_the_unknown_name_path(
-        self, monkeypatch, caplog
-    ):
-        monkeypatch.setattr(
-            backends_module, "_BACKENDS", dict(backends_module._BACKENDS)
-        )
-        monkeypatch.setattr(backends_module, "_WARNED", set())
-        del backends_module._BACKENDS["native"]
-        with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-            backend = resolve_backend("native")
-        assert backend.name in ("numpy", "threaded")
-        (record,) = caplog.records
-        assert "unknown kernel backend 'native'" in record.getMessage()
 
     def test_a_failed_build_raises_and_leaves_no_temp(
         self, monkeypatch, cache_home

@@ -1,4 +1,5 @@
-"""CLI tests for the ``repro hh`` verbs and the discovery listing role."""
+"""CLI tests for heavy-hitter discovery: HH through the generic verbs,
+``repro hh discover`` and the discovery listing role."""
 
 from __future__ import annotations
 
@@ -30,14 +31,17 @@ class TestListing:
 
 
 class TestEncodeAggregate:
+    """HH through the generic verbs: ``encode --protocol HH`` and an
+    ``aggregate`` that appends the discovery walk."""
+
     def test_round_trip_discovers_and_checkpoints(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         frames_path = tmp_path / "frames.bin"
         checkpoint = tmp_path / "ckpt.npz"
         json_path = tmp_path / "hh.json"
         assert main([
-            "hh", "encode",
-            "--epsilon", "1.4",
+            "encode", "--protocol", "HH",
+            "--epsilon", "1.4", "--width", "2", "--dataset", "skewed",
             "-n", "3000", "-d", "6", "--seed", "11",
             "--batch-size", "1000",
             "--spec-out", str(spec_path),
@@ -47,7 +51,7 @@ class TestEncodeAggregate:
         spec = json.loads(spec_path.read_text())
         assert spec["protocol"] == "HH"
         assert main([
-            "hh", "aggregate",
+            "aggregate",
             "--spec", str(spec_path), "-d", "6",
             "--input", str(frames_path),
             "--checkpoint", str(checkpoint),
@@ -57,6 +61,7 @@ class TestEncodeAggregate:
         assert "heavy hitters" in output
         payload = json.loads(json_path.read_text())
         assert payload["num_reports"] == 3000
+        assert payload["marginals"]
         hitters = payload["discovery"]["hitters"]
         assert hitters, "discovery returned no hitters"
         baseline = payload["discovery"]
@@ -64,7 +69,7 @@ class TestEncodeAggregate:
         # Restoring the checkpoint re-discovers the identical result.
         json_again = tmp_path / "again.json"
         assert main([
-            "hh", "aggregate",
+            "aggregate",
             "--restore", str(checkpoint),
             "--input", "none",
             "--json", str(json_again),
@@ -76,14 +81,15 @@ class TestEncodeAggregate:
         spec_path = tmp_path / "spec.json"
         frames_path = tmp_path / "frames.bin"
         assert main([
-            "hh", "encode", "--epsilon", "1.4", "-n", "1000", "-d", "4",
-            "--top-k", "6",
+            "encode", "--protocol", "HH", "--epsilon", "1.4", "--width", "2",
+            "--dataset", "skewed", "-n", "1000", "-d", "4",
+            "--option", "top_k=6",
             "--spec-out", str(spec_path), "--output", str(frames_path),
         ]) == 0
         capsys.readouterr()
         json_path = tmp_path / "k2.json"
         assert main([
-            "hh", "aggregate", "--spec", str(spec_path), "-d", "4",
+            "aggregate", "--spec", str(spec_path), "-d", "4",
             "--input", str(frames_path), "--top-k", "2",
             "--json", str(json_path),
         ]) == 0
@@ -91,9 +97,12 @@ class TestEncodeAggregate:
         payload = json.loads(json_path.read_text())
         assert len(payload["discovery"]["hitters"]) == 2
 
-    def test_non_hh_spec_is_rejected(self, tmp_path, capsys):
+    def test_a_protocol_without_discovery_prints_no_walk(
+        self, tmp_path, capsys
+    ):
         spec_path = tmp_path / "inpht.json"
         frames_path = tmp_path / "frames.bin"
+        json_path = tmp_path / "inpht-out.json"
         assert main([
             "encode", "--protocol", "InpHT", "--epsilon", "1.0",
             "--width", "2", "-n", "100", "-d", "4",
@@ -101,17 +110,11 @@ class TestEncodeAggregate:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "hh", "aggregate", "--spec", str(spec_path), "-d", "4",
-            "--input", str(frames_path),
-        ]) == 2
-        assert "not the HH discovery protocol" in capsys.readouterr().err
-
-    def test_restore_excludes_contract_flags(self, tmp_path, capsys):
-        assert main([
-            "hh", "aggregate", "--restore", "nowhere.npz",
-            "--spec", "also-a-spec.json",
-        ]) == 2
-        assert "--restore carries" in capsys.readouterr().err
+            "aggregate", "--spec", str(spec_path), "-d", "4",
+            "--input", str(frames_path), "--json", str(json_path),
+        ]) == 0
+        assert "heavy hitters" not in capsys.readouterr().out
+        assert json.loads(json_path.read_text())["discovery"] is None
 
 
 class TestDiscover:

@@ -4,7 +4,7 @@ Whatever the backend — the native one-call level scan, or the numpy
 backends' per-level default, including the fallback when the native scan
 did not build — an HH accumulator's state must be bit-for-bit the state
 that folding each level's reports into its own ``InpOLH`` accumulator
-gives under ``use_backend("numpy")``.
+gives on the numpy backend.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import backends as backends_module
-from repro.core.backends import BACKEND_ENV_VAR, set_default_backend, use_backend
+from repro.core.backends import NativeBackend, NumpyBackend, ThreadedBackend
 from repro.core.domain import Domain
 from repro.core.exceptions import AggregationError
 from repro.core.privacy import PrivacyBudget
@@ -22,17 +22,9 @@ from repro.heavyhitters.protocol import HeavyHitterReports
 from repro.protocols.inp_olh import InpOLHReports
 
 D = 8
-BACKENDS = ["numpy", "threaded"] + (
-    ["native"] if "native" in backends_module.registered_backends() else []
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection_state(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
+BACKENDS = {"numpy": NumpyBackend(), "threaded": ThreadedBackend()}
+if isinstance(backends_module._BACKEND, NativeBackend):
+    BACKENDS["native"] = backends_module._BACKEND
 
 
 def _protocol(fanout: int = 3) -> HeavyHitters:
@@ -61,36 +53,33 @@ def _crafted(levels, seeds=None, buckets=None, seed=4):
     )
 
 
-def _hh_state(protocol, batches, backend=None):
+def _hh_state(protocol, batches):
+    """The batches folded by an HH accumulator on the installed backend."""
     accumulator = protocol.accumulator(Domain.binary(D))
-    if backend is None:
-        for batch in batches:
-            accumulator.update(batch)
-    else:
-        with use_backend(backend):
-            for batch in batches:
-                accumulator.update(batch)
+    for batch in batches:
+        accumulator.update(batch)
     return accumulator.state_dict()
 
 
-def _per_level_state(protocol, batches):
+def _per_level_state(protocol, batches, machine_backend):
     """Each level's users folded into that level's own ``InpOLH``
-    accumulator under the numpy backend, keyed as HH keys its state."""
+    accumulator on the numpy backend (installed here), keyed as HH keys
+    its state."""
+    machine_backend(NumpyBackend())
     state = {}
-    with use_backend("numpy"):
-        for index, bits in enumerate(protocol.level_plan(D)):
-            inner = protocol.level_protocol(bits).accumulator(Domain.binary(bits))
-            for batch in batches:
-                members = batch.levels == index
-                if members.any():
-                    inner.update(
-                        InpOLHReports(
-                            seeds=batch.int_data[members, 0],
-                            noisy_buckets=batch.int_data[members, 1],
-                        )
+    for index, bits in enumerate(protocol.level_plan(D)):
+        inner = protocol.level_protocol(bits).accumulator(Domain.binary(bits))
+        for batch in batches:
+            members = batch.levels == index
+            if members.any():
+                inner.update(
+                    InpOLHReports(
+                        seeds=batch.int_data[members, 0],
+                        noisy_buckets=batch.int_data[members, 1],
                     )
-            for key, value in inner.state_dict().items():
-                state[f"level{index:02d}__{key}"] = value
+                )
+        for key, value in inner.state_dict().items():
+            state[f"level{index:02d}__{key}"] = value
     state["num_reports"] = sum(batch.num_users for batch in batches)
     return state
 
@@ -122,41 +111,49 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_crafted_batches_fold_as_each_level_alone(backend, case):
+def test_crafted_batches_fold_as_each_level_alone(
+    backend, case, machine_backend
+):
     batches = CASES[case]()
     protocol = _protocol()
-    _assert_same_state(
-        _hh_state(protocol, batches, backend), _per_level_state(protocol, batches)
-    )
+    expected = _per_level_state(protocol, batches, machine_backend)
+    machine_backend(BACKENDS[backend])
+    _assert_same_state(_hh_state(protocol, batches), expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("fanout", [4, 3, 2])  # 2, 3 and 4 levels over d = 8
-def test_encoded_batches_fold_as_each_level_alone(backend, fanout):
+def test_encoded_batches_fold_as_each_level_alone(
+    backend, fanout, machine_backend
+):
     protocol = _protocol(fanout)
     assert len(protocol.level_plan(D)) == 6 - fanout
     batches = [_encoded(protocol, seed=seed) for seed in (1, 2)]
-    _assert_same_state(
-        _hh_state(protocol, batches, backend), _per_level_state(protocol, batches)
-    )
+    expected = _per_level_state(protocol, batches, machine_backend)
+    machine_backend(BACKENDS[backend])
+    _assert_same_state(_hh_state(protocol, batches), expected)
 
 
-def test_the_fallback_without_a_native_build_folds_the_same(monkeypatch):
-    """``auto`` without ``native`` takes the numpy backends' per-level
-    default and lands on the same state as ``auto`` with it."""
+def test_the_fallback_without_a_native_build_folds_the_same(
+    monkeypatch, machine_backend
+):
+    """The backend a machine without a C compiler chooses takes the numpy
+    backends' per-level default and lands on the same state as this
+    machine's backend."""
     protocol = _protocol(2)
     batches = [_encoded(protocol, seed=seed) for seed in (7, 8)]
-    automatic = _hh_state(protocol, batches)
-    monkeypatch.setattr(
-        backends_module, "_BACKENDS", dict(backends_module._BACKENDS)
-    )
-    backends_module._BACKENDS.pop("native", None)
-    monkeypatch.setattr(backends_module, "_NATIVE_FAILURE", "no C compiler")
-    monkeypatch.setattr(backends_module, "_WARNED", set())
-    assert backends_module.resolve_backend().name in ("numpy", "threaded")
-    _assert_same_state(_hh_state(protocol, batches), automatic)
+    machines = _hh_state(protocol, batches)
+
+    def no_compiler():
+        raise OSError("no C compiler (cc) on PATH")
+
+    monkeypatch.setattr(backends_module, "_compiler", no_compiler)
+    fallback, warning = backends_module._machine_backend()
+    assert "no C compiler" in warning
+    assert machine_backend(fallback).name in ("numpy", "threaded")
+    _assert_same_state(_hh_state(protocol, batches), machines)
 
 
 @pytest.mark.parametrize(

@@ -52,33 +52,6 @@ class TestConfiguration:
         with pytest.raises(ProtocolConfigurationError):
             OptimizedLocalHashing(1, PrivacyBudget(1.0))
 
-    def test_default_decode_batch_size(self):
-        from repro.mechanisms.local_hashing import DEFAULT_DECODE_BATCH_SIZE
-
-        oracle = OptimizedLocalHashing(256, PrivacyBudget(1.0))
-        assert oracle.decode_batch_size == DEFAULT_DECODE_BATCH_SIZE
-
-    def test_explicit_decode_batch_size(self):
-        oracle = OptimizedLocalHashing(256, PrivacyBudget(1.0), decode_batch_size=37)
-        assert oracle.decode_batch_size == 37
-
-    def test_rejects_negative_decode_batch_size(self):
-        with pytest.raises(ProtocolConfigurationError):
-            OptimizedLocalHashing(256, PrivacyBudget(1.0), decode_batch_size=-1)
-
-    def test_decode_batch_size_is_not_part_of_identity(self):
-        # A pure performance knob: differently tuned oracles must still
-        # compare equal so accumulator merge signatures keep matching.
-        base = OptimizedLocalHashing(256, PrivacyBudget(1.0))
-        tuned = OptimizedLocalHashing(256, PrivacyBudget(1.0), decode_batch_size=8)
-        assert base == tuned
-
-    def test_support_counts_rejects_zero_batch_size(self, rng):
-        oracle = OptimizedLocalHashing(16, PrivacyBudget(1.0))
-        seeds, noisy = oracle.perturb(np.arange(16), rng=rng)
-        with pytest.raises(ProtocolConfigurationError):
-            oracle.support_counts(seeds, noisy, batch_size=-2)
-
 
 class TestEstimation:
     def test_perturb_shapes(self, rng):

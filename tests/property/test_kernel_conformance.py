@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitops, hadamard
-from repro.core.backends import fold_buckets
+from repro.core.backends import fold_buckets, resolve_backend
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
 from repro.execution import make_executor
+from repro.mechanisms import local_hashing
 from repro.mechanisms.local_hashing import OptimizedLocalHashing
 from repro.protocols.inp_em import EMEstimator, InpEM
 from repro.protocols.inp_olh import InpOLH
@@ -130,7 +131,9 @@ class TestOLHSupportConformance:
     def test_batch_size_is_invisible(self, reports, batch_size):
         oracle, seeds, noisy = reports
         np.testing.assert_array_equal(
-            oracle.support_counts(seeds, noisy, batch_size=batch_size),
+            resolve_backend().support_counts(
+                seeds, noisy, oracle.domain_size, oracle.num_buckets, batch_size
+            ),
             oracle.support_counts_reference(seeds, noisy),
         )
 
@@ -144,15 +147,20 @@ class TestOLHSupportConformance:
 
     @pytest.mark.parametrize("decode_batch_size", [1, 7, 100, 10_000])
     def test_protocol_decode_batch_size_is_invisible(
-        self, dataset, decode_batch_size
+        self, dataset, decode_batch_size, monkeypatch
     ):
+        """The scan block the backend is handed never shows in InpOLH's
+        finalized estimates."""
         baseline = InpOLH(PrivacyBudget(LN3), 2).run(
             dataset, rng=np.random.default_rng(42)
         )
-        tuned = InpOLH(
-            PrivacyBudget(LN3), 2, decode_batch_size=decode_batch_size
-        ).run(dataset, rng=np.random.default_rng(42))
-        assert_identical_estimates(baseline, tuned)
+        monkeypatch.setattr(
+            local_hashing, "DEFAULT_DECODE_BATCH_SIZE", decode_batch_size
+        )
+        blocked = InpOLH(PrivacyBudget(LN3), 2).run(
+            dataset, rng=np.random.default_rng(42)
+        )
+        assert_identical_estimates(baseline, blocked)
 
 
 class TestEMSufficientStatisticConformance:

@@ -16,7 +16,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.backends import registered_backends, use_backend
+from repro.core import backends as backends_module
+from repro.core.backends import NativeBackend, NumpyBackend, ThreadedBackend
 from repro.core.domain import Domain
 from repro.core.exceptions import (
     CollectionServiceError,
@@ -142,24 +143,27 @@ class TestEndToEndEquality:
     @pytest.mark.parametrize(
         "backend",
         [
-            "numpy",
-            "threaded",
+            NumpyBackend,
+            ThreadedBackend,
             pytest.param(
-                "native",
+                lambda: backends_module._BACKEND,
                 marks=pytest.mark.skipif(
-                    "native" not in registered_backends(),
+                    not isinstance(backends_module._BACKEND, NativeBackend),
                     reason="the native scan did not build on this host",
                 ),
             ),
         ],
+        ids=["numpy", "threaded", "native"],
     )
-    def test_olh_socket_equality_per_kernel_backend(self, backend, dataset):
+    def test_olh_socket_equality_per_kernel_backend(
+        self, backend, dataset, machine_backend
+    ):
         """The headline proof holds under every kernel backend.
 
-        The baseline runs under the ambient (auto) backend and the socket
-        collection under an explicitly pinned one, so this also proves
-        cross-backend equality: backend choice is a pure performance knob,
-        invisible in the estimates.
+        The baseline runs under this machine's backend and the socket
+        collection under the installed one, so this also proves
+        cross-backend equality: the backend changes only speed, never
+        the estimates.
         """
         protocol = build("InpOLH")
         frames = encode_frames(protocol, dataset, BATCH_SIZE)
@@ -170,13 +174,12 @@ class TestEndToEndEquality:
                 batch_size=BATCH_SIZE,
             )
         )
-        with use_backend(backend):
-            server, report = collect_over_sockets(
-                protocol, frames, dataset.domain, shards=2, num_clients=3
-            )
-            assert report.acked_reports == dataset.size
-            observed = estimates_of(server.finalize())
-        assert_estimates_equal(observed, expected)
+        machine_backend(backend())
+        server, report = collect_over_sockets(
+            protocol, frames, dataset.domain, shards=2, num_clients=3
+        )
+        assert report.acked_reports == dataset.size
+        assert_estimates_equal(estimates_of(server.finalize()), expected)
 
     def test_shard_counts_cover_all_sessions(self, dataset):
         protocol = build("InpRR")

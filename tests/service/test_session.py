@@ -445,26 +445,7 @@ class TestLayout:
             session.checkpoint_bytes(extra=["not", "a", "dict"])
 
 
-class TestTuningOptionMerge:
-    def test_sessions_differing_only_in_decode_tuning_merge(self, dataset):
-        """decode_batch_size is a pure performance knob (no effect on the
-        estimates), so differently tuned InpOLH collectors must combine."""
-        fast = ProtocolSpec(
-            protocol="InpOLH", epsilon=1.0, max_width=2,
-            options={"num_buckets": 0, "decode_batch_size": 0},
-        )
-        tuned = ProtocolSpec(
-            protocol="InpOLH", epsilon=1.0, max_width=2,
-            options={"num_buckets": 0, "decode_batch_size": 1024},
-        )
-        frames = encode_frames(fast.build(), dataset, BATCH_SIZE)
-        first = AggregationSession(fast, dataset.domain)
-        second = AggregationSession(tuned, dataset.domain)
-        first.submit(frames[0])
-        second.submit(frames[1])
-        first.merge(second)
-        assert first.num_reports == 2 * BATCH_SIZE
-
+class TestSpecMerge:
     def test_estimate_relevant_options_still_block_merging(self, dataset):
         first = AggregationSession(
             ProtocolSpec(
@@ -490,7 +471,7 @@ class TestTuningOptionMerge:
         implicit = ProtocolSpec(protocol="InpOLH", epsilon=1.0, max_width=2)
         explicit = ProtocolSpec(
             protocol="InpOLH", epsilon=1.0, max_width=2,
-            options={"num_buckets": 0, "decode_batch_size": 0},
+            options={"num_buckets": 0},
         )
         assert implicit.canonical() == explicit.canonical()
         frames = encode_frames(implicit.build(), dataset, BATCH_SIZE)

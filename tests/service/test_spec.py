@@ -138,6 +138,30 @@ class TestRoundTrips:
         assert payload["format_version"] == SPEC_FORMAT_VERSION
 
 
+class TestRetiredDecodeOptions:
+    """The OLH decode block and kernel backend are the machine's, not the
+    spec's: a spec still carrying either key is refused, naming it."""
+
+    @pytest.mark.parametrize("protocol", ["InpOLH", "HH"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("decode_batch_size", 1024),
+            ("decode_batch_size", -3),
+            ("kernel_backend", "numpy"),
+            ("kernel_backend", 5),
+        ],
+    )
+    def test_build_refuses_the_key_by_name(self, protocol, key, value):
+        payload = ProtocolSpec(
+            protocol=protocol, epsilon=1.0, max_width=2
+        ).to_dict()
+        payload["options"] = {key: value}
+        spec = ProtocolSpec.from_dict(payload)
+        with pytest.raises(ProtocolConfigurationError, match=key):
+            spec.build()
+
+
 class TestFromDictErrors:
     def base_payload(self):
         return ProtocolSpec(protocol="InpHT", epsilon=1.0, max_width=2).to_dict()
@@ -236,18 +260,6 @@ class TestNonNumericEpsilon:
             ProtocolSpec(protocol="InpHT", epsilon="abc", max_width=2)
         with pytest.raises(ProtocolConfigurationError, match="epsilon"):
             ProtocolSpec(protocol="InpHT", epsilon=None, max_width=2)
-
-    def test_diff_can_ignore_tuning_options(self):
-        first = ProtocolSpec(
-            protocol="InpOLH", epsilon=1.0, max_width=2,
-            options={"num_buckets": 0, "decode_batch_size": 0},
-        )
-        second = ProtocolSpec(
-            protocol="InpOLH", epsilon=1.0, max_width=2,
-            options={"num_buckets": 0, "decode_batch_size": 1024},
-        )
-        assert first.diff(second) != []
-        assert first.diff(second, ignore_options={"decode_batch_size"}) == []
 
     def test_uncoercible_option_value_is_a_configuration_error(self):
         spec = ProtocolSpec(

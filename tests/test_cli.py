@@ -518,10 +518,10 @@ class TestListJson:
 
         assert set(payload["protocols"]) == set(available_protocols())
         entry = payload["protocols"]["InpOLH"]
+        assert set(entry) == {"core", "role", "options", "default_options"}
         assert entry["core"] is False
-        assert "decode_batch_size" in entry["options"]
-        assert "decode_batch_size" in entry["tuning_options"]
-        assert "num_buckets" in entry["default_options"]
+        assert entry["options"] == ["num_buckets"]
+        assert entry["default_options"] == {"num_buckets": 0}
         assert payload["protocols"]["InpHT"]["core"] is True
         assert "taxi" in payload["datasets"]
         assert "serial" in payload["executors"]
