@@ -116,6 +116,37 @@ class TestEncodeAggregate:
         assert "heavy hitters" not in capsys.readouterr().out
         assert json.loads(json_path.read_text())["discovery"] is None
 
+    def test_restore_excludes_contract_flags(self, tmp_path, capsys):
+        """An HH checkpoint carries its own spec and domain: restoring it
+        refuses ``--spec``/``--dimension`` but still takes ``--top-k``."""
+        spec_path = tmp_path / "spec.json"
+        frames_path = tmp_path / "frames.bin"
+        checkpoint = tmp_path / "ckpt.npz"
+        assert main([
+            "encode", "--protocol", "HH", "--epsilon", "1.4", "--width", "2",
+            "--dataset", "skewed", "-n", "1000", "-d", "4",
+            "--spec-out", str(spec_path), "--output", str(frames_path),
+        ]) == 0
+        assert main([
+            "aggregate", "--spec", str(spec_path), "-d", "4",
+            "--input", str(frames_path), "--checkpoint", str(checkpoint),
+        ]) == 0
+        capsys.readouterr()
+        for contract in (["--spec", str(spec_path)], ["--dimension", "4"]):
+            assert main([
+                "aggregate", "--restore", str(checkpoint), "--input", "none",
+                *contract,
+            ]) == 2
+            assert "--restore carries" in capsys.readouterr().err
+        json_path = tmp_path / "restored.json"
+        assert main([
+            "aggregate", "--restore", str(checkpoint), "--input", "none",
+            "--top-k", "2", "--json", str(json_path),
+        ]) == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["num_reports"] == 1000
+        assert len(payload["discovery"]["hitters"]) == 2
+
 
 class TestDiscover:
     def test_local_discovery_scores_against_exact_top_k(
