@@ -322,12 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="checkpoint every shard to DIR/shard-NN.npz on shutdown "
-        "(and periodically with --checkpoint-interval)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-interval", type=float, default=None, metavar="SEC",
-        help="also checkpoint every SEC seconds while serving",
+        help="collect durably in DIR: every group is synced to the commit "
+        "log DIR/state.log before its ACK, DIR/state.npz is the snapshot, "
+        "and a serve restarted on DIR resumes from both",
     )
     serve_parser.add_argument(
         "--stop-after-reports", type=_positive_int, default=None, metavar="N",
@@ -525,11 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     topo_launch.add_argument(
         "--host", default="127.0.0.1",
         help="listen address for every collector (default: 127.0.0.1)",
-    )
-    topo_launch.add_argument(
-        "--checkpoint-interval", type=float, default=None, metavar="SEC",
-        help="also snapshot each collector's durable state.npz every SEC "
-        "seconds (on top of the per-ACK commit-log appends)",
     )
     topo_launch.add_argument(
         "--stop-after-reports", type=_positive_int, default=None, metavar="N",
@@ -1298,7 +1290,6 @@ def _serve_fleet(arguments: argparse.Namespace, spec, domain):
             port=arguments.port,
             shards=arguments.shards,
             max_frame_bytes=arguments.max_frame_bytes or DEFAULT_MAX_FRAME_BYTES,
-            checkpoint_interval=arguments.checkpoint_interval,
         )
 
         async def start() -> None:
@@ -1345,12 +1336,6 @@ def _serve_fleet(arguments: argparse.Namespace, spec, domain):
 def _run_serve(arguments: argparse.Namespace) -> int:
     try:
         spec, domain = _contract_from_args(arguments)
-        if arguments.checkpoint_interval is not None and not arguments.checkpoint_dir:
-            print(
-                "serve: --checkpoint-interval requires --checkpoint-dir",
-                file=sys.stderr,
-            )
-            return 2
         if arguments.processes > 1:
             if arguments.metrics_port is not None or (
                 arguments.stats_interval is not None
@@ -1376,7 +1361,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
                 port=arguments.port,
                 shards=arguments.shards,
                 checkpoint_dir=arguments.checkpoint_dir,
-                checkpoint_interval=arguments.checkpoint_interval,
                 stop_after_reports=arguments.stop_after_reports,
                 **extra,
             )
@@ -1474,7 +1458,7 @@ def _retry_policy_from_args(arguments: argparse.Namespace):
     """Build the fleet's RetryPolicy from ``repro load`` flags.
 
     Returns None when no retry flag was given, which keeps
-    :class:`~repro.server.LoadGenerator`'s legacy linear schedule (or the
+    :class:`~repro.server.LoadGenerator`'s default schedule (or the
     manifest's published policy in --topology mode).
     """
     if (
@@ -1651,7 +1635,6 @@ def _run_topo_launch(arguments: argparse.Namespace) -> int:
             shards=arguments.shards,
             routing=arguments.routing,
             host=arguments.host,
-            checkpoint_interval=arguments.checkpoint_interval,
             resilience=(
                 resilience_defaults.default_resilience_config()
                 if arguments.publish_resilience

@@ -55,6 +55,11 @@ WATCH_INTERVAL_SECONDS      0.05 s     Supervisor health-watch cadence,
 CONNECT_POLL_SECONDS        0.05 s     Client reconnect poll while a
                                        target's socket is not accepting
                                        (was inline in ``_connect``).
+LOADGEN_RETRY_POLICY        3 x 0.2 s  What a ``LoadGenerator`` given no
+                            linear     retry policy uses: three retries
+                                       0.2, 0.4 and 0.6 s apart, no
+                                       jitter, so a seeded fault run
+                                       replays the same schedule.
 ==========================  =========  ==================================
 """
 
@@ -81,6 +86,14 @@ BREAKER_HALF_OPEN_PROBES = 1
 
 WATCH_INTERVAL_SECONDS = 0.05
 CONNECT_POLL_SECONDS = 0.05
+
+LOADGEN_RETRY_POLICY = RetryPolicy(
+    max_retries=DEFAULT_MAX_RETRIES,
+    base_delay=DEFAULT_BASE_DELAY,
+    max_delay=DEFAULT_MAX_RETRIES * DEFAULT_BASE_DELAY,
+    growth="linear",
+    jitter="none",
+)
 
 
 def default_retry_policy() -> RetryPolicy:

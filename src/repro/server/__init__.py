@@ -15,8 +15,8 @@ only, no new runtime dependencies):
 * :class:`CollectionServer` — the asyncio collector: per-connection
   rejection of bad input, round-robin sharding over
   ``AggregationSession``\\ s, one group per connection committed at
-  ``FIN`` (exactly once by token), periodic + shutdown checkpoints, and
-  finalization bit-for-bit identical to ``run_streaming`` over the same
+  ``FIN`` (exactly once by token), durable when given a checkpoint
+  directory, and finalization bit-for-bit identical to ``run_streaming`` over the same
   encoded reports;
 * :mod:`~repro.server.durable` — a durable collector's disk state: a
   snapshot plus a commit log appended and synced before every ``ACK``,
@@ -55,7 +55,6 @@ from .server import (
     DEFAULT_MAX_FRAME_BYTES,
     DURABLE_STATE_FILENAME,
     CollectionServer,
-    merge_checkpoints,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "COMMIT_LOG_FILENAME",
     "restore_durable",
     "CollectionServer",
-    "merge_checkpoints",
     # loadgen
     "ClientResult",
     "LoadGenerator",

@@ -1,6 +1,6 @@
 """A durable collector's disk state: a snapshot plus a commit log.
 
-A ``durable_acks`` collector keeps two files in its checkpoint directory:
+A durable collector (one built with a ``checkpoint_dir``) keeps two files in its checkpoint directory:
 
 ``state.npz``
     The *snapshot*: the merged shards as a session checkpoint (see
@@ -78,7 +78,7 @@ __all__ = [
 
 _logger = logging.getLogger(__name__)
 
-#: The snapshot of a ``durable_acks`` collector.
+#: The snapshot of a durable collector.
 DURABLE_STATE_FILENAME = "state.npz"
 #: The commit log beside it.
 COMMIT_LOG_FILENAME = "state.log"

@@ -36,8 +36,8 @@ def hello_payload(
 ) -> Dict[str, Any]:
     """The ``HELLO`` payload a client sends to open a collection stream.
 
-    ``token`` is an optional opaque group identifier: a ``durable_acks``
-    collector records it at ACK time and answers a replay of the same
+    ``token`` is an optional opaque group identifier: a collector records
+    it at ACK time and answers a replay of the same
     token idempotently (retry-after-failure never double-counts a group).
     """
     payload = {

@@ -57,7 +57,11 @@ from ..core.exceptions import (
 )
 from ..core.rng import RngLike, ensure_rng, spawn_rngs
 from ..observability import get_registry, metrics_enabled, trace
-from ..resilience.defaults import CONNECT_POLL_SECONDS, default_timeout_policy
+from ..resilience.defaults import (
+    CONNECT_POLL_SECONDS,
+    LOADGEN_RETRY_POLICY,
+    default_timeout_policy,
+)
 from ..resilience.policies import (
     CircuitBreaker,
     CircuitBreakerPolicy,
@@ -315,7 +319,7 @@ class LoadGenerator:
     token_prefix:
         When set, every group's ``HELLO`` carries the idempotency token
         ``{token_prefix}/c{client}/g{group}`` — required for exact
-        retry/failover against ``durable_acks`` collectors.
+        retry/failover against durable collectors.
     failover:
         A callable ``address -> {"dead": bool, "acked_tokens": {...}}``
         (sync or async) consulted after a failed group delivery; typically
@@ -323,13 +327,10 @@ class LoadGenerator:
         twin.  ``dead: True`` means the address's durable checkpoint has
         been recovered, so the token set is complete: recovered groups are
         counted, the rest replay to surviving collectors.
-    max_retries, retry_backoff:
-        Legacy transient-failure knobs: mapped onto a linear, no-jitter
-        :class:`~repro.resilience.RetryPolicy` (the original schedule,
-        exactly).  Ignored when ``retry`` or ``resilience`` is given.
     retry, timeouts, breaker, resilience:
         The policy objects from :mod:`repro.resilience`: a
-        :class:`RetryPolicy` for per-group delivery, a
+        :class:`RetryPolicy` for per-group delivery (defaults to
+        :data:`~repro.resilience.defaults.LOADGEN_RETRY_POLICY`), a
         :class:`TimeoutPolicy` (overrides ``connect_timeout``/
         ``io_timeout``), a :class:`CircuitBreakerPolicy` stamped out
         per target (``None`` disables breakers), or a whole
@@ -360,8 +361,6 @@ class LoadGenerator:
         routing: str = "round-robin",
         token_prefix: Optional[str] = None,
         failover: Optional[Callable[..., Any]] = None,
-        max_retries: int = 3,
-        retry_backoff: float = 0.2,
         retry: Optional[RetryPolicy] = None,
         timeouts: Optional[TimeoutPolicy] = None,
         breaker: Optional[CircuitBreakerPolicy] = None,
@@ -391,14 +390,6 @@ class LoadGenerator:
             raise ProtocolConfigurationError(
                 "give either host/port (one collector) or targets "
                 "(a topology), not both"
-            )
-        if max_retries < 0:
-            raise ProtocolConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if retry_backoff < 0:
-            raise ProtocolConfigurationError(
-                f"retry_backoff must be >= 0, got {retry_backoff}"
             )
         if num_clients < 1:
             raise ProtocolConfigurationError(
@@ -439,22 +430,14 @@ class LoadGenerator:
         # reconnects may take the short failover path in _connect.
         self._contacted: set = set()
         # Policy resolution: explicit policy objects win, then the
-        # resilience bundle, then the legacy knobs (mapped onto the exact
-        # schedule they always produced: linear backoff, no jitter).
+        # resilience bundle, then the load generator's default schedule.
         if retry is None:
-            if resilience is not None:
-                retry = resilience.retry
-            else:
-                retry = RetryPolicy(
-                    max_retries=int(max_retries),
-                    base_delay=float(retry_backoff),
-                    max_delay=float(retry_backoff) * max(int(max_retries), 1),
-                    growth="linear",
-                    jitter="none",
-                )
+            retry = (
+                resilience.retry
+                if resilience is not None
+                else LOADGEN_RETRY_POLICY
+            )
         self._retry_policy = retry
-        self._max_retries = retry.max_retries
-        self._retry_backoff = retry.base_delay
         if timeouts is None:
             timeouts = (
                 resilience.timeouts
@@ -998,7 +981,7 @@ class LoadGenerator:
         """
         host, port = address
         timeout = (
-            min(self._connect_timeout, max(self._retry_backoff, 0.05))
+            min(self._connect_timeout, max(self._retry_policy.base_delay, 0.05))
             if self._failover is not None and address in self._contacted
             else self._connect_timeout
         )

@@ -44,11 +44,10 @@ Backpressure is structural: reads happen in bounded chunks against
 holds more than one maximal frame (``max_frame_bytes``) plus one read
 chunk per connection.
 
-The server checkpoints its shards periodically and on shutdown (atomic
-temp-file-plus-rename writes via :meth:`AggregationSession.checkpoint`), so
-a crashed collector resumes from ``merge_checkpoints`` without losing the
-previous checkpoint to a torn write.  A durable server's disk state is a
-snapshot plus a commit log instead (:mod:`repro.server.durable`).
+A server built with a ``checkpoint_dir`` is durable: its disk state is a
+snapshot plus a commit log (:mod:`repro.server.durable`), every ``ACK``
+follows the sync of its group's log record, and a restarted server resumes
+from that state.  A server built without one keeps its state in memory.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ __all__ = [
     "DEFAULT_BATCH_MAX_USERS",
     "DURABLE_STATE_FILENAME",
     "CollectionServer",
-    "merge_checkpoints",
 ]
 
 _logger = logging.getLogger(__name__)
@@ -205,17 +203,25 @@ class CollectionServer:
         ``port``, which ``repro serve --processes`` runs).  The kernel
         balances connections, not groups: every group a kept-alive
         connection carries goes to the process that accepted it.
-    checkpoint_dir, checkpoint_interval:
-        When set, every shard is checkpointed to
-        ``checkpoint_dir/shard-NN.npz`` every ``checkpoint_interval``
-        seconds and once more on :meth:`stop`.
+    checkpoint_dir:
+        Makes the server durable.  After a group is merged into its shard
+        at ``FIN``, one record holding the group and its token is appended
+        to ``checkpoint_dir/state.log`` and synced *before* the ``ACK``
+        goes out; ``state.npz`` is a snapshot rewritten on :meth:`start`,
+        at compaction and on :meth:`stop` (:mod:`repro.server.durable`).
+        Snapshot plus log therefore always contain every acknowledged
+        group, which is what lets a restarted server, or a supervisor
+        re-merging a dead collector, lose no ACK'd report.  The state
+        there is restored on construction.  Without it the server keeps
+        its state in memory only.
     stop_after_reports:
         When set, :meth:`serve_until_stopped` returns once this many user
-        reports have been collected (groups in flight finish first).
+        reports have been committed since construction, restored ones not
+        counted (groups in flight finish first).
     report_observer:
         Optional callable invoked with each committed group's user-report
         count (always positive; counters only advance at commit), after
-        the group is durable on a ``durable_acks`` server — the hook a
+        the group is durable on a durable server — the hook a
         :class:`~repro.topology.TopologySupervisor` uses to keep one
         fleet-wide count of committed reports.
     collector_id:
@@ -234,17 +240,6 @@ class CollectionServer:
         Prometheus scrape endpoint (``GET /metrics``) on it serving
         :meth:`metrics_snapshot`; ``metrics_port=0`` picks a free port
         (read it back from :attr:`metrics_port`).
-    durable_acks:
-        Make every commit durable, for the topology tier: after a group
-        is merged into its shard at ``FIN``, one record holding the group
-        and its token is appended to ``checkpoint_dir/state.log`` and
-        synced *before* the ``ACK`` goes out; ``state.npz`` is a snapshot
-        rewritten on :meth:`start`, at compaction, on :meth:`stop` and on
-        the periodic checkpoint (:mod:`repro.server.durable`).  Snapshot
-        plus log therefore always contain every acknowledged group, which
-        is what lets a supervisor re-merge a dead collector without losing
-        ACK'd reports.  Requires ``checkpoint_dir``; the state there is
-        restored on construction (crash restart).
 
     Clients may carry a ``token`` in their ``HELLO``, durable server or
     not; a replayed token is re-ACK'd with its recorded counts instead of
@@ -263,12 +258,10 @@ class CollectionServer:
         read_chunk_bytes: int = 1 << 16,
         reuse_port: bool = False,
         checkpoint_dir: Optional[PathLike] = None,
-        checkpoint_interval: Optional[float] = None,
         stop_after_reports: Optional[int] = None,
         drain_timeout: float = 10.0,
         report_observer: Optional[Callable[[int], None]] = None,
         collector_id: Optional[str] = None,
-        durable_acks: bool = False,
         registry: Optional[MetricsRegistry] = None,
         metrics_host: str = "127.0.0.1",
         metrics_port: Optional[int] = None,
@@ -292,23 +285,9 @@ class CollectionServer:
             raise ProtocolConfigurationError(
                 "this platform does not support SO_REUSEPORT"
             )
-        if checkpoint_interval is not None:
-            if checkpoint_dir is None:
-                raise ProtocolConfigurationError(
-                    "checkpoint_interval requires checkpoint_dir"
-                )
-            if checkpoint_interval <= 0:
-                raise ProtocolConfigurationError(
-                    f"checkpoint_interval must be > 0, got {checkpoint_interval}"
-                )
         if stop_after_reports is not None and stop_after_reports < 1:
             raise ProtocolConfigurationError(
                 f"stop_after_reports must be >= 1, got {stop_after_reports}"
-            )
-        if durable_acks and checkpoint_dir is None:
-            raise ProtocolConfigurationError(
-                "durable_acks requires checkpoint_dir (the ACK is durable "
-                "precisely because the state hits disk first)"
             )
         self._sessions = [
             AggregationSession(spec, domain) for _ in range(shards)
@@ -330,12 +309,10 @@ class CollectionServer:
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self._checkpoint_interval = checkpoint_interval
         self._stop_after_reports = stop_after_reports
         self._drain_timeout = drain_timeout
 
         self._server: Optional[asyncio.AbstractServer] = None
-        self._checkpoint_task: Optional[asyncio.Task] = None
         self._stop_event = asyncio.Event()
         self._handlers: set = set()
         self._writers: set = set()
@@ -356,6 +333,7 @@ class CollectionServer:
         self._groups_duplicate = 0
         self._frames_total = 0
         self._reports_total = 0
+        self._resumed_reports = 0
         self._bytes_total = 0
         self._checkpoints_written = 0
 
@@ -426,7 +404,6 @@ class CollectionServer:
         self._scrape_server: Optional[MetricsScrapeServer] = None
 
         self._explicit_collector_id = collector_id
-        self._durable_acks = bool(durable_acks)
         self._acked_tokens: Dict[str, Dict[str, int]] = {}
         # The last HELLO accepted, as repr((spec, spec_hash, attributes)):
         # an exact repeat skips the canonical spec check.
@@ -436,9 +413,13 @@ class CollectionServer:
         # instead of appending, and a replayed token is re-ACK'd only
         # after a write that covers it succeeds.
         self._unsaved_commits = False
-        self._log = CommitLog(self._checkpoint_dir) if self._durable_acks else None
+        self._log = (
+            CommitLog(self._checkpoint_dir)
+            if self._checkpoint_dir is not None
+            else None
+        )
         self._compactions = 0
-        if self._durable_acks:
+        if self._log is not None:
             self._resume_durable_state()
 
     def _resume_durable_state(self) -> None:
@@ -466,16 +447,9 @@ class CollectionServer:
         self._acked_tokens.update(restored.checkpoint_extra["acked_tokens"])
         self._log.seq = restored.checkpoint_extra["log_seq"]
         metadata = restored.metadata
-        self._reports_total = restored.num_reports
+        self._reports_total = self._resumed_reports = restored.num_reports
         self._frames_total = int(metadata["wire_batches"])
         self._bytes_total = int(metadata["wire_bytes_total"])
-        _logger.info(
-            "resumed %d durable report(s) across %d acknowledged group(s) "
-            "from %s",
-            restored.num_reports,
-            len(self._acked_tokens),
-            self._checkpoint_dir,
-        )
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -515,10 +489,6 @@ class CollectionServer:
         if self._explicit_collector_id is not None:
             return self._explicit_collector_id
         return f"{self._host}:{self._port or self._requested_port}"
-
-    @property
-    def durable_acks(self) -> bool:
-        return self._durable_acks
 
     @property
     def acked_tokens(self) -> Dict[str, Dict[str, int]]:
@@ -604,7 +574,6 @@ class CollectionServer:
         return {
             "address": {"host": self._host, "port": self._port},
             "collector_id": self.collector_id,
-            "durable_acks": self._durable_acks,
             "acked_groups": len(self._acked_tokens),
             "spec": self._spec.to_dict(),
             "spec_hash": self._spec_hash,
@@ -653,11 +622,19 @@ class CollectionServer:
         # over); clear any stale stop request so serve_until_stopped serves.
         self._stop_event.clear()
         self._draining = False
-        if self._durable_acks:
+        # The resume is announced on the listening line, so that a serving
+        # process's first log line is always the one naming its port.
+        resumed = (
+            f", resumed {self._resumed_reports} report(s) from "
+            f"{self._checkpoint_dir}"
+            if self._resumed_reports and self._started_at is None
+            else ""
+        )
+        if self._log is not None:
             # The snapshot the commit log grows from: it folds in whatever
             # log a restart replayed, and truncates it.
             try:
-                self.durable_checkpoint()
+                self.checkpoint()
             except OSError as error:
                 self._unsaved_commits = True
                 _logger.error("startup snapshot failed: %s", error)
@@ -679,16 +656,13 @@ class CollectionServer:
                 self._metrics_host,
                 self._scrape_server.port,
             )
-        if self._checkpoint_interval is not None:
-            self._checkpoint_task = asyncio.create_task(
-                self._checkpoint_loop()
-            )
         _logger.info(
-            "collection server for %s listening on %s:%d (%d shard(s))",
+            "collection server for %s listening on %s:%d (%d shard(s)%s)",
             self._spec.describe(),
             self._host,
             self._port,
             self.num_shards,
+            resumed,
         )
         return self
 
@@ -701,7 +675,7 @@ class CollectionServer:
 
         Starts the server if :meth:`start` was not called yet, then blocks
         until the stop condition, lets groups in flight finish and shuts
-        down (writing a final checkpoint when configured).
+        down (writing a final snapshot on a durable server).
         """
         if self._server is None:
             await self.start()
@@ -709,11 +683,13 @@ class CollectionServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting clients, drain handlers, write a final checkpoint.
+        """Stop accepting clients, drain handlers, write a final snapshot.
 
         Connections idle between two groups are closed at once (and count
         as completed); a connection in the middle of a group gets up to
-        ``drain_timeout`` to reach its ``ACK``, and is closed after it.
+        ``drain_timeout`` to reach its ``ACK``, and is closed after it.  A
+        final snapshot that fails is logged, not raised: every ACK'd group
+        is already in the commit log, and the shutdown still completes.
         """
         if self._server is None:
             return
@@ -736,22 +712,19 @@ class CollectionServer:
                     writer.close()
                 await asyncio.gather(*pending, return_exceptions=True)
         await self._server.wait_closed()
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
-            try:
-                await self._checkpoint_task
-            except asyncio.CancelledError:
-                pass
-            self._checkpoint_task = None
-        if self._checkpoint_dir is not None:
-            self.checkpoint()
-        if self._log is not None:
-            self._log.close()
-        if self._scrape_server is not None:
-            await self._scrape_server.stop()
-            self._scrape_server = None
-        self._stopped_at = time.monotonic()
-        self._server = None
+        try:
+            if self._log is not None:
+                self.checkpoint()
+        except OSError as error:  # disk full: the log still holds every ACK
+            _logger.error("shutdown snapshot failed: %s", error)
+        finally:
+            if self._log is not None:
+                self._log.close()
+            if self._scrape_server is not None:
+                await self._scrape_server.stop()
+                self._scrape_server = None
+            self._stopped_at = time.monotonic()
+            self._server = None
 
     # ------------------------------------------------------------------ #
     # aggregation results
@@ -778,38 +751,13 @@ class CollectionServer:
         """Merge the shards and finalize to the protocol's estimator."""
         return self.combined_session().snapshot()
 
-    def checkpoint(self) -> List[Path]:
-        """Checkpoint every shard to ``checkpoint_dir/shard-NN.npz`` now.
-
-        In ``durable_acks`` mode the checkpoint is instead the snapshot
-        ``state.npz`` (merged shards + token map), which also empties the
-        commit log — one file, so there is never a torn multi-file
-        snapshot to recover from.
-        """
-        if self._checkpoint_dir is None:
-            raise ProtocolConfigurationError(
-                "this server was built without a checkpoint_dir"
-            )
-        if self._durable_acks:
-            return [self.durable_checkpoint()]
-        with trace.span("server.checkpoint") as span:
-            paths = []
-            for index, session in enumerate(self._sessions):
-                paths.append(
-                    session.checkpoint(
-                        self._checkpoint_dir / f"shard-{index:02d}.npz"
-                    )
-                )
-            span.annotate(shards=len(paths))
-        self._checkpoints_written += 1
-        return paths
-
-    def durable_checkpoint(self) -> Path:
-        """Snapshot the merged state + token map to ``state.npz`` and
-        truncate the commit log (durable servers only)."""
+    def checkpoint(self) -> Path:
+        """Snapshot the merged shards + token map to ``state.npz`` now and
+        truncate the commit log — one file, so there is never a torn
+        multi-file snapshot to recover from."""
         if self._log is None:
             raise ProtocolConfigurationError(
-                "durable_checkpoint needs a server built with durable_acks"
+                "this server was built without a checkpoint_dir"
             )
         with trace.span("server.checkpoint.durable"):
             return self._snapshot()
@@ -847,14 +795,6 @@ class CollectionServer:
                     _logger.error("commit-log compaction failed: %s", error)
                 else:
                     self._compactions += 1
-
-    async def _checkpoint_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._checkpoint_interval)
-            try:
-                self.checkpoint()
-            except OSError as error:  # disk full, permissions — keep serving
-                _logger.error("periodic checkpoint failed: %s", error)
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -1026,7 +966,7 @@ class CollectionServer:
         group.fold()
         if token is not None and token in self._acked_tokens:
             if self._unsaved_commits:
-                self.durable_checkpoint()
+                self.checkpoint()
             self._groups_duplicate += 1
             return {**self._acked_tokens[token], "duplicate": True}
         counts = group.counts()
@@ -1040,13 +980,14 @@ class CollectionServer:
         self._bytes_total += group.bytes
         if token is not None:
             self._acked_tokens[token] = counts
-        if self._durable_acks:
+        if self._log is not None:
             self._make_durable(group, token, counts)
         if self._report_observer is not None:
             self._report_observer(group.reports)
         if (
             self._stop_after_reports is not None
-            and self._reports_total >= self._stop_after_reports
+            and self._reports_total - self._resumed_reports
+            >= self._stop_after_reports
         ):
             self._stop_event.set()
         return counts
@@ -1103,101 +1044,3 @@ class CollectionServer:
             await writer.drain()
         except (ConnectionError, OSError):
             pass  # the peer is already gone; the rejection still counted
-
-
-def merge_checkpoints(
-    paths: Union[PathLike, Sequence[PathLike]],
-    *,
-    expected_shards: Optional[int] = None,
-    allow_partial: bool = False,
-) -> AggregationSession:
-    """Restore shard checkpoints and merge them into one session.
-
-    The inverse of :meth:`CollectionServer.checkpoint`: hand it the
-    ``shard-NN.npz`` files (any order) — or the checkpoint *directory*
-    itself, which is globbed for them — and the returned session resumes
-    the aggregation exactly where the collector stopped.
-
-    A missing or partial checkpoint directory fails with a readable error
-    naming the directory and the shard files found versus expected instead
-    of leaking the underlying loading exception: pass
-    ``expected_shards`` (the collector's shard count) to assert
-    completeness, and any unreadable file is reported alongside the
-    sibling checkpoints that *are* present.
-
-    ``allow_partial=True`` is the degraded mode: an unreadable or
-    integrity-broken shard is quarantined to ``*.corrupt`` (with a
-    readable report next to it) and the merge continues over the healthy
-    shards — at least one must survive.  The default strict mode raises
-    instead, leaving every file in place.
-    """
-    if isinstance(paths, (str, Path)):
-        directory = Path(paths)
-        if not directory.is_dir():
-            raise ProtocolConfigurationError(
-                f"merge_checkpoints got {directory}, which is not a "
-                "directory of shard checkpoints (pass the collector's "
-                "checkpoint directory, or a sequence of shard-NN.npz paths)"
-            )
-        path_list = sorted(directory.glob("shard-*.npz"))
-        if not path_list:
-            found = sorted(entry.name for entry in directory.iterdir())
-            raise ProtocolConfigurationError(
-                f"no shard checkpoints (shard-NN.npz) in {directory}; "
-                f"found: {found if found else 'an empty directory'}"
-            )
-    else:
-        path_list = [Path(path) for path in paths]
-    if not path_list:
-        raise ProtocolConfigurationError(
-            "merge_checkpoints needs at least one checkpoint path"
-        )
-    if expected_shards is not None and len(path_list) != expected_shards:
-        names = sorted(path.name for path in path_list)
-        where = path_list[0].parent
-        raise ProtocolConfigurationError(
-            f"expected {expected_shards} shard checkpoint(s) but found "
-            f"{len(path_list)} in {where}: {names} — the checkpoint "
-            "directory is partial (collector interrupted before every "
-            "shard was written?)"
-        )
-    merged: Optional[AggregationSession] = None
-    quarantined: List[str] = []
-    for path in path_list:
-        try:
-            restored = AggregationSession.restore(path)
-        except WireFormatError as error:
-            if allow_partial:
-                from ..resilience.integrity import quarantine_checkpoint
-
-                moved, report = quarantine_checkpoint(
-                    path, f"shard failed restore during merge: {error}"
-                )
-                _logger.error(
-                    "shard checkpoint %s is corrupt (%s); quarantined to "
-                    "%s (report: %s); merging the remaining shards",
-                    path,
-                    error,
-                    moved,
-                    report,
-                )
-                quarantined.append(path.name)
-                continue
-            parent = path.parent
-            siblings = (
-                sorted(entry.name for entry in parent.glob("*.npz"))
-                if parent.is_dir()
-                else []
-            )
-            raise WireFormatError(
-                f"cannot merge shard checkpoint {path}: {error} "
-                f"(checkpoint files present in {parent}: "
-                f"{siblings if siblings else 'none'})"
-            ) from error
-        merged = restored if merged is None else merged.merge(restored)
-    if merged is None:
-        raise WireFormatError(
-            f"every shard checkpoint was corrupt and quarantined "
-            f"({quarantined}); nothing left to merge"
-        )
-    return merged

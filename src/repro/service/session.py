@@ -31,7 +31,7 @@ mismatch its subclass
 :class:`~repro.core.exceptions.CheckpointIntegrityError`).  The retired
 npz archives of versions 1 and 2 are refused with an error naming them.
 Files keep their historical ``.npz`` suffix (``state.npz``,
-``shard-NN.npz``).  A durable collector's commit log stores each committed
+``session.npz``).  A durable collector's commit log stores each committed
 group as the same frame under the magic ``b"RPRL"`` (see
 :mod:`repro.server.durable`); :func:`parse_checkpoint` reads both.
 """

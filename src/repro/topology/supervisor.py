@@ -1,8 +1,8 @@
 """The collector supervisor: spawn, health-check, recover, re-merge.
 
 :class:`TopologySupervisor` runs N front-line :class:`CollectionServer`
-processes in ``durable_acks`` mode (one directory and one stable
-``collector_id`` each), watches their liveness, and — when one dies —
+processes, each durable in a checkpoint directory of its own (with a
+stable ``collector_id``), watches their liveness, and — when one dies —
 recovers its durable state (the ``state.npz`` snapshot with its commit log
 replayed on top, :func:`~repro.server.durable.restore_durable`) so the tree
 re-merges without losing a single acknowledged report:
@@ -110,8 +110,6 @@ def _collector_main(
             shards=config["shards"],
             max_frame_bytes=config["max_frame_bytes"],
             checkpoint_dir=config["checkpoint_dir"],
-            checkpoint_interval=config.get("checkpoint_interval"),
-            durable_acks=True,
             collector_id=collector_id,
             report_observer=observe,
         )
@@ -190,9 +188,6 @@ class TopologySupervisor:
         Shard sessions *inside* each collector.
     max_frame_bytes:
         Per-frame payload cap of every collector.
-    checkpoint_interval:
-        Periodic ``state.npz`` snapshot inside each collector, on top of
-        the per-ACK commit-log appends and the compactions.
     """
 
     def __init__(
@@ -206,7 +201,6 @@ class TopologySupervisor:
         port: Optional[int] = None,
         shards: int = 1,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        checkpoint_interval: Optional[float] = None,
         start_timeout: float = 30.0,
     ):
         if collectors < 1:
@@ -232,7 +226,6 @@ class TopologySupervisor:
         self._placeholder: Optional[socket.socket] = None
         self._shards = int(shards)
         self._max_frame_bytes = int(max_frame_bytes)
-        self._checkpoint_interval = checkpoint_interval
         self._start_timeout = float(start_timeout)
         self._base_dir = Path(base_dir)
         self._context = multiprocessing.get_context()
@@ -340,7 +333,6 @@ class TopologySupervisor:
             "shards": self._shards,
             "max_frame_bytes": self._max_frame_bytes,
             "checkpoint_dir": str(handle.checkpoint_dir),
-            "checkpoint_interval": self._checkpoint_interval,
         }
         handle.process = self._context.Process(
             target=_collector_main,

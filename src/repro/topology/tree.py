@@ -54,7 +54,6 @@ class LocalTopology:
         shards: int = 1,
         routing: str = "round-robin",
         host: str = "127.0.0.1",
-        checkpoint_interval: Optional[float] = None,
         start_timeout: float = 30.0,
         resilience: Optional[ResilienceConfig] = None,
     ):
@@ -80,7 +79,6 @@ class LocalTopology:
             base_dir=self._base_dir,
             host=host,
             shards=shards,
-            checkpoint_interval=checkpoint_interval,
             start_timeout=start_timeout,
         )
         self._endpoint = SupervisorEndpoint(self._supervisor, host=host)

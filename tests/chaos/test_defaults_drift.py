@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 
+import pytest
+
 from repro import cli
 from repro.resilience import defaults
 
@@ -86,3 +88,33 @@ def test_breaker_flag_uses_the_default_policy():
     assert config.breaker == defaults.default_breaker_policy()
     assert config.retry == defaults.default_retry_policy()
     assert config.timeouts == defaults.default_timeout_policy()
+
+
+def test_loadgen_retry_policy_is_the_table_row():
+    """Three linear retries 0.2, 0.4 and 0.6 s apart, without jitter."""
+    policy = defaults.LOADGEN_RETRY_POLICY
+    assert policy.max_retries == defaults.DEFAULT_MAX_RETRIES == 3
+    assert [policy.delay(attempt) for attempt in (1, 2, 3)] == pytest.approx(
+        [0.2, 0.4, 0.6]
+    )
+    assert (policy.growth, policy.jitter, policy.deadline) == (
+        "linear", "none", None
+    )
+
+
+def test_loadgen_without_a_policy_uses_the_table_row():
+    from repro.core.domain import Domain
+    from repro.server import LoadGenerator
+    from repro.service import ProtocolSpec
+
+    spec = ProtocolSpec(protocol="InpRR", epsilon=1.0, max_width=1)
+
+    def policy_of(**kwargs):
+        fleet = LoadGenerator(
+            spec, Domain.binary(2), "127.0.0.1", 1, num_clients=1, **kwargs
+        )
+        return fleet._retry_policy
+
+    assert policy_of() is defaults.LOADGEN_RETRY_POLICY
+    bundle = defaults.default_resilience_config()
+    assert policy_of(resilience=bundle) == bundle.retry

@@ -10,6 +10,7 @@ would lose an acknowledged group.
 from __future__ import annotations
 
 import asyncio
+import socket
 
 from repro.resilience.chaos import enospc_on_fsync
 from repro.server import ACK, OK, CollectionServer, restore_durable
@@ -31,7 +32,6 @@ def test_replay_after_a_failed_durable_write_is_acked_only_once_on_disk(tmp_path
             dataset.domain,
             port=0,
             checkpoint_dir=tmp_path,
-            durable_acks=True,
         )
         await server.start()
 
@@ -75,6 +75,56 @@ def test_replay_after_a_failed_durable_write_is_acked_only_once_on_disk(tmp_path
     }
     # Folded once in memory, and the ACK'd state is on disk.
     assert in_memory == 2 * BATCH
+    on_disk = restore_durable(tmp_path)
+    assert on_disk.num_reports == 2 * BATCH
+    assert sorted(on_disk.checkpoint_extra["acked_tokens"]) == ["g0", "g1"]
+
+
+def test_stop_finishes_when_the_final_snapshot_hits_a_full_disk(tmp_path):
+    """A failed shutdown snapshot loses nothing (every ACK'd group is in
+    the commit log), so ``stop()`` logs it and still shuts down: the log
+    is closed, the scrape port released, and the server can start again."""
+    protocol = build("InpRR")
+    dataset = small_dataset()
+    frames = encode_frames(protocol, dataset, BATCH)
+
+    async def scenario():
+        server = CollectionServer(
+            protocol.spec(),
+            dataset.domain,
+            port=0,
+            checkpoint_dir=tmp_path,
+            metrics_port=0,
+        )
+        await server.start()
+        metrics_port = server.metrics_port
+
+        async def group(token, frame):
+            replies = await send_group(
+                server.port,
+                protocol.spec(),
+                dataset.domain.attributes,
+                [frame],
+                token=token,
+            )
+            return [reply.kind for reply in replies]
+
+        kinds = [await group("g0", frames[0])]
+        with enospc_on_fsync():
+            await server.stop()
+        log_closed = server._log._handle is None
+        with socket.socket() as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", metrics_port))
+        released = server.metrics_port is None
+        await server.start()
+        kinds.append(await group("g1", frames[1]))
+        await server.stop()
+        return kinds, log_closed, released
+
+    kinds, log_closed, released = asyncio.run(scenario())
+    assert kinds == [[OK, ACK], [OK, ACK]]
+    assert log_closed and released
     on_disk = restore_durable(tmp_path)
     assert on_disk.num_reports == 2 * BATCH
     assert sorted(on_disk.checkpoint_extra["acked_tokens"]) == ["g0", "g1"]

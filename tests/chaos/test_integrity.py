@@ -13,12 +13,10 @@ import pytest
 
 from repro.core.exceptions import (
     CheckpointIntegrityError,
-    ProtocolConfigurationError,
     WireFormatError,
 )
 from repro.resilience.chaos import corrupt_checkpoint_array, flip_file_bit
 from repro.resilience.integrity import quarantine_checkpoint, verify_integrity
-from repro.server import merge_checkpoints
 from repro.service import AggregationSession
 from repro.service.session import parse_checkpoint
 
@@ -128,66 +126,6 @@ class TestReadableErrors:
         with pytest.raises(WireFormatError, match="zero bytes") as excinfo:
             AggregationSession.restore(path)
         assert str(path) in str(excinfo.value)
-
-    def test_merge_checkpoints_empty_dir_names_the_directory(self, tmp_path):
-        empty = tmp_path / "checkpoints"
-        empty.mkdir()
-        with pytest.raises(
-            ProtocolConfigurationError, match="empty directory"
-        ) as excinfo:
-            merge_checkpoints(empty)
-        assert str(empty) in str(excinfo.value)
-
-    def test_merge_checkpoints_shortfall_names_the_directory(
-        self, dataset, tmp_path
-    ):
-        checkpointed_session("InpRR", dataset, tmp_path / "shard-00.npz")
-        with pytest.raises(
-            ProtocolConfigurationError, match="expected 2 shard"
-        ) as excinfo:
-            merge_checkpoints(tmp_path, expected_shards=2)
-        assert str(tmp_path) in str(excinfo.value)
-
-
-class TestMergePartial:
-    def test_allow_partial_quarantines_the_bad_shard_and_merges_the_rest(
-        self, dataset, tmp_path
-    ):
-        healthy = checkpointed_session(
-            "InpRR", dataset, tmp_path / "shard-00.npz"
-        )
-        checkpointed_session("InpRR", dataset, tmp_path / "shard-01.npz")
-        corrupt_checkpoint_array(
-            tmp_path / "shard-01.npz", rng=np.random.default_rng(SEED)
-        )
-        merged = merge_checkpoints(tmp_path, allow_partial=True)
-        assert merged.num_reports == healthy.num_reports
-        assert not (tmp_path / "shard-01.npz").exists()
-        corrupt_files = list(tmp_path.glob("shard-01.npz.corrupt*"))
-        assert any(f.suffix != ".txt" for f in corrupt_files)
-        assert any(f.name.endswith(".report.txt") for f in corrupt_files)
-
-    def test_strict_mode_raises_and_leaves_the_files_in_place(
-        self, dataset, tmp_path
-    ):
-        checkpointed_session("InpRR", dataset, tmp_path / "shard-00.npz")
-        checkpointed_session("InpRR", dataset, tmp_path / "shard-01.npz")
-        corrupt_checkpoint_array(
-            tmp_path / "shard-01.npz", rng=np.random.default_rng(SEED)
-        )
-        with pytest.raises(WireFormatError):
-            merge_checkpoints(tmp_path)
-        assert (tmp_path / "shard-01.npz").exists()
-
-    def test_every_shard_corrupt_is_fatal_even_in_partial_mode(
-        self, dataset, tmp_path
-    ):
-        checkpointed_session("InpRR", dataset, tmp_path / "shard-00.npz")
-        corrupt_checkpoint_array(
-            tmp_path / "shard-00.npz", rng=np.random.default_rng(SEED)
-        )
-        with pytest.raises(WireFormatError, match="nothing left to merge"):
-            merge_checkpoints(tmp_path, allow_partial=True)
 
 
 class TestDigestPrimitives:

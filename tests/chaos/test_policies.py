@@ -98,7 +98,7 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_zero_base_delay_is_valid(self):
-        # The legacy mapping with retry_backoff=0 must stay constructible.
+        # A zero backoff (tests that retry without waiting) stays valid.
         policy = RetryPolicy(base_delay=0.0, max_delay=0.0, jitter="none")
         assert policy.delay(1) == 0.0
 

@@ -227,7 +227,6 @@ class TestCrashes:
                 dataset.domain,
                 port=0,
                 checkpoint_dir=tmp_path,
-                durable_acks=True,
             )
             await restarted.start()
             replies = await send_group(
@@ -267,7 +266,6 @@ class TestCrashes:
                 dataset.domain,
                 port=0,
                 checkpoint_dir=tmp_path,
-                durable_acks=True,
             )
             await server.start()
             replies = await send_group(
@@ -280,7 +278,6 @@ class TestCrashes:
                 protocol.spec(),
                 dataset.domain,
                 checkpoint_dir=tmp_path,
-                durable_acks=True,
             )
             await server.stop()
             return replies, restarted
@@ -312,7 +309,6 @@ def test_compaction_bounds_the_log_and_disk_matches_memory(tmp_path):
             dataset.domain,
             port=0,
             checkpoint_dir=tmp_path,
-            durable_acks=True,
         )
         await server.start()
         for index, frame in enumerate(frames):

@@ -202,7 +202,6 @@ def test_control_plane_fuzz_never_crashes_a_handler(durable, tmp_path):
             port=0,
             shards=2,
             checkpoint_dir=tmp_path if durable else None,
-            durable_acks=durable,
         )
         return await server.start()
 

@@ -84,7 +84,7 @@ def test_a_token_replayed_on_one_connection_is_reacked_and_folded_once(tmp_path)
 
     async def session():
         server = CollectionServer(
-            SPEC, DATASET.domain, port=0, checkpoint_dir=tmp_path, durable_acks=True
+            SPEC, DATASET.domain, port=0, checkpoint_dir=tmp_path
         )
         await server.start()
         connection = await Connection.open(server.port)
@@ -120,7 +120,7 @@ def test_err_after_committed_groups_keeps_them_and_closes(tmp_path):
 
     async def session():
         server = CollectionServer(
-            SPEC, DATASET.domain, port=0, checkpoint_dir=tmp_path, durable_acks=True
+            SPEC, DATASET.domain, port=0, checkpoint_dir=tmp_path
         )
         await server.start()
         connection = await Connection.open(server.port)

@@ -11,6 +11,7 @@ from repro.core.exceptions import (
     CollectionServiceError,
     ProtocolConfigurationError,
 )
+from repro.resilience import RetryPolicy
 from repro.server import CollectionServer, LoadGenerator
 
 from ..service.util import (
@@ -20,6 +21,11 @@ from ..service.util import (
     encode_frames,
     estimates_of,
     small_dataset,
+)
+
+#: Three retries with no sleep between them: these tests count attempts.
+NO_BACKOFF = RetryPolicy(
+    max_retries=3, base_delay=0.0, max_delay=0.0, growth="linear", jitter="none"
 )
 
 
@@ -299,7 +305,7 @@ class TestFailoverRouting:
 
     def fleet(self, protocol, dataset, **kwargs):
         kwargs.setdefault("failover", lambda address: {"dead": False})
-        kwargs.setdefault("retry_backoff", 0.0)
+        kwargs.setdefault("retry", NO_BACKOFF)
         return LoadGenerator(
             protocol.spec(),
             dataset.domain,
@@ -318,7 +324,7 @@ class TestFailoverRouting:
         the only one that has seen the group's idempotency token.  A
         round-robin router advances on every route() call, so routing
         per attempt would fold the group twice on a different collector."""
-        fleet = self.fleet(protocol, dataset, max_retries=3)
+        fleet = self.fleet(protocol, dataset, retry=NO_BACKOFF)
         attempts = []
 
         async def send_group(result, frames, address, token=None):
@@ -374,7 +380,9 @@ class TestFailoverRouting:
             protocol,
             dataset,
             connect_timeout=0.3,
-            retry_backoff=0.1,
+            retry=RetryPolicy(
+                base_delay=0.1, max_delay=0.3, growth="linear", jitter="none"
+            ),
         )
         address = ("127.0.0.1", 1)  # connection refused
 

@@ -18,6 +18,7 @@ import pytest
 
 import repro.server.server as server_module
 from repro.core.exceptions import CollectionServiceError
+from repro.resilience import RetryPolicy
 from repro.server import ACK, ERR, OK, CollectionServer, LoadGenerator
 from repro.server.framing import HELLO, encode_control
 from repro.server.handshake import hello_payload
@@ -125,8 +126,9 @@ def test_a_spec_change_behind_a_pipelined_address_earns_the_readable_diff(
             num_clients=1,
             frames_per_connection=1,
             token_prefix="swap",
-            max_retries=1,
-            retry_backoff=0.0,
+            retry=RetryPolicy(
+                max_retries=1, base_delay=0.0, max_delay=0.0, jitter="none"
+            ),
             on_group_done=swap,
         )
         try:

@@ -138,7 +138,6 @@ def test_a_durable_server_starts_empty_over_the_snapshot(
             DATASET.domain,
             port=0,
             checkpoint_dir=tmp_path,
-            durable_acks=True,
         )
         await server.start()
         try:

@@ -35,7 +35,7 @@ from repro.server import (
     LoadGenerator,
     encode_control,
     hello_payload,
-    merge_checkpoints,
+    restore_durable,
 )
 from repro.service import WIRE_FORMAT_VERSION, ProtocolSpec
 
@@ -506,7 +506,10 @@ class TestLifecycle:
         assert server.stop_requested
         assert report.acked_reports == dataset.size
 
-    def test_checkpoints_periodic_and_on_shutdown(self, dataset, tmp_path):
+    def test_checkpoints_on_start_and_shutdown(self, dataset, tmp_path):
+        """A server with a checkpoint directory snapshots its merged shards
+        to one ``state.npz`` at start and at stop; the snapshot plus its
+        (then empty) commit log restore every committed report."""
         protocol = build("InpHT")
         frames = encode_frames(protocol, dataset, BATCH_SIZE)
 
@@ -517,7 +520,6 @@ class TestLifecycle:
                 port=0,
                 shards=2,
                 checkpoint_dir=tmp_path,
-                checkpoint_interval=0.05,
             )
             await server.start()
             fleet = LoadGenerator(
@@ -529,16 +531,17 @@ class TestLifecycle:
                 num_clients=2,
             )
             report = await fleet.run()
-            await asyncio.sleep(0.2)  # let the periodic task fire
             await server.stop()
             return server, report
 
         server, _ = asyncio.run(session())
         assert server.stats()["checkpoints_written"] >= 2
-        paths = sorted(tmp_path.glob("shard-*.npz"))
-        assert len(paths) == 2
-        assert not list(tmp_path.glob("*.tmp"))  # atomic writes leave no litter
-        restored = merge_checkpoints(paths)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "state.log",
+            "state.npz",
+        ]  # one snapshot, no per-shard files, no temp-file litter
+        assert (tmp_path / "state.log").stat().st_size == 0
+        restored = restore_durable(tmp_path)
         assert restored.num_reports == dataset.size
         assert_estimates_equal(
             estimates_of(restored.snapshot()),
@@ -595,10 +598,6 @@ class TestLifecycle:
         with pytest.raises(ProtocolConfigurationError, match="shard count"):
             CollectionServer(spec, dataset.domain, shards=0)
         with pytest.raises(
-            ProtocolConfigurationError, match="requires checkpoint_dir"
-        ):
-            CollectionServer(spec, dataset.domain, checkpoint_interval=5.0)
-        with pytest.raises(
             ProtocolConfigurationError, match="stop_after_reports"
         ):
             CollectionServer(spec, dataset.domain, stop_after_reports=0)
@@ -612,7 +611,3 @@ class TestLifecycle:
         server = CollectionServer(build("InpRR").spec(), dataset.domain)
         with pytest.raises(ProtocolConfigurationError, match="checkpoint_dir"):
             server.checkpoint()
-
-    def test_merge_checkpoints_needs_paths(self):
-        with pytest.raises(ProtocolConfigurationError, match="at least one"):
-            merge_checkpoints([])

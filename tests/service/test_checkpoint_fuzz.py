@@ -164,7 +164,6 @@ class TestDurableStartup:
             protocol.spec(),
             small_dataset(n=24, d=4).domain,
             checkpoint_dir=directory,
-            durable_acks=True,
         )
         assert server.stats()["reports"] == 0
         assert server.stats()["acked_groups"] == 0
@@ -173,5 +172,5 @@ class TestDurableStartup:
         assert any(path.name.endswith(".report.txt") for path in quarantined)
         assert any(not path.name.endswith(".txt") for path in quarantined)
         # The collector is usable: its first commit writes a fresh state.
-        server.durable_checkpoint()
+        server.checkpoint()
         assert AggregationSession.restore(state).num_reports == 0

@@ -564,13 +564,6 @@ class TestServeLoadValidation:
         ]) == 2
         assert "InpMagic" in capsys.readouterr().err
 
-    def test_serve_checkpoint_interval_requires_dir(self, capsys):
-        assert main([
-            "serve", "--protocol", "InpRR", "--epsilon", "1.0", "--width", "2",
-            "--dimension", "4", "--checkpoint-interval", "5",
-        ]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
     def test_load_requires_a_contract(self, capsys):
         assert main(["load", "--dimension", "4"]) == 2
         assert "--spec" in capsys.readouterr().err
@@ -592,17 +585,17 @@ class TestServeLoadRoundTrip:
     """The socket round trip: `repro serve` in a real child process,
     `repro load` in-process, estimates equal to run_streaming."""
 
-    def test_serve_load_matches_run_streaming(self, tmp_path, capsys):
+    @staticmethod
+    def serve_and_load(serve_args, load_args, capsys):
+        """Run ``repro serve SERVE_ARGS --port 0`` in a child process and
+        ``repro load LOAD_ARGS`` against it; returns the load's stdout once
+        the server has exited 0."""
         import os
         import re
         import subprocess
         import sys
 
-        import numpy as np
-
         import repro
-        from repro.experiments.harness import make_dataset
-        from repro.protocols.registry import make_protocol
 
         source_root = __import__("pathlib").Path(
             repro.__file__
@@ -612,17 +605,9 @@ class TestServeLoadRoundTrip:
             [str(source_root)]
             + ([environment["PYTHONPATH"]] if "PYTHONPATH" in environment else [])
         )
-        server_json = tmp_path / "server.json"
-        ckpt_dir = tmp_path / "ckpt"
         process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
-                "--dimension", "5", "--port", "0", "--shards", "2",
-                "--stop-after-reports", "600",
-                "--checkpoint-dir", str(ckpt_dir),
-                "--json", str(server_json),
-            ],
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
+            + serve_args,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
@@ -632,105 +617,134 @@ class TestServeLoadRoundTrip:
             ready = process.stderr.readline()
             match = re.search(r"on 127\.0\.0\.1:(\d+)", ready)
             assert match, f"no readiness line: {ready!r}"
-            port = match.group(1)
-            load_json = tmp_path / "load.json"
-            assert main([
-                "load",
-                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
-                "--dimension", "5", "--port", port, "--clients", "10",
-                "--dataset", "uniform", "-n", "600", "--batch-size", "100",
-                "--seed", "11", "--malformed", "2",
-                "--json", str(load_json),
-            ]) == 0
+            assert main(["load", "--port", match.group(1)] + load_args) == 0
             rendered = capsys.readouterr().out
-            assert "600 acked" in rendered
             process.wait(timeout=30)
         finally:
             if process.poll() is None:
                 process.kill()
             process.stderr.close()
         assert process.returncode == 0
+        return rendered
+
+    @staticmethod
+    def run_streaming_marginals(seed, n, dimension, batch_size):
+        import numpy as np
+
+        from repro.experiments.harness import make_dataset
+        from repro.protocols.registry import make_protocol
+
+        generator = np.random.default_rng(seed)
+        dataset = make_dataset("uniform", n, dimension, generator)
+        baseline = make_protocol("InpRR", 1.1, 2).run_streaming(
+            dataset, rng=generator, batch_size=batch_size
+        )
+        return [
+            [float(value) for value in table.values]
+            for _, table in sorted(baseline.query_all().items())
+        ]
+
+    CONTRACT = [
+        "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
+        "--dimension", "5",
+    ]
+
+    def test_serve_load_matches_run_streaming(self, tmp_path, capsys):
+        server_json = tmp_path / "server.json"
+        ckpt_dir = tmp_path / "ckpt"
+        load_json = tmp_path / "load.json"
+        rendered = self.serve_and_load(
+            self.CONTRACT + [
+                "--shards", "2", "--stop-after-reports", "600",
+                "--checkpoint-dir", str(ckpt_dir),
+                "--json", str(server_json),
+            ],
+            self.CONTRACT + [
+                "--clients", "10", "--dataset", "uniform", "-n", "600",
+                "--batch-size", "100", "--seed", "11", "--malformed", "2",
+                "--json", str(load_json),
+            ],
+            capsys,
+        )
+        assert "600 acked" in rendered
 
         payload = json.loads(server_json.read_text())
         assert payload["num_reports"] == 600
         assert payload["server"]["connections"]["rejected"] == 2
-        assert sorted(
-            path.name for path in ckpt_dir.glob("shard-*.npz")
-        ) == ["shard-00.npz", "shard-01.npz"]
+        # One durable snapshot, no per-shard checkpoint files.
+        assert (ckpt_dir / "state.npz").exists()
+        assert not list(ckpt_dir.glob("shard-*"))
 
-        generator = np.random.default_rng(11)
-        dataset = make_dataset("uniform", 600, 5, generator)
-        baseline = make_protocol("InpRR", 1.1, 2).run_streaming(
-            dataset, rng=generator, batch_size=100
-        )
-        expected = [
-            [float(value) for value in table.values]
-            for _, table in sorted(baseline.query_all().items())
-        ]
         observed = [entry["values"] for entry in payload["marginals"]]
-        assert observed == expected
+        assert observed == self.run_streaming_marginals(11, 600, 5, 100)
 
         fleet_report = json.loads(load_json.read_text())
         assert fleet_report["acked_reports"] == 600
         assert fleet_report["rejected_connections"] == 2
 
-    def test_serve_processes_with_checkpoint_interval_completes(
-        self, tmp_path, capsys
-    ):
-        """``--processes`` runs a supervised shared-port fleet, which takes
-        ``--checkpoint-interval`` and keeps its state in ``DIR/c<i>/``."""
-        import os
-        import re
-        import subprocess
-        import sys
-
+    def test_serve_resumes_from_its_checkpoint_dir(self, tmp_path, capsys):
+        """A second ``serve`` on the same ``--checkpoint-dir`` carries on
+        from the first: its estimates cover both runs' reports, bit for
+        bit, and ``--stop-after-reports`` counts only its own."""
         import numpy as np
 
-        import repro
+        from repro.core.domain import Domain
         from repro.experiments.harness import make_dataset
-        from repro.protocols.registry import make_protocol
+        from repro.server import LoadGenerator
+        from repro.service import AggregationSession, ProtocolSpec
 
-        source_root = __import__("pathlib").Path(
-            repro.__file__
-        ).resolve().parents[1]
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = os.pathsep.join(
-            [str(source_root)]
-            + ([environment["PYTHONPATH"]] if "PYTHONPATH" in environment else [])
-        )
+        ckpt_dir = tmp_path / "ckpt"
+        server_json = tmp_path / "server.json"
+        for seed in (11, 12):
+            rendered = self.serve_and_load(
+                self.CONTRACT + [
+                    "--shards", "2", "--stop-after-reports", "600",
+                    "--checkpoint-dir", str(ckpt_dir),
+                    "--json", str(server_json),
+                ],
+                self.CONTRACT + [
+                    "--clients", "10", "--dataset", "uniform", "-n", "600",
+                    "--batch-size", "100", "--seed", str(seed),
+                ],
+                capsys,
+            )
+            assert "600 acked" in rendered
+
+        payload = json.loads(server_json.read_text())
+        assert payload["num_reports"] == 1200
+        assert payload["server"]["reports"] == 1200
+
+        spec = ProtocolSpec.from_dict(payload["spec"])
+        expected = AggregationSession(spec, Domain(payload["attributes"]))
+        for seed in (11, 12):
+            generator = np.random.default_rng(seed)
+            dataset = make_dataset("uniform", 600, 5, generator)
+            for frame in LoadGenerator.frames_for_dataset(
+                spec, dataset, 100, rng=generator
+            ):
+                expected.submit(frame)
+        marginals = sorted(expected.snapshot().query_all().items())
+        assert [entry["values"] for entry in payload["marginals"]] == [
+            [float(value) for value in table.values] for _, table in marginals
+        ]
+
+    def test_serve_processes_keeps_state_per_collector(self, tmp_path, capsys):
+        """``--processes`` runs a supervised shared-port fleet that keeps
+        its state in ``DIR/c<i>/``."""
         server_json = tmp_path / "server.json"
         state_dir = tmp_path / "state"
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
-                "--dimension", "5", "--port", "0", "--processes", "2",
-                "--checkpoint-interval", "1", "--checkpoint-dir", str(state_dir),
+        rendered = self.serve_and_load(
+            self.CONTRACT + [
+                "--processes", "2", "--checkpoint-dir", str(state_dir),
                 "--stop-after-reports", "600", "--json", str(server_json),
             ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=environment,
+            self.CONTRACT + [
+                "--clients", "10", "--dataset", "uniform", "-n", "600",
+                "--batch-size", "100", "--seed", "11",
+            ],
+            capsys,
         )
-        try:
-            ready = process.stderr.readline()
-            match = re.search(r"on 127\.0\.0\.1:(\d+)", ready)
-            assert match, f"no readiness line: {ready!r}"
-            assert main([
-                "load",
-                "--protocol", "InpRR", "--epsilon", "1.1", "--width", "2",
-                "--dimension", "5", "--port", match.group(1), "--clients", "10",
-                "--dataset", "uniform", "-n", "600", "--batch-size", "100",
-                "--seed", "11",
-            ]) == 0
-            assert "600 acked" in capsys.readouterr().out
-            process.wait(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-            process.stderr.close()
-        assert process.returncode == 0
+        assert "600 acked" in rendered
 
         payload = json.loads(server_json.read_text())
         assert payload["num_reports"] == 600
@@ -738,17 +752,9 @@ class TestServeLoadRoundTrip:
         assert payload["server"]["reports"] == 600
         for index in range(2):
             assert (state_dir / f"c{index}" / "state.npz").exists()
-
-        generator = np.random.default_rng(11)
-        dataset = make_dataset("uniform", 600, 5, generator)
-        baseline = make_protocol("InpRR", 1.1, 2).run_streaming(
-            dataset, rng=generator, batch_size=100
+        assert [entry["values"] for entry in payload["marginals"]] == (
+            self.run_streaming_marginals(11, 600, 5, 100)
         )
-        expected = [
-            [float(value) for value in table.values]
-            for _, table in sorted(baseline.query_all().items())
-        ]
-        assert [entry["values"] for entry in payload["marginals"]] == expected
 
     def test_serve_with_no_reports_emits_consistent_json(self, tmp_path):
         import os

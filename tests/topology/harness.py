@@ -61,7 +61,6 @@ def spawn_tree(
     *,
     collectors: int = 3,
     shards: int = 1,
-    checkpoint_interval: Optional[float] = None,
 ):
     """A running durable collector tree, shut down no matter what."""
     supervisor = TopologySupervisor(
@@ -70,7 +69,6 @@ def spawn_tree(
         collectors=collectors,
         shards=shards,
         base_dir=base_dir,
-        checkpoint_interval=checkpoint_interval,
     )
     supervisor.start()
     try:

@@ -46,9 +46,7 @@ def test_kill_restart_remerge_loses_nothing(protocol_name, tmp_path):
     frames = encode_frames(protocol, dataset, BATCH)
 
     async def scenario():
-        with spawn_tree(
-            protocol, domain, tmp_path, checkpoint_interval=0.2
-        ) as supervisor:
+        with spawn_tree(protocol, domain, tmp_path) as supervisor:
             victim = supervisor.handles[1]
             port_before = None
 

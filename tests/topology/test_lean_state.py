@@ -44,7 +44,6 @@ def test_state_answer_does_not_grow_with_acknowledged_groups(tmp_path):
             dataset.domain,
             port=0,
             checkpoint_dir=tmp_path,
-            durable_acks=True,
             collector_id="c0",
         )
         await server.start()
