@@ -1149,8 +1149,10 @@ async def _serve_stats_ticker(
 ) -> None:
     """Log a one-line throughput summary every ``interval`` seconds."""
     logger = get_logger("serve")
-    last_reports = 0
-    last_bytes = 0
+    # Start from what the server already holds (a resumed durable
+    # collector's restored reports), so the first rate counts only new ones.
+    stats = server.stats()
+    last_reports, last_bytes = int(stats["reports"]), int(stats["bytes"])
     while True:
         await asyncio.sleep(interval)
         stats = server.stats()

@@ -593,8 +593,11 @@ class CollectionServer:
             "frames": self._frames_total,
             "reports": self._reports_total,
             "bytes": self._bytes_total,
+            # Restored reports were not collected in this uptime.
             "reports_per_second": (
-                self._reports_total / elapsed if elapsed else None
+                (self._reports_total - self._resumed_reports) / elapsed
+                if elapsed
+                else None
             ),
             "shard_reports": [
                 session.num_reports for session in self._sessions

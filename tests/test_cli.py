@@ -564,6 +564,23 @@ class TestServeLoadValidation:
         ]) == 2
         assert "InpMagic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["serve"], ["topo", "launch", "--dir", "topo"]]
+    )
+    def test_retired_checkpoint_interval_flag_is_refused(self, command, capsys):
+        """A checkpoint directory's commit log makes every ACK'd group
+        durable, so there is no snapshot timer left to set."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [
+                "--protocol", "InpRR", "--epsilon", "1.0", "--width", "2",
+                "--dimension", "4", "--checkpoint-interval", "5",
+            ])
+        assert excinfo.value.code == 2
+        assert (
+            "unrecognized arguments: --checkpoint-interval"
+            in capsys.readouterr().err
+        )
+
     def test_load_requires_a_contract(self, capsys):
         assert main(["load", "--dimension", "4"]) == 2
         assert "--spec" in capsys.readouterr().err
@@ -727,6 +744,35 @@ class TestServeLoadRoundTrip:
         assert [entry["values"] for entry in payload["marginals"]] == [
             [float(value) for value in table.values] for _, table in marginals
         ]
+
+    def test_aggregate_restores_the_snapshot_serve_left_behind(
+        self, tmp_path, capsys
+    ):
+        """``DIR/state.npz`` is a session checkpoint: ``repro aggregate
+        --restore`` reads back every report the serve committed."""
+        server_json = tmp_path / "server.json"
+        ckpt_dir = tmp_path / "ckpt"
+        restored_json = tmp_path / "restored.json"
+        self.serve_and_load(
+            self.CONTRACT + [
+                "--shards", "2", "--stop-after-reports", "600",
+                "--checkpoint-dir", str(ckpt_dir),
+                "--json", str(server_json),
+            ],
+            self.CONTRACT + [
+                "--clients", "10", "--dataset", "uniform", "-n", "600",
+                "--batch-size", "100", "--seed", "11",
+            ],
+            capsys,
+        )
+        assert main([
+            "aggregate", "--restore", str(ckpt_dir / "state.npz"),
+            "--input", "none", "--json", str(restored_json),
+        ]) == 0
+        restored = json.loads(restored_json.read_text())
+        served = json.loads(server_json.read_text())
+        assert restored["num_reports"] == served["num_reports"] == 600
+        assert restored["marginals"] == served["marginals"]
 
     def test_serve_processes_keeps_state_per_collector(self, tmp_path, capsys):
         """``--processes`` runs a supervised shared-port fleet that keeps
