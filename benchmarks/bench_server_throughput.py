@@ -299,7 +299,6 @@ def bench_resilience(params):
             "reports": population,
             "repeats": repeats,
             "shards": params["shards"],
-            "spool_fsync": True,
             "checkpoint_digests": True,
         },
     }

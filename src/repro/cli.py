@@ -48,6 +48,7 @@ import asyncio
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import signal
 import sys
@@ -337,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 picks a free one; GET /metrics); single-process serve only",
     )
     serve_parser.add_argument(
-        "--stats-interval", type=float, default=None, metavar="SEC",
+        "--stats-interval", type=_positive_float, default=None, metavar="SEC",
         help="log a one-line throughput summary every SEC seconds while "
         "serving (single-process serve only)",
     )
@@ -400,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-connection ERR (default: 0)",
     )
     load_parser.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="SEC",
+        "--connect-timeout", type=_positive_float, default=10.0, metavar="SEC",
         help="keep retrying the first connect for SEC seconds (default: 10)",
     )
     load_parser.add_argument(
@@ -421,31 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dedupes the groups as replays)",
     )
     load_parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="R",
-        help="retry each group up to R times with exponential backoff and "
-        "full jitter (default: the legacy 3-retry linear schedule)",
-    )
-    load_parser.add_argument(
-        "--retry-base-delay", type=float, default=None, metavar="SEC",
-        help="first retry backoff in seconds (default: "
-        f"{resilience_defaults.DEFAULT_BASE_DELAY})",
-    )
-    load_parser.add_argument(
-        "--retry-max-delay", type=float, default=None, metavar="SEC",
-        help="backoff growth cap in seconds (default: "
-        f"{resilience_defaults.DEFAULT_MAX_DELAY})",
-    )
-    load_parser.add_argument(
-        "--retry-deadline", type=float, default=None, metavar="SEC",
-        help="give up retrying a group SEC seconds after its first attempt "
-        "(default: attempt-bounded only)",
-    )
-    load_parser.add_argument(
-        "--breaker", action="store_true",
-        help="run a per-collector circuit breaker: after repeated failures "
-        "a target is failed fast until a half-open probe succeeds",
-    )
-    load_parser.add_argument(
         "--spool-dir", metavar="DIR", default=None,
         help="durable client spool: append every group to DIR before "
         "sending and commit it on ACK, so a crashed client rerun with the "
@@ -456,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     watch_parser = subparsers.add_parser(
         "watch",
         help="poll running collectors' STATS frames and render live "
-        "throughput, per-shard report counts, breaker states, and the "
-        "theory-derived expected-error half-width",
+        "throughput, per-shard report counts, and the theory-derived "
+        "expected-error half-width",
     )
     watch_parser.add_argument(
         "targets", nargs="*", metavar="HOST:PORT",
@@ -469,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(addresses read from DIR/topology.json)",
     )
     watch_parser.add_argument(
-        "--interval", type=float, default=2.0, metavar="SEC",
+        "--interval", type=_positive_float, default=2.0, metavar="SEC",
         help="seconds between samples (default: 2)",
     )
     watch_parser.add_argument(
@@ -482,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "instead of the rendered view",
     )
     watch_parser.add_argument(
-        "--timeout", type=float, default=5.0, metavar="SEC",
+        "--timeout", type=_positive_float, default=5.0, metavar="SEC",
         help="per-probe STATS timeout (default: 5)",
     )
 
@@ -537,12 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     topo_launch.add_argument(
         "--kill-collector", type=int, default=0, metavar="I",
         help="which collector --kill-after-reports kills (default: 0)",
-    )
-    topo_launch.add_argument(
-        "--publish-resilience", action="store_true",
-        help="record the default retry/timeout/circuit-breaker policies in "
-        "the manifest so `repro load --topology` clients adopt them "
-        "without extra flags",
     )
     topo_launch.add_argument(
         "--json", metavar="PATH",
@@ -675,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="concurrent clients for --topology mode (default: 3)",
     )
     hh_discover.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="SEC",
+        "--connect-timeout", type=_positive_float, default=10.0, metavar="SEC",
         help="keep retrying the first connect for SEC seconds (default: 10)",
     )
     hh_discover.add_argument(
@@ -765,6 +735,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
     return value
 
 
@@ -1447,67 +1426,21 @@ def _load_topology_contract(arguments: argparse.Namespace):
         "token_prefix": token_prefix,
         "failover": failover,
     }
-    if manifest.get("resilience"):
-        from .resilience import ResilienceConfig
-
-        kwargs["resilience"] = ResilienceConfig.from_dict(
-            manifest["resilience"]
-        )
     return spec, domain, kwargs
-
-
-def _retry_policy_from_args(arguments: argparse.Namespace):
-    """Build the fleet's RetryPolicy from ``repro load`` flags.
-
-    Returns None when no retry flag was given, which keeps
-    :class:`~repro.server.LoadGenerator`'s default schedule (or the
-    manifest's published policy in --topology mode).
-    """
-    if (
-        arguments.max_retries is None
-        and arguments.retry_base_delay is None
-        and arguments.retry_max_delay is None
-        and arguments.retry_deadline is None
-    ):
-        return None
-    from .resilience import RetryPolicy
-
-    base = (
-        arguments.retry_base_delay
-        if arguments.retry_base_delay is not None
-        else resilience_defaults.DEFAULT_BASE_DELAY
-    )
-    cap = (
-        arguments.retry_max_delay
-        if arguments.retry_max_delay is not None
-        else max(resilience_defaults.DEFAULT_MAX_DELAY, base)
-    )
-    return RetryPolicy(
-        max_retries=(
-            arguments.max_retries
-            if arguments.max_retries is not None
-            else resilience_defaults.DEFAULT_MAX_RETRIES
-        ),
-        base_delay=base,
-        max_delay=cap,
-        growth=resilience_defaults.DEFAULT_GROWTH,
-        jitter=resilience_defaults.DEFAULT_JITTER,
-        deadline=arguments.retry_deadline,
-    )
 
 
 def _run_load(arguments: argparse.Namespace) -> int:
     try:
         if arguments.topology:
-            spec, domain, topology_kwargs = _load_topology_contract(arguments)
+            spec, domain, fleet_kwargs = _load_topology_contract(arguments)
         else:
             spec, domain = _contract_from_args(arguments)
-            topology_kwargs = {
+            fleet_kwargs = {
                 "host": arguments.host,
                 "port": arguments.port,
             }
             if arguments.token_prefix:
-                topology_kwargs["token_prefix"] = arguments.token_prefix
+                fleet_kwargs["token_prefix"] = arguments.token_prefix
         frames = None
         if arguments.dataset:
             # Build the dataset and encode with run_streaming's exact rng
@@ -1524,22 +1457,13 @@ def _run_load(arguments: argparse.Namespace) -> int:
             frames = LoadGenerator.frames_for_dataset(
                 spec, dataset, arguments.batch_size, rng=generator
             )
-        policy_kwargs: Dict = {}
-        retry = _retry_policy_from_args(arguments)
-        if retry is not None:
-            policy_kwargs["retry"] = retry
-        if arguments.breaker:
-            policy_kwargs["breaker"] = (
-                resilience_defaults.default_breaker_policy()
-            )
         if arguments.spool_dir:
-            policy_kwargs["spool_dir"] = arguments.spool_dir
+            fleet_kwargs["spool_dir"] = arguments.spool_dir
         fleet = LoadGenerator(
             spec,
             domain,
             frames=frames,
-            **topology_kwargs,
-            **policy_kwargs,
+            **fleet_kwargs,
             num_clients=arguments.clients,
             records_per_client=arguments.records_per_client,
             batch_size=arguments.batch_size,
@@ -1637,11 +1561,6 @@ def _run_topo_launch(arguments: argparse.Namespace) -> int:
             shards=arguments.shards,
             routing=arguments.routing,
             host=arguments.host,
-            resilience=(
-                resilience_defaults.default_resilience_config()
-                if arguments.publish_resilience
-                else None
-            ),
         )
         outcome = asyncio.run(_topo_launch_main(arguments, topology))
         merged = outcome["merged"]

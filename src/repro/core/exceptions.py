@@ -56,18 +56,6 @@ class SpoolError(ReproError):
     tail (mid-log damage) or an append/commit cannot be made durable."""
 
 
-class CircuitOpenError(ReproError):
-    """A circuit breaker is open: the target is failing too fast to retry.
-
-    Raised instead of attempting a delivery while the per-target breaker
-    is in its cooldown window; carries the address so callers can consult
-    a failover oracle or wait for the half-open probe."""
-
-    def __init__(self, message: str, retry_after: float = 0.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class PartialCoverageError(ReproError):
     """A finalize would silently drop acknowledged reports.
 

@@ -11,9 +11,9 @@ per-worker checkpoints and the fan-in tree roll up a whole topology.
 
 Merge semantics are additive across the board: counters and histogram
 buckets sum, and gauges sum too — a deliberate restriction to *additive*
-gauges (spool depth, active connections, open breakers) so the merge
-stays associative.  Non-additive facts (e.g. "which breaker state") are
-modelled as one 0/1 gauge per state, which sums into a fleet-wide count.
+gauges (active connections, reports per shard) so the merge stays
+associative.  A non-additive fact (a state) is modelled as one 0/1
+gauge per state, which sums into a fleet-wide count.
 
 Enablement is one module-level boolean, resolved once from the
 ``REPRO_METRICS`` environment variable (anything but ``off``, ``0``,

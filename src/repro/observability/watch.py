@@ -33,7 +33,6 @@ from ..server.framing import (
 
 __all__ = [
     "RateTracker",
-    "breaker_states",
     "expected_error_half_width",
     "render_watch",
     "request_stats",
@@ -176,21 +175,6 @@ def expected_error_half_width(stats: Mapping[str, Any]) -> Optional[float]:
     return None
 
 
-def breaker_states(metrics_state: Mapping[str, Any]) -> Dict[str, int]:
-    """Per-state breaker counts out of a metrics-snapshot ``state_dict``."""
-    families = metrics_state.get("families")
-    if not isinstance(families, Mapping):
-        return {}
-    entry = families.get("repro_breaker_state")
-    if not isinstance(entry, Mapping):
-        return {}
-    counts: Dict[str, int] = {}
-    for key, value in entry.get("series", []):
-        if key:
-            counts[str(key[0])] = int(value)
-    return counts
-
-
 class RateTracker:
     """Interval rates from consecutive monotonic samples, per target."""
 
@@ -232,7 +216,6 @@ def render_watch(
             lines.append(f"collector {target}  UNREACHABLE: {error}")
             continue
         stats = payload.get("stats") or {}
-        metrics = payload.get("metrics") or {}
         reports = int(stats.get("reports", 0))
         num_bytes = int(stats.get("bytes", 0))
         total_reports += reports
@@ -280,15 +263,6 @@ def render_watch(
                 f"  log     : records={int(commit_log.get('records', 0)):,}  "
                 f"bytes={int(commit_log.get('bytes', 0)):,}  "
                 f"compactions={int(commit_log.get('compactions', 0)):,}"
-            )
-        breakers = breaker_states(metrics)
-        if breakers:
-            lines.append(
-                "  breakers: "
-                + "  ".join(
-                    f"{state}={count}"
-                    for state, count in sorted(breakers.items())
-                )
             )
         half_width = expected_error_half_width(stats)
         spec = stats.get("spec") or {}

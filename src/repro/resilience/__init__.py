@@ -1,4 +1,4 @@
-"""End-to-end resilience layer: policies, spooling, integrity, coverage.
+"""End-to-end resilience layer: retry schedule, spooling, integrity, coverage.
 
 This package is the single home of the system's failure-handling
 vocabulary.  It is imported by the server and topology tiers but imports
@@ -6,9 +6,8 @@ only ``repro.core`` and ``repro.theory`` itself, so it stays free of
 networking dependencies and usable from any layer (including the chaos
 test harness).
 
-* :mod:`~repro.resilience.policies` — :class:`RetryPolicy` /
-  :class:`TimeoutPolicy` / :class:`CircuitBreaker` and the
-  :class:`ResilienceConfig` bundle that rides manifests and CLI flags.
+* :mod:`~repro.resilience.policies` — :class:`RetryPolicy`, the one
+  linear retry schedule of client deliveries and fan-in pulls.
 * :mod:`~repro.resilience.defaults` — the one documented table every
   default comes from.
 * :mod:`~repro.resilience.spool` — :class:`ReportSpool`, the durable
@@ -29,36 +28,16 @@ from .coverage import (
     CollectorCoverage,
     CoverageReport,
 )
-from .defaults import (
-    default_breaker_policy,
-    default_resilience_config,
-    default_retry_policy,
-    default_timeout_policy,
-)
 from .integrity import (
     DIGEST_ALGORITHM,
     quarantine_checkpoint,
     verify_integrity,
 )
-from .policies import (
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    ResilienceConfig,
-    RetryPolicy,
-    TimeoutPolicy,
-)
+from .policies import RetryPolicy
 from .spool import ReportSpool
 
 __all__ = [
     "RetryPolicy",
-    "TimeoutPolicy",
-    "CircuitBreaker",
-    "CircuitBreakerPolicy",
-    "ResilienceConfig",
-    "default_retry_policy",
-    "default_timeout_policy",
-    "default_breaker_policy",
-    "default_resilience_config",
     "ReportSpool",
     "DIGEST_ALGORITHM",
     "verify_integrity",

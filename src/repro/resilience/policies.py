@@ -1,508 +1,58 @@
-"""Composable failure-handling policies for every networked retry site.
+"""The one retry schedule every networked retry site speaks.
 
-Before this module, each retry loop in the codebase carried its own inline
-constants — a linear backoff here, a hard-coded ``sleep(0.05)`` there.
-The three policy objects below are the single vocabulary every site now
-speaks:
-
-* :class:`RetryPolicy` — how many times to retry and how long to wait
-  between attempts.  Exponential (or linear) backoff with optional *full
-  jitter* (each delay drawn uniformly from ``[0, computed]``, the classic
-  thundering-herd fix), capped per-delay by ``max_delay`` and in total by
-  an optional ``deadline``.
-* :class:`TimeoutPolicy` — the connect / per-read / pull timeouts one
-  exchange is allowed to consume.
-* :class:`CircuitBreakerPolicy` / :class:`CircuitBreaker` — a per-target
-  failure-rate breaker.  ``closed`` passes traffic; enough failures within
-  the rolling window trips it ``open`` (every call refused instantly, so a
-  dying collector cannot stall the whole fleet on connect timeouts); after
-  ``cooldown_seconds`` it goes ``half-open`` and admits a limited number
-  of probes — a probe success closes it, a probe failure re-opens it.
-
-:class:`ResilienceConfig` bundles the three into one JSON-round-trippable
-object so a deployment can pin them in a topology manifest or CLI flags,
-exactly like a :class:`~repro.service.ProtocolSpec` pins the protocol.
-The default values live in one documented table in
+:class:`RetryPolicy` says how many times to retry and how long to wait
+between attempts: retry number ``n`` (1-based) sleeps ``n * base_delay``,
+a linear schedule without jitter, so a seeded fault run replays the same
+sleeps.  Retrying is safe because the marginals are exact sums folded
+once per report: idempotency tokens, the durable ACK and the failover
+oracle decide *whether* a group counts, and the schedule only decides
+*when* it is tried again.  The default values live in
 :mod:`repro.resilience.defaults`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, Optional
+from dataclasses import dataclass
 
-import numpy as np
+from ..core.exceptions import ProtocolConfigurationError
 
-from ..core.exceptions import CircuitOpenError, ProtocolConfigurationError
-from ..observability import get_registry
-
-__all__ = [
-    "RetryPolicy",
-    "TimeoutPolicy",
-    "CircuitBreakerPolicy",
-    "CircuitBreaker",
-    "ResilienceConfig",
-]
-
-_BREAKER_METRICS = None
-
-
-def _breaker_metrics():
-    """Lazy breaker telemetry on the process registry (created once)."""
-    global _BREAKER_METRICS
-    if _BREAKER_METRICS is None:
-        registry = get_registry()
-        _BREAKER_METRICS = (
-            registry.counter(
-                "repro_breaker_transitions_total",
-                "Circuit breaker state transitions, by edge.",
-                labels=("transition",),
-            ),
-            registry.gauge(
-                "repro_breaker_state",
-                "Breakers currently in each state (one 0/1 gauge per "
-                "breaker per state; merging sums them fleet-wide).",
-                labels=("state",),
-            ),
-        )
-    return _BREAKER_METRICS
-
-_GROWTHS = ("exponential", "linear")
-_JITTERS = ("full", "none")
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Backoff schedule for retrying one operation against one target.
+    """Linear backoff for retrying one operation against one target.
 
     Attributes
     ----------
     max_retries:
         Retries *after* the first attempt (``0`` means try exactly once).
     base_delay:
-        Seconds before the first retry (the unit the growth rule scales).
-    max_delay:
-        Per-retry ceiling on the computed delay.
-    growth:
-        ``"exponential"`` doubles the delay every retry
-        (``base * 2**(attempt-1)``); ``"linear"`` grows it arithmetically
-        (``base * attempt``) — the legacy load-generator schedule.
-    jitter:
-        ``"full"`` draws each sleep uniformly from ``[0, delay]`` so a
-        thousand clients retrying the same dead collector do not
-        synchronize; ``"none"`` sleeps the computed delay exactly
-        (deterministic, what the fault-injection tests pin).
-    deadline:
-        Optional cap on the *total* seconds a retry loop may spend
-        (attempt time plus sleeps); once exceeded, :meth:`should_retry`
-        says stop regardless of attempts left.
+        Seconds before the first retry; retry ``n`` waits
+        ``n * base_delay``.
     """
 
     max_retries: int = 3
     base_delay: float = 0.2
-    max_delay: float = 5.0
-    growth: str = "exponential"
-    jitter: str = "full"
-    deadline: Optional[float] = None
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ProtocolConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.base_delay < 0:
+        if not self.base_delay >= 0:
             raise ProtocolConfigurationError(
                 f"base_delay must be >= 0, got {self.base_delay}"
             )
-        if self.max_delay < self.base_delay:
-            raise ProtocolConfigurationError(
-                f"max_delay ({self.max_delay}) must be >= base_delay "
-                f"({self.base_delay})"
-            )
-        if self.growth not in _GROWTHS:
-            raise ProtocolConfigurationError(
-                f"growth must be one of {_GROWTHS}, got {self.growth!r}"
-            )
-        if self.jitter not in _JITTERS:
-            raise ProtocolConfigurationError(
-                f"jitter must be one of {_JITTERS}, got {self.jitter!r}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ProtocolConfigurationError(
-                f"deadline must be > 0 seconds, got {self.deadline}"
-            )
 
-    def delay(self, attempt: int, rng: Optional[np.random.Generator] = None) -> float:
+    def delay(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ProtocolConfigurationError(
                 f"retry attempts are 1-based, got {attempt}"
             )
-        if self.growth == "exponential":
-            raw = self.base_delay * (2.0 ** (attempt - 1))
-        else:
-            raw = self.base_delay * attempt
-        capped = min(raw, self.max_delay)
-        if self.jitter == "full" and capped > 0:
-            generator = rng if rng is not None else np.random.default_rng()
-            return float(generator.uniform(0.0, capped))
-        return capped
+        return self.base_delay * attempt
 
-    def should_retry(self, attempt: int, started: float, now: Optional[float] = None) -> bool:
-        """Whether retry number ``attempt`` (1-based) may still run.
-
-        ``started`` is the ``time.monotonic()`` stamp of the first attempt;
-        the deadline (when set) is measured against it.
-        """
-        if attempt > self.max_retries:
-            return False
-        if self.deadline is not None:
-            now = time.monotonic() if now is None else now
-            if now - started >= self.deadline:
-                return False
-        return True
-
-    def delays(self, rng: Optional[np.random.Generator] = None) -> Iterator[float]:
-        """The full backoff schedule, one sleep per allowed retry."""
-        for attempt in range(1, self.max_retries + 1):
-            yield self.delay(attempt, rng)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "max_retries": self.max_retries,
-            "base_delay": self.base_delay,
-            "max_delay": self.max_delay,
-            "growth": self.growth,
-            "jitter": self.jitter,
-            "deadline": self.deadline,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RetryPolicy":
-        if not isinstance(payload, dict):
-            raise ProtocolConfigurationError(
-                f"a RetryPolicy dict is required, got {type(payload).__name__}"
-            )
-        unknown = set(payload) - {
-            "max_retries", "base_delay", "max_delay", "growth", "jitter",
-            "deadline",
-        }
-        if unknown:
-            raise ProtocolConfigurationError(
-                f"unknown RetryPolicy field(s): {sorted(unknown)}"
-            )
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    """How long each stage of a collection exchange may take.
-
-    Attributes
-    ----------
-    connect:
-        Grace window for a target's *first* contact (covers the CI shape
-        where a fleet starts while the collector is still binding).
-    io:
-        Per-read silence bound once a connection is up (a server that
-        sends nothing for this long is treated as gone).
-    pull:
-        End-to-end bound on one control-plane ``PULL`` exchange.
-    """
-
-    connect: float = 10.0
-    io: float = 30.0
-    pull: float = 10.0
-
-    def __post_init__(self):
-        for name in ("connect", "io", "pull"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ProtocolConfigurationError(
-                    f"TimeoutPolicy.{name} must be > 0 seconds, got {value}"
-                )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"connect": self.connect, "io": self.io, "pull": self.pull}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TimeoutPolicy":
-        if not isinstance(payload, dict):
-            raise ProtocolConfigurationError(
-                f"a TimeoutPolicy dict is required, got {type(payload).__name__}"
-            )
-        unknown = set(payload) - {"connect", "io", "pull"}
-        if unknown:
-            raise ProtocolConfigurationError(
-                f"unknown TimeoutPolicy field(s): {sorted(unknown)}"
-            )
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
-class CircuitBreakerPolicy:
-    """Tuning of one :class:`CircuitBreaker` (the per-target instances are
-    stamped out of this template with :meth:`build`).
-
-    Attributes
-    ----------
-    failure_threshold:
-        Minimum failures inside the window before the rate is even
-        consulted (a single blip on a quiet target must not trip it).
-    failure_rate:
-        Fraction of calls inside the window that must have failed to trip
-        the breaker open.
-    window_seconds:
-        Length of the rolling outcome window.
-    cooldown_seconds:
-        How long an open breaker refuses calls before going half-open.
-    half_open_probes:
-        Concurrent trial calls admitted while half-open.
-    """
-
-    failure_threshold: int = 5
-    failure_rate: float = 0.5
-    window_seconds: float = 30.0
-    cooldown_seconds: float = 1.0
-    half_open_probes: int = 1
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ProtocolConfigurationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if not 0 < self.failure_rate <= 1:
-            raise ProtocolConfigurationError(
-                f"failure_rate must be in (0, 1], got {self.failure_rate}"
-            )
-        if self.window_seconds <= 0:
-            raise ProtocolConfigurationError(
-                f"window_seconds must be > 0, got {self.window_seconds}"
-            )
-        if self.cooldown_seconds <= 0:
-            raise ProtocolConfigurationError(
-                f"cooldown_seconds must be > 0, got {self.cooldown_seconds}"
-            )
-        if self.half_open_probes < 1:
-            raise ProtocolConfigurationError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
-
-    def build(
-        self, name: str = "target", clock: Callable[[], float] = time.monotonic
-    ) -> "CircuitBreaker":
-        return CircuitBreaker(self, name=name, clock=clock)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "failure_threshold": self.failure_threshold,
-            "failure_rate": self.failure_rate,
-            "window_seconds": self.window_seconds,
-            "cooldown_seconds": self.cooldown_seconds,
-            "half_open_probes": self.half_open_probes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CircuitBreakerPolicy":
-        if not isinstance(payload, dict):
-            raise ProtocolConfigurationError(
-                f"a CircuitBreakerPolicy dict is required, "
-                f"got {type(payload).__name__}"
-            )
-        unknown = set(payload) - {
-            "failure_threshold", "failure_rate", "window_seconds",
-            "cooldown_seconds", "half_open_probes",
-        }
-        if unknown:
-            raise ProtocolConfigurationError(
-                f"unknown CircuitBreakerPolicy field(s): {sorted(unknown)}"
-            )
-        return cls(**payload)
-
-
-class CircuitBreaker:
-    """One target's closed / open / half-open failure gate.
-
-    Call :meth:`check` before an attempt (raises :class:`CircuitOpenError`
-    while open), then :meth:`record_success` or :meth:`record_failure`
-    with the outcome.  The clock is injectable so the state machine is
-    unit-testable without sleeping.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        policy: CircuitBreakerPolicy,
-        *,
-        name: str = "target",
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self._policy = policy
-        self._name = str(name)
-        self._clock = clock
-        self._state = self.CLOSED
-        self._outcomes: list = []  # (timestamp, ok) inside the window
-        self._opened_at: Optional[float] = None
-        self._probes_in_flight = 0
-        self._trips = 0
-        _breaker_metrics()[1].labels(state=self.CLOSED).inc()
-
-    def _transition(self, new_state: str) -> None:
-        if new_state == self._state:
-            return
-        counter, gauge = _breaker_metrics()
-        counter.labels(transition=f"{self._state}->{new_state}").inc()
-        gauge.labels(state=self._state).dec()
-        gauge.labels(state=new_state).inc()
-        self._state = new_state
-
-    @property
-    def policy(self) -> CircuitBreakerPolicy:
-        return self._policy
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def trips(self) -> int:
-        """How many times this breaker has opened (telemetry)."""
-        return self._trips
-
-    @property
-    def state(self) -> str:
-        self._advance()
-        return self._state
-
-    def _advance(self) -> None:
-        if self._state == self.OPEN:
-            elapsed = self._clock() - self._opened_at
-            if elapsed >= self._policy.cooldown_seconds:
-                self._transition(self.HALF_OPEN)
-                self._probes_in_flight = 0
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self._policy.window_seconds
-        self._outcomes = [
-            entry for entry in self._outcomes if entry[0] >= horizon
-        ]
-
-    def time_until_retry(self) -> float:
-        """Seconds until an open breaker admits its half-open probe."""
-        if self._state != self.OPEN or self._opened_at is None:
-            return 0.0
-        remaining = (
-            self._policy.cooldown_seconds - (self._clock() - self._opened_at)
-        )
-        return max(0.0, remaining)
-
-    def allow(self) -> bool:
-        """Whether a call may proceed right now (non-raising form)."""
-        self._advance()
-        if self._state == self.CLOSED:
-            return True
-        if self._state == self.HALF_OPEN:
-            if self._probes_in_flight < self._policy.half_open_probes:
-                self._probes_in_flight += 1
-                return True
-            return False
-        return False
-
-    def check(self) -> None:
-        """Raise :class:`CircuitOpenError` unless a call may proceed."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit breaker for {self._name} is {self._state} "
-                f"(retry in {self.time_until_retry():.2f}s)",
-                retry_after=self.time_until_retry(),
-            )
-
-    def record_success(self) -> None:
-        now = self._clock()
-        if self._state == self.HALF_OPEN:
-            # The probe came back healthy: close and forget the bad spell.
-            self._transition(self.CLOSED)
-            self._outcomes = []
-            self._probes_in_flight = 0
-            return
-        self._outcomes.append((now, True))
-        self._prune(now)
-
-    def record_failure(self) -> None:
-        now = self._clock()
-        if self._state == self.HALF_OPEN:
-            # The probe failed: straight back to open, fresh cooldown.
-            self._transition(self.OPEN)
-            self._opened_at = now
-            self._trips += 1
-            self._probes_in_flight = 0
-            return
-        self._outcomes.append((now, False))
-        self._prune(now)
-        failures = sum(1 for _, ok in self._outcomes if not ok)
-        if failures < self._policy.failure_threshold:
-            return
-        rate = failures / len(self._outcomes)
-        if rate >= self._policy.failure_rate and self._state == self.CLOSED:
-            self._transition(self.OPEN)
-            self._opened_at = now
-            self._trips += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker({self._name}, state={self.state}, "
-            f"trips={self._trips})"
-        )
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """The full failure-handling contract of one deployment, in one object.
-
-    Round-trips through ``to_dict``/``from_dict`` so it can ride a
-    topology manifest (the way a :class:`~repro.service.ProtocolSpec`
-    rides it) or be assembled from CLI flags; every field defaults to the
-    table in :mod:`repro.resilience.defaults`.
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    timeouts: TimeoutPolicy = field(default_factory=TimeoutPolicy)
-    breaker: Optional[CircuitBreakerPolicy] = field(
-        default_factory=CircuitBreakerPolicy
-    )
-
-    def with_overrides(self, **kwargs) -> "ResilienceConfig":
-        return replace(self, **kwargs)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "retry": self.retry.to_dict(),
-            "timeouts": self.timeouts.to_dict(),
-            "breaker": self.breaker.to_dict() if self.breaker else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ResilienceConfig":
-        if not isinstance(payload, dict):
-            raise ProtocolConfigurationError(
-                f"a ResilienceConfig dict is required, "
-                f"got {type(payload).__name__}"
-            )
-        unknown = set(payload) - {"retry", "timeouts", "breaker"}
-        if unknown:
-            raise ProtocolConfigurationError(
-                f"unknown ResilienceConfig field(s): {sorted(unknown)}"
-            )
-        return cls(
-            retry=RetryPolicy.from_dict(payload.get("retry", {})),
-            timeouts=TimeoutPolicy.from_dict(payload.get("timeouts", {})),
-            breaker=(
-                CircuitBreakerPolicy.from_dict(payload["breaker"])
-                if payload.get("breaker") is not None
-                else None
-            ),
-        )
+    def should_retry(self, attempt: int) -> bool:
+        """Whether retry number ``attempt`` (1-based) may still run."""
+        return attempt <= self.max_retries

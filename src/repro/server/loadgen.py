@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,7 +51,6 @@ import numpy as np
 
 from ..core.domain import Domain
 from ..core.exceptions import (
-    CircuitOpenError,
     CollectionServiceError,
     ProtocolConfigurationError,
     WireFormatError,
@@ -59,16 +59,11 @@ from ..core.rng import RngLike, ensure_rng, spawn_rngs
 from ..observability import get_registry, metrics_enabled, trace
 from ..resilience.defaults import (
     CONNECT_POLL_SECONDS,
+    DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_IO_TIMEOUT,
     LOADGEN_RETRY_POLICY,
-    default_timeout_policy,
 )
-from ..resilience.policies import (
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    ResilienceConfig,
-    RetryPolicy,
-    TimeoutPolicy,
-)
+from ..resilience.policies import RetryPolicy
 from ..resilience.spool import ReportSpool
 from ..service.spec import ProtocolSpec
 from .framing import (
@@ -85,6 +80,14 @@ from .framing import (
 from .handshake import hello_payload
 
 __all__ = ["ClientResult", "LoadReport", "LoadGenerator"]
+
+#: Bytes asked of the socket per read while waiting for OK/ACK/ERR.
+READ_CHUNK_BYTES = 1 << 16
+#: Await the writer's flow-control drain once per this many frames rather
+#: than after every frame (the transport's high-water mark still applies
+#: backpressure in between).  Per-frame draining costs a scheduler
+#: round-trip per frame and was the client-side ingest bottleneck.
+DRAIN_EVERY = 16
 
 _LG_COUNTERS = None
 
@@ -219,13 +222,11 @@ class _Connection:
     next group routed to the same address may go over it.
     """
 
-    def __init__(self, reader, writer, read_chunk_bytes: int, timeout: float):
+    def __init__(self, reader, writer):
         self.writer = writer
         self._reader = reader
         self._decoder = FrameDecoder()
         self._pending = deque()
-        self._read_chunk_bytes = read_chunk_bytes
-        self._timeout = timeout
 
     @property
     def reusable(self) -> bool:
@@ -236,11 +237,11 @@ class _Connection:
         while not self._pending:
             try:
                 chunk = await asyncio.wait_for(
-                    self._reader.read(self._read_chunk_bytes), self._timeout
+                    self._reader.read(READ_CHUNK_BYTES), DEFAULT_IO_TIMEOUT
                 )
             except asyncio.TimeoutError:
                 raise CollectionServiceError(
-                    f"server sent no response within {self._timeout:.1f}s"
+                    f"server sent no response within {DEFAULT_IO_TIMEOUT:.1f}s"
                 ) from None
             if not chunk:
                 raise CollectionServiceError(
@@ -306,12 +307,11 @@ class LoadGenerator:
     malformed_connections:
         Extra poison connections (spread over the fleet) that handshake
         correctly, then send garbage and expect a per-connection ``ERR``.
-    drain_every:
-        Await the writer's flow-control drain once per this many frames
-        rather than after every frame (the transport's high-water mark
-        still applies backpressure in between).  Per-frame draining costs
-        a scheduler round-trip per frame and was the client-side ingest
-        bottleneck.
+    connect_timeout:
+        Seconds a target's first connect keeps retrying while its socket
+        is not yet accepting (default
+        :data:`~repro.resilience.defaults.DEFAULT_CONNECT_TIMEOUT`); must
+        be finite and positive.
     targets, routing:
         Instead of one ``host``/``port``, a list of collector addresses
         and the routing policy (``round-robin`` or ``hash``) that deals
@@ -327,15 +327,10 @@ class LoadGenerator:
         twin.  ``dead: True`` means the address's durable checkpoint has
         been recovered, so the token set is complete: recovered groups are
         counted, the rest replay to surviving collectors.
-    retry, timeouts, breaker, resilience:
-        The policy objects from :mod:`repro.resilience`: a
-        :class:`RetryPolicy` for per-group delivery (defaults to
-        :data:`~repro.resilience.defaults.LOADGEN_RETRY_POLICY`), a
-        :class:`TimeoutPolicy` (overrides ``connect_timeout``/
-        ``io_timeout``), a :class:`CircuitBreakerPolicy` stamped out
-        per target (``None`` disables breakers), or a whole
-        :class:`ResilienceConfig` bundling all three.  Explicit policy
-        arguments win over the bundle's fields.
+    retry:
+        The :class:`~repro.resilience.RetryPolicy` of per-group delivery
+        (default :data:`~repro.resilience.defaults.LOADGEN_RETRY_POLICY`:
+        three retries 0.2, 0.4 and 0.6 s apart).
     spool_dir:
         Durable store-and-forward: every group's frames are fsync'd to
         ``spool_dir/client-NNNN.spool`` *before* first transmission and
@@ -362,11 +357,7 @@ class LoadGenerator:
         token_prefix: Optional[str] = None,
         failover: Optional[Callable[..., Any]] = None,
         retry: Optional[RetryPolicy] = None,
-        timeouts: Optional[TimeoutPolicy] = None,
-        breaker: Optional[CircuitBreakerPolicy] = None,
-        resilience: Optional[ResilienceConfig] = None,
         spool_dir: Optional[Union[str, Path]] = None,
-        spool_fsync: bool = True,
         on_group_done: Optional[Callable[[int, int], Any]] = None,
         frames: Optional[Sequence[bytes]] = None,
         num_clients: int = 4,
@@ -375,10 +366,7 @@ class LoadGenerator:
         seed: int = 20180610,
         frames_per_connection: Optional[int] = None,
         malformed_connections: int = 0,
-        connect_timeout: Optional[float] = None,
-        io_timeout: Optional[float] = None,
-        read_chunk_bytes: int = 1 << 16,
-        drain_every: int = 16,
+        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
         if not isinstance(spec, ProtocolSpec):
             spec = ProtocolSpec.from_protocol(spec)
@@ -407,9 +395,10 @@ class LoadGenerator:
             raise ProtocolConfigurationError(
                 f"malformed_connections must be >= 0, got {malformed_connections}"
             )
-        if drain_every < 1:
+        if not (math.isfinite(connect_timeout) and connect_timeout > 0):
             raise ProtocolConfigurationError(
-                f"drain_every must be >= 1, got {drain_every}"
+                f"connect_timeout must be a finite number of seconds > 0, "
+                f"got {connect_timeout}"
             )
         self._spec = spec
         self._protocol = spec.build()
@@ -429,37 +418,13 @@ class LoadGenerator:
         # Addresses that have accepted at least one connection: their
         # reconnects may take the short failover path in _connect.
         self._contacted: set = set()
-        # Policy resolution: explicit policy objects win, then the
-        # resilience bundle, then the load generator's default schedule.
-        if retry is None:
-            retry = (
-                resilience.retry
-                if resilience is not None
-                else LOADGEN_RETRY_POLICY
-            )
-        self._retry_policy = retry
-        if timeouts is None:
-            timeouts = (
-                resilience.timeouts
-                if resilience is not None
-                else default_timeout_policy()
-            )
-        if connect_timeout is not None:
-            timeouts = replace(timeouts, connect=float(connect_timeout))
-        if io_timeout is not None:
-            timeouts = replace(timeouts, io=float(io_timeout))
-        self._timeouts = timeouts
-        if breaker is None and resilience is not None:
-            breaker = resilience.breaker
-        self._breaker_policy = breaker
-        self._breakers: Dict[Tuple[str, int], CircuitBreaker] = {}
+        self._retry_policy = retry if retry is not None else LOADGEN_RETRY_POLICY
         if spool_dir is not None and self._token_prefix is None:
             raise ProtocolConfigurationError(
                 "spool_dir requires a token_prefix: replaying spooled "
                 "groups without idempotency tokens could double-fold them"
             )
         self._spool_dir = Path(spool_dir) if spool_dir is not None else None
-        self._spool_fsync = bool(spool_fsync)
         self._on_group_done = on_group_done
         self._frames = list(frames) if frames is not None else None
         self._num_clients = num_clients
@@ -468,10 +433,7 @@ class LoadGenerator:
         self._seed = seed
         self._frames_per_connection = frames_per_connection
         self._malformed_connections = malformed_connections
-        self._connect_timeout = self._timeouts.connect
-        self._io_timeout = self._timeouts.io
-        self._read_chunk_bytes = read_chunk_bytes
-        self._drain_every = int(drain_every)
+        self._connect_timeout = float(connect_timeout)
         self._hello_payload = hello_payload(spec, domain.attributes)
         self._hello = encode_control(HELLO, self._hello_payload)
         # Addresses whose last connection from here was answered OK and
@@ -677,7 +639,7 @@ class LoadGenerator:
                 delivery = await self._deliver_group(
                     result, group_index, group_frames, token=token
                 )
-                if spool is not None and delivery is not None:
+                if spool is not None:
                     # Commit markers are written without a sync (their
                     # loss is replay-safe), so this never blocks on disk.
                     spool.commit_group(token, delivery)
@@ -697,23 +659,10 @@ class LoadGenerator:
             return None
         return f"{self._token_prefix}/c{client_id}/g{group_index}"
 
-    def _breaker_for(self, address) -> Optional[CircuitBreaker]:
-        if self._breaker_policy is None:
-            return None
-        key = (address[0], int(address[1]))
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = self._breaker_policy.build(f"{key[0]}:{key[1]}")
-            self._breakers[key] = breaker
-        return breaker
-
     def _open_spool(self, client_id: int) -> Optional[ReportSpool]:
         if self._spool_dir is None:
             return None
-        return ReportSpool(
-            self._spool_dir / f"client-{client_id:04d}.spool",
-            fsync=self._spool_fsync,
-        )
+        return ReportSpool(self._spool_dir / f"client-{client_id:04d}.spool")
 
     async def _deliver_group(
         self,
@@ -721,7 +670,7 @@ class LoadGenerator:
         group_index: int,
         frames: List[bytes],
         token: Optional[str] = None,
-    ) -> Optional[Dict[str, Any]]:
+    ) -> Dict[str, Any]:
         """Deliver one group exactly once, across failures.
 
         The loop: route, send, and on failure ask the ``failover`` oracle
@@ -737,19 +686,12 @@ class LoadGenerator:
           replay it to a surviving collector (which has never seen this
           token, so no dedupe is needed there).
 
-        A per-target :class:`~repro.resilience.CircuitBreaker` (when
-        configured) fails the send fast while the target is tripped; an
-        open circuit counts as a transient failure and waits out the
-        cooldown.
-
         Returns the delivery receipt ``{"address", "frames", "reports",
-        "recovered"}`` used to commit the group into the client spool, or
-        ``None`` if the send path reported no counts.
+        "recovered"}`` used to commit the group into the client spool.
         """
         if token is None:
             token = self._token(result.client_id, group_index)
         attempts = 0
-        started = time.monotonic()
         # Resolve the target once per group and hold it across transient
         # retries: RoundRobinRouter advances on every route() call (the key
         # is ignored), so routing inside the loop would send a retry after
@@ -759,17 +701,11 @@ class LoadGenerator:
         # new target.
         address = self._router.route(key=(result.client_id, group_index))
         while True:
-            breaker = self._breaker_for(address)
             try:
-                if breaker is not None:
-                    breaker.check()
-                counts = await self._send_group(
+                acked_frames, acked_reports = await self._send_group(
                     result, frames, address, token
                 )
-            except (CollectionServiceError, CircuitOpenError) as error:
-                breaker_open = isinstance(error, CircuitOpenError)
-                if breaker is not None and not breaker_open:
-                    breaker.record_failure()
+            except CollectionServiceError:
                 verdict = await self._consult_failover(address)
                 if verdict.get("dead"):
                     self._router.mark_dead(address)
@@ -803,34 +739,19 @@ class LoadGenerator:
                         key=(result.client_id, group_index)
                     )
                     attempts = 0
-                    started = time.monotonic()
                     result.retries += 1
                     _loadgen_counters()[3].inc()
                     continue
                 attempts += 1
-                if not self._retry_policy.should_retry(attempts, started):
+                if not self._retry_policy.should_retry(attempts):
                     raise
                 result.retries += 1
                 _loadgen_counters()[3].inc()
                 delay = self._retry_policy.delay(attempts)
-                if breaker_open:
-                    delay = max(delay, error.retry_after)
                 if delay > 0:
                     await asyncio.sleep(delay)
             else:
-                if breaker is not None:
-                    breaker.record_success()
                 target = f"{address[0]}:{address[1]}"
-                if counts is None:
-                    # Test doubles stub _send_group without a return value;
-                    # fall back to what the client put on the wire.
-                    return {
-                        "address": target,
-                        "frames": len(frames),
-                        "reports": 0,
-                        "recovered": False,
-                    }
-                acked_frames, acked_reports = counts
                 result.credit_target(target, acked_frames, acked_reports)
                 return {
                     "address": target,
@@ -881,7 +802,7 @@ class LoadGenerator:
                         self._greeted.add(address)
                     for position, frame in enumerate(frames, start=1):
                         writer.write(frame)
-                        if position % self._drain_every == 0:
+                        if position % DRAIN_EVERY == 0:
                             await writer.drain()
                         result.frames += 1
                         result.bytes += len(frame)
@@ -998,6 +919,4 @@ class LoadGenerator:
                 await asyncio.sleep(CONNECT_POLL_SECONDS)
             else:
                 self._contacted.add(address)
-                return _Connection(
-                    reader, writer, self._read_chunk_bytes, self._io_timeout
-                )
+                return _Connection(reader, writer)

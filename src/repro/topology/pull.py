@@ -16,7 +16,6 @@ through :func:`~repro.server.durable.restore_durable`.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -93,7 +92,6 @@ async def pull_control(
     not a transient fault, and is never retried).
     """
     attempts = 0
-    started = time.monotonic()
     what = str((payload or {}).get("what", "state"))
     while True:
         try:
@@ -107,7 +105,7 @@ async def pull_control(
                 _count_pull("rejected")
                 raise
             attempts += 1
-            if retry is None or not retry.should_retry(attempts, started):
+            if retry is None or not retry.should_retry(attempts):
                 _count_pull("failed")
                 raise
             _count_pull("retried")

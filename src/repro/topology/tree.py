@@ -17,11 +17,11 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from ..core.domain import Domain
 from ..core.exceptions import CollectionServiceError, ProtocolConfigurationError
-from ..resilience.policies import ResilienceConfig, RetryPolicy
+from ..resilience.policies import RetryPolicy
 from ..service.spec import ProtocolSpec
 from .aggregator import FanIn, FanInAggregator, walk
 from .router import ROUTING_POLICIES
@@ -55,22 +55,13 @@ class LocalTopology:
         routing: str = "round-robin",
         host: str = "127.0.0.1",
         start_timeout: float = 30.0,
-        resilience: Optional[ResilienceConfig] = None,
     ):
         if routing not in ROUTING_POLICIES:
             raise ProtocolConfigurationError(
                 f"unknown routing policy {routing!r}; expected one of "
                 f"{list(ROUTING_POLICIES)}"
             )
-        if resilience is not None and not isinstance(
-            resilience, ResilienceConfig
-        ):
-            raise ProtocolConfigurationError(
-                f"resilience must be a ResilienceConfig, "
-                f"got {type(resilience).__name__}"
-            )
         self._routing = routing
-        self._resilience = resilience
         self._base_dir = Path(base_dir)
         self._supervisor = TopologySupervisor(
             spec,
@@ -97,11 +88,6 @@ class LocalTopology:
     @property
     def routing(self) -> str:
         return self._routing
-
-    @property
-    def resilience(self) -> Optional[ResilienceConfig]:
-        """The retry/timeout/breaker policies published in the manifest."""
-        return self._resilience
 
     @property
     def base_dir(self) -> Path:
@@ -143,10 +129,6 @@ class LocalTopology:
             },
             "collectors": supervisor.describe(),
         }
-        if self._resilience is not None:
-            # Published so `repro load --topology` clients pick up the
-            # tree's retry/timeout/breaker policies without extra flags.
-            manifest["resilience"] = self._resilience.to_dict()
         path = self.manifest_path
         # Write-then-rename so a concurrently launched `repro load
         # --topology` never reads a half-written manifest.
@@ -238,6 +220,6 @@ def fan_in(manifest: Dict[str, Any], *, partial: bool = False) -> FanIn:
             aggregator,
             pull=manifest["collectors"],
             partial=partial,
-            retry=RetryPolicy(max_retries=2, base_delay=0.2, max_delay=1.0),
+            retry=RetryPolicy(max_retries=2, base_delay=0.2),
         )
     )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability.watch import (
     RateTracker,
-    breaker_states,
     expected_error_half_width,
     render_watch,
 )
@@ -90,30 +89,6 @@ def test_zero_population_renders_na():
 
 def test_missing_spec_renders_na():
     assert expected_error_half_width({"reports": 100}) is None
-
-
-# ----------------------------------------------------------------------
-# breaker_states
-
-
-def test_breaker_states_extraction():
-    state = {
-        "format": "repro-metrics/v1",
-        "families": {
-            "repro_breaker_state": {
-                "type": "gauge",
-                "help": "",
-                "labels": ["state"],
-                "series": [[["closed"], 2.0], [["open"], 1.0]],
-            }
-        },
-    }
-    assert breaker_states(state) == {"closed": 2, "open": 1}
-
-
-def test_breaker_states_tolerates_absence():
-    assert breaker_states({}) == {}
-    assert breaker_states({"families": {}}) == {}
 
 
 # ----------------------------------------------------------------------

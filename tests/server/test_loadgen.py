@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.core.exceptions import (
     ProtocolConfigurationError,
 )
 from repro.resilience import RetryPolicy
-from repro.server import CollectionServer, LoadGenerator
+from repro.server import CollectionServer, LoadGenerator, loadgen
 
 from ..service.util import (
     SEED,
@@ -24,9 +25,7 @@ from ..service.util import (
 )
 
 #: Three retries with no sleep between them: these tests count attempts.
-NO_BACKOFF = RetryPolicy(
-    max_retries=3, base_delay=0.0, max_delay=0.0, growth="linear", jitter="none"
-)
+NO_BACKOFF = RetryPolicy(max_retries=3, base_delay=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +126,19 @@ class TestFramePreparation:
                 "h",
                 1,
                 malformed_connections=-1,
+            )
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_connect_timeout_must_be_finite_and_positive(
+        self, protocol, dataset, value
+    ):
+        """A NaN deadline never passes (``monotonic() >= nan`` is always
+        false), so a fleet built with one would spin on a closed port."""
+        with pytest.raises(
+            ProtocolConfigurationError, match="connect_timeout"
+        ):
+            LoadGenerator(
+                protocol.spec(), dataset.domain, "h", 1, connect_timeout=value
             )
 
 
@@ -274,6 +286,41 @@ class TestFleetRuns:
 
         asyncio.run(session())
 
+    def test_silent_server_fails_the_group_after_the_io_timeout(
+        self, protocol, dataset, monkeypatch
+    ):
+        """A server that accepts and then says nothing fails the group
+        after the fixed per-read silence bound instead of hanging it."""
+        monkeypatch.setattr(loadgen, "DEFAULT_IO_TIMEOUT", 0.1)
+
+        async def session():
+            async def say_nothing(reader, writer):
+                while await reader.read(1 << 16):
+                    pass
+                writer.close()
+
+            fake = await asyncio.start_server(say_nothing, "127.0.0.1", 0)
+            port = fake.sockets[0].getsockname()[1]
+            try:
+                fleet = LoadGenerator(
+                    protocol.spec(),
+                    dataset.domain,
+                    "127.0.0.1",
+                    port,
+                    num_clients=1,
+                    records_per_client=8,
+                    retry=RetryPolicy(max_retries=0),
+                )
+                with pytest.raises(
+                    CollectionServiceError, match=r"no response within 0\.1s"
+                ):
+                    await fleet.run()
+            finally:
+                fake.close()
+                await fake.wait_closed()
+
+        asyncio.run(session())
+
     def test_connect_timeout_raises_quickly(self, protocol, dataset):
         async def session():
             # A port nothing listens on; bounded retry then a clear error.
@@ -331,6 +378,7 @@ class TestFailoverRouting:
             attempts.append(address)
             if len(attempts) < 3:
                 raise CollectionServiceError("ACK lost")
+            return len(frames), 0
 
         fleet._send_group = send_group
         from repro.server.loadgen import ClientResult
@@ -358,6 +406,7 @@ class TestFailoverRouting:
             attempts.append(address)
             if address == dead_address:
                 raise CollectionServiceError("connection refused")
+            return len(frames), 0
 
         fleet._send_group = send_group
         from repro.server.loadgen import ClientResult
@@ -380,9 +429,7 @@ class TestFailoverRouting:
             protocol,
             dataset,
             connect_timeout=0.3,
-            retry=RetryPolicy(
-                base_delay=0.1, max_delay=0.3, growth="linear", jitter="none"
-            ),
+            retry=RetryPolicy(base_delay=0.1),
         )
         address = ("127.0.0.1", 1)  # connection refused
 

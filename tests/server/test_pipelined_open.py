@@ -126,9 +126,7 @@ def test_a_spec_change_behind_a_pipelined_address_earns_the_readable_diff(
             num_clients=1,
             frames_per_connection=1,
             token_prefix="swap",
-            retry=RetryPolicy(
-                max_retries=1, base_delay=0.0, max_delay=0.0, jitter="none"
-            ),
+            retry=RetryPolicy(max_retries=1, base_delay=0.0),
             on_group_done=swap,
         )
         try:

@@ -598,6 +598,120 @@ class TestServeLoadValidation:
         assert "cannot connect" in capsys.readouterr().err
 
 
+class TestPositiveFloatFlags:
+    """Timeouts and intervals must be finite and positive: a NaN deadline
+    never passes (``monotonic() >= nan`` is always false), a zero stats
+    interval divides by zero, and ``time.sleep(nan)`` raises."""
+
+    FLAGS = [
+        pytest.param(["load"], "--connect-timeout", id="load"),
+        pytest.param(["hh", "discover"], "--connect-timeout", id="hh"),
+        pytest.param(["serve"], "--stats-interval", id="serve"),
+        pytest.param(["watch"], "--interval", id="watch-interval"),
+        pytest.param(["watch"], "--timeout", id="watch-timeout"),
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command,flag", FLAGS)
+    def test_flag_refuses(self, command, flag, value, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(command + [flag, value])
+        assert excinfo.value.code == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", FLAGS)
+    def test_flag_accepts_a_positive_number(self, command, flag):
+        from repro.cli import _build_parser
+
+        arguments = _build_parser().parse_args(command + [flag, "0.5"])
+        assert getattr(arguments, flag[2:].replace("-", "_")) == 0.5
+
+
+class TestRetiredResilienceOptions:
+    """Client failure handling is one retry schedule: the breaker, backoff
+    and deadline flags are gone, and a manifest's policy block is ignored."""
+
+    CONTRACT = [
+        "--protocol", "InpRR", "--epsilon", "1.0", "--width", "2",
+        "--dimension", "4",
+    ]
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["load"], ["--breaker"]),
+            (["load"], ["--max-retries", "2"]),
+            (["load"], ["--retry-base-delay", "1"]),
+            (["load"], ["--retry-max-delay", "1"]),
+            (["load"], ["--retry-deadline", "1"]),
+            (["topo", "launch", "--dir", "topo"], ["--publish-resilience"]),
+        ],
+        ids=lambda value: " ".join(value),
+    )
+    def test_flag_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + self.CONTRACT + flag)
+        assert excinfo.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err
+        )
+
+    def test_a_published_resilience_block_is_ignored(self, tmp_path):
+        """A manifest written with the old ``--publish-resilience`` still
+        drives ``repro load --topology``, on the default schedule."""
+        from repro.cli import _build_parser, _load_topology_contract
+        from repro.resilience.defaults import LOADGEN_RETRY_POLICY
+        from repro.server import LoadGenerator
+        from repro.service import ProtocolSpec
+
+        manifest = {
+            "format_version": 1,
+            "spec": ProtocolSpec(
+                protocol="InpRR", epsilon=1.0, max_width=2
+            ).to_dict(),
+            "attributes": ["a0", "a1", "a2", "a3"],
+            "routing": "hash",
+            "collectors": [
+                {
+                    "collector_id": "c0",
+                    "host": "127.0.0.1",
+                    "port": 7311,
+                    "checkpoint_dir": str(tmp_path / "c0"),
+                }
+            ],
+            "resilience": {
+                "retry": {
+                    "max_retries": 3, "base_delay": 0.2, "max_delay": 5.0,
+                    "growth": "exponential", "jitter": "full",
+                    "deadline": None,
+                },
+                "timeouts": {"connect": 10.0, "io": 30.0, "pull": 10.0},
+                "breaker": {
+                    "failure_threshold": 5, "failure_rate": 0.5,
+                    "window_seconds": 30.0, "cooldown_seconds": 1.0,
+                    "half_open_probes": 1,
+                },
+            },
+        }
+        (tmp_path / "topology.json").write_text(json.dumps(manifest))
+        arguments = _build_parser().parse_args(
+            ["load", "--topology", str(tmp_path), "--token-prefix", "p"]
+        )
+        spec, domain, kwargs = _load_topology_contract(arguments)
+        assert kwargs == {
+            "targets": [("127.0.0.1", 7311)],
+            "routing": "hash",
+            "token_prefix": "p",
+            "failover": None,
+        }
+        fleet = LoadGenerator(spec, domain, **kwargs)
+        assert fleet._retry_policy is LOADGEN_RETRY_POLICY
+        assert domain.attributes == ("a0", "a1", "a2", "a3")
+
+
 class TestServeLoadRoundTrip:
     """The socket round trip: `repro serve` in a real child process,
     `repro load` in-process, estimates equal to run_streaming."""

@@ -96,7 +96,7 @@ async def drive_fleet(
     router's dealing order — and therefore which groups hit the doomed
     collector — is fully deterministic.  Extra ``fleet_kwargs`` go to the
     :class:`LoadGenerator` constructor (the chaos suite passes
-    ``spool_dir``/``retry``/``breaker`` through here), and a caller's
+    ``spool_dir``/``retry`` through here), and a caller's
     ``on_group_done`` hook composes with the kill plan — the kill fires
     first, then the hook.
     """
