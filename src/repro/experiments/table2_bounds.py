@@ -2,10 +2,12 @@
 
 The analytic half of this experiment simply evaluates the Table 2 expressions
 at concrete (d, k).  The empirical half runs the six protocols once and
-checks that the *measured* communication per user matches the analytic bit
-counts and that the *measured* error ordering is consistent with the ordering
-of the analytic error factors (the paper's headline claim that the bounds
-predict practice).
+reports the *measured* communication per user — the bytes ``to_bytes()``
+puts on the wire for ``FRAME_USERS``-user frames, header and CRC-32
+amortised — beside the analytic bit counts, and the *measured* error, whose
+ordering should follow the analytic error factors (the paper's headline
+claim that the bounds predict practice).  :func:`wire_rows` measures the
+same column for every registered protocol, heavy-hitter discovery included.
 """
 
 from __future__ import annotations
@@ -17,13 +19,27 @@ import numpy as np
 
 from ..core.privacy import PrivacyBudget
 from ..datasets.movielens import make_movielens_dataset
-from ..protocols.registry import CORE_PROTOCOL_NAMES, make_protocol
+from ..protocols.registry import CORE_PROTOCOL_NAMES, available_protocols, make_protocol
 from ..theory.bounds import communication_bits, error_exponent_factor
 from .config import LN3
 from .metrics import mean_total_variation
 from .reporting import format_table
 
-__all__ = ["Table2Config", "Table2Result", "default_config", "run", "render"]
+__all__ = [
+    "FRAME_USERS",
+    "Table2Config",
+    "Table2Result",
+    "default_config",
+    "run",
+    "render",
+    "wire_bits_per_user",
+    "wire_rows",
+    "wire_markdown",
+]
+
+#: Users per wire frame when measuring the communication column (the
+#: frame size the collection benchmark sends).
+FRAME_USERS = 500
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,9 @@ def run(config: Table2Config | None = None) -> Table2Result:
     dataset = make_movielens_dataset(config.population, d=config.dimension, rng=rng)
     budget = PrivacyBudget(config.epsilon)
 
+    # The wire measurement draws from its own generator, so it leaves the
+    # error measurement's random stream as it was.
+    wire_rng = np.random.default_rng([config.seed, 1])
     rows: List[Dict[str, object]] = []
     for name in CORE_PROTOCOL_NAMES:
         protocol = make_protocol(name, budget, config.width)
@@ -73,7 +92,9 @@ def run(config: Table2Config | None = None) -> Table2Result:
                 "comm_bits_analytic": communication_bits(
                     name, config.dimension, config.width
                 ),
-                "comm_bits_protocol": protocol.communication_bits(config.dimension),
+                "comm_bits_protocol": round(
+                    wire_bits_per_user(protocol, dataset, wire_rng), 2
+                ),
                 "error_factor": round(
                     error_exponent_factor(name, config.dimension, config.width), 2
                 ),
@@ -81,6 +102,60 @@ def run(config: Table2Config | None = None) -> Table2Result:
             }
         )
     return Table2Result(config=config, rows=tuple(rows))
+
+
+def wire_bits_per_user(protocol, dataset, rng) -> float:
+    """Bits per user ``to_bytes()`` sends for ``dataset`` in
+    :data:`FRAME_USERS`-user frames, each frame's header and CRC-32
+    amortised over its users."""
+    total = sum(
+        len(protocol.encode_batch(chunk, rng=rng).to_bytes())
+        for chunk in dataset.iter_batches(FRAME_USERS)
+    )
+    return 8.0 * total / dataset.size
+
+
+def wire_rows(config: Table2Config | None = None) -> List[Dict[str, object]]:
+    """Measured wire bits per user for every registered protocol, beside
+    Table 2's figure (the paper's six) and the protocol's own count."""
+    config = config or default_config()
+    rng = np.random.default_rng(config.seed)
+    dataset = make_movielens_dataset(config.population, d=config.dimension, rng=rng)
+    rows = []
+    for name in available_protocols():
+        protocol = make_protocol(name, PrivacyBudget(config.epsilon), config.width)
+        rows.append(
+            {
+                "method": name,
+                "wire_bits": round(wire_bits_per_user(protocol, dataset, rng), 2),
+                "table2_bits": (
+                    communication_bits(name, config.dimension, config.width)
+                    if name in CORE_PROTOCOL_NAMES
+                    else None
+                ),
+                "protocol_bits": protocol.communication_bits(config.dimension),
+            }
+        )
+    return rows
+
+
+def wire_markdown(config: Table2Config | None = None) -> str:
+    """:func:`wire_rows` as a Markdown table (CI's job summary)."""
+    config = config or default_config()
+    lines = [
+        f"### Wire bits per user (d={config.dimension}, k={config.width}, "
+        f"{FRAME_USERS}-user frames)",
+        "",
+        "| protocol | wire bits/user | Table 2 | protocol's count |",
+        "|---|---|---|---|",
+    ]
+    for row in wire_rows(config):
+        table2 = "—" if row["table2_bits"] is None else row["table2_bits"]
+        lines.append(
+            f"| {row['method']} | {row['wire_bits']:.2f} | {table2} | "
+            f"{row['protocol_bits']} |"
+        )
+    return "\n".join(lines)
 
 
 def render(result: Table2Result) -> str:

@@ -83,7 +83,7 @@ register_report_schema(
     fields=(
         ReportField("levels", np.int64),
         ReportField("int_data", np.int64, ndim=2),
-        ReportField("float_data", np.float64, ndim=2),
+        ReportField("float_data", np.float64, ndim=2, sign=True),
     ),
 )
 
@@ -426,6 +426,18 @@ class HeavyHitters(MarginalReleaseProtocol):
         return HeavyHittersAccumulator(
             workload, plan, inner, self._oracle_name, self.discovery_config()
         )
+
+    def report_bounds(self, dimension: int):
+        """A level below the level count; each inner column below the bound
+        of the widest level's oracle, which every level's bound is within."""
+        plan = self.level_plan(dimension)
+        inner = self.level_protocol(plan[-1]).report_bounds(plan[-1])
+        # The inner bounds come in the order _pack_reports packs columns.
+        return {
+            "levels": (len(plan),),
+            "int_data": tuple(bound for name in inner for bound in inner[name]),
+            "float_data": (2,) * _REPORT_COLUMNS[self._oracle_name][1],
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """The level tag plus the final (widest) level's oracle report."""

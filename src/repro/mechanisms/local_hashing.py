@@ -27,7 +27,10 @@ from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng
 from .direct_encoding import DirectEncoding
 
-__all__ = ["OptimizedLocalHashing", "DEFAULT_DECODE_BATCH_SIZE"]
+__all__ = ["OptimizedLocalHashing", "DEFAULT_DECODE_BATCH_SIZE", "SEED_BOUND"]
+
+#: Hash seeds are drawn from ``[1, SEED_BOUND)``: 62 bits on the wire.
+SEED_BOUND = 1 << 62
 
 # Parameters of a simple multiply-shift universal hash family on 64-bit keys.
 _MULTIPLIER_BITS = 61
@@ -114,7 +117,7 @@ class OptimizedLocalHashing:
             raise ProtocolConfigurationError(
                 f"values must lie in [0, {self.domain_size})"
             )
-        seeds = generator.integers(1, 2**62, size=values.shape[0], dtype=np.int64)
+        seeds = generator.integers(1, SEED_BOUND, size=values.shape[0], dtype=np.int64)
         buckets = _hash(values, seeds, self.num_buckets)
         noisy = self.encoder.perturb(buckets, rng=generator)
         return seeds, noisy

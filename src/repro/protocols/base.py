@@ -465,6 +465,7 @@ class MarginalReleaseProtocol(abc.ABC):
             )
         self._budget = budget
         self._max_width = int(max_width)
+        self._report_bounds: Dict[int, Dict[str, tuple]] = {}
 
     @property
     def budget(self) -> PrivacyBudget:
@@ -520,14 +521,33 @@ class MarginalReleaseProtocol(abc.ABC):
 
         return ProtocolSpec.from_protocol(self)
 
-    def decode_reports(self, data):
+    def report_bounds(self, dimension: int) -> Dict[str, tuple]:
+        """The range the spec implies for each packed report column.
+
+        Maps a per-user report field to one exclusive upper bound per
+        column (an index below ``2^d``, a choice below ``C(d, k)``, a
+        bucket below ``g``, ...); the wire decoder refuses a value at or
+        above it.  Sign fields need no entry: they decode to ±1 only.
+        """
+        return {}
+
+    def decode_reports(self, data, domain: Optional[Domain] = None):
         """Decode one wire frame of this protocol's reports (see ``to_bytes``).
 
-        Validates the frame's magic/version/kind and every field's dtype and
-        shape; a frame from a different protocol raises
+        Validates the frame's magic/version/kind and every field's dtype,
+        shape and packed width; a frame from a different protocol raises
         :class:`~repro.core.exceptions.WireFormatError` naming both kinds.
+        Given the ``domain`` the reports are about, every column must also
+        lie within :meth:`report_bounds`, or the frame is refused with
+        :class:`~repro.core.exceptions.WireFormatError`.
         """
-        return decode_reports(data, expected_kind=self.name)
+        bounds = None
+        if domain is not None:
+            bounds = self._report_bounds.get(domain.dimension)
+            if bounds is None:
+                bounds = self.report_bounds(domain.dimension)
+                self._report_bounds[domain.dimension] = bounds
+        return decode_reports(data, expected_kind=self.name, bounds=bounds)
 
     def session(self, domain: Domain):
         """A fresh :class:`~repro.service.AggregationSession` over ``domain``.

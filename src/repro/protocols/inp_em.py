@@ -333,6 +333,9 @@ class InpEM(MarginalReleaseProtocol):
             max_iterations=self._max_iterations,
         )
 
+    def report_bounds(self, dimension: int):
+        return {"noisy_records": (2,) * dimension}
+
     def communication_bits(self, dimension: int) -> int:
         """Each user sends one noisy bit per attribute."""
         return dimension

@@ -67,7 +67,7 @@ register_report_schema(
     InpHTReports,
     fields=(
         ReportField("choices", np.int64),
-        ReportField("noisy_values", np.float64),
+        ReportField("noisy_values", np.float64, sign=True),
     ),
 )
 
@@ -159,6 +159,9 @@ class InpHT(MarginalReleaseProtocol):
             self.mechanism(),
             self.coefficient_indices(domain.dimension),
         )
+
+    def report_bounds(self, dimension: int):
+        return {"choices": (self.coefficient_indices(dimension).size,)}
 
     def communication_bits(self, dimension: int) -> int:
         """``d`` bits for the coefficient index plus 1 bit for its noisy value."""

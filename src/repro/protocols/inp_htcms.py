@@ -51,7 +51,7 @@ register_report_schema(
     fields=(
         ReportField("hash_indices", np.int64),
         ReportField("coefficient_indices", np.int64),
-        ReportField("noisy_signs", np.float64),
+        ReportField("noisy_signs", np.float64, sign=True),
     ),
 )
 
@@ -137,6 +137,12 @@ class InpHTCMS(MarginalReleaseProtocol):
         return InpHTCMSAccumulator(
             self.workload_for(domain), self.oracle(domain.dimension)
         )
+
+    def report_bounds(self, dimension: int):
+        return {
+            "hash_indices": (self._num_hashes,),
+            "coefficient_indices": (self._width,),
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """Hash index + coefficient index + one noisy sign bit."""

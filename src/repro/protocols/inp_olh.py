@@ -19,7 +19,7 @@ from ..core.exceptions import AggregationError
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng
-from ..mechanisms.local_hashing import OptimizedLocalHashing
+from ..mechanisms.local_hashing import SEED_BOUND, OptimizedLocalHashing
 from .base import (
     Accumulator,
     DistributionEstimator,
@@ -147,6 +147,12 @@ class InpOLH(MarginalReleaseProtocol):
         return InpOLHAccumulator(
             self.workload_for(domain), self.oracle(domain.dimension)
         )
+
+    def report_bounds(self, dimension: int):
+        return {
+            "seeds": (SEED_BOUND,),
+            "noisy_buckets": (self.oracle(dimension).num_buckets,),
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """A hash-function identifier (64 bits in this implementation) plus

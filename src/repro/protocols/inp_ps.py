@@ -105,6 +105,9 @@ class InpPS(MarginalReleaseProtocol):
             self.workload_for(domain), self.mechanism(domain.dimension)
         )
 
+    def report_bounds(self, dimension: int):
+        return {"noisy_indices": (1 << dimension,)}
+
     def communication_bits(self, dimension: int) -> int:
         """Each user sends one index from ``{0,1}^d``: ``d`` bits."""
         return dimension

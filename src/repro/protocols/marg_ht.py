@@ -15,6 +15,7 @@ users who sampled ``beta`` — which is why its bound carries the extra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -59,7 +60,7 @@ register_report_schema(
     fields=(
         ReportField("marginal_choices", np.int64),
         ReportField("coefficient_choices", np.int64),
-        ReportField("noisy_values", np.float64),
+        ReportField("noisy_values", np.float64, sign=True),
     ),
 )
 
@@ -160,6 +161,12 @@ class MargHT(MarginalReleaseProtocol):
 
     def accumulator(self, domain: Domain) -> MargHTAccumulator:
         return MargHTAccumulator(self.workload_for(domain), self.mechanism())
+
+    def report_bounds(self, dimension: int):
+        return {
+            "marginal_choices": (math.comb(dimension, self.max_width),),
+            "coefficient_choices": (1 << self.max_width,),
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """``d`` bits for the marginal, ``k`` for the coefficient, 1 for its value."""

@@ -13,6 +13,7 @@ experiments the second-best method after InpHT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -140,6 +141,12 @@ class MargPS(MarginalReleaseProtocol):
 
     def accumulator(self, domain: Domain) -> MargPSAccumulator:
         return MargPSAccumulator(self.workload_for(domain), self.mechanism())
+
+    def report_bounds(self, dimension: int):
+        return {
+            "choices": (math.comb(dimension, self.max_width),),
+            "noisy_cells": (1 << self.max_width,),
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """``d`` bits to name the marginal plus ``k`` bits for the noisy cell."""

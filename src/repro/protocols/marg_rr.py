@@ -11,6 +11,7 @@ Table 2 summary: error behaviour ``2^k d^{k/2} / (eps sqrt(N))``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -158,6 +159,12 @@ class MargRR(MarginalReleaseProtocol):
 
     def accumulator(self, domain: Domain) -> MargRRAccumulator:
         return MargRRAccumulator(self.workload_for(domain), self.mechanism())
+
+    def report_bounds(self, dimension: int):
+        return {
+            "choices": (math.comb(dimension, self.max_width),),
+            "cell_bits": (2,) * (1 << self.max_width),
+        }
 
     def communication_bits(self, dimension: int) -> int:
         """``d`` bits to name the marginal plus ``2^k`` perturbed cells."""

@@ -6,8 +6,9 @@ aggregator-side :class:`~repro.protocols.base.Accumulator` as in-memory
 dataclasses.  This module gives every one of those dataclasses a portable
 byte form so reports can cross process and machine boundaries without
 pickle: each protocol registers a :class:`ReportSchema` describing its
-report fields (name, dtype, rank), and the codec packs them into a
-self-describing *frame* (wire-format version 2)::
+report fields (name, dtype, rank, and whether a float column is a ±1
+sign), and the codec packs them into a self-describing *frame*
+(wire-format version 3)::
 
     offset  size  content
     0       4     magic  b"RPRB"
@@ -26,38 +27,59 @@ The payload is a fixed layout with every integer little-endian::
       8 * n       shape, one u64 per axis
     per scalar field, in schema order:
       8           value (i64)
-    per array field, in schema order:
+    per per-user column, in schema order — the width table:
+      1           the column's bit width w (a 2-D field has one column
+                  per entry of its second axis)
+    per sum-form field, in schema order:
       prod(shape) * itemsize
                   the array's C-order little-endian element buffer
+    rows * stride the packed rows, one per user (below)
     4             CRC-32 (``zlib.crc32``) of every frame byte before it,
                   header included
+
+Per-user fields travel bit-packed.  A user's row is their columns' bit
+fields end to end — column ``c`` occupies bits ``[o_c, o_c + w_c)`` of the
+row read as one little-endian integer, ``o_c`` the sum of the widths before
+it — padded with zero bits to ``stride = ceil(sum(w) / 8)`` bytes, so the
+rows are a fixed-stride array.  An integer column's width is the bit length
+of its largest value (at least 1); a declared sign column (a ±1.0 float)
+packs +1 as bit 1 and −1 as bit 0 in one bit; an empty batch's widths are
+all 0.  For example, an InpOLH row is a 62-bit seed and a 2-bit bucket in
+8 bytes.  Sum-form fields (``per_user=False``, InpRR's per-frame
+``report_sums``) are not packed: their width table and rows are empty.
 
 Frames are length-prefixed, so any number of them can be concatenated on a
 byte stream (that is what ``repro encode | repro aggregate`` pipes) and
 split back apart with :func:`iter_report_frames`.  Decoding validates the
-magic, the version (a retired version-1 frame, whose payload was an
-``.npz`` archive, gets an error naming both versions), the kind, the
-CRC-32, every field's dtype, rank and shape against the bytes that remain,
-the cross-field row consistency, non-negative scalars and the absence of
-trailing bytes before the batch reaches an accumulator; anything off raises
+magic, the version (a retired version-1 or version-2 frame gets an error
+naming its version and this one), the kind, the CRC-32, every field's
+dtype, rank and shape, the cross-field row consistency, non-negative
+scalars, every width (no column wider than its dtype holds, none 0 in a
+non-empty batch, none but the canonical one), the rows' length against
+``rows * stride``, zero padding bits and, given the spec's ``bounds``,
+every column's values against the range the spec implies, before the batch
+reaches an accumulator; anything off raises
 :class:`~repro.core.exceptions.WireFormatError` instead of corrupting the
-aggregation.  The CRC-32 catches every single-byte corruption of a frame.
+aggregation.  The CRC-32 catches every single-byte corruption of a frame,
+and the canonical-width and padding checks make a decodable frame the only
+encoding of its batch.
 
-Each array travels verbatim (dtype, shape and values), so an encode →
-``to_bytes`` → ``from_bytes`` → aggregate round trip is bit-for-bit
-identical to handing the in-memory batch straight to the accumulator.
-Decoding reads each array with ``np.frombuffer`` straight off the input
-buffer and copies it out, so a decoded batch never pins the buffer it came
-from (the server decodes off its receive buffer).
+Decoding unpacks every column to its field's dtype (int64, int8 or ±1.0
+float64), so an encode → ``to_bytes`` → ``from_bytes`` → aggregate round
+trip is bit-for-bit identical to handing the in-memory batch straight to
+the accumulator.  Every decoded array is freshly allocated, so a decoded
+batch never pins the buffer it came from (the server decodes off its
+receive buffer).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, Iterator, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -84,10 +106,13 @@ __all__ = [
 ]
 
 #: Version stamp written into every frame header.  Bump on any layout change.
-WIRE_FORMAT_VERSION = 2
+WIRE_FORMAT_VERSION = 3
 
-#: The retired layout whose payload was an ``.npz`` archive.
-_NPZ_WIRE_VERSION = 1
+#: Retired layouts, by version: no reader is kept for either.
+_RETIRED_WIRE_VERSIONS = {
+    1: "npz payload",
+    2: "unpacked fixed-width columns",
+}
 
 #: Hard per-frame payload limit (1 GiB), enforced on encode and decode.  A
 #: real report batch is orders of magnitude smaller; a declared length above
@@ -104,6 +129,17 @@ _CRC = struct.Struct("<I")
 #: Element types a report field may have, indexed by their wire dtype code.
 _WIRE_DTYPES = (np.dtype("<i8"), np.dtype("<f8"), np.dtype("|i1"))
 
+#: Packed columns are unpacked in native 64-bit words; rows travel as
+#: little-endian ones.
+_WORD = np.dtype(np.uint64)
+_WIRE_WORD = np.dtype("<u8")
+
+#: Shift counts and low-bit masks as ``uint64`` scalars, so every bit
+#: operation stays in ``uint64``; built once, as building them per column
+#: is a measurable share of a small frame's decode.
+_SHIFTS = tuple(np.uint64(count) for count in range(65))
+_MASKS = tuple(np.uint64((1 << width) - 1) for width in range(65))
+
 #: Public aliases of the frame header layout, shared with the collection
 #: service's session framing (``repro.server.framing``) so the two frame
 #: families cannot silently drift apart.
@@ -118,18 +154,24 @@ class ReportField:
 
     ``per_user`` marks arrays with one row per reporting user; all such
     fields of a batch must agree on their row count, which then defines the
-    batch's ``num_users``.  Sum-form fields (e.g. ``InpRR``'s per-cell
-    report sums) set ``per_user=False`` and carry no row constraint.
+    batch's ``num_users``, and they travel bit-packed.  A per-user field is
+    integer (non-negative values, packed at their bit length) or, with
+    ``sign=True``, a float64 column of ±1.0 values packed in one bit each.
+    Sum-form fields (e.g. ``InpRR``'s per-cell report sums) set
+    ``per_user=False``, carry no row constraint and travel verbatim.
     """
 
     name: str
     dtype: np.dtype
     ndim: int = 1
     per_user: bool = True
+    sign: bool = False
     #: The dtype's wire code (its index in ``_WIRE_DTYPES``).
     code: int = field(init=False, repr=False, compare=False)
     #: The field's payload descriptor: dtype code, rank, then the shape.
     descriptor: struct.Struct = field(init=False, repr=False, compare=False)
+    #: The widest bit field one of its columns may pack into.
+    width_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dtype = np.dtype(self.dtype)
@@ -141,11 +183,25 @@ class ReportField:
                 f"wire format cannot carry (supported: "
                 f"{[str(wire) for wire in _WIRE_DTYPES]})"
             ) from None
+        if self.per_user and (dtype.kind == "f") != self.sign:
+            raise WireFormatError(
+                f"per-user report field {self.name!r} has dtype {dtype}: a "
+                f"per-user float field must be a declared sign field, and "
+                f"a sign field must be float64"
+            )
+        if self.per_user and self.ndim not in (1, 2):
+            raise WireFormatError(
+                f"per-user report field {self.name!r} must be 1-D or 2-D, "
+                f"got {self.ndim}-D"
+            )
         object.__setattr__(self, "dtype", dtype)
         object.__setattr__(self, "code", code)
         object.__setattr__(
             self, "descriptor", struct.Struct(f"<BB{self.ndim}Q")
         )
+        # A signed integer dtype holds bit lengths up to its size less one.
+        limit = 1 if self.sign else 8 * dtype.itemsize - 1
+        object.__setattr__(self, "width_limit", limit)
 
 
 @dataclass(frozen=True)
@@ -157,6 +213,15 @@ class ReportSchema:
     fields: Tuple[ReportField, ...]
     #: Non-array integer attributes (e.g. ``InpRR``'s ``num_users``).
     scalar_fields: Tuple[str, ...] = field(default=())
+    #: The payload bytes the field descriptors take.
+    descriptors_size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "descriptors_size",
+            sum(spec.descriptor.size for spec in self.fields),
+        )
 
 
 _SCHEMAS_BY_KIND: Dict[str, ReportSchema] = {}
@@ -184,6 +249,8 @@ def register_report_schema(
         )
     _SCHEMAS_BY_KIND[kind] = schema
     _SCHEMAS_BY_CLASS[report_class] = schema
+    _field_layout.cache_clear()
+    _row_layout.cache_clear()
     return schema
 
 
@@ -228,8 +295,12 @@ class WireCodableReports:
 def encode_reports(reports: Any) -> bytes:
     """Serialize a report batch into one wire frame (see the module header)."""
     schema = report_schema_for(type(reports))
-    descriptors = []
+    parts = []
     buffers = []
+    widths = bytearray()
+    words = []  # the packed rows, as columns of 64-bit words
+    total = 0
+    rows = None
     for spec in schema.fields:
         value = np.asarray(getattr(reports, spec.name))
         if value.dtype != spec.dtype:
@@ -242,12 +313,47 @@ def encode_reports(reports: Any) -> bytes:
                 f"{schema.kind} field {spec.name!r} must be {spec.ndim}-D, "
                 f"got {value.ndim}-D"
             )
-        descriptors.append(spec.descriptor.pack(spec.code, spec.ndim, *value.shape))
-        buffers.append(value.astype(_WIRE_DTYPES[spec.code], copy=False).tobytes())
-    scalars = [
+        parts.append(spec.descriptor.pack(spec.code, spec.ndim, *value.shape))
+        if not spec.per_user:
+            buffers.append(value.astype(_WIRE_DTYPES[spec.code], copy=False).tobytes())
+            continue
+        if rows is None:
+            rows = value.shape[0]
+        elif value.shape[0] != rows:
+            raise WireFormatError(
+                f"{schema.kind} per-user fields disagree on the batch size: "
+                f"{rows} vs {value.shape[0]} rows in {spec.name!r}"
+            )
+        for bits in _column_bits(schema.kind, spec, value):
+            if not rows:
+                widths.append(0)
+                continue
+            # The canonical width: the bit length of the largest value
+            # (argmax is far cheaper than a max reduction at frame size).
+            width = max(1, int(bits[bits.argmax()]).bit_length())
+            if width > spec.width_limit:
+                raise WireFormatError(
+                    f"{schema.kind} field {spec.name!r} holds a negative "
+                    f"value or one wider than its dtype, which the wire "
+                    f"format cannot pack"
+                )
+            word, shift = divmod(total, 64)
+            part = bits << _SHIFTS[shift] if shift else bits
+            if word < len(words):
+                words[word] = words[word] | part
+            else:
+                words.append(part)
+            if shift + width > 64:
+                words.append(bits >> _SHIFTS[64 - shift])
+            widths.append(width)
+            total += width
+    parts.extend(
         _SCALAR.pack(int(getattr(reports, name))) for name in schema.scalar_fields
-    ]
-    body = b"".join(descriptors + scalars + buffers)
+    )
+    parts.append(widths)
+    parts.extend(buffers)
+    parts.append(_row_bytes(words, total))
+    body = b"".join(parts)
     payload_length = len(body) + _CRC.size
     if payload_length > MAX_PAYLOAD_BYTES:
         raise WireFormatError(
@@ -265,21 +371,86 @@ def encode_reports(reports: Any) -> bytes:
     return frame + _CRC.pack(zlib.crc32(frame))
 
 
+def _column_bits(kind: str, spec: ReportField, value: np.ndarray):
+    """A per-user field's columns as the unsigned integers they pack."""
+    columns = [value] if value.ndim == 1 else [
+        value[:, index] for index in range(value.shape[1])
+    ]
+    if spec.sign:
+        for column in columns:
+            if np.count_nonzero(column * column != 1.0):
+                raise WireFormatError(
+                    f"{kind} sign field {spec.name!r} holds a value other "
+                    f"than -1.0 or +1.0"
+                )
+        return [(column > 0).astype(_WORD) for column in columns]
+    # Reinterpreted as unsigned, a negative value is wider than the dtype
+    # holds, so the width check refuses it.
+    if spec.dtype.itemsize == _WORD.itemsize:
+        return [column.view(_WORD) for column in columns]
+    return [column.astype(_WORD) for column in columns]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_dtype(stride: int) -> np.dtype:
+    """A ``stride``-byte packed row as a structured dtype: its whole 64-bit
+    words (fields ``w0``, ``w1``, ...), then at most one 4-, 2- and 1-byte
+    tail piece (fields ``t4``, ``t2``, ``t1``), each little-endian."""
+    whole, tail = divmod(stride, 8)
+    names = [f"w{index}" for index in range(whole)]
+    formats = ["<u8"] * whole
+    offsets = [8 * index for index in range(whole)]
+    for size in (4, 2, 1):
+        if tail >= size:
+            names.append(f"t{size}")
+            formats.append(f"<u{size}")
+            offsets.append(stride - tail)
+            tail -= size
+    return np.dtype(
+        {"names": names, "formats": formats, "offsets": offsets, "itemsize": stride}
+    )
+
+
+def _row_bytes(words, total: int) -> bytes:
+    """The packed rows' bytes (see :func:`_row_words`, its inverse)."""
+    if not total:
+        return b""
+    stride = -(-total // 8)
+    if stride == 8 and len(words) == 1:
+        return words[0].astype(_WIRE_WORD, copy=False).tobytes()
+    rows = np.empty(len(words[0]), dtype=_row_dtype(stride))
+    tail = words[-1]
+    for name in rows.dtype.names:
+        if name[0] == "w":
+            rows[name] = words[int(name[1:])]
+        else:
+            shift = 8 * (rows.dtype.fields[name][1] % 8)
+            rows[name] = tail >> _SHIFTS[shift] if shift else tail
+    return rows.tobytes()
+
+
 def decode_reports(
-    data: Union[bytes, bytearray, memoryview], expected_kind: str = None
+    data: Union[bytes, bytearray, memoryview],
+    expected_kind: str = None,
+    bounds: Mapping[str, Tuple[int, ...]] = None,
 ) -> Any:
     """Decode exactly one wire frame into a validated report batch.
 
     The buffer must hold one complete frame and nothing else; use
     :func:`iter_report_frames` for concatenated frames.  ``expected_kind``
-    additionally pins the frame to one protocol's reports.
+    additionally pins the frame to one protocol's reports.  ``bounds``
+    maps per-user fields to one exclusive upper bound per column (a sign
+    column packs to 0 or 1, so its bound is 2); a field it names must have
+    that many columns, each value below its bound
+    (:meth:`~repro.protocols.base.MarginalReleaseProtocol.decode_reports`
+    passes the bounds its spec implies).
 
     ``bytearray``/``memoryview`` input is parsed in place (no up-front
     ``bytes`` copy) — the zero-copy server ingest path hands receive-buffer
     views straight in.
     """
     buffer = data if isinstance(data, bytes) else memoryview(data)
-    reports, consumed = _decode_frame(buffer, expected_kind=expected_kind)
+    reports, consumed = _decode_frame(buffer, expected_kind, bounds)
     if consumed != len(buffer):
         raise WireFormatError(
             f"report frame holds {consumed} bytes but the buffer has "
@@ -352,7 +523,7 @@ def iter_report_frames(
     :class:`~repro.core.exceptions.WireFormatError`.
     """
     for frame in split_report_frames(source):
-        reports, _ = _decode_frame(frame, expected_kind=expected_kind)
+        reports, _ = _decode_frame(frame, expected_kind)
         yield reports
 
 
@@ -418,17 +589,18 @@ def _read_exact(stream: BinaryIO, size: int) -> bytes:
 def check_report_version(version: int) -> None:
     """Reject a report frame whose header carries a foreign version.
 
-    A version-1 frame (the retired ``.npz`` payload) gets a message naming
-    both versions.  Shared with the session framing's incremental decoder
-    so every ingest path words the rejection the same way.
+    A frame of a retired layout (version 1's ``.npz`` payload, version 2's
+    unpacked columns) gets a message naming both versions.  Shared with the
+    session framing's incremental decoder so every ingest path words the
+    rejection the same way.
     """
     if version == WIRE_FORMAT_VERSION:
         return
-    if version == _NPZ_WIRE_VERSION:
+    if version in _RETIRED_WIRE_VERSIONS:
         raise WireFormatError(
-            f"report frame uses wire-format version {_NPZ_WIRE_VERSION} "
-            f"(npz payload), which is retired; this library speaks version "
-            f"{WIRE_FORMAT_VERSION}"
+            f"report frame uses wire-format version {version} "
+            f"({_RETIRED_WIRE_VERSIONS[version]}), which is retired; this "
+            f"library speaks version {WIRE_FORMAT_VERSION}"
         )
     raise WireFormatError(
         f"report frame uses wire-format version {version}, but this library "
@@ -491,7 +663,9 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
     return kind, header_end, frame_end
 
 
-def _decode_frame(buffer: bytes, expected_kind: str = None) -> Tuple[Any, int]:
+def _decode_frame(
+    buffer: bytes, expected_kind: str = None, bounds=None
+) -> Tuple[Any, int]:
     """Decode the frame at the start of ``buffer``; return (reports, size)."""
     kind, header_end, frame_end = _parse_frame_header(buffer, 0)
     schema = report_schema_for(kind)
@@ -515,58 +689,19 @@ def _decode_frame(buffer: bytes, expected_kind: str = None) -> Tuple[Any, int]:
             f"report frame payload for {kind!r} is corrupted: stored CRC-32 "
             f"{stored:#010x} does not match the computed {computed:#010x}"
         )
-    values = _read_fields(schema, view, header_end, body_end)
+    values = _read_fields(schema, view, header_end, body_end, bounds)
     return schema.report_class(**values), frame_end
 
 
 def _read_fields(
-    schema: ReportSchema, view: memoryview, offset: int, end: int
+    schema: ReportSchema, view: memoryview, offset: int, end: int, bounds
 ) -> Dict[str, Any]:
     """Check the payload ``view[offset:end]`` against the schema and
     extract its fields as owned arrays."""
+    descriptors = bytes(view[offset : min(offset + schema.descriptors_size, end)])
+    rows, packed, summed, num_columns = _field_layout(schema.kind, descriptors)
+    offset += schema.descriptors_size
     values: Dict[str, Any] = {}
-    shapes = []
-    rows = None
-    rows_field = None
-    for index, spec in enumerate(schema.fields):
-        if offset + spec.descriptor.size > end:
-            missing = [later.name for later in schema.fields[index:]]
-            raise WireFormatError(
-                f"{schema.kind} report payload is truncated before field "
-                f"{spec.name!r}'s descriptor: missing {missing}"
-            )
-        code, ndim, *shape = spec.descriptor.unpack_from(view, offset)
-        offset += spec.descriptor.size
-        if code != spec.code:
-            if code < len(_WIRE_DTYPES):
-                got = _WIRE_DTYPES[code]
-            else:
-                got = f"unknown dtype code {code}"
-            raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} must have dtype "
-                f"{spec.dtype}, got {got}"
-            )
-        if ndim != spec.ndim:
-            raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} must be {spec.ndim}-D, "
-                f"got {ndim}-D"
-            )
-        if max(shape, default=0) > MAX_PAYLOAD_BYTES:
-            raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} declares shape "
-                f"{tuple(shape)}, an axis above the {MAX_PAYLOAD_BYTES}-byte "
-                f"frame limit"
-            )
-        if spec.per_user:
-            if rows is None:
-                rows, rows_field = shape[0], spec.name
-            elif shape[0] != rows:
-                raise WireFormatError(
-                    f"{schema.kind} per-user fields disagree on the batch "
-                    f"size: {rows_field!r} has {rows} rows but "
-                    f"{spec.name!r} has {shape[0]}"
-                )
-        shapes.append(shape)
     scalar_end = offset + _SCALAR.size * len(schema.scalar_fields)
     if scalar_end > end:
         raise WireFormatError(
@@ -582,13 +717,21 @@ def _read_fields(
                 f"got {value}"
             )
         values[name] = value
-    for spec, shape in zip(schema.fields, shapes):
+    if num_columns > end - offset:
+        raise WireFormatError(
+            f"{schema.kind} report payload is truncated inside its width "
+            f"table: {num_columns} column width(s) declared, "
+            f"{end - offset} byte(s) remain"
+        )
+    widths = bytes(view[offset : offset + num_columns])
+    offset += num_columns
+    for spec, shape in summed:
         count = math.prod(shape)
         nbytes = count * spec.dtype.itemsize
         if nbytes > end - offset:
             raise WireFormatError(
                 f"{schema.kind} field {spec.name!r} declares shape "
-                f"{tuple(shape)} ({nbytes} bytes) but only {end - offset} "
+                f"{shape} ({nbytes} bytes) but only {end - offset} "
                 f"payload bytes remain"
             )
         # astype copies: the batch must not pin the (receive) buffer.
@@ -598,9 +741,227 @@ def _read_fields(
             .astype(spec.dtype)
         )
         offset += nbytes
-    if offset != end:
+    total, stride, columns, padding = _row_layout(schema.kind, descriptors, widths)
+    if rows * stride != end - offset:
+        if rows * stride < end - offset:
+            raise WireFormatError(
+                f"{schema.kind} report payload has "
+                f"{end - offset - rows * stride} trailing byte(s) after its "
+                f"last field"
+            )
         raise WireFormatError(
-            f"{schema.kind} report payload has {end - offset} trailing "
-            f"byte(s) after its last field"
+            f"{schema.kind} report payload declares {rows} row(s) of "
+            f"{stride} byte(s) but only {end - offset} payload bytes remain"
         )
+    if rows:
+        words = _row_words(view, offset, rows, stride)
+        if padding and np.count_nonzero(words[-1] >> _SHIFTS[total % 64]):
+            raise WireFormatError(
+                f"{schema.kind} report rows set padding bits past their "
+                f"{total}-bit fields"
+            )
+    for (spec, shape, count), placed in zip(packed, columns):
+        limits = None if bounds is None else bounds.get(spec.name)
+        if limits is not None and len(limits) != count:
+            raise WireFormatError(
+                f"{schema.kind} field {spec.name!r} has {count} column(s), "
+                f"but the spec implies {len(limits)}"
+            )
+        if not rows:
+            values[spec.name] = np.empty(shape, dtype=spec.dtype)
+            continue
+        decoded = []
+        for index, (word, shift, width, masked) in enumerate(placed):
+            bits = words[word] >> _SHIFTS[shift] if shift else words[word]
+            if shift + width > 64:
+                bits = bits | words[word + 1] << _SHIFTS[64 - shift]
+            if masked:
+                bits = bits & _MASKS[width]
+            # argmax is several times cheaper than a max reduction here.
+            largest = int(bits[bits.argmax()])
+            length = largest.bit_length()
+            if length > width:
+                raise WireFormatError(
+                    f"{schema.kind} report rows set padding bits past their "
+                    f"{total}-bit fields"
+                )
+            if width > 1 and length != width:
+                raise WireFormatError(
+                    f"{schema.kind} field {spec.name!r} packs a column at "
+                    f"{width} bits, but its largest value {largest} needs "
+                    f"{max(1, length)}"
+                )
+            if limits is not None and largest >= limits[index]:
+                raise WireFormatError(
+                    f"{schema.kind} field {spec.name!r} holds {largest}, "
+                    f"outside the bound [0, {limits[index]}) its spec "
+                    f"implies"
+                )
+            decoded.append(bits)
+        values[spec.name] = _typed(spec, shape, decoded)
     return values
+
+
+@functools.lru_cache(maxsize=256)
+def _field_layout(kind: str, descriptors: bytes):
+    """Check a payload's field descriptors against ``kind``'s schema.
+
+    Returns ``(rows, packed, summed, num_columns)``: the batch size, the
+    per-user fields as ``(spec, shape, columns)``, the sum-form fields as
+    ``(spec, shape)`` and the per-user column count.  Cached on the
+    descriptor bytes, which repeat from frame to frame of one stream.
+    """
+    schema = _SCHEMAS_BY_KIND[kind]
+    packed = []
+    summed = []
+    num_columns = 0
+    rows = 0
+    rows_field = None
+    offset = 0
+    for index, spec in enumerate(schema.fields):
+        if offset + spec.descriptor.size > len(descriptors):
+            missing = [later.name for later in schema.fields[index:]]
+            raise WireFormatError(
+                f"{kind} report payload is truncated before field "
+                f"{spec.name!r}'s descriptor: missing {missing}"
+            )
+        code, ndim, *shape = spec.descriptor.unpack_from(descriptors, offset)
+        offset += spec.descriptor.size
+        if code != spec.code:
+            if code < len(_WIRE_DTYPES):
+                got = _WIRE_DTYPES[code]
+            else:
+                got = f"unknown dtype code {code}"
+            raise WireFormatError(
+                f"{kind} field {spec.name!r} must have dtype {spec.dtype}, "
+                f"got {got}"
+            )
+        if ndim != spec.ndim:
+            raise WireFormatError(
+                f"{kind} field {spec.name!r} must be {spec.ndim}-D, "
+                f"got {ndim}-D"
+            )
+        shape = tuple(shape)
+        if max(shape, default=0) > MAX_PAYLOAD_BYTES:
+            raise WireFormatError(
+                f"{kind} field {spec.name!r} declares shape {shape}, an "
+                f"axis above the {MAX_PAYLOAD_BYTES}-byte frame limit"
+            )
+        if not spec.per_user:
+            summed.append((spec, shape))
+            continue
+        if rows_field is None:
+            rows, rows_field = shape[0], spec.name
+        elif shape[0] != rows:
+            raise WireFormatError(
+                f"{kind} per-user fields disagree on the batch size: "
+                f"{rows_field!r} has {rows} rows but {spec.name!r} has "
+                f"{shape[0]}"
+            )
+        count = 1 if ndim == 1 else shape[1]
+        packed.append((spec, shape, count))
+        num_columns += count
+    return rows, tuple(packed), tuple(summed), num_columns
+
+
+@functools.lru_cache(maxsize=256)
+def _row_layout(kind: str, descriptors: bytes, widths: bytes):
+    """Check a payload's width table; place its columns in the rows.
+
+    Returns ``(total bits, stride, columns, padding)``: ``columns`` holds
+    one ``(word, shift, width, masked)`` per column of each per-user
+    field.  A column is ``masked`` when other fields' bits lie above it in
+    what its shift leaves.  The top column is not masked unless it spans
+    two words: the bits above it are the row's padding, so a set padding
+    bit makes it wider than its width; when it does span two, ``padding``
+    asks for the padding bits to be checked on their own.  A width is 0
+    exactly when the batch is empty and fits its field's dtype.
+    """
+    rows, packed, _, _ = _field_layout(kind, descriptors)
+    columns = []
+    total = 0
+    position = 0
+    for spec, _, count in packed:
+        placed = []
+        for width in widths[position : position + count]:
+            if not rows:
+                if width:
+                    raise WireFormatError(
+                        f"{kind} field {spec.name!r} declares a {width}-bit "
+                        f"column in an empty batch"
+                    )
+                continue
+            if not 1 <= width <= spec.width_limit:
+                raise WireFormatError(
+                    f"{kind} field {spec.name!r} declares a {width}-bit "
+                    f"column; its columns pack into 1 to {spec.width_limit} "
+                    f"bits"
+                )
+            word, shift = divmod(total, 64)
+            placed.append([word, shift, width, shift + width != 64])
+            total += width
+        columns.append(placed)
+        position += count
+    top = next((placed[-1] for placed in reversed(columns) if placed), None)
+    spans = top is not None and top[1] + top[2] > 64
+    if top is not None and not spans:
+        top[3] = False
+    return (
+        total,
+        -(-total // 8),
+        tuple(tuple(tuple(column) for column in placed) for placed in columns),
+        spans and total % 8 != 0,
+    )
+
+
+def _row_words(view, offset, rows, stride):
+    """The packed rows as ``ceil(8 * stride / 64)`` columns of native
+    64-bit words, each an aligned array of its own.
+
+    Each read is a strided view of the rows: their whole words, then the
+    tail — for a row of more than 8 bytes, its last 8 bytes shifted down
+    past the last whole word's (numpy then runs only 64-bit loops); for a
+    shorter row, its 4-, 2- and 1-byte pieces of :func:`_row_dtype`.
+    """
+    whole, tail = divmod(stride, 8)
+    # Copied out: numpy's loops run slower on unaligned data, and a
+    # decoded column must not pin the (receive) buffer.
+    words = [
+        np.ndarray((rows,), _WIRE_WORD, view, offset + 8 * index, (stride,))
+        .astype(_WORD)
+        for index in range(whole)
+    ]
+    if whole and tail:
+        last = np.ndarray(
+            (rows,), _WIRE_WORD, view, offset + stride - 8, (stride,)
+        )
+        words.append(last >> _SHIFTS[64 - 8 * tail])
+    elif tail:
+        word = None
+        layout = _row_dtype(stride)
+        for name in layout.names:
+            dtype, at = layout.fields[name]
+            part = np.ndarray((rows,), dtype, view, offset + at, (stride,))
+            part = part.astype(_WORD)
+            if at:
+                part <<= _SHIFTS[8 * at]
+            word = part if word is None else word | part
+        words.append(word)
+    return words
+
+
+def _typed(spec: ReportField, shape, columns) -> np.ndarray:
+    """A per-user field's decoded columns in the field's dtype and shape:
+    int64 as is, int8 narrowed, a sign bit as -1.0 or +1.0."""
+    if spec.sign:
+        columns = [bits.astype(np.float64) * 2.0 - 1.0 for bits in columns]
+    elif spec.dtype.itemsize == _WORD.itemsize:
+        columns = [bits.view(spec.dtype) for bits in columns]
+    else:
+        columns = [bits.astype(spec.dtype) for bits in columns]
+    if spec.ndim == 1:
+        return columns[0]
+    table = np.empty(shape, dtype=spec.dtype)
+    for index, values in enumerate(columns):
+        table[:, index] = values
+    return table

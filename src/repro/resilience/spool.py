@@ -86,16 +86,13 @@ class ReportSpool:
         The spool file.  Created (with parents) if absent; an existing
         file is scanned so :meth:`pending_groups` /
         :meth:`committed_groups` reflect the previous run.
-    fsync:
-        When ``True`` (the default) every data append is written and
-        fsync'd before returning — the durability the replay contract
-        depends on.  Benchmarks may disable it to measure the pure
-        format overhead.
+
+    Every data append is written and fsync'd before it returns: the
+    durability the replay contract depends on.
     """
 
-    def __init__(self, path: str, *, fsync: bool = True):
+    def __init__(self, path: str):
         self._path = str(path)
-        self._fsync = bool(fsync)
         self._groups: Dict[str, List[bytes]] = {}
         self._commits: Dict[str, Dict[str, Any]] = {}
         self._order: List[str] = []
@@ -263,14 +260,14 @@ class ReportSpool:
         """
         try:
             with trace.span("spool.sync") as span:
-                span.annotate(bytes=len(self._buffer), fsync=self._fsync)
+                span.annotate(bytes=len(self._buffer))
                 if self._buffer:
                     if self._fh is None:
                         self._fh = open(self._path, "ab")
                     self._fh.write(self._buffer)
                     self._buffer = bytearray()
                     self._fh.flush()
-                if self._fsync and self._fh is not None:
+                if self._fh is not None:
                     os.fsync(self._fh.fileno())
         except OSError as exc:
             raise SpoolError(

@@ -109,6 +109,13 @@ DEFAULT_MAX_FRAME_BYTES = 64 << 20
 #: into its group accumulator (one ``update`` per fold).
 DEFAULT_BATCH_MAX_USERS = 8192
 
+#: Bytes asked of a connection's stream per read.
+READ_CHUNK_BYTES = 1 << 16
+
+#: How long :meth:`CollectionServer.stop` lets a connection in the middle
+#: of a group run on to its ``ACK`` before closing it.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
 PathLike = Union[str, Path]
 
 
@@ -222,8 +229,8 @@ class CollectionServer:
         Optional callable invoked with each committed group's user-report
         count (always positive; counters only advance at commit), after
         the group is durable on a durable server — the hook a
-        :class:`~repro.topology.TopologySupervisor` uses to keep one
-        fleet-wide count of committed reports.
+        :class:`~repro.topology.TopologySupervisor` uses to keep each
+        collector's count of committed reports.
     collector_id:
         Stable name this collector reports in ``STATE`` answers and stamps
         into its durable checkpoints (defaults to ``host:port``).  The
@@ -255,11 +262,9 @@ class CollectionServer:
         port: int = 0,
         shards: int = 1,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        read_chunk_bytes: int = 1 << 16,
         reuse_port: bool = False,
         checkpoint_dir: Optional[PathLike] = None,
         stop_after_reports: Optional[int] = None,
-        drain_timeout: float = 10.0,
         report_observer: Optional[Callable[[int], None]] = None,
         collector_id: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -276,10 +281,6 @@ class CollectionServer:
             raise ProtocolConfigurationError(
                 f"max_frame_bytes must be in (0, {MAX_PAYLOAD_BYTES}], "
                 f"got {max_frame_bytes}"
-            )
-        if read_chunk_bytes < 1:
-            raise ProtocolConfigurationError(
-                f"read_chunk_bytes must be >= 1, got {read_chunk_bytes}"
             )
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise ProtocolConfigurationError(
@@ -303,14 +304,12 @@ class CollectionServer:
         self._host = host
         self._requested_port = port
         self._max_frame_bytes = int(max_frame_bytes)
-        self._read_chunk_bytes = int(read_chunk_bytes)
         self._reuse_port = bool(reuse_port)
         self._report_observer = report_observer
         self._checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self._stop_after_reports = stop_after_reports
-        self._drain_timeout = drain_timeout
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event = asyncio.Event()
@@ -690,9 +689,10 @@ class CollectionServer:
 
         Connections idle between two groups are closed at once (and count
         as completed); a connection in the middle of a group gets up to
-        ``drain_timeout`` to reach its ``ACK``, and is closed after it.  A
-        final snapshot that fails is logged, not raised: every ACK'd group
-        is already in the commit log, and the shutdown still completes.
+        :data:`DRAIN_TIMEOUT_SECONDS` to reach its ``ACK``, and is closed
+        after it.  A final snapshot that fails is logged, not raised: every
+        ACK'd group is already in the commit log, and the shutdown still
+        completes.
         """
         if self._server is None:
             return
@@ -702,14 +702,14 @@ class CollectionServer:
             writer.close()
         if self._handlers:
             done, pending = await asyncio.wait(
-                set(self._handlers), timeout=self._drain_timeout
+                set(self._handlers), timeout=DRAIN_TIMEOUT_SECONDS
             )
             if pending:
                 _logger.warning(
                     "force-closing %d connection(s) still open after the "
                     "%.1fs drain timeout",
                     len(pending),
-                    self._drain_timeout,
+                    DRAIN_TIMEOUT_SECONDS,
                 )
                 for writer in list(self._writers):
                     writer.close()
@@ -841,7 +841,7 @@ class CollectionServer:
                 if idle:
                     self._idle_writers.add(writer)
                 try:
-                    chunk = await reader.read(self._read_chunk_bytes)
+                    chunk = await reader.read(READ_CHUNK_BYTES)
                 finally:
                     self._idle_writers.discard(writer)
                 # stop() closed this idle connection under the read: a
@@ -901,7 +901,10 @@ class CollectionServer:
                         # are copied out, so the batch never pins it); a
                         # malformed or CRC-failing payload raises right
                         # here, on the connection that sent it.
-                        group.add(shard.protocol.decode_reports(item), len(item))
+                        group.add(
+                            shard.protocol.decode_reports(item, shard.domain),
+                            len(item),
+                        )
             if group is None and decoder.at_frame_boundary:
                 # EOF between groups: every group this connection opened
                 # was ACK'd (a PULL or STATS peer never opens one).

@@ -191,7 +191,7 @@ class AggregationSession:
         with trace.span("session.submit"):
             if isinstance(reports, (bytes, bytearray, memoryview)):
                 frame = bytes(reports)
-                decoded = self._protocol.decode_reports(frame)
+                decoded = self._protocol.decode_reports(frame, self._domain)
                 self._accumulator.update(decoded)
                 self._wire_batches += 1
                 self._wire_bytes += len(frame)

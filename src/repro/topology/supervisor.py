@@ -91,7 +91,9 @@ def _collector_main(
     Top-level (not a closure) so every multiprocessing start method can
     pickle it; all coordination state comes in as arguments.  The bound
     port is reported back through ``port_value`` before ``ready_event``
-    fires; every durably committed group adds its reports to ``counter``.
+    fires.  ``counter`` is this collector's own count of durably committed
+    reports: it starts from the restored state's total, and every group
+    committed since adds its reports.
     """
     spec = ProtocolSpec.from_dict(spec_dict)
     domain = Domain(attributes)
@@ -113,6 +115,8 @@ def _collector_main(
             collector_id=collector_id,
             report_observer=observe,
         )
+        with counter.get_lock():
+            counter.value = server.num_reports  # restored at construction
         await server.start()
         port_value.value = server.port
         ready_event.set()
@@ -150,6 +154,8 @@ class CollectorHandle:
     port: Optional[int] = None
     status: str = "new"  # new -> live -> dead (or stopped); restart -> live
     generation: int = 0
+    #: Shared count of the collector's durably committed reports.
+    reports: Any = None
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:
@@ -229,13 +235,13 @@ class TopologySupervisor:
         self._start_timeout = float(start_timeout)
         self._base_dir = Path(base_dir)
         self._context = multiprocessing.get_context()
-        self._counter = self._context.Value("q", 0)
         self._handles = [
             CollectorHandle(
                 index=index,
                 collector_id=f"c{index}",
                 checkpoint_dir=self._base_dir / f"c{index}",
                 host=host,
+                reports=self._context.Value("q", 0),
             )
             for index in range(collectors)
         ]
@@ -279,10 +285,17 @@ class TopologySupervisor:
 
     @property
     def num_reports(self) -> int:
-        """Reports every collector durably committed so far, counted once
-        (a restarted collector does not count its restored state again)."""
-        with self._counter.get_lock():
-            return int(self._counter.value)
+        """Reports every collector durably committed so far, counted once.
+
+        The sum of one count per collector: a live collector's count is
+        its restored total plus every group it committed since, and a dead
+        one's is the ``num_reports`` of the state recovered from its disk,
+        so a group made durable just before a crash is counted too."""
+        total = 0
+        for handle in self._handles:
+            with handle.reports.get_lock():
+                total += handle.reports.value
+        return int(total)
 
     def describe(self) -> List[Dict[str, Any]]:
         return [handle.describe() for handle in self._handles]
@@ -344,7 +357,7 @@ class TopologySupervisor:
                 handle._port_value,
                 handle._ready_event,
                 handle.stop_event,
-                self._counter,
+                handle.reports,
             ),
             daemon=True,
         )
@@ -492,6 +505,11 @@ class TopologySupervisor:
             session=session,
             acked_tokens=session.checkpoint_extra.get("acked_tokens", {}),
         )
+        # The disk, not the observer calls that reached the counter, is
+        # what a fan-in merges: a SIGKILL between a group's sync and its
+        # observer call must not leave the count short of it.
+        with handle.reports.get_lock():
+            handle.reports.value = session.num_reports
 
     def recovered_states(self) -> Dict[str, PulledState]:
         """The recovered snapshots of currently-dead collectors, by id."""

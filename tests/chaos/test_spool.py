@@ -8,6 +8,8 @@ guessed bytes into an aggregation.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.exceptions import SpoolError
@@ -117,9 +119,20 @@ class TestDiskFaults:
                 with pytest.raises(SpoolError, match="No space left"):
                     spool.append_group("g0", FRAMES_A)
 
-    def test_fsync_false_skips_the_injected_fault(self, tmp_path):
-        # fsync=False is the benchmark mode: the injector never fires.
-        with ReportSpool(tmp_path / "s.spool", fsync=False) as spool:
-            with enospc_on_fsync():
-                spool.append_group("g0", FRAMES_A)
-            assert spool.pending_groups() == {"g0": FRAMES_A}
+    def test_every_append_is_fsynced_before_it_returns(
+        self, tmp_path, monkeypatch
+    ):
+        # Durability is not optional: each append syncs the spool file.
+        synced = []
+        real = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        with ReportSpool(tmp_path / "s.spool") as spool:
+            spool.append_group("g0", FRAMES_A)
+            assert len(synced) == 1
+            spool.append_group("g1", FRAMES_B)
+            assert len(synced) == 2

@@ -26,6 +26,7 @@ from repro.experiments import (
     table3_em_failures,
 )
 from repro.experiments.config import SweepConfig
+from repro.protocols.registry import available_protocols
 
 
 def tiny_sweep(module, **overrides) -> SweepConfig:
@@ -105,11 +106,27 @@ class TestTables:
     def test_table2(self):
         result = table2_bounds.run(table2_bounds.Table2Config(population=2048))
         assert len(result.rows) == 6
-        row = result.row("InpHT")
-        assert row["comm_bits_analytic"] == row["comm_bits_protocol"]
+        # The communication column is measured on the wire: every per-user
+        # protocol within a byte of Table 2, InpRR's per-frame sums far
+        # below its 2^d bits.
+        for row in result.rows:
+            if row["method"] == "InpRR":
+                assert row["comm_bits_protocol"] < row["comm_bits_analytic"]
+            else:
+                assert row["comm_bits_protocol"] <= row["comm_bits_analytic"] + 8
         with pytest.raises(KeyError):
             result.row("Nope")
         assert "Table 2" in table2_bounds.render(result)
+
+    def test_wire_rows_cover_every_protocol(self):
+        config = table2_bounds.Table2Config(population=1000)
+        rows = {row["method"]: row for row in table2_bounds.wire_rows(config)}
+        assert sorted(rows) == available_protocols()
+        assert rows["InpOLH"]["wire_bits"] <= 64 + 8
+        assert rows["InpHT"]["wire_bits"] <= rows["InpHT"]["table2_bits"] + 8
+        assert rows["HH"]["table2_bits"] is None
+        markdown = table2_bounds.wire_markdown(config)
+        assert "| InpOLH |" in markdown and "| HH | " in markdown
 
     def test_table3(self):
         config = table3_em_failures.Table3Config(

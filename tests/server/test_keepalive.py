@@ -156,7 +156,7 @@ def test_stop_closes_idle_connections_at_once_and_finishes_open_groups():
     timeout; a client in the middle of a group still gets its ACK."""
 
     async def session():
-        server = CollectionServer(SPEC, DATASET.domain, port=0, drain_timeout=10.0)
+        server = CollectionServer(SPEC, DATASET.domain, port=0)
         await server.start()
         idle = [await Connection.open(server.port) for _ in range(3)]
         for index, connection in enumerate(idle):

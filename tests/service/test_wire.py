@@ -28,6 +28,7 @@ from repro.service import (
     split_report_frames,
 )
 from repro.protocols.inp_ht import InpHTReports
+from repro.protocols.inp_olh import InpOLHReports
 from repro.protocols.inp_rr import InpRRReports
 
 from .util import (
@@ -46,7 +47,7 @@ BATCH_SIZE = 24  # 96 records -> 4 batches
 
 
 def _descriptor(code: int, *shape: int) -> bytes:
-    """One v2 field descriptor: dtype code, rank, then the shape."""
+    """One field descriptor: dtype code, rank, then the shape."""
     return struct.pack(f"<BB{len(shape)}Q", code, len(shape), *shape)
 
 
@@ -265,10 +266,13 @@ class TestMalformedBuffers:
         body = (
             _descriptor(0, 3)
             + _descriptor(1, 3)
-            + np.zeros(3, dtype=np.int64).tobytes()
-            + np.ones(2).tobytes()  # noisy_values declares 3 rows, ships 2
+            + bytes([2, 1])  # choices in 2 bits, noisy_values in 1: 1-byte rows
+            + bytes([0b001, 0b110])  # 3 rows declared, 2 shipped
         )
-        with pytest.raises(WireFormatError, match="only 16 payload bytes remain"):
+        with pytest.raises(
+            WireFormatError,
+            match=r"declares 3 row\(s\) of 1 byte\(s\) but only 2 payload bytes",
+        ):
             decode_reports(forge_frame("InpHT", body))
 
     def test_giant_axis_rejected(self):
@@ -298,6 +302,70 @@ class TestMalformedBuffers:
         )
         with pytest.raises(WireFormatError, match="cannot hold its 4-byte CRC"):
             decode_reports(frame)
+
+    def test_packed_rows_decode_to_the_fields_dtypes(self):
+        """A hand-packed InpHT frame: each 1-byte row holds a 2-bit choice
+        in bits 0-1 and the sign in bit 2."""
+        body = (
+            _descriptor(0, 3)
+            + _descriptor(1, 3)
+            + bytes([2, 1])
+            + bytes([0b101, 0b010, 0b011])
+        )
+        decoded = decode_reports(forge_frame("InpHT", body))
+        assert decoded.choices.dtype == np.int64
+        np.testing.assert_array_equal(decoded.choices, [1, 2, 3])
+        assert decoded.noisy_values.dtype == np.float64
+        np.testing.assert_array_equal(decoded.noisy_values, [1.0, -1.0, -1.0])
+
+    def test_wider_than_needed_column_rejected(self):
+        """Only the canonical width decodes: choices up to 3 packed in 3
+        bits (not 2) would let one batch travel as several frames."""
+        body = _descriptor(0, 2) + _descriptor(1, 2) + bytes([3, 1])
+        with pytest.raises(WireFormatError, match="largest value 3 needs 2"):
+            decode_reports(forge_frame("InpHT", body + bytes([0b0011, 0b1010])))
+
+    def test_set_padding_bit_rejected(self):
+        """A 3-bit row padded to a byte: bit 3 set in one row."""
+        body = _descriptor(0, 2) + _descriptor(1, 2) + bytes([2, 1])
+        decode_reports(forge_frame("InpHT", body + bytes([0b101, 0b010])))
+        with pytest.raises(WireFormatError, match="padding bits"):
+            decode_reports(forge_frame("InpHT", body + bytes([0b1101, 0b010])))
+
+    def test_set_padding_bit_past_a_two_word_column_rejected(self):
+        """A 62-bit seed and a 3-bit bucket: the bucket spans the row's two
+        words, and the 9-byte row pads bits 65-71."""
+        reports = InpOLHReports(
+            seeds=np.array([1 << 61, 5], dtype=np.int64),
+            noisy_buckets=np.array([4, 1], dtype=np.int64),
+        )
+        frame = bytearray(reports.to_bytes())
+        decoded = decode_reports(bytes(frame))
+        np.testing.assert_array_equal(decoded.noisy_buckets, [4, 1])
+        frame[-5] |= 0x80  # the last row's top padding bit, before the CRC
+        body = payload_body(bytes(frame))
+        with pytest.raises(WireFormatError, match="padding bits"):
+            decode_reports(forge_frame("InpOLH", body))
+
+    def test_retired_fixed_width_frame_rejected_readably(self):
+        """A version-2 frame (unpacked <i8/<f8 columns) names both wire
+        versions, on the buffer and the stream paths alike."""
+        body = (
+            _descriptor(0, 3)
+            + _descriptor(1, 3)
+            + np.zeros(3, dtype=np.int64).tobytes()
+            + np.ones(3).tobytes()
+        )
+        v2_frame = forge_frame("InpHT", body, version=2)
+        message = (
+            r"wire-format version 2 \(unpacked fixed-width columns\), which "
+            rf"is retired; this library speaks version {WIRE_FORMAT_VERSION}"
+        )
+        assert WIRE_FORMAT_VERSION == 3
+        with pytest.raises(WireFormatError, match=message):
+            decode_reports(v2_frame)
+        with pytest.raises(WireFormatError, match=message):
+            list(split_report_frames(io.BytesIO(v2_frame)))
 
     def test_retired_npz_frame_rejected_readably(self):
         """A version-1 frame (npz payload) names both wire versions, on the
@@ -335,6 +403,29 @@ class TestMalformedBuffers:
     def test_field_without_wire_dtype_rejected_at_registration(self):
         with pytest.raises(WireFormatError, match="cannot carry"):
             ReportField("counts", np.int32)
+
+    def test_per_user_float_field_must_be_a_sign(self):
+        with pytest.raises(WireFormatError, match="declared sign field"):
+            ReportField("values", np.float64)
+        with pytest.raises(WireFormatError, match="declared sign field"):
+            ReportField("choices", np.int64, sign=True)
+        ReportField("sums", np.float64, per_user=False)
+
+    def test_encode_rejects_a_sign_that_is_not_plus_or_minus_one(self):
+        bad = InpHTReports(
+            choices=np.zeros(3, dtype=np.int64),
+            noisy_values=np.array([1.0, -1.0, 0.5]),
+        )
+        with pytest.raises(WireFormatError, match="other than -1.0 or \\+1.0"):
+            bad.to_bytes()
+
+    def test_encode_rejects_a_negative_index(self):
+        bad = InpHTReports(
+            choices=np.array([0, -1, 2], dtype=np.int64),
+            noisy_values=np.ones(3),
+        )
+        with pytest.raises(WireFormatError, match="negative"):
+            bad.to_bytes()
 
     def test_unregistered_class_rejected(self):
         class Unregistered:

@@ -8,25 +8,44 @@ decode.  The flip property rests on the frame's CRC-32 (it catches every
 single-byte error) behind the header checks.  Payloads forged *with* a
 valid CRC reach the field parser itself: those may decode, but only into
 a batch that re-encodes to the very same bytes.
+
+The packed rows of wire v3 get their own hostile cases: a truncated width
+table, a width of 0 or above 64, rows that disagree with the stride, any
+bit pattern in the rows (a sign always decodes to ±1), values that fit
+their width but not the spec (a bucket at g, a level at L) and a retired
+version-2 frame.  A round-trip property covers every protocol and HH at
+random dimensions and batch sizes, 0 and 1 included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.domain import Domain
 from repro.core.exceptions import WireFormatError
+from repro.core.privacy import PrivacyBudget
+from repro.datasets import BinaryDataset
+from repro.protocols.registry import make_protocol
 from repro.protocols.wire import WIRE_FORMAT_VERSION
 from repro.server.framing import FrameDecoder
-from repro.service import decode_reports, split_report_frames
+from repro.service import (
+    AggregationSession,
+    decode_reports,
+    report_schema_for,
+    split_report_frames,
+)
 
 from .util import (
     ALL_PROTOCOLS,
+    LN3,
     build,
     encode_frames,
     forge_frame,
@@ -147,3 +166,206 @@ class TestValidFrameDamage:
         flipped = bytearray(frame)
         flipped[position] ^= mask
         _assert_rejected_everywhere(bytes(flipped))
+
+
+# --------------------------------------------------------------------------
+# Wire v3: the width table and the packed rows.
+
+PACKED = [
+    name
+    for name in ALL_PROTOCOLS
+    if any(field.per_user for field in report_schema_for(name).fields)
+]
+
+
+def _layout(name: str, body: bytes):
+    """``(width table offset, column count, rows offset)`` of a real
+    frame's payload ``body`` (a valid frame has no sum-form fields beside
+    packed ones)."""
+    schema = report_schema_for(name)
+    offset = 0
+    columns = 0
+    for field in schema.fields:
+        code, ndim = body[offset], body[offset + 1]
+        shape = struct.unpack_from(f"<{ndim}Q", body, offset + 2)
+        offset += 2 + 8 * ndim
+        if field.per_user:
+            columns += 1 if ndim == 1 else shape[1]
+    offset += 8 * len(schema.scalar_fields)
+    return offset, columns, offset + columns
+
+
+def _sign_fields(reports):
+    schema = report_schema_for(type(reports))
+    return [getattr(reports, field.name) for field in schema.fields if field.sign]
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("name", PACKED)
+    def test_truncated_width_table_rejected(self, name):
+        body = payload_body(valid_frame(name))
+        start, columns, _ = _layout(name, body)
+        for cut in range(start, start + columns):
+            with pytest.raises(WireFormatError, match="width table"):
+                decode_reports(forge_frame(name, body[:cut]))
+
+    @FUZZ
+    @given(name=st.sampled_from(PACKED), data=st.data())
+    def test_width_out_of_range_rejected(self, name, data):
+        """A width above 64 (or above what the column's dtype holds), or 0
+        in a non-empty batch, is refused before any row is read."""
+        body = bytearray(payload_body(valid_frame(name)))
+        start, columns, _ = _layout(name, body)
+        column = data.draw(st.integers(0, columns - 1), label="column")
+        body[start + column] = data.draw(
+            st.one_of(st.just(0), st.integers(65, 255)), label="width"
+        )
+        with pytest.raises(WireFormatError):
+            decode_reports(forge_frame(name, bytes(body)))
+
+    @FUZZ
+    @given(name=st.sampled_from(PACKED), data=st.data())
+    def test_rows_disagreeing_with_the_stride_rejected(self, name, data):
+        """Rows whose length is not ``rows * stride``: bytes added to or
+        cut from the packed rows (the CRC resealed)."""
+        body = payload_body(valid_frame(name))
+        _, _, rows_at = _layout(name, body)
+        if data.draw(st.booleans(), label="grow"):
+            forged = body + data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            forged = body[: data.draw(st.integers(rows_at, len(body) - 1))]
+        with pytest.raises(WireFormatError, match="row|trailing"):
+            decode_reports(forge_frame(name, forged))
+
+    @FUZZ
+    @given(name=st.sampled_from(PACKED), data=st.data())
+    def test_any_row_bits_decode_to_signs_or_are_refused(self, name, data):
+        """Arbitrary packed-row bytes under valid descriptors and widths:
+        a sign column decodes to exactly -1.0 or +1.0 whatever its bit, and
+        a row that is not the canonical packing of its batch (a wider
+        width than its values need, set padding bits) is refused."""
+        body = payload_body(valid_frame(name))
+        _, _, rows_at = _layout(name, body)
+        rows = data.draw(
+            st.binary(min_size=len(body) - rows_at, max_size=len(body) - rows_at)
+        )
+        frame = forge_frame(name, body[:rows_at] + rows)
+        try:
+            reports = decode_reports(frame)
+        except WireFormatError:
+            return
+        for signs in _sign_fields(reports):
+            assert signs.dtype == np.float64
+            assert np.isin(signs, (-1.0, 1.0)).all()
+        assert reports.to_bytes() == frame
+
+    @pytest.mark.parametrize("name", ["InpHT", "MargHT", "InpHTCMS"])
+    def test_every_sign_bit_pattern_decodes_to_plus_or_minus_one(self, name):
+        """Flip each user's sign bit in turn: the batch still decodes, and
+        only that user's sign changes."""
+        protocol = build(name)
+        dataset = small_dataset(n=12, d=4)
+        reports = protocol.encode_batch(dataset, rng=np.random.default_rng(1))
+        (field,) = [
+            field for field in report_schema_for(name).fields if field.sign
+        ]
+        signs = getattr(reports, field.name)
+        for user in range(reports.num_users):
+            flipped = signs.copy()
+            flipped[user] = -flipped[user]
+            forged = dataclasses.replace(reports, **{field.name: flipped})
+            decoded = protocol.decode_reports(forged.to_bytes(), dataset.domain)
+            np.testing.assert_array_equal(getattr(decoded, field.name), flipped)
+
+    def test_out_of_spec_bucket_refused(self):
+        """A bucket at g fits its packed width but not the spec: the
+        protocol's decoder (and every ingest path) refuses it."""
+        protocol = build("InpOLH")
+        dataset = small_dataset(n=12, d=4)
+        reports = protocol.encode_batch(dataset, rng=np.random.default_rng(1))
+        g = protocol.oracle(dataset.domain.dimension).num_buckets
+        buckets = reports.noisy_buckets.copy()
+        buckets[3] = g
+        frame = dataclasses.replace(reports, noisy_buckets=buckets).to_bytes()
+        decode_reports(frame)  # well-formed without a spec
+        with pytest.raises(WireFormatError, match=rf"bound \[0, {g}\)"):
+            protocol.decode_reports(frame, dataset.domain)
+        with pytest.raises(WireFormatError, match="noisy_buckets"):
+            AggregationSession(protocol.spec(), dataset.domain).submit(frame)
+
+    def test_out_of_spec_level_refused(self):
+        protocol = build("HH")
+        dataset = small_dataset(n=12, d=4)
+        reports = protocol.encode_batch(dataset, rng=np.random.default_rng(1))
+        num_levels = len(protocol.level_plan(dataset.domain.dimension))
+        levels = reports.levels.copy()
+        levels[0] = num_levels
+        frame = dataclasses.replace(reports, levels=levels).to_bytes()
+        with pytest.raises(
+            WireFormatError, match=rf"'levels' holds {num_levels}, outside"
+        ):
+            protocol.decode_reports(frame, dataset.domain)
+
+    def test_column_count_against_the_spec(self):
+        """InpEM's rows carry one bit per attribute; a frame built for
+        another dimension is refused by the spec's bounds."""
+        protocol = build("InpEM")
+        frame = protocol.encode_batch(
+            small_dataset(n=12, d=5), rng=np.random.default_rng(1)
+        ).to_bytes()
+        with pytest.raises(WireFormatError, match="has 5 column"):
+            protocol.decode_reports(frame, small_dataset(n=12, d=4).domain)
+
+    def test_retired_v2_frame_refused_on_every_path(self):
+        body = payload_body(valid_frame("InpHT"))
+        v2 = forge_frame("InpHT", body, version=2)
+        pattern = "version 2 .*this library speaks version 3"
+        with pytest.raises(WireFormatError, match=pattern):
+            decode_reports(v2)
+        with pytest.raises(WireFormatError, match=pattern):
+            list(split_report_frames(io.BytesIO(v2)))
+        with pytest.raises(WireFormatError, match=pattern):
+            FrameDecoder().feed(v2)
+
+
+# --------------------------------------------------------------------------
+# Round trip: every protocol, any dimension, any batch size.
+
+ROUND_TRIP_CASES = [(name, {}) for name in ALL_PROTOCOLS] + [
+    ("HH", {"oracle": "InpHT"}),
+    ("HH", {"oracle": "InpHTCMS", "num_hashes": 3, "width": 32}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ROUND_TRIP_CASES),
+    dimension=st.integers(2, 10),
+    users=st.one_of(st.sampled_from([0, 1]), st.integers(2, 70)),
+    seed=st.integers(0, 2**16),
+)
+def test_round_trip_is_exact_for_every_protocol(case, dimension, users, seed):
+    name, options = case
+    if options:
+        protocol = make_protocol(name, PrivacyBudget(LN3), 2, **options)
+    else:
+        protocol = build(name)
+    rng = np.random.default_rng(seed)
+    records = (rng.random((users, dimension)) < 0.3).astype(np.int8)
+    if users:
+        records = BinaryDataset.from_records(records)
+    reports = protocol.encode_batch(records, rng=rng)
+    frame = reports.to_bytes()
+    domain = Domain.binary(dimension)
+    for decoded in (decode_reports(frame), protocol.decode_reports(frame, domain)):
+        assert type(decoded) is type(reports)
+        for field in dataclasses.fields(reports):
+            original = getattr(reports, field.name)
+            restored = getattr(decoded, field.name)
+            if isinstance(original, np.ndarray):
+                assert restored.dtype == original.dtype
+                assert restored.shape == original.shape
+                np.testing.assert_array_equal(restored, original)
+            else:
+                assert restored == original
+    assert decoded.to_bytes() == frame
