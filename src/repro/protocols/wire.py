@@ -62,7 +62,10 @@ reaches an accumulator; anything off raises
 :class:`~repro.core.exceptions.WireFormatError` instead of corrupting the
 aggregation.  The CRC-32 catches every single-byte corruption of a frame,
 and the canonical-width and padding checks make a decodable frame the only
-encoding of its batch.
+encoding of its batch.  Decoding costs time and memory linear in the
+frame's bytes: given ``bounds``, each field's column count is checked
+before its width table is read, and without them a frame of many columns
+is cut with a fixed number of numpy calls, not a Python step per column.
 
 Decoding unpacks every column to its field's dtype (int64, int8 or ±1.0
 float64), so an encode → ``to_bytes`` → ``from_bytes`` → aggregate round
@@ -74,7 +77,6 @@ receive buffer).
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 import zlib
@@ -136,9 +138,13 @@ _WIRE_WORD = np.dtype("<u8")
 
 #: Shift counts and low-bit masks as ``uint64`` scalars, so every bit
 #: operation stays in ``uint64``; built once, as building them per column
-#: is a measurable share of a small frame's decode.
-_SHIFTS = tuple(np.uint64(count) for count in range(65))
-_MASKS = tuple(np.uint64((1 << width) - 1) for width in range(65))
+#: is a measurable share of a small frame's codec time.
+_SHIFTS = tuple(_WORD.type(count) for count in range(65))
+_MASKS = tuple(_WORD.type((1 << width) - 1) for width in range(65))
+
+#: A sign column's decoded values, indexed by its bit.
+_SIGNS = np.array([-1.0, 1.0])
+_INT64 = np.dtype(np.int64)
 
 #: Public aliases of the frame header layout, shared with the collection
 #: service's session framing (``repro.server.framing``) so the two frame
@@ -249,8 +255,6 @@ def register_report_schema(
         )
     _SCHEMAS_BY_KIND[kind] = schema
     _SCHEMAS_BY_CLASS[report_class] = schema
-    _field_layout.cache_clear()
-    _row_layout.cache_clear()
     return schema
 
 
@@ -352,7 +356,12 @@ def encode_reports(reports: Any) -> bytes:
     )
     parts.append(widths)
     parts.extend(buffers)
-    parts.append(_row_bytes(words, total))
+    if total:
+        # Each row's words, little-endian, cut to the row's whole bytes.
+        table = np.empty((len(words[0]), len(words)), dtype=_WIRE_WORD)
+        for index, word in enumerate(words):
+            table[:, index] = word
+        parts.append(table.view(np.uint8)[:, : -(-total // 8)].tobytes())
     body = b"".join(parts)
     payload_length = len(body) + _CRC.size
     if payload_length > MAX_PAYLOAD_BYTES:
@@ -389,44 +398,6 @@ def _column_bits(kind: str, spec: ReportField, value: np.ndarray):
     if spec.dtype.itemsize == _WORD.itemsize:
         return [column.view(_WORD) for column in columns]
     return [column.astype(_WORD) for column in columns]
-
-
-@functools.lru_cache(maxsize=None)
-def _row_dtype(stride: int) -> np.dtype:
-    """A ``stride``-byte packed row as a structured dtype: its whole 64-bit
-    words (fields ``w0``, ``w1``, ...), then at most one 4-, 2- and 1-byte
-    tail piece (fields ``t4``, ``t2``, ``t1``), each little-endian."""
-    whole, tail = divmod(stride, 8)
-    names = [f"w{index}" for index in range(whole)]
-    formats = ["<u8"] * whole
-    offsets = [8 * index for index in range(whole)]
-    for size in (4, 2, 1):
-        if tail >= size:
-            names.append(f"t{size}")
-            formats.append(f"<u{size}")
-            offsets.append(stride - tail)
-            tail -= size
-    return np.dtype(
-        {"names": names, "formats": formats, "offsets": offsets, "itemsize": stride}
-    )
-
-
-def _row_bytes(words, total: int) -> bytes:
-    """The packed rows' bytes (see :func:`_row_words`, its inverse)."""
-    if not total:
-        return b""
-    stride = -(-total // 8)
-    if stride == 8 and len(words) == 1:
-        return words[0].astype(_WIRE_WORD, copy=False).tobytes()
-    rows = np.empty(len(words[0]), dtype=_row_dtype(stride))
-    tail = words[-1]
-    for name in rows.dtype.names:
-        if name[0] == "w":
-            rows[name] = words[int(name[1:])]
-        else:
-            shift = 8 * (rows.dtype.fields[name][1] % 8)
-            rows[name] = tail >> _SHIFTS[shift] if shift else tail
-    return rows.tobytes()
 
 
 def decode_reports(
@@ -698,9 +669,19 @@ def _read_fields(
 ) -> Dict[str, Any]:
     """Check the payload ``view[offset:end]`` against the schema and
     extract its fields as owned arrays."""
-    descriptors = bytes(view[offset : min(offset + schema.descriptors_size, end)])
-    rows, packed, summed, num_columns = _field_layout(schema.kind, descriptors)
+    rows, packed, summed = _read_descriptors(schema, view, offset, end)
     offset += schema.descriptors_size
+    num_columns = 0
+    for spec, _, count in packed:
+        # Checked before the width table is read: a forged column count
+        # costs nothing once the spec says how many columns there are.
+        limits = None if bounds is None else bounds.get(spec.name)
+        if limits is not None and len(limits) != count:
+            raise WireFormatError(
+                f"{schema.kind} field {spec.name!r} has {count} column(s), "
+                f"but the spec implies {len(limits)}"
+            )
+        num_columns += count
     values: Dict[str, Any] = {}
     scalar_end = offset + _SCALAR.size * len(schema.scalar_fields)
     if scalar_end > end:
@@ -725,6 +706,7 @@ def _read_fields(
         )
     widths = bytes(view[offset : offset + num_columns])
     offset += num_columns
+    _check_widths(schema.kind, packed, rows, widths)
     for spec, shape in summed:
         count = math.prod(shape)
         nbytes = count * spec.dtype.itemsize
@@ -741,7 +723,8 @@ def _read_fields(
             .astype(spec.dtype)
         )
         offset += nbytes
-    total, stride, columns, padding = _row_layout(schema.kind, descriptors, widths)
+    total = sum(widths)
+    stride = -(-total // 8)
     if rows * stride != end - offset:
         if rows * stride < end - offset:
             raise WireFormatError(
@@ -753,79 +736,51 @@ def _read_fields(
             f"{schema.kind} report payload declares {rows} row(s) of "
             f"{stride} byte(s) but only {end - offset} payload bytes remain"
         )
-    if rows:
-        words = _row_words(view, offset, rows, stride)
-        if padding and np.count_nonzero(words[-1] >> _SHIFTS[total % 64]):
-            raise WireFormatError(
-                f"{schema.kind} report rows set padding bits past their "
-                f"{total}-bit fields"
-            )
-    for (spec, shape, count), placed in zip(packed, columns):
-        limits = None if bounds is None else bounds.get(spec.name)
-        if limits is not None and len(limits) != count:
-            raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} has {count} column(s), "
-                f"but the spec implies {len(limits)}"
-            )
-        if not rows:
+    if not rows:
+        for spec, shape, _ in packed:
             values[spec.name] = np.empty(shape, dtype=spec.dtype)
-            continue
-        decoded = []
-        for index, (word, shift, width, masked) in enumerate(placed):
-            bits = words[word] >> _SHIFTS[shift] if shift else words[word]
-            if shift + width > 64:
-                bits = bits | words[word + 1] << _SHIFTS[64 - shift]
-            if masked:
-                bits = bits & _MASKS[width]
-            # argmax is several times cheaper than a max reduction here.
-            largest = int(bits[bits.argmax()])
-            length = largest.bit_length()
-            if length > width:
-                raise WireFormatError(
-                    f"{schema.kind} report rows set padding bits past their "
-                    f"{total}-bit fields"
-                )
-            if width > 1 and length != width:
-                raise WireFormatError(
-                    f"{schema.kind} field {spec.name!r} packs a column at "
-                    f"{width} bits, but its largest value {largest} needs "
-                    f"{max(1, length)}"
-                )
-            if limits is not None and largest >= limits[index]:
-                raise WireFormatError(
-                    f"{schema.kind} field {spec.name!r} holds {largest}, "
-                    f"outside the bound [0, {limits[index]}) its spec "
-                    f"implies"
-                )
-            decoded.append(bits)
-        values[spec.name] = _typed(spec, shape, decoded)
+        return values
+    columns, largest = _unpack_rows(schema.kind, view, offset, rows, total, widths)
+    if bounds is not None:
+        _check_bounds(schema.kind, packed, bounds, largest)
+    position = 0
+    for spec, shape, count in packed:
+        # A 1-D field is one row of the block, a 2-D field its transpose.
+        if spec.ndim == 1:
+            table = columns[position]
+        else:
+            table = columns[position : position + count].T
+        position += count
+        if spec.sign:
+            table = _SIGNS[table]
+        elif spec.ndim == 1 and spec.dtype == _INT64:
+            table = table.view(_INT64)  # every value is below 2^63
+        else:
+            table = table.astype(spec.dtype, order="C")
+        values[spec.name] = table
     return values
 
 
-@functools.lru_cache(maxsize=256)
-def _field_layout(kind: str, descriptors: bytes):
-    """Check a payload's field descriptors against ``kind``'s schema.
+def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
+    """Check a payload's field descriptors against its schema.
 
-    Returns ``(rows, packed, summed, num_columns)``: the batch size, the
-    per-user fields as ``(spec, shape, columns)``, the sum-form fields as
-    ``(spec, shape)`` and the per-user column count.  Cached on the
-    descriptor bytes, which repeat from frame to frame of one stream.
+    Returns ``(rows, packed, summed)``: the batch size, the per-user fields
+    as ``(spec, shape, columns)`` and the sum-form fields as
+    ``(spec, shape)``.
     """
-    schema = _SCHEMAS_BY_KIND[kind]
+    kind = schema.kind
     packed = []
     summed = []
-    num_columns = 0
     rows = 0
     rows_field = None
-    offset = 0
     for index, spec in enumerate(schema.fields):
-        if offset + spec.descriptor.size > len(descriptors):
+        if offset + spec.descriptor.size > end:
             missing = [later.name for later in schema.fields[index:]]
             raise WireFormatError(
                 f"{kind} report payload is truncated before field "
                 f"{spec.name!r}'s descriptor: missing {missing}"
             )
-        code, ndim, *shape = spec.descriptor.unpack_from(descriptors, offset)
+        code, ndim, *shape = spec.descriptor.unpack_from(view, offset)
         offset += spec.descriptor.size
         if code != spec.code:
             if code < len(_WIRE_DTYPES):
@@ -858,110 +813,134 @@ def _field_layout(kind: str, descriptors: bytes):
                 f"{rows_field!r} has {rows} rows but {spec.name!r} has "
                 f"{shape[0]}"
             )
-        count = 1 if ndim == 1 else shape[1]
-        packed.append((spec, shape, count))
-        num_columns += count
-    return rows, tuple(packed), tuple(summed), num_columns
+        packed.append((spec, shape, 1 if ndim == 1 else shape[1]))
+    return rows, packed, summed
 
 
-@functools.lru_cache(maxsize=256)
-def _row_layout(kind: str, descriptors: bytes, widths: bytes):
-    """Check a payload's width table; place its columns in the rows.
-
-    Returns ``(total bits, stride, columns, padding)``: ``columns`` holds
-    one ``(word, shift, width, masked)`` per column of each per-user
-    field.  A column is ``masked`` when other fields' bits lie above it in
-    what its shift leaves.  The top column is not masked unless it spans
-    two words: the bits above it are the row's padding, so a set padding
-    bit makes it wider than its width; when it does span two, ``padding``
-    asks for the padding bits to be checked on their own.  A width is 0
-    exactly when the batch is empty and fits its field's dtype.
-    """
-    rows, packed, _, _ = _field_layout(kind, descriptors)
-    columns = []
-    total = 0
+def _check_widths(kind: str, packed, rows: int, widths: bytes) -> None:
+    """Every width fits its field's dtype: 1 up to the field's limit, or 0
+    exactly when the batch is empty."""
     position = 0
     for spec, _, count in packed:
-        placed = []
-        for width in widths[position : position + count]:
-            if not rows:
-                if width:
-                    raise WireFormatError(
-                        f"{kind} field {spec.name!r} declares a {width}-bit "
-                        f"column in an empty batch"
-                    )
-                continue
-            if not 1 <= width <= spec.width_limit:
-                raise WireFormatError(
-                    f"{kind} field {spec.name!r} declares a {width}-bit "
-                    f"column; its columns pack into 1 to {spec.width_limit} "
-                    f"bits"
-                )
-            word, shift = divmod(total, 64)
-            placed.append([word, shift, width, shift + width != 64])
-            total += width
-        columns.append(placed)
+        table = widths[position : position + count]
         position += count
-    top = next((placed[-1] for placed in reversed(columns) if placed), None)
-    spans = top is not None and top[1] + top[2] > 64
-    if top is not None and not spans:
-        top[3] = False
-    return (
-        total,
-        -(-total // 8),
-        tuple(tuple(tuple(column) for column in placed) for placed in columns),
-        spans and total % 8 != 0,
+        if not table:
+            continue
+        if not rows:
+            if any(table):
+                raise WireFormatError(
+                    f"{kind} field {spec.name!r} declares a {max(table)}-bit "
+                    f"column in an empty batch"
+                )
+        elif min(table) < 1 or max(table) > spec.width_limit:
+            width = min(table) if min(table) < 1 else max(table)
+            raise WireFormatError(
+                f"{kind} field {spec.name!r} declares a {width}-bit "
+                f"column; its columns pack into 1 to {spec.width_limit} "
+                f"bits"
+            )
+
+
+def _unpack_rows(kind: str, view, offset: int, rows: int, total: int, widths: bytes):
+    """The packed rows' columns as a ``(columns, rows)`` ``uint64`` block,
+    and each column's largest value.
+
+    The rows are copied out with 8 zero bytes after them, and word ``k``
+    of a row is read as the little-endian 8 bytes from its byte ``8k`` on
+    (the top word reaches into the next row, whose bits every column's
+    mask drops).  A column at bit offset ``o`` is word ``o // 64`` shifted
+    down by ``o % 64``, plus the next word's low bits when it spans two,
+    masked to its width.  The bits past the last column, the row's
+    padding, must be 0, and a column wider than 1 bit must have its top
+    bit set in some row: only the canonical width decodes.  A few columns
+    are cut one by one; more at once, so a forged width table of millions
+    of columns costs time linear in its bytes, not numpy calls per column.
+    """
+    stride = -(-total // 8)
+    # The copy owns its memory, so no decoded array pins the receive buffer.
+    copied = bytes(view[offset : offset + rows * stride]) + bytes(8)
+    words = np.ndarray((rows, -(-stride // 8)), _WIRE_WORD, copied, 0, (stride, 8))
+    padding = 8 * stride - total
+    if padding:
+        top = words[:, -1] >> _SHIFTS[total % 64]
+        if np.count_nonzero(top & _MASKS[padding]):
+            raise WireFormatError(
+                f"{kind} report rows set padding bits past their "
+                f"{total}-bit fields"
+            )
+    if len(widths) > _LOOP_COLUMNS:
+        return _unpack_many(kind, words, widths)
+    columns = np.empty((len(widths), rows), dtype=_WORD)
+    largest = []
+    start = 0
+    for index, width in enumerate(widths):
+        word, shift = divmod(start, 64)
+        bits = words[:, word]
+        if shift:
+            bits = np.right_shift(bits, _SHIFTS[shift], out=columns[index])
+            if shift + width > 64:
+                bits |= words[:, word + 1] << _SHIFTS[64 - shift]
+        bits = np.bitwise_and(bits, _MASKS[width], out=columns[index])
+        # argmax is several times cheaper than a max reduction here.
+        value = int(bits[bits.argmax()])
+        if width > 1 and not value >> width - 1:
+            _refuse_loose(kind, len(largest), widths, value)
+        largest.append(value)
+        start += width
+    return columns, largest
+
+
+#: Up to this many packed columns, a frame's columns are cut one by one,
+#: which costs fewer numpy calls than cutting them at once.
+_LOOP_COLUMNS = 8
+
+
+def _unpack_many(kind: str, words: np.ndarray, widths: bytes):
+    """:func:`_unpack_rows` for many columns: all cut at once, with a
+    working set of a few ``uint64`` per column besides the block."""
+    width = np.frombuffer(widths, np.uint8).astype(_WORD)
+    word = np.cumsum(width)
+    word -= width
+    shift = word & _SHIFTS[63]
+    word >>= _SHIFTS[6]
+    words = words.T
+    columns = words[word]
+    columns >>= shift[:, None]
+    spans = np.flatnonzero(shift + width > 64)
+    if spans.size:
+        spill = words[word[spans] + _SHIFTS[1]] << (_SHIFTS[64] - shift[spans])[:, None]
+        columns[spans] |= spill
+    mask = _SHIFTS[1] << width
+    mask -= _SHIFTS[1]
+    columns &= mask[:, None]
+    largest = columns.max(axis=1)
+    # A column of width w > 1 must reach 2^(w-1): above mask >> 1.
+    mask >>= _SHIFTS[1]
+    loose = (mask > 0) & (largest <= mask)
+    if loose.any():
+        column = int(loose.argmax())
+        _refuse_loose(kind, column, widths, int(largest[column]))
+    return columns, largest
+
+
+def _refuse_loose(kind: str, column: int, widths: bytes, value: int):
+    raise WireFormatError(
+        f"{kind} report packs column {column} at {widths[column]} bits, but "
+        f"its largest value {value} needs {max(1, value.bit_length())}"
     )
 
 
-def _row_words(view, offset, rows, stride):
-    """The packed rows as ``ceil(8 * stride / 64)`` columns of native
-    64-bit words, each an aligned array of its own.
-
-    Each read is a strided view of the rows: their whole words, then the
-    tail — for a row of more than 8 bytes, its last 8 bytes shifted down
-    past the last whole word's (numpy then runs only 64-bit loops); for a
-    shorter row, its 4-, 2- and 1-byte pieces of :func:`_row_dtype`.
-    """
-    whole, tail = divmod(stride, 8)
-    # Copied out: numpy's loops run slower on unaligned data, and a
-    # decoded column must not pin the (receive) buffer.
-    words = [
-        np.ndarray((rows,), _WIRE_WORD, view, offset + 8 * index, (stride,))
-        .astype(_WORD)
-        for index in range(whole)
-    ]
-    if whole and tail:
-        last = np.ndarray(
-            (rows,), _WIRE_WORD, view, offset + stride - 8, (stride,)
-        )
-        words.append(last >> _SHIFTS[64 - 8 * tail])
-    elif tail:
-        word = None
-        layout = _row_dtype(stride)
-        for name in layout.names:
-            dtype, at = layout.fields[name]
-            part = np.ndarray((rows,), dtype, view, offset + at, (stride,))
-            part = part.astype(_WORD)
-            if at:
-                part <<= _SHIFTS[8 * at]
-            word = part if word is None else word | part
-        words.append(word)
-    return words
-
-
-def _typed(spec: ReportField, shape, columns) -> np.ndarray:
-    """A per-user field's decoded columns in the field's dtype and shape:
-    int64 as is, int8 narrowed, a sign bit as -1.0 or +1.0."""
-    if spec.sign:
-        columns = [bits.astype(np.float64) * 2.0 - 1.0 for bits in columns]
-    elif spec.dtype.itemsize == _WORD.itemsize:
-        columns = [bits.view(spec.dtype) for bits in columns]
-    else:
-        columns = [bits.astype(spec.dtype) for bits in columns]
-    if spec.ndim == 1:
-        return columns[0]
-    table = np.empty(shape, dtype=spec.dtype)
-    for index, values in enumerate(columns):
-        table[:, index] = values
-    return table
+def _check_bounds(kind: str, packed, bounds, largest: np.ndarray) -> None:
+    """Every column's largest value lies below the bound its spec implies
+    (a bounded field's column count was checked against its bounds)."""
+    position = 0
+    for spec, _, count in packed:
+        limits = bounds.get(spec.name)
+        if limits is not None:
+            for value, limit in zip(largest[position : position + count], limits):
+                if value >= limit:
+                    raise WireFormatError(
+                        f"{kind} field {spec.name!r} holds {value}, outside "
+                        f"the bound [0, {limit}) its spec implies"
+                    )
+        position += count

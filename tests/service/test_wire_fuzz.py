@@ -23,6 +23,8 @@ import dataclasses
 import functools
 import io
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.core.domain import Domain
 from repro.core.exceptions import WireFormatError
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
+from repro.protocols import wire
 from repro.protocols.registry import make_protocol
 from repro.protocols.wire import WIRE_FORMAT_VERSION
 from repro.server.framing import FrameDecoder
@@ -326,6 +329,155 @@ class TestPackedRows:
             list(split_report_frames(io.BytesIO(v2)))
         with pytest.raises(WireFormatError, match=pattern):
             FrameDecoder().feed(v2)
+
+
+# --------------------------------------------------------------------------
+# Wide frames: many columns, columns spanning two words, both ways of
+# cutting the rows.
+
+
+def _many_columns_frame(columns: int) -> bytes:
+    """An InpEM frame of one user with ``columns`` 1-bit attributes."""
+    bits = np.random.default_rng(columns).integers(0, 2, columns, dtype=np.uint8)
+    body = (
+        struct.pack("<BB2Q", 2, 2, 1, columns)
+        + b"\x01" * columns
+        + np.packbits(bits, bitorder="little").tobytes()
+    )
+    return forge_frame("InpEM", body)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def _wide_frames():
+    """Real frames whose rows take more columns than the one-by-one cut
+    handles, or hold a column that spans two 64-bit words."""
+    dataset = small_dataset(n=12, d=12)
+    em = build("InpEM").encode_batch(dataset, rng=np.random.default_rng(1))
+    rr = build("MargRR", width=3).encode_batch(
+        small_dataset(n=12, d=4), rng=np.random.default_rng(1)
+    )
+    # Five levels take 3 bits, so the 62-bit seed after them spans words.
+    hh = make_protocol("HH", PrivacyBudget(LN3), 2, oracle="InpOLH").encode_batch(
+        small_dataset(n=12, d=10), rng=np.random.default_rng(1)
+    )
+    return {"InpEM": em.to_bytes(), "MargRR": rr.to_bytes(), "HH": hh.to_bytes()}
+
+
+WIDE_FRAMES = _wide_frames()
+
+
+def _decode_both_ways(frame: bytes):
+    """``frame`` decoded with the columns cut one by one and all at once;
+    each outcome is the batch or the refusal's message."""
+    outcomes = []
+    for loop_columns in (10**9, 0):
+        with mock.patch.object(wire, "_LOOP_COLUMNS", loop_columns):
+            try:
+                outcomes.append(decode_reports(frame))
+            except WireFormatError as error:
+                outcomes.append(str(error))
+    return outcomes
+
+
+def _assert_same_outcome(first, second) -> None:
+    if isinstance(first, str) or isinstance(second, str):
+        assert first == second
+        return
+    for field in dataclasses.fields(first):
+        left, right = getattr(first, field.name), getattr(second, field.name)
+        assert left.dtype == right.dtype
+        np.testing.assert_array_equal(left, right)
+
+
+class TestWideFrames:
+    def test_million_columns_refused_against_the_spec_without_reading_them(self):
+        """A forged InpEM frame declaring 10^6 attributes is refused by the
+        spec's column count before its width table or rows are read."""
+        frame = _many_columns_frame(10**6)
+        protocol = build("InpEM")
+        domain = Domain.binary(8)
+        with pytest.raises(WireFormatError, match="has 1000000 column"):
+            protocol.decode_reports(frame, domain)
+
+        def refuse():
+            with pytest.raises(WireFormatError, match="has 1000000 column"):
+                AggregationSession(protocol.spec(), domain).submit(frame)
+
+        assert _peak_bytes(refuse) < len(frame)
+
+    def test_million_columns_decode_in_memory_linear_in_the_frame(self):
+        """Without a spec the same frame is well formed: it decodes to the
+        packed bits, with a working set of a few words per column."""
+        frame = _many_columns_frame(10**6)
+        expected = np.random.default_rng(10**6).integers(0, 2, 10**6, dtype=np.int8)
+        reports = decode_reports(frame)
+        np.testing.assert_array_equal(reports.noisy_records, expected[None, :])
+        assert _peak_bytes(lambda: decode_reports(frame)) < 64 * len(frame)
+
+    @pytest.mark.parametrize("name", sorted(WIDE_FRAMES))
+    def test_wide_frames_cut_the_same_both_ways(self, name):
+        first, second = _decode_both_ways(WIDE_FRAMES[name])
+        assert not isinstance(first, str)
+        _assert_same_outcome(first, second)
+        assert first.to_bytes() == WIDE_FRAMES[name]
+
+    def test_a_column_spanning_two_words_round_trips(self):
+        reports = decode_reports(WIDE_FRAMES["HH"])
+        body = payload_body(WIDE_FRAMES["HH"])
+        start, columns, _ = _layout("HH", body)
+        level_bits, seed_bits = body[start], body[start + 1]
+        assert level_bits + seed_bits > 64  # the seed spans two words
+        assert reports.to_bytes() == WIDE_FRAMES["HH"]
+
+    @FUZZ
+    @given(
+        name=st.sampled_from(sorted(WIDE_FRAMES) + ["InpOLH", "InpHT", "MargHT"]),
+        data=st.data(),
+    )
+    def test_any_row_bits_cut_the_same_both_ways(self, name, data):
+        """Arbitrary packed-row bytes under a real layout: cutting the
+        columns one by one or all at once decodes the same batch, or
+        refuses the frame with the same message."""
+        frame = WIDE_FRAMES.get(name) or valid_frame(name)
+        body = payload_body(frame)
+        _, _, rows_at = _layout(name, body)
+        size = len(body) - rows_at
+        rows = data.draw(st.binary(min_size=size, max_size=size), label="rows")
+        _assert_same_outcome(*_decode_both_ways(forge_frame(name, body[:rows_at] + rows)))
+
+
+class TestLevelBounds:
+    def test_inpht_choice_checked_against_its_own_level(self):
+        """HH over InpHT: a choice inside the widest level's coefficient
+        set but outside its own level's is refused at decode."""
+        protocol = make_protocol("HH", PrivacyBudget(LN3), 2, oracle="InpHT")
+        dataset = small_dataset(n=12, d=4)
+        plan = protocol.level_plan(dataset.domain.dimension)
+        for bits in plan:
+            inner = protocol.level_protocol(bits).report_bounds(bits)
+            assert inner["choices"] == ((1 << bits) - 1,)
+        reports = protocol.encode_batch(dataset, rng=np.random.default_rng(1))
+        levels = reports.levels.copy()
+        int_data = reports.int_data.copy()
+        levels[0], int_data[0, 0] = 0, (1 << plan[0]) - 1
+        frame = dataclasses.replace(reports, levels=levels, int_data=int_data).to_bytes()
+        assert int_data[0, 0] < (1 << plan[-1]) - 1  # within the widest bound
+        with pytest.raises(WireFormatError, match="at level 0, outside"):
+            protocol.decode_reports(frame, dataset.domain)
+        with pytest.raises(WireFormatError, match="at level 0"):
+            AggregationSession(protocol.spec(), dataset.domain).submit(frame)
+        int_data[0, 0] -= 1
+        frame = dataclasses.replace(reports, levels=levels, int_data=int_data).to_bytes()
+        protocol.decode_reports(frame, dataset.domain)
 
 
 # --------------------------------------------------------------------------
