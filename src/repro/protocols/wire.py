@@ -751,7 +751,9 @@ def _read_fields(
         else:
             table = columns[position : position + count].T
         position += count
-        if spec.sign:
+        if not count:
+            table = np.empty(shape, dtype=spec.dtype)
+        elif spec.sign:
             table = _SIGNS[table]
         elif spec.ndim == 1 and spec.dtype == _INT64:
             table = table.view(_INT64)  # every value is below 2^63
@@ -858,7 +860,8 @@ def _unpack_rows(kind: str, view, offset: int, rows: int, total: int, widths: by
     """
     stride = -(-total // 8)
     # The copy owns its memory, so no decoded array pins the receive buffer.
-    copied = bytes(view[offset : offset + rows * stride]) + bytes(8)
+    copied = bytearray(rows * stride + 8)
+    copied[: rows * stride] = view[offset : offset + rows * stride]
     words = np.ndarray((rows, -(-stride // 8)), _WIRE_WORD, copied, 0, (stride, 8))
     padding = 8 * stride - total
     if padding:
