@@ -3,10 +3,11 @@
 The aggregator-side kernels are the scaling story of the paper — OLH
 decoding is ``O(N * 2^d)`` (Appendix B.2), EM decoding is the slow baseline
 (Section 4.4) and the Hadamard transform drives InpHT/MargHT — so each
-optimised kernel here is timed against the pre-optimisation implementation
-it still ships with (``popcount_reference``, ``fwht_reference``,
-``support_counts_reference``, the retain-all-records EM decode), with the
-outputs asserted identical before any number is reported.  A second section
+optimised kernel here is timed against its reference implementation
+(``popcount_reference``, ``fwht_reference`` and ``support_counts_reference``
+from the test oracles in ``tests/oracles.py``, and the retain-all-records
+EM decode), with the outputs asserted identical before any number is
+reported.  A second section
 times the end-to-end aggregator decode of the protocols those kernels sit
 under, seeding the perf trajectory future PRs regress against.
 
@@ -22,6 +23,7 @@ import argparse
 import functools
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +36,16 @@ from repro.mechanisms.local_hashing import (
     OptimizedLocalHashing,
 )
 from repro.protocols.registry import make_protocol
+
+# The reference implementations are test oracles, importable from the
+# repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import (  # noqa: E402
+    fwht_reference,
+    parity_reference,
+    popcount_reference,
+    support_counts_reference,
+)
 
 LN3 = float(np.log(3.0))
 
@@ -96,11 +108,11 @@ def bench_popcount(profile: dict) -> dict:
     rng = np.random.default_rng(0)
     masks = rng.integers(0, 1 << profile["popcount_d"], size=profile["popcount_n"])
     np.testing.assert_array_equal(
-        bitops.popcount(masks), bitops.popcount_reference(masks)
+        bitops.popcount(masks), popcount_reference(masks)
     )
     repeats = profile["repeats"]
     return _entry(
-        _best_of(lambda: bitops.popcount_reference(masks), repeats),
+        _best_of(lambda: popcount_reference(masks), repeats),
         _best_of(lambda: bitops.popcount(masks), repeats),
         n=profile["popcount_n"],
         d=profile["popcount_d"],
@@ -112,11 +124,11 @@ def bench_parity(profile: dict) -> dict:
     rng = np.random.default_rng(1)
     masks = rng.integers(0, 1 << profile["popcount_d"], size=profile["popcount_n"])
     np.testing.assert_array_equal(
-        bitops.parity(masks), bitops.parity_reference(masks)
+        bitops.parity(masks), parity_reference(masks)
     )
     repeats = profile["repeats"]
     return _entry(
-        _best_of(lambda: bitops.parity_reference(masks), repeats),
+        _best_of(lambda: parity_reference(masks), repeats),
         _best_of(lambda: bitops.parity(masks), repeats),
         n=profile["popcount_n"],
         d=profile["popcount_d"],
@@ -127,11 +139,11 @@ def bench_fwht(profile: dict) -> dict:
     rng = np.random.default_rng(2)
     vector = rng.normal(size=1 << profile["fwht_log2"])
     np.testing.assert_array_equal(
-        hadamard.fwht(vector), hadamard.fwht_reference(vector)
+        hadamard.fwht(vector), fwht_reference(vector)
     )
     repeats = profile["repeats"]
     return _entry(
-        _best_of(lambda: hadamard.fwht_reference(vector), repeats),
+        _best_of(lambda: fwht_reference(vector), repeats),
         _best_of(lambda: hadamard.fwht(vector), repeats),
         n=1 << profile["fwht_log2"],
     )
@@ -142,12 +154,12 @@ def bench_fwht_rows(profile: dict) -> dict:
     matrix = rng.normal(size=profile["fwht_rows_shape"])
     np.testing.assert_array_equal(
         hadamard.fwht_rows(matrix),
-        np.stack([hadamard.fwht_reference(row) for row in matrix]),
+        np.stack([fwht_reference(row) for row in matrix]),
     )
     repeats = profile["repeats"]
     return _entry(
         _best_of(
-            lambda: np.stack([hadamard.fwht_reference(row) for row in matrix]),
+            lambda: np.stack([fwht_reference(row) for row in matrix]),
             repeats,
         ),
         _best_of(lambda: hadamard.fwht_rows(matrix), repeats),
@@ -168,11 +180,11 @@ def bench_olh_support(profile: dict, epsilon: float = LN3) -> dict:
     seeds, noisy = oracle.perturb(values, rng=rng)
     np.testing.assert_array_equal(
         oracle.support_counts(seeds, noisy),
-        oracle.support_counts_reference(seeds, noisy),
+        support_counts_reference(oracle, seeds, noisy),
     )
     repeats = profile["repeats"]
     return _entry(
-        _best_of(lambda: oracle.support_counts_reference(seeds, noisy), repeats),
+        _best_of(lambda: support_counts_reference(oracle, seeds, noisy), repeats),
         _best_of(lambda: oracle.support_counts(seeds, noisy), repeats),
         users=profile["olh_users"],
         d=profile["olh_d"],
@@ -194,7 +206,7 @@ def _em_reference_decode(noisy_records, mask, keep_probability, threshold, limit
         observed |= noisy_records[:, position].astype(np.int64) << bit
     pattern_counts = np.bincount(observed, minlength=cells).astype(np.float64)
     pattern_fractions = pattern_counts / pattern_counts.sum()
-    hamming = bitops.popcount_reference(
+    hamming = popcount_reference(
         np.arange(cells)[:, None] ^ np.arange(cells)[None, :]
     )
     likelihood = (keep_probability ** (k - hamming)) * (

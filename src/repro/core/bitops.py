@@ -33,9 +33,7 @@ from .backends import (
 
 __all__ = [
     "popcount",
-    "popcount_reference",
     "parity",
-    "parity_reference",
     "inner_product_sign",
     "is_subset",
     "submasks",
@@ -58,10 +56,8 @@ def popcount(values):
     Array inputs go through this machine's kernel backend
     (:func:`repro.core.backends.resolve_backend`): the numpy backend uses
     ``np.bitwise_count`` where available and a SWAR fold over 64-bit words
-    otherwise; the threaded backend chunks large arrays over a thread pool
-    (:func:`popcount_reference` keeps the original one-bit-per-pass loop
-    for conformance testing).  Plain Python ints defer to
-    ``int.bit_count``.
+    otherwise; the threaded backend chunks large arrays over a thread pool.
+    Plain Python ints defer to ``int.bit_count``.
     """
     if np.isscalar(values) and not isinstance(values, np.generic):
         return int(values).bit_count()
@@ -70,26 +66,6 @@ def popcount(values):
         return np.vectorize(lambda v: int(v).bit_count(), otypes=[np.int64])(arr)
     words = arr.astype(np.uint64)
     count = resolve_backend().popcount(words)
-    return count if count.shape else int(count)
-
-
-def popcount_reference(values):
-    """Reference popcount: shift-and-mask, one bit per full-array pass.
-
-    This is the pre-optimisation implementation, retained as the ground
-    truth the vectorised :func:`popcount` is proven against (and the
-    baseline ``benchmarks/bench_kernels.py`` times the fast path over).
-    """
-    if np.isscalar(values) and not isinstance(values, np.generic):
-        return int(values).bit_count()
-    arr = np.asarray(values)
-    if arr.dtype == object:
-        return np.vectorize(lambda v: int(v).bit_count(), otypes=[np.int64])(arr)
-    arr = arr.astype(np.uint64, copy=True)
-    count = np.zeros(arr.shape, dtype=np.int64)
-    while np.any(arr):
-        count += (arr & np.uint64(1)).astype(np.int64)
-        arr >>= np.uint64(1)
     return count if count.shape else int(count)
 
 
@@ -106,11 +82,6 @@ def parity(values):
         return popcount(arr) & 1
     result = resolve_backend().parity(arr.astype(np.uint64))
     return result if result.shape else int(result)
-
-
-def parity_reference(values):
-    """Reference parity via :func:`popcount_reference`, for conformance."""
-    return popcount_reference(values) & 1
 
 
 def inner_product_sign(i, j):

@@ -63,11 +63,14 @@ def execute_shard(work: ShardWork) -> "Accumulator":
     """Encode a shard's batches and fold them into one fresh accumulator.
 
     The single evaluation rule shared by every backend: batches are encoded
-    in assignment order, each with its own generator.
+    in assignment order, each with its own generator, and each encoded
+    batch is checked against the spec before it folds.
     """
     accumulator = work.protocol.accumulator(work.domain)
     for batch, rng in zip(work.batches, work.rngs):
-        accumulator.update(work.protocol.encode_batch(batch, rng=rng))
+        reports = work.protocol.encode_batch(batch, rng=rng)
+        work.protocol.check_reports(reports, work.domain)
+        accumulator.update(reports)
     return accumulator
 
 

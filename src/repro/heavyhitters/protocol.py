@@ -26,7 +26,7 @@ the top-k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..core.domain import Domain
 from ..core.exceptions import (
     AggregationError,
     ProtocolConfigurationError,
-    WireFormatError,
 )
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
@@ -434,7 +433,7 @@ class HeavyHitters(MarginalReleaseProtocol):
     def report_bounds(self, dimension: int):
         """A level below the level count; each inner column below the bound
         of the widest level's oracle, which every level's bound is within
-        (:meth:`decode_reports` checks InpHT's choices per level)."""
+        (:meth:`_check_report_values` checks InpHT's choices per level)."""
         plan = self.level_plan(dimension)
         inner = self.level_protocol(plan[-1]).report_bounds(plan[-1])
         # The inner bounds come in the order _pack_reports packs columns.
@@ -444,31 +443,28 @@ class HeavyHitters(MarginalReleaseProtocol):
             "float_data": (2,) * _REPORT_COLUMNS[self._oracle_name][1],
         }
 
-    def decode_reports(self, data, domain: Optional[Domain] = None):
-        """Decode one wire frame of HH reports (see the base class).
-
-        Given the ``domain``, an InpHT oracle's choice must also index its
-        own level's coefficient set, which is narrower than the widest
-        level's bound the wire checks: level ``l`` runs InpHT at
+    def _check_report_values(self, reports, dimension: int, error) -> None:
+        """An InpHT oracle's choice must also index its own level's
+        coefficient set, which is narrower than the widest level's bound
+        :meth:`report_bounds` gives: level ``l`` runs InpHT at
         ``max_width`` = its prefix bits ``b``, so its set holds the
         ``2^b - 1`` nonzero coefficients.  (OLH's buckets and InpHTCMS's
         indices have one bound for every level.)
         """
-        reports = super().decode_reports(data, domain)
-        if domain is not None and self._oracle_name == "InpHT" and reports.num_users:
-            plan = self.level_plan(domain.dimension)
-            sizes = np.array([(1 << bits) - 1 for bits in plan], dtype=np.int64)
-            outside = reports.int_data[:, 0] >= sizes[reports.levels]
-            if outside.any():
-                user = int(outside.argmax())
-                level = int(reports.levels[user])
-                raise WireFormatError(
-                    f"HH field 'int_data' holds InpHT choice "
-                    f"{int(reports.int_data[user, 0])} at level {level}, "
-                    f"outside the bound [0, {int(sizes[level])}) of that "
-                    f"level's coefficient set"
-                )
-        return reports
+        if self._oracle_name != "InpHT" or not reports.num_users:
+            return
+        plan = self.level_plan(dimension)
+        sizes = np.array([(1 << bits) - 1 for bits in plan], dtype=np.int64)
+        outside = reports.int_data[:, 0] >= sizes[reports.levels]
+        if outside.any():
+            user = int(outside.argmax())
+            level = int(reports.levels[user])
+            raise error(
+                f"HH field 'int_data' holds InpHT choice "
+                f"{int(reports.int_data[user, 0])} at level {level}, "
+                f"outside the bound [0, {int(sizes[level])}) of that "
+                f"level's coefficient set"
+            )
 
     def communication_bits(self, dimension: int) -> int:
         """The level tag plus the final (widest) level's oracle report."""

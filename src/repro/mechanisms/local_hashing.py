@@ -139,9 +139,7 @@ class OptimizedLocalHashing:
         (:func:`repro.core.backends.resolve_backend` — the fused C scan
         when it built, else the numpy blocked scan or its thread-pool
         fan-out), in blocks of :data:`DEFAULT_DECODE_BATCH_SIZE` elements.
-        Every backend produces identical ``int64`` counts;
-        :meth:`support_counts_reference` keeps the original implementation
-        as the conformance ground truth.
+        Every backend produces identical ``int64`` counts.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
         noisy_buckets = np.asarray(noisy_buckets, dtype=np.int64)
@@ -157,30 +155,6 @@ class OptimizedLocalHashing:
             DEFAULT_DECODE_BATCH_SIZE,
         )
         return support.astype(np.float64)
-
-    def support_counts_reference(
-        self, seeds: np.ndarray, noisy_buckets: np.ndarray, batch_size: int = 256
-    ) -> np.ndarray:
-        """Reference support counting: full-height hash matrix per domain batch.
-
-        The pre-optimisation implementation, retained as the ground truth
-        :meth:`support_counts` is proven against and the baseline the kernel
-        benchmarks time the blocked path over.
-        """
-        seeds = np.asarray(seeds, dtype=np.int64)
-        noisy_buckets = np.asarray(noisy_buckets, dtype=np.int64)
-        if seeds.shape != noisy_buckets.shape or seeds.ndim != 1:
-            raise ProtocolConfigurationError(
-                "seeds and noisy buckets must be 1-D arrays of the same length"
-            )
-        support = np.zeros(self.domain_size, dtype=np.float64)
-        for start in range(0, self.domain_size, batch_size):
-            stop = min(start + batch_size, self.domain_size)
-            candidates = np.arange(start, stop, dtype=np.int64)
-            # hashes[i, j] = h_{seed_i}(candidate_j), by broadcasting.
-            hashes = _hash(candidates[None, :], seeds[:, None], self.num_buckets)
-            support[start:stop] = (hashes == noisy_buckets[:, None]).sum(axis=0)
-        return support
 
     def estimate_from_support(
         self, support: np.ndarray, num_users: int

@@ -47,13 +47,19 @@ from ..core.exceptions import (
     AggregationError,
     MarginalQueryError,
     ProtocolConfigurationError,
+    WireFormatError,
 )
 from ..core.hadamard import marginal_from_scaled_coefficients
 from ..core.marginals import MarginalTable, MarginalWorkload, marginal_operator
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng, spawn_rngs
 from ..datasets.base import BinaryDataset, record_indices
-from .wire import decode_reports
+from .wire import (
+    check_report_values,
+    decode_report_block,
+    parse_report_frame,
+    report_schema_for,
+)
 
 __all__ = [
     "MarginalEstimator",
@@ -543,15 +549,62 @@ class MarginalReleaseProtocol(abc.ABC):
         :class:`~repro.core.exceptions.WireFormatError` naming both kinds.
         Given the ``domain`` the reports are about, every column must also
         lie within :meth:`report_bounds`, or the frame is refused with
-        :class:`~repro.core.exceptions.WireFormatError`.
+        :class:`~repro.core.exceptions.WireFormatError`.  The one-frame
+        case of :meth:`decode_report_block`.
         """
-        bounds = None
+        return self.decode_report_block(
+            (self.parse_report_frame(data, domain),), domain
+        )
+
+    def parse_report_frame(self, data, domain: Optional[Domain] = None):
+        """The structural checks of :meth:`decode_reports` on one frame
+        (:func:`~repro.protocols.wire.parse_report_frame`); the value
+        checks wait for :meth:`decode_report_block`."""
+        return parse_report_frame(data, self.name, self._bounds_for(domain))
+
+    def decode_report_block(self, frames, domain: Optional[Domain] = None):
+        """Unpack parsed frames (:meth:`parse_report_frame`) into one batch.
+
+        The batch equals the concatenation of the frames' one-by-one
+        :meth:`decode_reports`; given the ``domain``, every value is
+        checked against the spec as :meth:`decode_reports` checks it.
+        """
+        reports = decode_report_block(frames, self._bounds_for(domain))
         if domain is not None:
-            bounds = self._report_bounds.get(domain.dimension)
-            if bounds is None:
-                bounds = self.report_bounds(domain.dimension)
-                self._report_bounds[domain.dimension] = bounds
-        return decode_reports(data, expected_kind=self.name, bounds=bounds)
+            self._check_report_values(reports, domain.dimension, WireFormatError)
+        return reports
+
+    def check_reports(self, reports, domain: Domain) -> None:
+        """Refuse an in-memory batch the spec could not have produced.
+
+        Applies the wire's value checks to a batch that never crossed the
+        wire: each per-user column against :meth:`report_bounds`, each sign
+        column against ±1, plus any protocol-specific check.  A batch
+        outside them raises :class:`~repro.core.exceptions.AggregationError`
+        naming the field and its bound, before any state changes.
+        """
+        schema = report_schema_for(type(reports))
+        if schema.kind != self.name:
+            raise AggregationError(
+                f"{self.name} cannot fold {schema.kind} reports"
+            )
+        check_report_values(reports, self._bounds_for(domain), AggregationError)
+        self._check_report_values(reports, domain.dimension, AggregationError)
+
+    def _check_report_values(self, reports, dimension: int, error) -> None:
+        """Value checks the per-column bounds cannot express; raise
+        ``error`` on a violation.  None by default."""
+
+    def _bounds_for(self, domain: Optional[Domain]):
+        """:meth:`report_bounds` at the domain's dimension (None without
+        a domain), built once per dimension."""
+        if domain is None:
+            return None
+        bounds = self._report_bounds.get(domain.dimension)
+        if bounds is None:
+            bounds = self.report_bounds(domain.dimension)
+            self._report_bounds[domain.dimension] = bounds
+        return bounds
 
     def session(self, domain: Domain):
         """A fresh :class:`~repro.service.AggregationSession` over ``domain``.

@@ -77,11 +77,24 @@ receive buffer).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, Iterator, Mapping, Tuple, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -101,7 +114,11 @@ __all__ = [
     "report_schema_for",
     "encode_reports",
     "decode_reports",
+    "ParsedReportFrame",
+    "parse_report_frame",
+    "decode_report_block",
     "concat_report_batches",
+    "check_report_values",
     "check_report_version",
     "iter_report_frames",
     "split_report_frames",
@@ -144,7 +161,6 @@ _MASKS = tuple(_WORD.type((1 << width) - 1) for width in range(65))
 
 #: A sign column's decoded values, indexed by its bit.
 _SIGNS = np.array([-1.0, 1.0])
-_INT64 = np.dtype(np.int64)
 
 #: Public aliases of the frame header layout, shared with the collection
 #: service's session framing (``repro.server.framing``) so the two frame
@@ -221,13 +237,76 @@ class ReportSchema:
     scalar_fields: Tuple[str, ...] = field(default=())
     #: The payload bytes the field descriptors take.
     descriptors_size: int = field(init=False, repr=False, compare=False)
+    #: The per-user fields (they travel packed) and the sum-form ones.
+    packed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
+    summed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
+    #: The payload head: every descriptor, then every scalar, read in one
+    #: unpack, and the getters :func:`_read_payload` checks it with.
+    head: struct.Struct = field(init=False, repr=False, compare=False)
+    head_getters: Tuple[Any, ...] = field(init=False, repr=False, compare=False)
+    #: The smallest width limit of a per-user field.
+    narrowest: int = field(init=False, repr=False, compare=False)
+    #: Where a batch without per-user fields keeps its ``num_users``
+    #: among the scalars (None when its rows count the users).
+    users_at: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "descriptors_size",
-            sum(spec.descriptor.size for spec in self.fields),
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("descriptors_size", sum(spec.descriptor.size for spec in self.fields))
+        put("packed_fields", tuple(spec for spec in self.fields if spec.per_user))
+        put("summed_fields", tuple(spec for spec in self.fields if not spec.per_user))
+        put("narrowest", min((spec.width_limit for spec in self.packed_fields), default=0))
+        put(
+            "users_at",
+            None if self.packed_fields else self.scalar_fields.index("num_users"),
         )
+        put(
+            "head",
+            struct.Struct(
+                "<"
+                + "".join(spec.descriptor.format[1:] for spec in self.fields)
+                + "q" * len(self.scalar_fields)
+            ),
+        )
+        # Positions in the unpacked head (with a constant 1 appended, the
+        # column count of a 1-D field).
+        one = self.head.size and len(self.head.unpack(bytes(self.head.size)))
+        tags, axes, rows, counts, sums = [], [], [], [], []
+        at = 0
+        for spec in self.fields:
+            tags += [at, at + 1]
+            shape = list(range(at + 2, at + 2 + spec.ndim))
+            axes += shape
+            if spec.per_user:
+                rows.append(shape[0])
+                counts.append(shape[1] if spec.ndim == 2 else one)
+            else:
+                sums.append(_getter(shape))
+            at = shape[-1] + 1 if shape else at + 2
+        expected = tuple(
+            value for spec in self.fields for value in (spec.code, spec.ndim)
+        )
+        put(
+            "head_getters",
+            (
+                _getter(tags), expected, _getter(axes),
+                _getter(rows) if rows else (lambda values: (0,)),
+                _getter(counts), tuple(sums),
+                slice(at, at + len(self.scalar_fields)),
+            ),
+        )
+
+
+def _getter(positions):
+    """A callable picking ``positions`` out of a tuple, as a tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    if not positions:
+        return lambda values: ()
+    return operator.itemgetter(*positions)
 
 
 _SCHEMAS_BY_KIND: Dict[str, ReportSchema] = {}
@@ -418,17 +497,137 @@ def decode_reports(
 
     ``bytearray``/``memoryview`` input is parsed in place (no up-front
     ``bytes`` copy) — the zero-copy server ingest path hands receive-buffer
-    views straight in.
+    views straight in.  This is the one-frame case of
+    :func:`decode_report_block`.
+    """
+    frame = parse_report_frame(data, expected_kind, bounds)
+    return decode_report_block((frame,), bounds)
+
+
+class ParsedReportFrame:
+    """A report frame that passed its structural checks, not yet unpacked.
+
+    The first step of decoding (:func:`parse_report_frame`) leaves this:
+    the frame's schema, its user count, its column counts and width table,
+    its scalars, and owned copies of its packed rows and sum-form arrays,
+    so it never pins the buffer it was parsed from.  The second step,
+    :func:`decode_report_block`, unpacks any number of them at once.
+    """
+
+    __slots__ = (
+        "schema", "rows", "num_users", "counts", "widths", "total", "packed",
+        "sums", "scalars",
+    )
+
+    def __init__(self, schema, rows, counts, widths, total, packed, sums, scalars):
+        self.schema = schema
+        self.rows = rows
+        #: Column count of each per-user field, in schema order.
+        self.counts = counts
+        self.widths = widths
+        #: The bits of one packed row (the widths' sum).
+        self.total = total
+        self.packed = packed
+        self.sums = sums
+        self.scalars = scalars
+        # A batch without per-user fields (InpRR's) counts its users in its
+        # ``num_users`` scalar.
+        self.num_users = rows if schema.users_at is None else scalars[schema.users_at]
+
+
+def parse_report_frame(
+    data: Union[bytes, bytearray, memoryview],
+    expected_kind: str = None,
+    bounds: Mapping[str, Tuple[int, ...]] = None,
+) -> ParsedReportFrame:
+    """Run the structural checks on exactly one wire frame.
+
+    Checks the header, the CRC-32, every descriptor and scalar, the width
+    table against each field's dtype (and, given ``bounds``, each field's
+    column count against the spec) and the rows' length; what only the
+    values can tell — padding bits, canonical widths and the bounds — is
+    left to :func:`decode_report_block`.
     """
     buffer = data if isinstance(data, bytes) else memoryview(data)
-    reports, consumed = _decode_frame(buffer, expected_kind, bounds)
+    frame, consumed = _parse_frame(buffer, expected_kind, bounds)
     if consumed != len(buffer):
         raise WireFormatError(
             f"report frame holds {consumed} bytes but the buffer has "
             f"{len(buffer)}; trailing data is not allowed (use "
             f"iter_report_frames for concatenated frames)"
         )
-    return reports
+    return frame
+
+
+def decode_report_block(
+    frames: Sequence[ParsedReportFrame],
+    bounds: Mapping[str, Tuple[int, ...]] = None,
+) -> Any:
+    """Unpack parsed frames of one kind into one report batch.
+
+    The batch is :func:`concat_report_batches` of the frames' one-by-one
+    decodes, bit for bit.  Consecutive frames with the same width table
+    are unpacked as one run of rows, in fixed-size row chunks written
+    straight into the batch's arrays.  Every frame's padding bits must be
+    0 and each of its columns must reach its declared width; given
+    ``bounds``, every value must lie below its column's bound.
+    """
+    if not frames:
+        raise WireFormatError("cannot decode a block of zero report frames")
+    first = frames[0]
+    schema = first.schema
+    for frame in frames:
+        if frame.schema is not schema:
+            raise WireFormatError(
+                f"cannot decode {schema.kind} and {frame.schema.kind} report "
+                f"frames as one block"
+            )
+        if frame.counts != first.counts:
+            raise WireFormatError(
+                f"{schema.kind} report frames disagree on their column "
+                f"counts: {first.counts} vs {frame.counts}"
+            )
+    values: Dict[str, Any] = {}
+    for spec in schema.summed_fields:
+        total = first.sums[spec.name]
+        if len(frames) > 1:
+            total = total.copy()
+            for frame in frames[1:]:
+                other = frame.sums[spec.name]
+                if other.shape != total.shape:
+                    raise WireFormatError(
+                        f"{schema.kind} field {spec.name!r} frames disagree "
+                        f"on shape: {total.shape} vs {other.shape}"
+                    )
+                total += other
+        values[spec.name] = total
+    for index, name in enumerate(schema.scalar_fields):
+        values[name] = sum(frame.scalars[index] for frame in frames)
+    if not schema.packed_fields:
+        return schema.report_class(**values)
+    rows = sum(frame.rows for frame in frames)
+    outputs = [
+        np.empty((rows,) if spec.ndim == 1 else (rows, count), dtype=spec.dtype)
+        for spec, count in zip(schema.packed_fields, first.counts)
+    ]
+    if rows and first.widths:
+        largest = None
+        start = row = 0
+        while start < len(frames):
+            stop = start + 1
+            while stop < len(frames) and frames[stop].widths == frames[start].widths:
+                stop += 1
+            run = frames[start:stop]
+            if run[0].rows:
+                maxima = _unpack_run(schema, run, outputs, row)
+                largest = maxima if largest is None else np.maximum(largest, maxima)
+            row += sum(frame.rows for frame in run)
+            start = stop
+        if bounds is not None:
+            _check_bounds(schema, first.counts, bounds, largest)
+    for spec, output in zip(schema.packed_fields, outputs):
+        values[spec.name] = output
+    return schema.report_class(**values)
 
 
 def concat_report_batches(batches):
@@ -484,6 +683,44 @@ def concat_report_batches(batches):
     return schema.report_class(**values)
 
 
+def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
+    """Check an in-memory batch's per-user values as decoding checks them.
+
+    Each sign column must hold only ±1.0; each column ``bounds`` names
+    must hold integers in ``[0, bound)``, and a bounded field must have as
+    many columns as its bounds.  A violation raises ``error`` naming the
+    field and its bound.
+    """
+    schema = report_schema_for(type(reports))
+    for spec in schema.packed_fields:
+        value = np.asarray(getattr(reports, spec.name))
+        limits = None if bounds is None else bounds.get(spec.name)
+        if spec.sign:
+            if np.count_nonzero(value * value != 1.0):
+                raise error(
+                    f"{schema.kind} sign field {spec.name!r} holds a value "
+                    f"other than -1.0 or +1.0"
+                )
+            continue
+        if limits is None:
+            continue
+        table = value.reshape(len(value), -1) if value.ndim else value
+        if value.ndim != spec.ndim or table.shape[1] != len(limits):
+            raise error(
+                f"{schema.kind} field {spec.name!r} has shape {value.shape}, "
+                f"but the spec implies {len(limits)} column(s)"
+            )
+        if not len(table):
+            continue
+        for low, high, limit in zip(table.min(axis=0), table.max(axis=0), limits):
+            if low < 0 or high >= limit:
+                raise error(
+                    f"{schema.kind} field {spec.name!r} holds "
+                    f"{low if low < 0 else high}, outside the bound "
+                    f"[0, {limit}) its spec implies"
+                )
+
+
 def iter_report_frames(
     source: Union[bytes, bytearray, memoryview, BinaryIO],
     expected_kind: str = None,
@@ -494,8 +731,8 @@ def iter_report_frames(
     :class:`~repro.core.exceptions.WireFormatError`.
     """
     for frame in split_report_frames(source):
-        reports, _ = _decode_frame(frame, expected_kind)
-        yield reports
+        parsed, _ = _parse_frame(frame, expected_kind)
+        yield decode_report_block((parsed,))
 
 
 def split_report_frames(
@@ -634,10 +871,10 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
     return kind, header_end, frame_end
 
 
-def _decode_frame(
+def _parse_frame(
     buffer: bytes, expected_kind: str = None, bounds=None
-) -> Tuple[Any, int]:
-    """Decode the frame at the start of ``buffer``; return (reports, size)."""
+) -> Tuple[ParsedReportFrame, int]:
+    """Parse the frame at the start of ``buffer``; return (frame, size)."""
     kind, header_end, frame_end = _parse_frame_header(buffer, 0)
     schema = report_schema_for(kind)
     if expected_kind is not None and kind != expected_kind:
@@ -660,64 +897,78 @@ def _decode_frame(
             f"report frame payload for {kind!r} is corrupted: stored CRC-32 "
             f"{stored:#010x} does not match the computed {computed:#010x}"
         )
-    values = _read_fields(schema, view, header_end, body_end, bounds)
-    return schema.report_class(**values), frame_end
+    return _read_payload(schema, view, header_end, body_end, bounds), frame_end
 
 
-def _read_fields(
+def _read_payload(
     schema: ReportSchema, view: memoryview, offset: int, end: int, bounds
-) -> Dict[str, Any]:
-    """Check the payload ``view[offset:end]`` against the schema and
-    extract its fields as owned arrays."""
-    rows, packed, summed = _read_descriptors(schema, view, offset, end)
-    offset += schema.descriptors_size
-    num_columns = 0
-    for spec, _, count in packed:
-        # Checked before the width table is read: a forged column count
-        # costs nothing once the spec says how many columns there are.
-        limits = None if bounds is None else bounds.get(spec.name)
-        if limits is not None and len(limits) != count:
-            raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} has {count} column(s), "
-                f"but the spec implies {len(limits)}"
-            )
-        num_columns += count
-    values: Dict[str, Any] = {}
-    scalar_end = offset + _SCALAR.size * len(schema.scalar_fields)
-    if scalar_end > end:
+) -> ParsedReportFrame:
+    """Check the payload ``view[offset:end]`` against the schema and copy
+    out its scalars, sum-form arrays and packed rows.
+
+    The descriptors and scalars are read in one unpack (the schema's
+    ``head``); on anything off, :func:`_read_descriptors` reads them one by
+    one and names the first fault.
+    """
+    kind = schema.kind
+    tags, expected, axes, rows_of, counts_of, sums_of, scalars_at = schema.head_getters
+    if end - offset < schema.head.size:
+        _read_descriptors(schema, view, offset, end)
         raise WireFormatError(
-            f"{schema.kind} report payload is truncated inside its scalar "
+            f"{kind} report payload is truncated inside its scalar "
             f"fields {list(schema.scalar_fields)}"
         )
-    for name in schema.scalar_fields:
-        (value,) = _SCALAR.unpack_from(view, offset)
-        offset += _SCALAR.size
-        if value < 0:
-            raise WireFormatError(
-                f"{schema.kind} field {name!r} must be non-negative, "
-                f"got {value}"
-            )
-        values[name] = value
+    values = schema.head.unpack_from(view, offset)
+    row_axes = rows_of(values)
+    if (
+        tags(values) != expected
+        or max(axes(values)) > MAX_PAYLOAD_BYTES
+        or row_axes.count(row_axes[0]) != len(row_axes)
+    ):
+        _read_descriptors(schema, view, offset, end)
+    offset += schema.head.size
+    rows = row_axes[0]
+    counts = counts_of(values + (1,))
+    scalars = values[scalars_at]
+    if scalars and min(scalars) < 0:
+        name = schema.scalar_fields[scalars.index(min(scalars))]
+        raise WireFormatError(
+            f"{kind} field {name!r} must be non-negative, got {min(scalars)}"
+        )
+    if bounds is not None:
+        # Checked before the width table is read: a forged column count
+        # costs nothing once the spec says how many columns there are.
+        for spec, count in zip(schema.packed_fields, counts):
+            limits = bounds.get(spec.name)
+            if limits is not None and len(limits) != count:
+                raise WireFormatError(
+                    f"{kind} field {spec.name!r} has {count} column(s), "
+                    f"but the spec implies {len(limits)}"
+                )
+    num_columns = sum(counts)
     if num_columns > end - offset:
         raise WireFormatError(
-            f"{schema.kind} report payload is truncated inside its width "
+            f"{kind} report payload is truncated inside its width "
             f"table: {num_columns} column width(s) declared, "
             f"{end - offset} byte(s) remain"
         )
-    widths = bytes(view[offset : offset + num_columns])
+    widths = view[offset : offset + num_columns].tobytes()
     offset += num_columns
-    _check_widths(schema.kind, packed, rows, widths)
-    for spec, shape in summed:
+    if widths and not (rows and min(widths) >= 1 and max(widths) <= schema.narrowest):
+        _check_widths(schema, counts, rows, widths)
+    sums = {}
+    for spec, shape in zip(schema.summed_fields, sums_of):
+        shape = shape(values)
         count = math.prod(shape)
         nbytes = count * spec.dtype.itemsize
         if nbytes > end - offset:
             raise WireFormatError(
-                f"{schema.kind} field {spec.name!r} declares shape "
+                f"{kind} field {spec.name!r} declares shape "
                 f"{shape} ({nbytes} bytes) but only {end - offset} "
                 f"payload bytes remain"
             )
-        # astype copies: the batch must not pin the (receive) buffer.
-        values[spec.name] = (
+        # astype copies: the frame must not pin the (receive) buffer.
+        sums[spec.name] = (
             np.frombuffer(view, _WIRE_DTYPES[spec.code], count, offset)
             .reshape(shape)
             .astype(spec.dtype)
@@ -728,39 +979,16 @@ def _read_fields(
     if rows * stride != end - offset:
         if rows * stride < end - offset:
             raise WireFormatError(
-                f"{schema.kind} report payload has "
-                f"{end - offset - rows * stride} trailing byte(s) after its "
-                f"last field"
+                f"{kind} report payload has {end - offset - rows * stride} "
+                f"trailing byte(s) after its last field"
             )
         raise WireFormatError(
-            f"{schema.kind} report payload declares {rows} row(s) of "
-            f"{stride} byte(s) but only {end - offset} payload bytes remain"
+            f"{kind} report payload declares {rows} row(s) of {stride} "
+            f"byte(s) but only {end - offset} payload bytes remain"
         )
-    if not rows:
-        for spec, shape, _ in packed:
-            values[spec.name] = np.empty(shape, dtype=spec.dtype)
-        return values
-    columns, largest = _unpack_rows(schema.kind, view, offset, rows, total, widths)
-    if bounds is not None:
-        _check_bounds(schema.kind, packed, bounds, largest)
-    position = 0
-    for spec, shape, count in packed:
-        # A 1-D field is one row of the block, a 2-D field its transpose.
-        if spec.ndim == 1:
-            table = columns[position]
-        else:
-            table = columns[position : position + count].T
-        position += count
-        if not count:
-            table = np.empty(shape, dtype=spec.dtype)
-        elif spec.sign:
-            table = _SIGNS[table]
-        elif spec.ndim == 1 and spec.dtype == _INT64:
-            table = table.view(_INT64)  # every value is below 2^63
-        else:
-            table = table.astype(spec.dtype, order="C")
-        values[spec.name] = table
-    return values
+    return ParsedReportFrame(
+        schema, rows, counts, widths, total, view[offset:end].tobytes(), sums, scalars
+    )
 
 
 def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
@@ -819,11 +1047,11 @@ def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
     return rows, packed, summed
 
 
-def _check_widths(kind: str, packed, rows: int, widths: bytes) -> None:
+def _check_widths(schema: ReportSchema, counts, rows: int, widths: bytes) -> None:
     """Every width fits its field's dtype: 1 up to the field's limit, or 0
     exactly when the batch is empty."""
     position = 0
-    for spec, _, count in packed:
+    for spec, count in zip(schema.packed_fields, counts):
         table = widths[position : position + count]
         position += count
         if not table:
@@ -831,99 +1059,114 @@ def _check_widths(kind: str, packed, rows: int, widths: bytes) -> None:
         if not rows:
             if any(table):
                 raise WireFormatError(
-                    f"{kind} field {spec.name!r} declares a {max(table)}-bit "
-                    f"column in an empty batch"
+                    f"{schema.kind} field {spec.name!r} declares a "
+                    f"{max(table)}-bit column in an empty batch"
                 )
         elif min(table) < 1 or max(table) > spec.width_limit:
             width = min(table) if min(table) < 1 else max(table)
             raise WireFormatError(
-                f"{kind} field {spec.name!r} declares a {width}-bit "
+                f"{schema.kind} field {spec.name!r} declares a {width}-bit "
                 f"column; its columns pack into 1 to {spec.width_limit} "
                 f"bits"
             )
 
 
-def _unpack_rows(kind: str, view, offset: int, rows: int, total: int, widths: bytes):
-    """The packed rows' columns as a ``(columns, rows)`` ``uint64`` block,
-    and each column's largest value.
+#: Each width's mask, and the least largest value a column of that width
+#: may have: ``2^(w-1)``, or 0 for a 1-bit column (canonical widths).
+_WIDTH_MASKS = np.array([(1 << width) - 1 for width in range(64)], dtype=_WORD)
+_WIDTH_NEEDS = np.array([(1 << width) >> 1 if width > 1 else 0 for width in range(64)], dtype=_WORD)
 
-    The rows are copied out with 8 zero bytes after them, and word ``k``
-    of a row is read as the little-endian 8 bytes from its byte ``8k`` on
-    (the top word reaches into the next row, whose bits every column's
-    mask drops).  A column at bit offset ``o`` is word ``o // 64`` shifted
-    down by ``o % 64``, plus the next word's low bits when it spans two,
-    masked to its width.  The bits past the last column, the row's
-    padding, must be 0, and a column wider than 1 bit must have its top
-    bit set in some row: only the canonical width decodes.  A few columns
-    are cut one by one; more at once, so a forged width table of millions
-    of columns costs time linear in its bytes, not numpy calls per column.
+#: Packed cells unpacked per chunk of rows: the unpack's working set is a
+#: few ``uint64`` arrays of this many cells, whatever the frames' size.
+_CHUNK_CELLS = 1 << 16
+
+
+def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
+    """Unpack a run of frames sharing one width table into ``outputs``
+    from ``row`` on; return each column's largest value.
+
+    The run's rows are copied end to end into one buffer with 8 zero bytes
+    after them, and word ``k`` of a row is read as the little-endian 8
+    bytes from its byte ``8k`` on (the top word reaches into the next row,
+    whose bits every column's mask drops).  A column at bit offset ``o``
+    is word ``o // 64`` shifted down by ``o % 64``, plus the next word's
+    low bits when it spans two, masked to its width.  All columns are cut
+    at once, a fixed number of numpy calls per chunk of rows, so a forged
+    width table of millions of columns costs time linear in its bytes.
+    The bits past the last column, a row's padding, must be 0, and in
+    every frame a column wider than 1 bit must have its top bit set in
+    some row: only the canonical width decodes.
     """
+    kind = schema.kind
+    widths = frames[0].widths
+    total = frames[0].total
     stride = -(-total // 8)
-    # The copy owns its memory, so no decoded array pins the receive buffer.
-    copied = bytearray(rows * stride + 8)
-    copied[: rows * stride] = view[offset : offset + rows * stride]
-    words = np.ndarray((rows, -(-stride // 8)), _WIRE_WORD, copied, 0, (stride, 8))
+    rows = sum(frame.rows for frame in frames)
+    # One copy of the run's rows, 8 zero bytes after them.
+    copied = b"".join([frame.packed for frame in frames] + [bytes(8)])
+    starts = list(itertools.accumulate((frame.rows for frame in frames[:-1]), initial=0))
+    words = np.ndarray((-(-stride // 8), rows), _WIRE_WORD, copied, 0, (8, stride))
+    width = np.frombuffer(widths, np.uint8)
+    word = np.add.accumulate(width, dtype=_WORD)
+    word -= width
+    shift = (word & _SHIFTS[63])[:, None]
+    word >>= _SHIFTS[6]
+    if total > 64:
+        spans = np.flatnonzero(shift[:, 0] + width > 64)
+        spill = _SHIFTS[64] - shift[spans]
+        spill_word = word[spans] + _SHIFTS[1]
+    mask = _WIDTH_MASKS[width][:, None]
+    # The least value each column's largest must reach: 2^(w-1), or 0
+    # for a 1-bit column.
+    need = _WIDTH_NEEDS[width]
     padding = 8 * stride - total
-    if padding:
-        top = words[:, -1] >> _SHIFTS[total % 64]
-        if np.count_nonzero(top & _MASKS[padding]):
+    # Per frame and column, the largest value seen (columns x frames).
+    maxima = np.zeros((len(widths), len(frames)), dtype=_WORD)
+    chunk = max(1, _CHUNK_CELLS // len(widths))
+    for low in range(0, rows, chunk):
+        high = min(rows, low + chunk)
+        block = words[:, low:high]
+        if padding and np.count_nonzero(
+            (block[-1] >> _SHIFTS[total % 64]) & _MASKS[padding]
+        ):
             raise WireFormatError(
                 f"{kind} report rows set padding bits past their "
                 f"{total}-bit fields"
             )
-    if len(widths) > _LOOP_COLUMNS:
-        return _unpack_many(kind, words, widths)
-    columns = np.empty((len(widths), rows), dtype=_WORD)
-    largest = []
-    start = 0
-    for index, width in enumerate(widths):
-        word, shift = divmod(start, 64)
-        bits = words[:, word]
-        if shift:
-            bits = np.right_shift(bits, _SHIFTS[shift], out=columns[index])
-            if shift + width > 64:
-                bits |= words[:, word + 1] << _SHIFTS[64 - shift]
-        bits = np.bitwise_and(bits, _MASKS[width], out=columns[index])
-        # argmax is several times cheaper than a max reduction here.
-        value = int(bits[bits.argmax()])
-        if width > 1 and not value >> width - 1:
-            _refuse_loose(kind, len(largest), widths, value)
-        largest.append(value)
-        start += width
-    return columns, largest
-
-
-#: Up to this many packed columns, a frame's columns are cut one by one,
-#: which costs fewer numpy calls than cutting them at once.
-_LOOP_COLUMNS = 8
-
-
-def _unpack_many(kind: str, words: np.ndarray, widths: bytes):
-    """:func:`_unpack_rows` for many columns: all cut at once, with a
-    working set of a few ``uint64`` per column besides the block."""
-    width = np.frombuffer(widths, np.uint8).astype(_WORD)
-    word = np.cumsum(width)
-    word -= width
-    shift = word & _SHIFTS[63]
-    word >>= _SHIFTS[6]
-    words = words.T
-    columns = words[word]
-    columns >>= shift[:, None]
-    spans = np.flatnonzero(shift + width > 64)
-    if spans.size:
-        spill = words[word[spans] + _SHIFTS[1]] << (_SHIFTS[64] - shift[spans])[:, None]
-        columns[spans] |= spill
-    mask = _SHIFTS[1] << width
-    mask -= _SHIFTS[1]
-    columns &= mask[:, None]
-    largest = columns.max(axis=1)
-    # A column of width w > 1 must reach 2^(w-1): above mask >> 1.
-    mask >>= _SHIFTS[1]
-    loose = (mask > 0) & (largest <= mask)
+        columns = block[word]
+        columns >>= shift
+        if total > 64 and spans.size:
+            columns[spans] |= block[spill_word] << spill
+        columns &= mask
+        # The frames this chunk holds rows of, and where each begins in it.
+        first = bisect.bisect_right(starts, low) - 1
+        last = bisect.bisect_left(starts, high)
+        cuts = [0] + [start - low for start in starts[first + 1 : last]]
+        seen = maxima[:, first:last]
+        np.maximum(seen, np.maximum.reduceat(columns, cuts, axis=1), out=seen)
+        _write_columns(schema, columns, outputs, row + low, row + high)
+    loose = maxima < need[:, None]
     if loose.any():
-        column = int(loose.argmax())
-        _refuse_loose(kind, column, widths, int(largest[column]))
-    return columns, largest
+        # The first frame with a loose column, and its first such column.
+        frame = int(loose.any(axis=0).argmax())
+        column = int(loose[:, frame].argmax())
+        _refuse_loose(kind, column, widths, int(maxima[column, frame]))
+    return maxima.max(axis=1)
+
+
+def _write_columns(schema: ReportSchema, columns, outputs, low: int, high: int):
+    """Write a chunk's cut columns into each per-user field's rows
+    ``[low, high)``, narrowed to the field's dtype."""
+    position = 0
+    for spec, output in zip(schema.packed_fields, outputs):
+        count = 1 if spec.ndim == 1 else output.shape[1]
+        if count:
+            cut = columns[position] if spec.ndim == 1 else columns[position : position + count].T
+            if spec.sign:
+                np.take(_SIGNS, cut, out=output[low:high])
+            else:
+                output[low:high] = cut
+        position += count
 
 
 def _refuse_loose(kind: str, column: int, widths: bytes, value: int):
@@ -933,17 +1176,18 @@ def _refuse_loose(kind: str, column: int, widths: bytes, value: int):
     )
 
 
-def _check_bounds(kind: str, packed, bounds, largest: np.ndarray) -> None:
+def _check_bounds(schema: ReportSchema, counts, bounds, largest) -> None:
     """Every column's largest value lies below the bound its spec implies
     (a bounded field's column count was checked against its bounds)."""
+    largest = largest.tolist()
     position = 0
-    for spec, _, count in packed:
+    for spec, count in zip(schema.packed_fields, counts):
         limits = bounds.get(spec.name)
         if limits is not None:
             for value, limit in zip(largest[position : position + count], limits):
                 if value >= limit:
                     raise WireFormatError(
-                        f"{kind} field {spec.name!r} holds {value}, outside "
-                        f"the bound [0, {limit}) its spec implies"
+                        f"{schema.kind} field {spec.name!r} holds {value}, "
+                        f"outside the bound [0, {limit}) its spec implies"
                     )
         position += count

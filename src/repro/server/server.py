@@ -72,7 +72,7 @@ from ..observability import (
     trace,
 )
 from ..observability.scrape import MetricsScrapeServer
-from ..protocols.wire import MAX_PAYLOAD_BYTES, concat_report_batches
+from ..protocols.wire import MAX_PAYLOAD_BYTES
 from ..service.session import AggregationSession
 from ..service.spec import ProtocolSpec
 from .framing import (
@@ -105,8 +105,9 @@ _logger = logging.getLogger(__name__)
 #: connection cannot make one shard buffer a gigabyte on a forged header.
 DEFAULT_MAX_FRAME_BYTES = 64 << 20
 
-#: Pending user reports at which a connection folds its decoded frames
-#: into its group accumulator (one ``update`` per fold).
+#: Pending user reports at which a connection unpacks its parsed frames
+#: as one block and folds it into its group accumulator (one ``update``
+#: per fold).
 DEFAULT_BATCH_MAX_USERS = 8192
 
 #: Bytes asked of a connection's stream per read.
@@ -122,14 +123,19 @@ PathLike = Union[str, Path]
 class _Group:
     """One group's reports, between its ``HELLO`` and its ``FIN``.
 
-    Decoded frames wait in a pending list and fold into the group's own
-    accumulator as one ``update`` whenever they reach
-    :data:`DEFAULT_BATCH_MAX_USERS` users, and once more at ``FIN``.  The
-    first frame folds on arrival, so reports that do not fit the domain
-    earn their ``ERR`` at once rather than at ``FIN``.  Exactness is
-    inherited from the concatenation algebra — see
-    :func:`~repro.protocols.wire.concat_report_batches` — and nothing
-    reaches the shard before :meth:`CollectionServer._commit`.
+    Each frame passes its structural checks on arrival
+    (:meth:`~repro.protocols.base.MarginalReleaseProtocol.parse_report_frame`)
+    and waits, parsed, in a pending list.  Whenever the pending frames
+    reach :data:`DEFAULT_BATCH_MAX_USERS` users, and once more at ``FIN``,
+    they are unpacked as one block and folded into the group's own
+    accumulator as one ``update``
+    (:meth:`~repro.protocols.base.MarginalReleaseProtocol.decode_report_block`,
+    the concatenation of their one-by-one decodes).  The first frame folds
+    on arrival, so reports that do not fit the domain earn their ``ERR``
+    at once; a value error in a later frame (a bound, a padding bit, a
+    non-canonical width) earns its ``ERR`` at the fold of its block, which
+    comes before any commit or ``ACK`` of the group.  Nothing reaches the
+    shard before :meth:`CollectionServer._commit`.
     """
 
     def __init__(self, protocol, domain: Domain):
@@ -140,9 +146,9 @@ class _Group:
         self._pending_users = 0
         self.frames = self.reports = self.bytes = 0
 
-    def add(self, decoded, nbytes: int) -> None:
-        users = int(decoded.num_users)
-        self._pending.append(decoded)
+    def add(self, frame, nbytes: int) -> None:
+        users = frame.num_users
+        self._pending.append(frame)
         self._pending_users += users
         self.frames += 1
         self.reports += users
@@ -160,7 +166,9 @@ class _Group:
             self.accumulator = self._protocol.accumulator(self._domain)
         with trace.span("ingest.flush") as span:
             span.annotate(frames=len(self._pending), users=self._pending_users)
-            self.accumulator.update(concat_report_batches(self._pending))
+            self.accumulator.update(
+                self._protocol.decode_report_block(self._pending, self._domain)
+            )
         self._pending = []
         self._pending_users = 0
 
@@ -897,12 +905,12 @@ class CollectionServer:
                     else:
                         if group is None:
                             raise _Reject("report frame before HELLO")
-                        # Decode off the receive-buffer view (the fields
-                        # are copied out, so the batch never pins it); a
+                        # Parse off the receive-buffer view (the rows are
+                        # copied out, so the frame never pins it); a
                         # malformed or CRC-failing payload raises right
                         # here, on the connection that sent it.
                         group.add(
-                            shard.protocol.decode_reports(item, shard.domain),
+                            shard.protocol.parse_report_frame(item, shard.domain),
                             len(item),
                         )
             if group is None and decoder.at_frame_boundary:

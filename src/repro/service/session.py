@@ -185,8 +185,11 @@ class AggregationSession:
         ``reports`` is either the in-memory batch object produced by
         :meth:`~repro.protocols.base.MarginalReleaseProtocol.encode_batch`
         or its wire form (``bytes``) produced by ``to_bytes()``.  Wire
-        frames are validated (magic, version, kind, field dtypes/shapes)
-        before they touch the accumulator.
+        frames are validated (magic, version, kind, field dtypes/shapes,
+        values against the spec) before they touch the accumulator, and an
+        in-memory batch's values are checked the same way
+        (:meth:`~repro.protocols.base.MarginalReleaseProtocol.check_reports`);
+        a refused batch leaves the session unchanged.
         """
         with trace.span("session.submit"):
             if isinstance(reports, (bytes, bytearray, memoryview)):
@@ -197,6 +200,7 @@ class AggregationSession:
                 self._wire_bytes += len(frame)
                 self._wire_reports += int(decoded.num_users)
             else:
+                self._protocol.check_reports(reports, self._domain)
                 self._accumulator.update(reports)
             self._report_batches += 1
         return self
@@ -209,10 +213,12 @@ class AggregationSession:
         :func:`~repro.protocols.wire.concat_report_batches` — exact by the
         integer-sum argument documented there — so the session state is
         bit-for-bit what ``len(batches)`` individual :meth:`submit` calls
-        would have produced.  Counters advance as if each batch had been
-        submitted as a wire frame (``wire_bytes`` is the total serialized
-        size of the coalesced frames, when known).  Returns the number of
-        user reports folded in.
+        would have produced.  The concatenation's values are checked
+        against the spec as :meth:`submit` checks an in-memory batch.
+        Counters advance as if each batch had been submitted as a wire
+        frame (``wire_bytes`` is the total serialized size of the
+        coalesced frames, when known).  Returns the number of user
+        reports folded in.
         """
         from ..protocols.wire import concat_report_batches
 
@@ -221,6 +227,7 @@ class AggregationSession:
             return 0
         with trace.span("session.submit_decoded") as span:
             combined = concat_report_batches(batches)
+            self._protocol.check_reports(combined, self._domain)
             users = int(combined.num_users)
             span.annotate(batches=len(batches), users=users)
             self._accumulator.update(combined)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import backends as backends_module
-from repro.core import bitops
 from repro.core.backends import (
     _SEED_MIX,
     NativeBackend,
@@ -28,6 +27,12 @@ from repro.core.backends import (
 )
 from repro.core.privacy import PrivacyBudget
 from repro.mechanisms.local_hashing import OptimizedLocalHashing, _hash
+
+from ..oracles import (
+    parity_reference,
+    popcount_reference,
+    support_counts_reference,
+)
 
 
 #: The machine's native backend, or ``None`` where the C scan did not
@@ -75,7 +80,7 @@ class TestConformanceMatrix:
             np.uint64
         )
         np.testing.assert_array_equal(
-            backend.popcount(words), bitops.popcount_reference(words)
+            backend.popcount(words), popcount_reference(words)
         )
 
     def test_parity_matches_reference(self, backend):
@@ -84,7 +89,7 @@ class TestConformanceMatrix:
             np.uint64
         )
         np.testing.assert_array_equal(
-            backend.parity(words), bitops.parity_reference(words)
+            backend.parity(words), parity_reference(words)
         )
 
     @pytest.mark.parametrize("num_buckets", [4, 5])
@@ -101,7 +106,7 @@ class TestConformanceMatrix:
         users = 301
         seeds = rng.integers(0, 2**62, size=users, dtype=np.int64)
         noisy = rng.integers(0, num_buckets, size=users, dtype=np.int64)
-        reference = oracle.support_counts_reference(seeds, noisy)
+        reference = support_counts_reference(oracle, seeds, noisy)
         observed = backend.support_counts(
             seeds, noisy, oracle.domain_size, oracle.num_buckets, 16
         )
@@ -218,7 +223,7 @@ def _edge_case(domain_size, users, num_buckets):
         budget=PrivacyBudget(np.log(3.0)),
         num_buckets=num_buckets,
     )
-    return seeds, noisy, oracle.support_counts_reference(seeds, noisy)
+    return seeds, noisy, support_counts_reference(oracle, seeds, noisy)
 
 
 class TestBlockEdges:
@@ -272,7 +277,7 @@ class TestBlockEdges:
             domain_size=2, budget=PrivacyBudget(3.0), num_buckets=21
         )
         np.testing.assert_array_equal(
-            counts, oracle.support_counts_reference(seeds, noisy)
+            counts, support_counts_reference(oracle, seeds, noisy)
         )
 
 

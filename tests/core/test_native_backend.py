@@ -39,6 +39,8 @@ from repro.observability import get_registry, metrics_enabled, set_enabled
 from repro.observability.tracing import trace
 from repro.protocols.inp_olh import InpOLH
 
+from ..oracles import support_counts_reference
+
 NATIVE = (
     backends_module._BACKEND
     if isinstance(backends_module._BACKEND, NativeBackend)
@@ -156,7 +158,7 @@ class TestConformance:
             ),
         )
         np.testing.assert_array_equal(
-            observed, oracle.support_counts_reference(seeds, noisy)
+            observed, support_counts_reference(oracle, seeds, noisy)
         )
 
     @settings(max_examples=80, deadline=None)

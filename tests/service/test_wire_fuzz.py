@@ -24,7 +24,6 @@ import functools
 import io
 import struct
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from repro.core.domain import Domain
 from repro.core.exceptions import WireFormatError
 from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
-from repro.protocols import wire
 from repro.protocols.registry import make_protocol
 from repro.protocols.wire import WIRE_FORMAT_VERSION
 from repro.server.framing import FrameDecoder
@@ -46,6 +44,7 @@ from repro.service import (
     split_report_frames,
 )
 
+from ..oracles import decode_rows_reference
 from .util import (
     ALL_PROTOCOLS,
     LN3,
@@ -332,8 +331,8 @@ class TestPackedRows:
 
 
 # --------------------------------------------------------------------------
-# Wide frames: many columns, columns spanning two words, both ways of
-# cutting the rows.
+# Wide frames: many columns, columns spanning two words, any row bits,
+# against a bit-by-bit reference unpacker.
 
 
 def _many_columns_frame(columns: int) -> bytes:
@@ -375,27 +374,24 @@ def _wide_frames():
 WIDE_FRAMES = _wide_frames()
 
 
-def _decode_both_ways(frame: bytes):
-    """``frame`` decoded with the columns cut one by one and all at once;
-    each outcome is the batch or the refusal's message."""
-    outcomes = []
-    for loop_columns in (10**9, 0):
-        with mock.patch.object(wire, "_LOOP_COLUMNS", loop_columns):
-            try:
-                outcomes.append(decode_reports(frame))
-            except WireFormatError as error:
-                outcomes.append(str(error))
-    return outcomes
-
-
-def _assert_same_outcome(first, second) -> None:
-    if isinstance(first, str) or isinstance(second, str):
-        assert first == second
+def _assert_matches_reference(name: str, frame: bytes) -> None:
+    """``frame`` decodes to what the bit-by-bit reference unpacker reads
+    from its rows, or is refused for the reason the reference finds."""
+    expected = decode_rows_reference(name, payload_body(frame))
+    if expected == "padding":
+        with pytest.raises(WireFormatError, match="padding bits"):
+            decode_reports(frame)
         return
-    for field in dataclasses.fields(first):
-        left, right = getattr(first, field.name), getattr(second, field.name)
-        assert left.dtype == right.dtype
-        np.testing.assert_array_equal(left, right)
+    if isinstance(expected, str):
+        column = expected.split()[-1]
+        with pytest.raises(WireFormatError, match=rf"packs column {column} at"):
+            decode_reports(frame)
+        return
+    reports = decode_reports(frame)
+    for field, values in expected.items():
+        decoded = getattr(reports, field)
+        assert decoded.dtype == values.dtype
+        np.testing.assert_array_equal(decoded, values)
 
 
 class TestWideFrames:
@@ -424,11 +420,9 @@ class TestWideFrames:
         assert _peak_bytes(lambda: decode_reports(frame)) < 64 * len(frame)
 
     @pytest.mark.parametrize("name", sorted(WIDE_FRAMES))
-    def test_wide_frames_cut_the_same_both_ways(self, name):
-        first, second = _decode_both_ways(WIDE_FRAMES[name])
-        assert not isinstance(first, str)
-        _assert_same_outcome(first, second)
-        assert first.to_bytes() == WIDE_FRAMES[name]
+    def test_wide_frames_match_the_reference_unpacker(self, name):
+        _assert_matches_reference(name, WIDE_FRAMES[name])
+        assert decode_reports(WIDE_FRAMES[name]).to_bytes() == WIDE_FRAMES[name]
 
     def test_a_column_spanning_two_words_round_trips(self):
         reports = decode_reports(WIDE_FRAMES["HH"])
@@ -443,16 +437,15 @@ class TestWideFrames:
         name=st.sampled_from(sorted(WIDE_FRAMES) + ["InpOLH", "InpHT", "MargHT"]),
         data=st.data(),
     )
-    def test_any_row_bits_cut_the_same_both_ways(self, name, data):
-        """Arbitrary packed-row bytes under a real layout: cutting the
-        columns one by one or all at once decodes the same batch, or
-        refuses the frame with the same message."""
+    def test_any_row_bits_match_the_reference_unpacker(self, name, data):
+        """Arbitrary packed-row bytes under a real layout decode to what
+        the bit-by-bit reference reads, or are refused for its reason."""
         frame = WIDE_FRAMES.get(name) or valid_frame(name)
         body = payload_body(frame)
         _, _, rows_at = _layout(name, body)
         size = len(body) - rows_at
         rows = data.draw(st.binary(min_size=size, max_size=size), label="rows")
-        _assert_same_outcome(*_decode_both_ways(forge_frame(name, body[:rows_at] + rows)))
+        _assert_matches_reference(name, forge_frame(name, body[:rows_at] + rows))
 
 
 class TestLevelBounds:
