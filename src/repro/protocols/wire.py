@@ -50,29 +50,44 @@ all 0.  For example, an InpOLH row is a 62-bit seed and a 2-bit bucket in
 
 Frames are length-prefixed, so any number of them can be concatenated on a
 byte stream (that is what ``repro encode | repro aggregate`` pipes) and
-split back apart with :func:`iter_report_frames`.  Decoding validates the
-magic, the version (a retired version-1 or version-2 frame gets an error
-naming its version and this one), the kind, the CRC-32, every field's
-dtype, rank and shape, the cross-field row consistency, non-negative
-scalars, every width (no column wider than its dtype holds, none 0 in a
-non-empty batch, none but the canonical one), the rows' length against
-``rows * stride``, zero padding bits and, given the spec's ``bounds``,
-every column's values against the range the spec implies, before the batch
-reaches an accumulator; anything off raises
-:class:`~repro.core.exceptions.WireFormatError` instead of corrupting the
-aggregation.  The CRC-32 catches every single-byte corruption of a frame,
-and the canonical-width and padding checks make a decodable frame the only
-encoding of its batch.  Decoding costs time and memory linear in the
-frame's bytes: given ``bounds``, each field's column count is checked
-before its width table is read, and without them a frame of many columns
-is cut with a fixed number of numpy calls, not a Python step per column.
+split back apart with :func:`iter_report_frames`.
+
+Decoding runs in two steps, so a collector pays the per-frame work once
+per frame and the per-column numpy work once per block of frames:
+
+1. :func:`parse_report_frame`, on each frame as it arrives, makes the
+   structural checks: the magic, the version (a retired version-1 or
+   version-2 frame gets an error naming its version and this one), the
+   kind, the CRC-32, every field's dtype, rank and shape, the cross-field
+   row consistency, non-negative scalars, given the spec's ``bounds`` each
+   field's column count (before the width table is read), every width (no
+   column wider than its dtype holds, none 0 in a non-empty batch) and the
+   rows' length against ``rows * stride``.  It keeps owned copies of the
+   packed rows and sum-form arrays, so a parsed frame never pins the
+   buffer it came from (the server parses off its receive buffer).
+2. :func:`decode_report_block`, once per fold, unpacks any number of
+   parsed frames into one batch and makes the value checks: zero padding
+   bits, each frame's canonical widths (every column wider than 1 bit
+   reaches its top bit in that frame) and, given ``bounds``, every value
+   against the range the spec implies.  Consecutive frames with one width
+   table are unpacked as one run, in fixed-size row chunks written straight
+   into the batch's arrays, so its working memory is its outputs plus a
+   few chunks of 64-bit words.
+
+:func:`decode_reports` is the one-frame case of the two.  Anything off
+raises :class:`~repro.core.exceptions.WireFormatError` before the batch
+reaches an accumulator.  The CRC-32 catches every single-byte corruption
+of a frame, and the canonical-width and padding checks make a decodable
+frame the only encoding of its batch.  Decoding costs time and memory
+linear in the frame's bytes: a frame of many columns is cut with a fixed
+number of numpy calls per chunk, not a Python step per column.
 
 Decoding unpacks every column to its field's dtype (int64, int8 or ±1.0
 float64), so an encode → ``to_bytes`` → ``from_bytes`` → aggregate round
 trip is bit-for-bit identical to handing the in-memory batch straight to
-the accumulator.  Every decoded array is freshly allocated, so a decoded
-batch never pins the buffer it came from (the server decodes off its
-receive buffer).
+the accumulator, and a block is bit-for-bit the
+:func:`concat_report_batches` of its frames' one-by-one decodes.
+:func:`check_report_values` applies the value checks to an in-memory batch.
 """
 
 from __future__ import annotations
@@ -235,8 +250,6 @@ class ReportSchema:
     fields: Tuple[ReportField, ...]
     #: Non-array integer attributes (e.g. ``InpRR``'s ``num_users``).
     scalar_fields: Tuple[str, ...] = field(default=())
-    #: The payload bytes the field descriptors take.
-    descriptors_size: int = field(init=False, repr=False, compare=False)
     #: The per-user fields (they travel packed) and the sum-form ones.
     packed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
     summed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
@@ -254,7 +267,6 @@ class ReportSchema:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("descriptors_size", sum(spec.descriptor.size for spec in self.fields))
         put("packed_fields", tuple(spec for spec in self.fields if spec.per_user))
         put("summed_fields", tuple(spec for spec in self.fields if not spec.per_user))
         put("narrowest", min((spec.width_limit for spec in self.packed_fields), default=0))
@@ -270,9 +282,9 @@ class ReportSchema:
                 + "q" * len(self.scalar_fields)
             ),
         )
-        # Positions in the unpacked head (with a constant 1 appended, the
-        # column count of a 1-D field).
-        one = self.head.size and len(self.head.unpack(bytes(self.head.size)))
+        # Positions in the unpacked head, read with a constant 1 appended
+        # (the column count of a 1-D field).
+        one = sum(2 + spec.ndim for spec in self.fields) + len(self.scalar_fields)
         tags, axes, rows, counts, sums = [], [], [], [], []
         at = 0
         for spec in self.fields:
@@ -284,7 +296,7 @@ class ReportSchema:
                 counts.append(shape[1] if spec.ndim == 2 else one)
             else:
                 sums.append(_getter(shape))
-            at = shape[-1] + 1 if shape else at + 2
+            at += 2 + spec.ndim
         expected = tuple(
             value for spec in self.fields for value in (spec.code, spec.ndim)
         )
@@ -612,17 +624,13 @@ def decode_report_block(
     ]
     if rows and first.widths:
         largest = None
-        start = row = 0
-        while start < len(frames):
-            stop = start + 1
-            while stop < len(frames) and frames[stop].widths == frames[start].widths:
-                stop += 1
-            run = frames[start:stop]
-            if run[0].rows:
+        row = 0
+        for _, run in itertools.groupby(frames, key=lambda frame: frame.widths):
+            run = list(run)
+            if run[0].rows:  # else a run of empty frames
                 maxima = _unpack_run(schema, run, outputs, row)
                 largest = maxima if largest is None else np.maximum(largest, maxima)
-            row += sum(frame.rows for frame in run)
-            start = stop
+                row += sum(frame.rows for frame in run)
         if bounds is not None:
             _check_bounds(schema, first.counts, bounds, largest)
     for spec, output in zip(schema.packed_fields, outputs):
@@ -633,10 +641,12 @@ def decode_report_block(
 def concat_report_batches(batches):
     """Concatenate decoded report batches into one equivalent batch.
 
-    The collection server folds a connection's pending frames into a
-    single accumulator ``update`` call; this is the schema-driven
-    concatenation that makes that update bit-for-bit identical to
-    submitting the batches one by one.  Per-user fields concatenate along
+    :meth:`~repro.service.AggregationSession.submit_decoded` folds a list
+    of decoded batches into a single accumulator ``update`` call; this is
+    the schema-driven concatenation that makes that update bit-for-bit
+    identical to submitting the batches one by one (and
+    :func:`decode_report_block` is bit-for-bit the concatenation of its
+    frames' one-by-one decodes).  Per-user fields concatenate along
     the user axis; sum-form fields (``per_user=False``, exact integer
     counts held in float64) add elementwise under a strict shape check;
     scalar fields add as Python ints.  Either grouping feeds the same
@@ -841,7 +851,8 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
             f"bytes, got {available}"
         )
     magic, version, kind_length = _PREFIX.unpack_from(buffer, offset)
-    _check_prefix(magic, version)
+    if magic != _MAGIC or version != WIRE_FORMAT_VERSION:
+        _check_prefix(magic, version)
     header_end = offset + _PREFIX.size + kind_length + _LENGTH.size
     if len(buffer) < header_end:
         raise WireFormatError(
@@ -876,7 +887,7 @@ def _parse_frame(
 ) -> Tuple[ParsedReportFrame, int]:
     """Parse the frame at the start of ``buffer``; return (frame, size)."""
     kind, header_end, frame_end = _parse_frame_header(buffer, 0)
-    schema = report_schema_for(kind)
+    schema = _SCHEMAS_BY_KIND.get(kind) or report_schema_for(kind)
     if expected_kind is not None and kind != expected_kind:
         raise WireFormatError(
             f"report frame carries {kind!r} reports, expected "
@@ -907,13 +918,13 @@ def _read_payload(
     out its scalars, sum-form arrays and packed rows.
 
     The descriptors and scalars are read in one unpack (the schema's
-    ``head``); on anything off, :func:`_read_descriptors` reads them one by
-    one and names the first fault.
+    ``head``); on anything off, :func:`_refuse_descriptors` reads them one
+    by one and names the first fault.
     """
     kind = schema.kind
     tags, expected, axes, rows_of, counts_of, sums_of, scalars_at = schema.head_getters
     if end - offset < schema.head.size:
-        _read_descriptors(schema, view, offset, end)
+        _refuse_descriptors(schema, view, offset, end)
         raise WireFormatError(
             f"{kind} report payload is truncated inside its scalar "
             f"fields {list(schema.scalar_fields)}"
@@ -922,10 +933,10 @@ def _read_payload(
     row_axes = rows_of(values)
     if (
         tags(values) != expected
-        or max(axes(values)) > MAX_PAYLOAD_BYTES
+        or max(axes(values), default=0) > MAX_PAYLOAD_BYTES
         or row_axes.count(row_axes[0]) != len(row_axes)
     ):
-        _read_descriptors(schema, view, offset, end)
+        _refuse_descriptors(schema, view, offset, end)
     offset += schema.head.size
     rows = row_axes[0]
     counts = counts_of(values + (1,))
@@ -991,17 +1002,12 @@ def _read_payload(
     )
 
 
-def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
-    """Check a payload's field descriptors against its schema.
-
-    Returns ``(rows, packed, summed)``: the batch size, the per-user fields
-    as ``(spec, shape, columns)`` and the sum-form fields as
-    ``(spec, shape)``.
-    """
+def _refuse_descriptors(schema: ReportSchema, view, offset: int, end: int):
+    """Read a payload's field descriptors one by one and raise on the
+    first that does not fit its schema (truncated, another dtype or rank,
+    an axis above the frame limit, or per-user fields that disagree on
+    the batch size)."""
     kind = schema.kind
-    packed = []
-    summed = []
-    rows = 0
     rows_field = None
     for index, spec in enumerate(schema.fields):
         if offset + spec.descriptor.size > end:
@@ -1033,7 +1039,6 @@ def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
                 f"axis above the {MAX_PAYLOAD_BYTES}-byte frame limit"
             )
         if not spec.per_user:
-            summed.append((spec, shape))
             continue
         if rows_field is None:
             rows, rows_field = shape[0], spec.name
@@ -1043,8 +1048,6 @@ def _read_descriptors(schema: ReportSchema, view, offset: int, end: int):
                 f"{rows_field!r} has {rows} rows but {spec.name!r} has "
                 f"{shape[0]}"
             )
-        packed.append((spec, shape, 1 if ndim == 1 else shape[1]))
-    return rows, packed, summed
 
 
 def _check_widths(schema: ReportSchema, counts, rows: int, widths: bytes) -> None:
@@ -1120,9 +1123,10 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
     # for a 1-bit column.
     need = _WIDTH_NEEDS[width]
     padding = 8 * stride - total
-    # Per frame and column, the largest value seen (columns x frames).
-    maxima = np.zeros((len(widths), len(frames)), dtype=_WORD)
     chunk = max(1, _CHUNK_CELLS // len(widths))
+    if chunk < rows:
+        # Per frame and column, the largest value seen (columns x frames).
+        maxima = np.zeros((len(widths), len(frames)), dtype=_WORD)
     for low in range(0, rows, chunk):
         high = min(rows, low + chunk)
         block = words[:, low:high]
@@ -1142,8 +1146,11 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
         first = bisect.bisect_right(starts, low) - 1
         last = bisect.bisect_left(starts, high)
         cuts = [0] + [start - low for start in starts[first + 1 : last]]
-        seen = maxima[:, first:last]
-        np.maximum(seen, np.maximum.reduceat(columns, cuts, axis=1), out=seen)
+        seen = np.maximum.reduceat(columns, cuts, axis=1)
+        if chunk < rows:
+            np.maximum(maxima[:, first:last], seen, out=maxima[:, first:last])
+        else:
+            maxima = seen
         _write_columns(schema, columns, outputs, row + low, row + high)
     loose = maxima < need[:, None]
     if loose.any():

@@ -12,6 +12,7 @@ working memory must stay within its outputs plus a fixed chunk budget.
 from __future__ import annotations
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.privacy import PrivacyBudget
 from repro.datasets import BinaryDataset
 from repro.protocols.inp_em import InpEMReports
 from repro.protocols.inp_ps import InpPSReports
+from repro.protocols import wire
 from repro.protocols.registry import make_protocol
 from repro.protocols.wire import (
     concat_report_batches,
@@ -33,7 +35,7 @@ from repro.protocols.wire import (
     parse_report_frame,
 )
 
-from .util import ALL_PROTOCOLS, LN3, build, small_dataset
+from .util import ALL_PROTOCOLS, LN3, build, forge_frame, small_dataset
 
 CASES = [(name, {}) for name in ALL_PROTOCOLS] + [
     ("HH", {"oracle": "InpHT"}),
@@ -95,6 +97,19 @@ def test_block_equals_the_concatenation_of_its_frames(case, dimension, sizes, se
     _assert_same_batch(checked, expected)
 
 
+@pytest.mark.parametrize("cells", [1, 7, 64])
+@pytest.mark.parametrize("name", ["InpOLH", "MargRR", "HH", "InpEM"])
+def test_row_chunks_may_cut_through_frames(name, cells, monkeypatch):
+    """Chunks of a few rows, cutting frames anywhere, decode the block
+    the same as one chunk does."""
+    protocol = build(name)
+    frames = _frames(protocol, 6, [5, 1, 9, 3, 0, 4], 7)
+    expected = concat_report_batches([decode_reports(frame) for frame in frames])
+    monkeypatch.setattr(wire, "_CHUNK_CELLS", cells)
+    block = decode_report_block([parse_report_frame(frame) for frame in frames])
+    _assert_same_batch(block, expected)
+
+
 def test_frames_with_different_width_tables_form_runs():
     """One-user InpPS frames whose indices need 1, 3 and 2 bits: three
     runs in one block, back in frame order."""
@@ -107,6 +122,18 @@ def test_frames_with_different_width_tables_form_runs():
     assert len({frame.widths for frame in parsed}) == 3
     block = decode_report_block(parsed)
     np.testing.assert_array_equal(block.noisy_indices, values)
+
+
+def test_a_loose_frame_is_refused_inside_a_run():
+    """Two frames with one width table form one run; the second packs its
+    index at 3 bits but needs 1.  The run's largest value reaches the top
+    bit, but each frame must: the block is refused."""
+    canonical = InpPSReports(noisy_indices=np.array([5], dtype=np.int64)).to_bytes()
+    loose = forge_frame("InpPS", struct.pack("<BBQ", 0, 1, 1) + bytes([3, 1]))
+    parsed = [parse_report_frame(frame) for frame in (canonical, loose)]
+    assert parsed[0].widths == parsed[1].widths
+    with pytest.raises(WireFormatError, match="packs column 0 at 3 bits"):
+        decode_report_block(parsed)
 
 
 def test_a_one_frame_block_is_decode_reports():

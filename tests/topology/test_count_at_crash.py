@@ -1,17 +1,26 @@
 """The supervisor counts what its collectors' disks hold, across a crash.
 
-A durable collector appends each group to its commit log and
-``fdatasync``s it before it counts the group (``report_observer``) and
-ACKs.  A SIGKILL between the sync and the count leaves a group on disk
-that no count ever saw; the fleet still merges it, so a count that stays
-short of it keeps ``repro topo launch --stop-after-reports`` waiting
-forever.  The supervisor therefore keeps one count per collector and, on
-recovering a dead one, sets its count to the recovered state's
-``num_reports``.
+A durable collector commits a group in five steps: it appends the group to
+its commit log (``CommitLog.append``: ``os.write``, then
+``os.fdatasync``), counts it (``report_observer``), writes the ``ACK`` and
+drains it.  A SIGKILL can land between any two of them.  At each of the
+five points below a subprocess collector is killed at its third group,
+and four things must hold:
 
-The kill is placed from the test side only: ``os.fdatasync`` is wrapped
-before the collector process forks, and the wrapper SIGKILLs the child
-right after the sync of its third commit-log append.
+* every token the client got an ``ACK`` for is in ``restore_durable``;
+* the client's retry of the third group folds it exactly once;
+* the supervisor's count equals the restored state's ``num_reports``
+  (a group on disk that no count saw would keep
+  ``repro topo launch --stop-after-reports`` waiting forever);
+* ``cli._supervise`` with ``--stop-after-reports`` at that count returns.
+
+Each kill is placed from the test side only: a wrapper around
+``CommitLog.append``, ``os.fdatasync``, the server's ``encode_control``
+or ``asyncio.StreamWriter.drain`` is installed before the collector
+process forks, and it SIGKILLs the child at its point.  A group written
+but not yet synced is on disk after the kill: the process died, not the
+machine, so the write is in the page cache.  The snapshot and compaction
+steps are not covered here.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ import signal
 import pytest
 
 from repro import cli
-from repro.server import ACK
+from repro.server import ACK, restore_durable
+from repro.server import durable as durable_module
+from repro.server import server as server_module
 from repro.topology import TopologySupervisor
 
 from ..server.raw_client import send_group
@@ -33,61 +44,123 @@ from ..service.util import build, encode_frames, small_dataset
 
 pytestmark = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the sync wrapper reaches the collector only through fork",
+    reason="the wrappers reach the collector only through fork",
 )
 
 BATCH = 8  # 96 records -> 12 one-frame groups of 8 reports
-KILL_AT_SYNC = 3
+KILL_AT = 3  # the group whose commit the kill interrupts
+
+#: Each crash point, and whether the interrupted group is on disk after it.
+POINTS = {
+    "before_log_write": False,
+    "between_write_and_sync": True,
+    "between_sync_and_observer": True,
+    "between_observer_and_ack": True,
+    "after_ack": True,
+}
 
 
-def test_kill_between_sync_and_count_is_counted(tmp_path, monkeypatch):
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _install_kill(point, monkeypatch, parent):
+    """Wrap the step before (or after) ``point`` so that the forked
+    collector dies there at its ``KILL_AT``-th group."""
+    seen = [0]  # each forked collector counts its own calls
+
+    def due():
+        if os.getpid() == parent:
+            return False
+        seen[0] += 1
+        return seen[0] == KILL_AT
+
+    if point == "before_log_write":
+        real_append = durable_module.CommitLog.append
+
+        def append(self, *args, **kwargs):
+            if due():
+                _die()
+            return real_append(self, *args, **kwargs)
+
+        monkeypatch.setattr(durable_module.CommitLog, "append", append)
+    elif point in ("between_write_and_sync", "between_sync_and_observer"):
+        real_fdatasync = os.fdatasync
+
+        def fdatasync(fd):
+            if point == "between_write_and_sync" and due():
+                _die()
+            real_fdatasync(fd)
+            if point == "between_sync_and_observer" and due():
+                _die()
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+    else:
+        real_encode = server_module.encode_control
+        real_drain = asyncio.StreamWriter.drain
+        acked = [False]
+
+        def encode_control(kind, *args, **kwargs):
+            if kind == ACK and due():
+                if point == "between_observer_and_ack":
+                    _die()
+                acked[0] = True
+            return real_encode(kind, *args, **kwargs)
+
+        async def drain(self):
+            await real_drain(self)
+            if acked[0]:
+                _die()
+
+        monkeypatch.setattr(server_module, "encode_control", encode_control)
+        monkeypatch.setattr(asyncio.StreamWriter, "drain", drain)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_kill_at_each_commit_step_is_counted_and_retried_once(
+    point, tmp_path, monkeypatch
+):
     protocol = build("InpPS")
     dataset = small_dataset()
     domain = dataset.domain
     frames = encode_frames(protocol, dataset, BATCH)
-    parent = os.getpid()
-    real_fdatasync = os.fdatasync
-    syncs = [0]  # each forked collector counts its own syncs
-
-    def sync_then_die(fd):
-        real_fdatasync(fd)
-        if os.getpid() != parent:
-            syncs[0] += 1
-            if syncs[0] == KILL_AT_SYNC:
-                os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(os, "fdatasync", sync_then_die)
+    _install_kill(point, monkeypatch, os.getpid())
     supervisor = TopologySupervisor(
         protocol.spec(), domain, collectors=1, base_dir=tmp_path
     ).start()
     try:
-        port = supervisor.handles[0].port
 
         async def deliver(index):
             return await send_group(
-                port,
+                supervisor.handles[0].port,
                 protocol.spec(),
                 domain.attributes,
                 [frames[index]],
                 token=f"g{index}",
             )
 
-        for index in range(KILL_AT_SYNC - 1):
+        acked = []
+        for index in range(KILL_AT):
             replies = asyncio.run(deliver(index))
-            assert replies[-1].kind == ACK
-        # The third group is synced, then its collector dies: no ACK.
-        replies = asyncio.run(deliver(KILL_AT_SYNC - 1))
-        assert all(reply.kind != ACK for reply in replies)
+            if any(reply.kind == ACK for reply in replies):
+                acked.append(f"g{index}")
         supervisor.handles[0].process.join(timeout=10.0)
+        assert acked == [f"g{index}" for index in range(KILL_AT - 1)] + (
+            [f"g{KILL_AT - 1}"] if point == "after_ack" else []
+        )
 
         (dead,) = supervisor.health_check()
+        on_disk = (KILL_AT if POINTS[point] else KILL_AT - 1) * BATCH
+        restored = restore_durable(dead.checkpoint_dir, quarantine=False)
+        assert restored.num_reports == on_disk
+        assert set(acked) <= set(restored.checkpoint_extra["acked_tokens"])
         recovered = supervisor.recovered_states()[dead.collector_id]
-        assert recovered.num_reports == KILL_AT_SYNC * BATCH
-        assert supervisor.num_reports == recovered.num_reports
+        assert recovered.num_reports == on_disk
+        assert supervisor.num_reports == on_disk
 
         # The launcher's stop condition is met by what the disk holds.
         arguments = argparse.Namespace(
-            stop_after_reports=recovered.num_reports, kill_after_reports=None
+            stop_after_reports=on_disk, kill_after_reports=None
         )
 
         async def started():
@@ -98,13 +171,12 @@ def test_kill_between_sync_and_count_is_counted(tmp_path, monkeypatch):
         )
 
         # A restarted collector counts from its restored total, and the
-        # client's retry of the unACK'd group folds nothing twice.
+        # client's retry of the interrupted group folds it exactly once.
         supervisor.restart(0)
-        assert supervisor.num_reports == KILL_AT_SYNC * BATCH
-        port = supervisor.handles[0].port
-        replies = asyncio.run(deliver(KILL_AT_SYNC - 1))
+        assert supervisor.num_reports == on_disk
+        replies = asyncio.run(deliver(KILL_AT - 1))
         assert replies[-1].kind == ACK
-        assert replies[-1].payload["duplicate"] is True
-        assert supervisor.num_reports == KILL_AT_SYNC * BATCH
+        assert replies[-1].payload.get("duplicate", False) is POINTS[point]
+        assert supervisor.num_reports == KILL_AT * BATCH
     finally:
         supervisor.shutdown()
