@@ -257,6 +257,10 @@ class ReportSchema:
     #: unpack, and the getters :func:`_read_payload` checks it with.
     head: struct.Struct = field(init=False, repr=False, compare=False)
     head_getters: Tuple[Any, ...] = field(init=False, repr=False, compare=False)
+    #: The 2-D per-user fields, with their places among ``packed_fields``.
+    wide_fields: Tuple[Tuple[int, ReportField], ...] = field(
+        init=False, repr=False, compare=False
+    )
     #: The smallest width limit of a per-user field.
     narrowest: int = field(init=False, repr=False, compare=False)
     #: Where a batch without per-user fields keeps its ``num_users``
@@ -269,6 +273,14 @@ class ReportSchema:
 
         put("packed_fields", tuple(spec for spec in self.fields if spec.per_user))
         put("summed_fields", tuple(spec for spec in self.fields if not spec.per_user))
+        put(
+            "wide_fields",
+            tuple(
+                (index, spec)
+                for index, spec in enumerate(self.packed_fields)
+                if spec.ndim == 2
+            ),
+        )
         put("narrowest", min((spec.width_limit for spec in self.packed_fields), default=0))
         put(
             "users_at",
@@ -948,9 +960,11 @@ def _read_payload(
         )
     if bounds is not None:
         # Checked before the width table is read: a forged column count
-        # costs nothing once the spec says how many columns there are.
-        for spec, count in zip(schema.packed_fields, counts):
+        # costs nothing once the spec says how many columns there are (a
+        # 1-D field has one column, and its bounds one entry).
+        for index, spec in schema.wide_fields:
             limits = bounds.get(spec.name)
+            count = counts[index]
             if limits is not None and len(limits) != count:
                 raise WireFormatError(
                     f"{kind} field {spec.name!r} has {count} column(s), "
@@ -1137,8 +1151,8 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
                 f"{kind} report rows set padding bits past their "
                 f"{total}-bit fields"
             )
-        columns = block[word]
-        columns >>= shift
+        # Rows of one word broadcast against the shifts: no gather needed.
+        columns = (block if len(block) == 1 else block[word]) >> shift
         if total > 64 and spans.size:
             columns[spans] |= block[spill_word] << spill
         columns &= mask
