@@ -1088,11 +1088,6 @@ def _check_widths(schema: ReportSchema, counts, rows: int, widths: bytes) -> Non
             )
 
 
-#: Each width's mask, and the least largest value a column of that width
-#: may have: ``2^(w-1)``, or 0 for a 1-bit column (canonical widths).
-_WIDTH_MASKS = np.array([(1 << width) - 1 for width in range(64)], dtype=_WORD)
-_WIDTH_NEEDS = np.array([(1 << width) >> 1 if width > 1 else 0 for width in range(64)], dtype=_WORD)
-
 #: Packed cells unpacked per chunk of rows: the unpack's working set is a
 #: few ``uint64`` arrays of this many cells, whatever the frames' size.
 _CHUNK_CELLS = 1 << 16
@@ -1123,19 +1118,21 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
     copied = b"".join([frame.packed for frame in frames] + [bytes(8)])
     starts = list(itertools.accumulate((frame.rows for frame in frames[:-1]), initial=0))
     words = np.ndarray((-(-stride // 8), rows), _WIRE_WORD, copied, 0, (8, stride))
-    width = np.frombuffer(widths, np.uint8)
-    word = np.add.accumulate(width, dtype=_WORD)
+    width = np.frombuffer(widths, np.uint8).astype(_WORD)
+    word = np.cumsum(width)
     word -= width
     shift = (word & _SHIFTS[63])[:, None]
     word >>= _SHIFTS[6]
     if total > 64:
-        spans = np.flatnonzero(shift[:, 0] + width > 64)
+        # A column spans two words when its shift and width pass 64 bits.
+        spans = shift[:, 0] + width
+        spans -= _SHIFTS[1]
+        spans = np.flatnonzero(spans >> _SHIFTS[6])
         spill = _SHIFTS[64] - shift[spans]
         spill_word = word[spans] + _SHIFTS[1]
-    mask = _WIDTH_MASKS[width][:, None]
-    # The least value each column's largest must reach: 2^(w-1), or 0
-    # for a 1-bit column.
-    need = _WIDTH_NEEDS[width]
+    mask = _SHIFTS[1] << width
+    mask -= _SHIFTS[1]
+    mask = mask[:, None]
     padding = 8 * stride - total
     chunk = max(1, _CHUNK_CELLS // len(widths))
     if chunk < rows:
@@ -1151,10 +1148,15 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
                 f"{kind} report rows set padding bits past their "
                 f"{total}-bit fields"
             )
-        # Rows of one word broadcast against the shifts: no gather needed.
-        columns = (block if len(block) == 1 else block[word]) >> shift
+        if len(block) == 1:  # rows of one word broadcast against the shifts
+            columns = block >> shift
+        else:
+            columns = block[word]
+            columns >>= shift
         if total > 64 and spans.size:
-            columns[spans] |= block[spill_word] << spill
+            spilled = block[spill_word]
+            spilled <<= spill
+            columns[spans] |= spilled
         columns &= mask
         # The frames this chunk holds rows of, and where each begins in it.
         first = bisect.bisect_right(starts, low) - 1
@@ -1166,9 +1168,16 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
         else:
             maxima = seen
         _write_columns(schema, columns, outputs, row + low, row + high)
-    loose = maxima < need[:, None]
-    if loose.any():
+    del word, shift, mask, columns
+    # A column of width w is canonical when its largest value, shifted
+    # down by w - 1, is not 0; a 1-bit column always is, so its largest
+    # is read with bit 0 set.
+    width -= _SHIFTS[1]
+    reach = maxima | (_SHIFTS[1] >> width)[:, None]
+    reach >>= width[:, None]
+    if np.count_nonzero(reach) < reach.size:
         # The first frame with a loose column, and its first such column.
+        loose = reach == 0
         frame = int(loose.any(axis=0).argmax())
         column = int(loose[:, frame].argmax())
         _refuse_loose(kind, column, widths, int(maxima[column, frame]))
