@@ -251,8 +251,12 @@ class ReportSchema:
     #: Non-array integer attributes (e.g. ``InpRR``'s ``num_users``).
     scalar_fields: Tuple[str, ...] = field(default=())
     #: The per-user fields (they travel packed) and the sum-form ones.
-    packed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
-    summed_fields: Tuple[ReportField, ...] = field(init=False, repr=False, compare=False)
+    packed_fields: Tuple[ReportField, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    summed_fields: Tuple[ReportField, ...] = field(
+        init=False, repr=False, compare=False
+    )
     #: The payload head: every descriptor, then every scalar, read in one
     #: unpack, and the getters :func:`_read_payload` checks it with.
     head: struct.Struct = field(init=False, repr=False, compare=False)
@@ -281,7 +285,10 @@ class ReportSchema:
                 if spec.ndim == 2
             ),
         )
-        put("narrowest", min((spec.width_limit for spec in self.packed_fields), default=0))
+        put(
+            "narrowest",
+            min((spec.width_limit for spec in self.packed_fields), default=0),
+        )
         put(
             "users_at",
             None if self.packed_fields else self.scalar_fields.index("num_users"),
@@ -726,7 +733,7 @@ def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
             continue
         if limits is None:
             continue
-        table = value.reshape(len(value), -1) if value.ndim else value
+        table = value[:, None] if value.ndim == 1 else value
         if value.ndim != spec.ndim or table.shape[1] != len(limits):
             raise error(
                 f"{schema.kind} field {spec.name!r} has shape {value.shape}, "
@@ -734,7 +741,9 @@ def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
             )
         if not len(table):
             continue
-        for low, high, limit in zip(table.min(axis=0), table.max(axis=0), limits):
+        for low, high, limit in zip(
+            table.min(axis=0).tolist(), table.max(axis=0).tolist(), limits
+        ):
             if low < 0 or high >= limit:
                 raise error(
                     f"{schema.kind} field {spec.name!r} holds "
@@ -1116,7 +1125,9 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
     rows = sum(frame.rows for frame in frames)
     # One copy of the run's rows, 8 zero bytes after them.
     copied = b"".join([frame.packed for frame in frames] + [bytes(8)])
-    starts = list(itertools.accumulate((frame.rows for frame in frames[:-1]), initial=0))
+    starts = list(
+        itertools.accumulate((frame.rows for frame in frames[:-1]), initial=0)
+    )
     words = np.ndarray((-(-stride // 8), rows), _WIRE_WORD, copied, 0, (8, stride))
     width = np.frombuffer(widths, np.uint8).astype(_WORD)
     word = np.cumsum(width)
@@ -1180,7 +1191,11 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
         loose = reach == 0
         frame = int(loose.any(axis=0).argmax())
         column = int(loose[:, frame].argmax())
-        _refuse_loose(kind, column, widths, int(maxima[column, frame]))
+        value = int(maxima[column, frame])
+        raise WireFormatError(
+            f"{kind} report packs column {column} at {widths[column]} bits, "
+            f"but its largest value {value} needs {max(1, value.bit_length())}"
+        )
     return maxima.max(axis=1)
 
 
@@ -1191,19 +1206,15 @@ def _write_columns(schema: ReportSchema, columns, outputs, low: int, high: int):
     for spec, output in zip(schema.packed_fields, outputs):
         count = 1 if spec.ndim == 1 else output.shape[1]
         if count:
-            cut = columns[position] if spec.ndim == 1 else columns[position : position + count].T
+            if spec.ndim == 1:
+                cut = columns[position]
+            else:
+                cut = columns[position : position + count].T
             if spec.sign:
                 np.take(_SIGNS, cut, out=output[low:high])
             else:
                 output[low:high] = cut
         position += count
-
-
-def _refuse_loose(kind: str, column: int, widths: bytes, value: int):
-    raise WireFormatError(
-        f"{kind} report packs column {column} at {widths[column]} bits, but "
-        f"its largest value {value} needs {max(1, value.bit_length())}"
-    )
 
 
 def _check_bounds(schema: ReportSchema, counts, bounds, largest) -> None:

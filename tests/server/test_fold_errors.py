@@ -20,7 +20,13 @@ import pytest
 from repro.server import ACK, ERR, OK, CollectionServer, restore_durable
 
 from ..oracles import decode_rows_reference
-from ..service.util import build, encode_frames, forge_frame, payload_body, small_dataset
+from ..service.util import (
+    build,
+    encode_frames,
+    forge_frame,
+    payload_body,
+    small_dataset,
+)
 from .raw_client import send_group
 
 BATCH_SIZE = 12  # 96 records -> 8 frames
@@ -47,7 +53,8 @@ def _widened_frame(frame):
         (int(seed) | int(bucket) << seed_bits).to_bytes(stride, "little")
         for seed, bucket in zip(seeds, buckets)
     )
-    return forge_frame("InpOLH", body[:table_at] + bytes([seed_bits, bucket_bits]) + rows)
+    table = bytes([seed_bits, bucket_bits])
+    return forge_frame("InpOLH", body[:table_at] + table + rows)
 
 
 @pytest.mark.parametrize("fault", ["out_of_spec", "non_canonical"])

@@ -76,6 +76,14 @@ def test_out_of_spec_value_refused_and_session_unchanged(name, value_of):
     assert session.num_reports == 2 * reports.num_users
 
 
+@pytest.mark.parametrize("name", ALL_PROTOCOLS)
+def test_an_empty_batch_passes_the_checks(name):
+    protocol = build(name)
+    dataset = small_dataset(n=12, d=D)
+    reports = protocol.encode_batch(np.zeros((0, D), np.int8))
+    protocol.check_reports(reports, dataset.domain)
+
+
 def test_inp_rr_sums_of_the_wrong_shape_refused():
     """InpRR's batch is per-frame sums, with no per-user column to bound;
     sums of the wrong shape are refused before they fold."""

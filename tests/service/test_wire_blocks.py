@@ -163,7 +163,9 @@ def test_value_checks_wait_for_the_block():
     buckets[5] = g
     bad = dataclasses.replace(reports, noisy_buckets=buckets).to_bytes()
     good = reports.to_bytes()
-    parsed = [protocol.parse_report_frame(frame, dataset.domain) for frame in (good, bad)]
+    parsed = [
+        protocol.parse_report_frame(frame, dataset.domain) for frame in (good, bad)
+    ]
     with pytest.raises(WireFormatError, match=rf"bound \[0, {g}\)"):
         protocol.decode_report_block(parsed, dataset.domain)
 
