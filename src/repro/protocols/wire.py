@@ -1097,6 +1097,9 @@ def _check_widths(schema: ReportSchema, counts, rows: int, widths: bytes) -> Non
             )
 
 
+#: Each packed width's mask.
+_WIDTH_MASKS = np.array([(1 << width) - 1 for width in range(64)], dtype=_WORD)
+
 #: Packed cells unpacked per chunk of rows: the unpack's working set is a
 #: few ``uint64`` arrays of this many cells, whatever the frames' size.
 _CHUNK_CELLS = 1 << 16
@@ -1130,20 +1133,22 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
     )
     words = np.ndarray((-(-stride // 8), rows), _WIRE_WORD, copied, 0, (8, stride))
     width = np.frombuffer(widths, np.uint8).astype(_WORD)
-    word = np.cumsum(width)
-    word -= width
+    end = np.cumsum(width)
+    word = end - width
     shift = (word & _SHIFTS[63])[:, None]
     word >>= _SHIFTS[6]
+    spans = ()
     if total > 64:
-        # A column spans two words when its shift and width pass 64 bits.
-        spans = shift[:, 0] + width
-        spans -= _SHIFTS[1]
-        spans = np.flatnonzero(spans >> _SHIFTS[6])
-        spill = _SHIFTS[64] - shift[spans]
-        spill_word = word[spans] + _SHIFTS[1]
-    mask = _SHIFTS[1] << width
-    mask -= _SHIFTS[1]
-    mask = mask[:, None]
+        # A column spans two words when its last bit is in the next one.
+        end -= _SHIFTS[1]
+        end >>= _SHIFTS[6]
+        end -= word
+        spans = np.flatnonzero(end)
+        if spans.size:
+            spill = _SHIFTS[64] - shift[spans]
+            spill_word = word[spans] + _SHIFTS[1]
+    del end
+    mask = _WIDTH_MASKS[width][:, None]
     padding = 8 * stride - total
     chunk = max(1, _CHUNK_CELLS // len(widths))
     if chunk < rows:
@@ -1164,7 +1169,7 @@ def _unpack_run(schema: ReportSchema, frames, outputs, row: int) -> np.ndarray:
         else:
             columns = block[word]
             columns >>= shift
-        if total > 64 and spans.size:
+        if len(spans):
             spilled = block[spill_word]
             spilled <<= spill
             columns[spans] |= spilled
