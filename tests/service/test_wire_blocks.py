@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +34,14 @@ from repro.protocols.wire import (
     parse_report_frame,
 )
 
-from .util import ALL_PROTOCOLS, LN3, build, forge_frame, small_dataset
+from .util import (
+    ALL_PROTOCOLS,
+    LN3,
+    build,
+    forge_frame,
+    peak_bytes,
+    small_dataset,
+)
 
 CASES = [(name, {}) for name in ALL_PROTOCOLS] + [
     ("HH", {"oracle": "InpHT"}),
@@ -170,16 +176,6 @@ def test_value_checks_wait_for_the_block():
         protocol.decode_report_block(parsed, dataset.domain)
 
 
-def _peak_bytes(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 #: The unpack's working memory beside its outputs and the copies of the
 #: packed rows: a few arrays of one row chunk's cells.
 CHUNK_BUDGET = 4 << 20
@@ -199,5 +195,5 @@ def test_large_frame_decodes_within_its_outputs_and_a_chunk_budget(with_spec):
     else:
         decode = lambda: decode_reports(frame)  # noqa: E731
     np.testing.assert_array_equal(decode().noisy_records, records)
-    peak = _peak_bytes(decode)
+    peak = peak_bytes(decode)
     assert peak < records.nbytes + 2 * len(frame) + CHUNK_BUDGET

@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import io
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from .util import (
     encode_frames,
     forge_frame,
     payload_body,
+    peak_bytes,
     small_dataset,
 )
 
@@ -346,16 +346,6 @@ def _many_columns_frame(columns: int) -> bytes:
     return forge_frame("InpEM", body)
 
 
-def _peak_bytes(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 def _wide_frames():
     """Real frames whose rows take more columns than the one-by-one cut
     handles, or hold a column that spans two 64-bit words."""
@@ -408,7 +398,7 @@ class TestWideFrames:
             with pytest.raises(WireFormatError, match="has 1000000 column"):
                 AggregationSession(protocol.spec(), domain).submit(frame)
 
-        assert _peak_bytes(refuse) < len(frame)
+        assert peak_bytes(refuse) < len(frame)
 
     def test_million_columns_decode_in_memory_linear_in_the_frame(self):
         """Without a spec the same frame is well formed: it decodes to the
@@ -417,7 +407,7 @@ class TestWideFrames:
         expected = np.random.default_rng(10**6).integers(0, 2, 10**6, dtype=np.int8)
         reports = decode_reports(frame)
         np.testing.assert_array_equal(reports.noisy_records, expected[None, :])
-        assert _peak_bytes(lambda: decode_reports(frame)) < 64 * len(frame)
+        assert peak_bytes(lambda: decode_reports(frame)) < 64 * len(frame)
 
     @pytest.mark.parametrize("name", sorted(WIDE_FRAMES))
     def test_wide_frames_match_the_reference_unpacker(self, name):

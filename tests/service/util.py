@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import tracemalloc
 import zlib
 from typing import Dict, List, Tuple
 
@@ -62,6 +63,17 @@ def encode_frames(protocol, dataset, batch_size, seed=SEED) -> List[bytes]:
         reports.to_bytes()
         for reports in encode_batches(protocol, dataset, batch_size, seed)
     ]
+
+
+def peak_bytes(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of running ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
 
 
 def forge_frame(kind: str, body: bytes, version: int = WIRE_FORMAT_VERSION) -> bytes:
