@@ -588,7 +588,7 @@ class MarginalReleaseProtocol(abc.ABC):
             raise AggregationError(
                 f"{self.name} cannot fold {schema.kind} reports"
             )
-        check_report_values(reports, self._bounds_for(domain), AggregationError)
+        check_report_values(reports, self._bounds_for(domain))
         self._check_report_values(reports, domain.dimension, AggregationError)
 
     def _check_report_values(self, reports, dimension: int, error) -> None:

@@ -113,7 +113,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.exceptions import WireFormatError
+from ..core.exceptions import AggregationError, WireFormatError
 
 __all__ = [
     "WIRE_FORMAT_VERSION",
@@ -712,13 +712,14 @@ def concat_report_batches(batches):
     return schema.report_class(**values)
 
 
-def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
+def check_report_values(reports: Any, bounds) -> None:
     """Check an in-memory batch's per-user values as decoding checks them.
 
     Each sign column must hold only ±1.0; each column ``bounds`` names
     must hold integers in ``[0, bound)``, and a bounded field must have as
-    many columns as its bounds.  A violation raises ``error`` naming the
-    field and its bound.
+    many columns as its bounds.  A violation raises
+    :class:`~repro.core.exceptions.AggregationError` naming the field and
+    its bound.
     """
     schema = report_schema_for(type(reports))
     for spec in schema.packed_fields:
@@ -726,7 +727,7 @@ def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
         limits = None if bounds is None else bounds.get(spec.name)
         if spec.sign:
             if np.count_nonzero(value * value != 1.0):
-                raise error(
+                raise AggregationError(
                     f"{schema.kind} sign field {spec.name!r} holds a value "
                     f"other than -1.0 or +1.0"
                 )
@@ -735,7 +736,7 @@ def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
             continue
         table = value[:, None] if value.ndim == 1 else value
         if value.ndim != spec.ndim or table.shape[1] != len(limits):
-            raise error(
+            raise AggregationError(
                 f"{schema.kind} field {spec.name!r} has shape {value.shape}, "
                 f"but the spec implies {len(limits)} column(s)"
             )
@@ -745,7 +746,7 @@ def check_report_values(reports: Any, bounds, error=WireFormatError) -> None:
             table.min(axis=0).tolist(), table.max(axis=0).tolist(), limits
         ):
             if low < 0 or high >= limit:
-                raise error(
+                raise AggregationError(
                     f"{schema.kind} field {spec.name!r} holds "
                     f"{low if low < 0 else high}, outside the bound "
                     f"[0, {limit}) its spec implies"
