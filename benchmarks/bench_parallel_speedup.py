@@ -1,10 +1,10 @@
-"""Wall-clock speedup of the parallel executors over the serial driver.
+"""Wall-clock speedup of the process executor over the serial driver.
 
 The executor subsystem promises two things: identical estimates on every
 backend (asserted here, not just in the test suite) and wall-clock speedup
 once the per-shard work dominates scheduling overhead.  This benchmark runs
 ``run_streaming`` for each selected protocol with the serial reference and
-the thread/process backends at several worker counts, on the same seed,
+the process backend at several worker counts, on the same seed,
 batch size and shard count, and reports seconds + speedup per cell.
 
 Protocol choice matters for the second promise.  ``InpOLH`` decodes each
@@ -38,8 +38,6 @@ LN3 = float(np.log(3.0))
 #: (backend, workers) grid; serial is the baseline every cell is scored against.
 CONFIGURATIONS = [
     ("serial", 1),
-    ("thread", 2),
-    ("thread", 4),
     ("process", 2),
     ("process", 4),
 ]

@@ -81,7 +81,6 @@ from .execution import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     available_executors,
     make_executor,
 )
@@ -169,7 +168,6 @@ __all__ = [
     # execution backends
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "available_executors",

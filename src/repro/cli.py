@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core.domain import Domain
-from .core.exceptions import ReproError
+from .core.exceptions import ProtocolConfigurationError, ReproError
 from .core.rng import spawn_rngs
 from .experiments import (
     categorical,
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="W",
-        help="worker count for the thread/process executors",
+        help="worker count for the process executor",
     )
 
     encode_parser = subparsers.add_parser(
@@ -559,109 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "losses under --allow-partial)",
     )
 
-    hh_parser = subparsers.add_parser(
-        "hh",
-        help="heavy-hitter discovery: partition users across prefix-tree "
-        "levels, run a frequency oracle per level, and walk the tree "
-        "for the top-k",
-    )
-    hh_subparsers = hh_parser.add_subparsers(dest="hh_command", required=True)
-    hh_discover = hh_subparsers.add_parser(
-        "discover",
-        help="end to end: simulate the population, collect the reports "
-        "(in-process, or through a `repro topo launch` tree), and score "
-        "the discovered top-k against the exact one",
-    )
-    hh_discover.add_argument(
-        "--epsilon", type=float,
-        help="per-user privacy budget (one report per user, so the "
-        "whole discovery is epsilon-LDP with no composition)",
-    )
-    hh_discover.add_argument(
-        "--width", type=_positive_int, default=2, metavar="K",
-        help="marginal workload width k for itemset queries on the "
-        "final estimator (default: 2)",
-    )
-    hh_discover.add_argument(
-        "--oracle", choices=("InpOLH", "InpHT", "InpHTCMS"),
-        default="InpOLH",
-        help="per-level frequency oracle (default: InpOLH)",
-    )
-    hh_discover.add_argument(
-        "--fanout", type=_positive_int, default=2, metavar="F",
-        help="prefix bits each level adds (default: 2)",
-    )
-    hh_discover.add_argument(
-        "--threshold", type=float, default=0.0, metavar="T",
-        help="fixed pruning threshold; 0 = adaptive, each level prunes "
-        "at its oracle's confidence half-width (default: 0)",
-    )
-    hh_discover.add_argument(
-        "--top-k", type=_positive_int, default=8, metavar="K",
-        dest="top_k", help="heavy hitters to emit (default: 8)",
-    )
-    hh_discover.add_argument(
-        "--option", action="append", default=[], metavar="KEY=VALUE",
-        help="extra HH protocol option, e.g. --option width=512 for "
-        "the InpHTCMS sketch (repeatable; value parsed as JSON; "
-        "overrides the dedicated flags above)",
-    )
-    hh_discover.add_argument(
-        "--dataset", choices=DATASET_NAMES, default="skewed",
-        help="population generator simulating the clients "
-        "(default: skewed — a zipf-style heavy-tailed population)",
-    )
-    hh_discover.add_argument(
-        "-n", "--population", type=_positive_int, default=20_000,
-        metavar="N", help="number of simulated users (default: 20000)",
-    )
-    hh_discover.add_argument(
-        "--seed", type=int, default=20180610, help="master random seed"
-    )
-    hh_discover.add_argument(
-        "--batch-size", type=_positive_int, default=None, metavar="B",
-        help="encode the population in record batches of this size "
-        "(default: one batch)",
-    )
-    hh_discover.add_argument(
-        "-d", "--dimension", type=_positive_int, default=8, metavar="D",
-        help="number of binary attributes (default: 8; --topology mode "
-        "takes the domain from the manifest instead)",
-    )
-    hh_discover.add_argument(
-        "--confidence", type=float, default=0.95, metavar="C",
-        help="two-sided confidence level for the frequency intervals "
-        "(default: 0.95)",
-    )
-    hh_discover.add_argument(
-        "--topology", metavar="DIR", default=None,
-        help="collect through a running `repro topo launch` tree instead "
-        "of in-process: the contract comes from DIR/topology.json, the "
-        "encoded frames are driven at the collectors by a client fleet, "
-        "and the per-collector states are fanned in before discovery",
-    )
-    hh_discover.add_argument(
-        "--clients", type=_positive_int, default=3, metavar="C",
-        help="concurrent clients for --topology mode (default: 3)",
-    )
-    hh_discover.add_argument(
-        "--connect-timeout", type=_positive_float, default=10.0, metavar="SEC",
-        help="keep retrying the first connect for SEC seconds (default: 10)",
-    )
-    hh_discover.add_argument(
-        "--token-prefix", metavar="P", default=None,
-        help="idempotency-token prefix for --topology mode (default: a "
-        "fresh per-run value)",
-    )
-    hh_discover.add_argument(
-        "--json", metavar="PATH",
-        help="write the discovery result, the exact top-k and the "
-        "precision/recall score to this JSON file",
-    )
-    hh_discover.add_argument(
-        "--output", metavar="PATH",
-        help="also write the rendered text result to this file",
-    )
     return parser
 
 
@@ -806,48 +703,11 @@ def _run_list(arguments: argparse.Namespace) -> int:
 def _run_experiment(arguments: argparse.Namespace) -> int:
     module, _ = EXPERIMENTS[arguments.experiment]
     config = module.default_config(quick=not arguments.full)
-    streaming_overrides = {}
-    if arguments.batch_size is not None:
-        streaming_overrides["batch_size"] = arguments.batch_size
-    if arguments.shards is not None:
-        streaming_overrides["shards"] = arguments.shards
-    if arguments.executor is not None:
-        streaming_overrides["executor"] = arguments.executor
-    if arguments.workers is not None:
-        streaming_overrides["workers"] = arguments.workers
-    if (
-        arguments.shards is not None
-        and arguments.shards > 1
-        and arguments.batch_size is None
-    ):
-        print(
-            "--shards > 1 requires --batch-size: without batching the whole "
-            "dataset is a single report batch and only one shard would be used",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        arguments.workers is not None
-        and arguments.workers > 1
-        and (arguments.executor or "serial") == "serial"
-    ):
-        print(
-            "--workers > 1 has no effect with the serial executor; add "
-            "--executor thread or --executor process",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        arguments.workers is not None
-        and arguments.workers > 1
-        and (arguments.shards or 1) < 2
-    ):
-        print(
-            "--workers > 1 requires --shards > 1: parallelism is per-shard, "
-            "so extra workers would idle on a single shard",
-            file=sys.stderr,
-        )
-        return 2
+    streaming_overrides = {
+        name: getattr(arguments, name)
+        for name in ("batch_size", "shards", "executor", "workers")
+        if getattr(arguments, name) is not None
+    }
     if streaming_overrides:
         if not isinstance(config, SweepConfig):
             print(
@@ -856,7 +716,11 @@ def _run_experiment(arguments: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        config = dataclasses.replace(config, **streaming_overrides)
+        try:
+            config = dataclasses.replace(config, **streaming_overrides)
+        except ProtocolConfigurationError as error:
+            print(f"run: {error}", file=sys.stderr)
+            return 2
     result = module.run(config)
     rendered = module.render(result)
     print(rendered)
@@ -970,47 +834,95 @@ def _run_encode(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _render_estimates(estimator, session: AggregationSession) -> str:
-    """Human-readable estimates (``estimator=None`` for an empty session)."""
+def _render_discovery(result) -> str:
+    """Human-readable discovery walk."""
+    lines = [
+        "levels    : "
+        + "  ".join(
+            f"b={bits}:n={count},cut={threshold:.4f}"
+            for bits, count, threshold in zip(
+                result.level_bits, result.level_reports, result.thresholds
+            )
+        )
+    ]
+    lines.append(
+        f"top-{len(result.hitters)} heavy hitters "
+        f"({result.confidence:.0%} confidence):"
+    )
+    for rank, hitter in enumerate(result.hitters, start=1):
+        names = ",".join(hitter.attributes) or "<none set>"
+        lines.append(
+            f"  {rank:2d}. cell {hitter.index:>6d}  "
+            f"freq {hitter.frequency:+.4f} ± {hitter.half_width:.4f}  "
+            f"[{names}]"
+        )
+    return "\n".join(lines)
+
+
+def _release(
+    estimator,
+    session: AggregationSession,
+    top_k: Optional[int] = None,
+    confidence: float = 0.95,
+) -> Tuple[str, Dict]:
+    """The rendered text and the JSON payload of a release.
+
+    ``estimator=None`` (an empty session) yields empty ``marginals``.  An
+    estimator that discovers heavy hitters (HH) also runs its walk, at
+    ``top_k`` (default: the spec's) and ``confidence``, so every release
+    verb prints and records the same ``discovery``.
+    """
+    metadata = session.metadata
     lines = [
         f"protocol  : {session.spec.describe()}",
         f"reports   : {session.num_reports}",
     ]
-    metadata = session.metadata
     if metadata["wire_bytes_per_report"] is not None:
         lines.append(
             f"wire      : {metadata['wire_bytes_total']} bytes in "
             f"{metadata['wire_batches']} frame(s), "
             f"{8.0 * metadata['wire_bytes_per_report']:.1f} bits/user"
         )
-    if estimator is None:
-        return "\n".join(lines)
-    lines.append("")
-    for beta, table in sorted(estimator.query_all().items()):
-        names = ",".join(estimator.domain.names_of(beta))
-        values = " ".join(f"{value:.4f}" for value in table.values)
-        lines.append(f"{names}: {values}")
-    return "\n".join(lines)
-
-
-def _estimates_payload(estimator, session: AggregationSession) -> Dict:
-    """JSON estimates payload; one shape whether or not reports arrived
-    (``estimator=None`` simply yields empty ``marginals``)."""
-    return {
+    marginals = []
+    if estimator is not None:
+        lines.append("")
+        for beta, table in sorted(estimator.query_all().items()):
+            names = estimator.domain.names_of(beta)
+            values = " ".join(f"{value:.4f}" for value in table.values)
+            lines.append(f"{','.join(names)}: {values}")
+            marginals.append(
+                {
+                    "attributes": names,
+                    "values": [float(value) for value in table.values],
+                }
+            )
+    discovery = None
+    if hasattr(estimator, "discover"):
+        discovery = estimator.discover(top_k=top_k, confidence=confidence)
+        lines += ["", _render_discovery(discovery)]
+    payload = {
         "spec": session.spec.to_dict(),
         "num_reports": session.num_reports,
-        "session": session.metadata,
+        "session": metadata,
         "attributes": list(session.domain.attributes),
-        "marginals": [
-            {
-                "attributes": estimator.domain.names_of(beta),
-                "values": [float(value) for value in table.values],
-            }
-            for beta, table in sorted(estimator.query_all().items())
-        ]
-        if estimator is not None
-        else [],
+        "marginals": marginals,
+        "discovery": discovery.to_dict() if discovery is not None else None,
     }
+    return "\n".join(lines), payload
+
+
+def _emit(arguments: argparse.Namespace, rendered: str, payload: Dict) -> int:
+    """Print a release, and write it to ``--output`` and ``--json``."""
+    print(rendered)
+    for path, text in (
+        (getattr(arguments, "output", None), rendered),
+        (arguments.json, json.dumps(payload, indent=2)),
+    ):
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            print(f"wrote {path}", file=sys.stderr)
+    return 0
 
 
 def _run_aggregate(arguments: argparse.Namespace) -> int:
@@ -1089,13 +1001,8 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         if arguments.checkpoint:
             session.checkpoint(arguments.checkpoint)
             print(f"wrote {arguments.checkpoint}", file=sys.stderr)
-        estimator = session.snapshot()
-        discovery = (
-            estimator.discover(
-                top_k=arguments.top_k, confidence=arguments.confidence
-            )
-            if hasattr(estimator, "discover")
-            else None
+        rendered, payload = _release(
+            session.snapshot(), session, arguments.top_k, arguments.confidence
         )
     except BrokenPipeError:
         raise  # handled quietly in main(); not an aggregate failure
@@ -1103,24 +1010,7 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         # OSError: missing/unreadable --input or checkpoint paths.
         print(f"aggregate: {error}", file=sys.stderr)
         return 2
-    rendered = _render_estimates(estimator, session)
-    if discovery is not None:
-        rendered += "\n\n" + _render_discovery(discovery)
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload = _estimates_payload(estimator, session)
-        payload["discovery"] = (
-            discovery.to_dict() if discovery is not None else None
-        )
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
+    return _emit(arguments, rendered, payload)
 
 
 async def _serve_stats_ticker(
@@ -1364,24 +1254,13 @@ def _run_serve(arguments: argparse.Namespace) -> int:
             estimator = None
         else:
             estimator = combined.snapshot()
-        rendered = _render_estimates(estimator, combined)
-        payload = _estimates_payload(estimator, combined)
+        rendered, payload = _release(estimator, combined)
+        payload["server"] = stats
     except (ReproError, OSError, ValueError) as error:
         # OSError: the port is taken or the checkpoint dir is unwritable.
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload["server"] = stats
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
+    return _emit(arguments, rendered, payload)
 
 
 def _load_topology_contract(arguments: argparse.Namespace):
@@ -1578,20 +1457,9 @@ def _run_topo_launch(arguments: argparse.Namespace) -> int:
         recovered_reports,
     )
     estimator = merged.snapshot() if merged.num_reports else None
-    rendered = _render_estimates(estimator, merged)
-    payload = _estimates_payload(estimator, merged)
+    rendered, payload = _release(estimator, merged)
     payload["topology"] = stats
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
+    return _emit(arguments, rendered, payload)
 
 
 def _run_topo_inspect(arguments: argparse.Namespace) -> int:
@@ -1723,10 +1591,7 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
             coverage.raise_if_partial("topo finalize")
         merged = aggregator.merged_session()
         estimator = merged.snapshot() if merged.num_reports else None
-        if estimator is not None:
-            estimator.metadata["coverage"] = coverage.to_dict()
-        rendered = _render_estimates(estimator, merged)
-        payload = _estimates_payload(estimator, merged)
+        rendered, payload = _release(estimator, merged)
         payload["topology"] = {
             "collectors": list(aggregator.collector_ids),
             "unreachable": gathered.unreachable,
@@ -1739,13 +1604,7 @@ def _run_topo_finalize(arguments: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(f"topo finalize: {error}", file=sys.stderr)
         return 2
-    print(rendered)
-    if arguments.json:
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
+    return _emit(arguments, rendered, payload)
 
 
 def _run_topo(arguments: argparse.Namespace) -> int:
@@ -1754,199 +1613,6 @@ def _run_topo(arguments: argparse.Namespace) -> int:
     if arguments.topo_command == "inspect":
         return _run_topo_inspect(arguments)
     return _run_topo_finalize(arguments)
-
-
-def _hh_option_strings(arguments: argparse.Namespace) -> list:
-    """The dedicated ``hh`` flags as KEY=VALUE strings for _parse_options.
-
-    Placed *before* the user's raw ``--option`` pairs so an explicit
-    ``--option`` always wins over a dedicated flag's default.
-    """
-    return [
-        f"oracle={json.dumps(arguments.oracle)}",
-        f"fanout={arguments.fanout}",
-        f"threshold={arguments.threshold}",
-        f"top_k={arguments.top_k}",
-    ]
-
-
-def _render_discovery(result) -> str:
-    """Human-readable discovery walk (``result=None`` for no reports)."""
-    if result is None:
-        return "no reports; nothing to discover"
-    lines = [
-        "levels    : "
-        + "  ".join(
-            f"b={bits}:n={count},cut={threshold:.4f}"
-            for bits, count, threshold in zip(
-                result.level_bits, result.level_reports, result.thresholds
-            )
-        )
-    ]
-    lines.append(
-        f"top-{len(result.hitters)} heavy hitters "
-        f"({result.confidence:.0%} confidence):"
-    )
-    for rank, hitter in enumerate(result.hitters, start=1):
-        names = ",".join(hitter.attributes) or "<none set>"
-        lines.append(
-            f"  {rank:2d}. cell {hitter.index:>6d}  "
-            f"freq {hitter.frequency:+.4f} ± {hitter.half_width:.4f}  "
-            f"[{names}]"
-        )
-    return "\n".join(lines)
-
-
-def _hh_topology_fan_in(arguments: argparse.Namespace) -> AggregationSession:
-    """Fan in the tree's per-collector states for discovery.
-
-    The same walk as ``topo finalize``, kept strict: a collector that is
-    unreachable *and* left no durable state is an error, because a
-    partial fan-in would silently skew the top-k.
-    """
-    from .topology import fan_in, load_manifest
-
-    gathered = fan_in(load_manifest(arguments.topology))
-    for note in gathered.notes:
-        print(f"hh discover: {note}", file=sys.stderr)
-    return gathered.aggregator.merged_session()
-
-
-def _run_hh_discover(arguments: argparse.Namespace) -> int:
-    from .heavyhitters import exact_top_k, precision_recall
-
-    try:
-        if arguments.topology:
-            if arguments.epsilon is not None:
-                print(
-                    "hh discover: --topology takes the collection contract "
-                    "from the tree's manifest; drop --epsilon (and the "
-                    "other protocol flags)",
-                    file=sys.stderr,
-                )
-                return 2
-            spec, domain, fleet_kwargs = _load_topology_contract(arguments)
-            dimension = domain.dimension
-        else:
-            if arguments.epsilon is None:
-                print(
-                    "hh discover: --epsilon is required without --topology",
-                    file=sys.stderr,
-                )
-                return 2
-            options = _parse_options(
-                _hh_option_strings(arguments) + list(arguments.option)
-            )
-            spec = ProtocolSpec(
-                protocol="HH",
-                epsilon=arguments.epsilon,
-                max_width=arguments.width,
-                options=options,
-            )
-            dimension = arguments.dimension
-            domain = Domain.binary(dimension)
-        if spec.protocol != "HH":
-            print(
-                f"hh discover: the topology collects "
-                f"{spec.protocol!r}, not the HH discovery protocol",
-                file=sys.stderr,
-            )
-            return 2
-        protocol = spec.build()
-        if spec.max_width > dimension:
-            print(
-                f"hh discover: --width {spec.max_width} exceeds the "
-                f"{dimension}-attribute domain",
-                file=sys.stderr,
-            )
-            return 2
-
-        generator = np.random.default_rng(arguments.seed)
-        dataset = make_dataset(
-            arguments.dataset, arguments.population, dimension, generator
-        )
-        if arguments.topology:
-            # frames_for_dataset consumes `generator` exactly like
-            # run_streaming below, so both modes perturb identically and
-            # the discovered top-k is bit-for-bit comparable.
-            frames = LoadGenerator.frames_for_dataset(
-                spec, dataset, arguments.batch_size, rng=generator
-            )
-            fleet = LoadGenerator(
-                spec,
-                domain,
-                frames=frames,
-                num_clients=arguments.clients,
-                connect_timeout=arguments.connect_timeout,
-                **fleet_kwargs,
-            )
-            report = asyncio.run(fleet.run())
-            print(
-                f"delivered {report.acked_reports} report(s) in "
-                f"{report.frames} frame(s) over {report.connections} "
-                f"connection(s)",
-                file=sys.stderr,
-            )
-            session = _hh_topology_fan_in(arguments)
-            estimator = session.snapshot() if session.num_reports else None
-            num_reports = session.num_reports
-        else:
-            estimator = protocol.run_streaming(
-                dataset, generator, batch_size=arguments.batch_size
-            )
-            num_reports = dataset.size
-        result = (
-            estimator.discover(confidence=arguments.confidence)
-            if estimator is not None
-            else None
-        )
-        exact = exact_top_k(dataset, protocol.top_k)
-        precision, recall = (
-            precision_recall(result.indices, exact)
-            if result is not None
-            else (0.0, 0.0)
-        )
-    except BrokenPipeError:
-        raise  # handled quietly in main(); not a discovery failure
-    except (ReproError, OSError, ValueError) as error:
-        print(f"hh discover: {error}", file=sys.stderr)
-        return 2
-    rendered = "\n".join(
-        [
-            f"protocol  : {spec.describe()}",
-            f"reports   : {num_reports}",
-            _render_discovery(result),
-            "exact     : " + " ".join(str(index) for index in exact),
-            f"precision : {precision:.3f}    recall : {recall:.3f}",
-        ]
-    )
-    print(rendered)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        payload = {
-            "spec": spec.to_dict(),
-            "mode": "topology" if arguments.topology else "local",
-            "dataset": {
-                "name": arguments.dataset,
-                "population": arguments.population,
-                "dimension": dimension,
-                "seed": arguments.seed,
-                "batch_size": arguments.batch_size,
-            },
-            "num_reports": num_reports,
-            "discovery": result.to_dict() if result is not None else None,
-            "exact_top_k": [int(index) for index in exact],
-            "precision": precision,
-            "recall": recall,
-        }
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {arguments.json}", file=sys.stderr)
-    return 0
 
 
 def _watch_targets(arguments: argparse.Namespace) -> List[Tuple[str, int]]:
@@ -2027,8 +1693,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_load(arguments)
         if arguments.command == "topo":
             return _run_topo(arguments)
-        if arguments.command == "hh":
-            return _run_hh_discover(arguments)
         if arguments.command == "watch":
             return _run_watch(arguments)
         return _run_experiment(arguments)

@@ -4,10 +4,9 @@ The protocols' accumulators form an exact merge algebra (associative,
 commutative, integer-sum state), so aggregation parallelises without
 approximation: split the record batches across shards, evaluate each shard
 on any worker, merge.  This package supplies the schedulers —
-:class:`SerialExecutor` (the in-process reference), :class:`ThreadExecutor`
-(shared memory, GIL-releasing NumPy kernels) and :class:`ProcessExecutor`
-(multiprocessing over picklable shard work units) — behind one
-:class:`Executor` interface consumed by
+:class:`SerialExecutor` (the in-process reference) and
+:class:`ProcessExecutor` (multiprocessing over picklable shard work units)
+— behind one :class:`Executor` interface consumed by
 :meth:`~repro.protocols.base.MarginalReleaseProtocol.run_streaming`.
 """
 
@@ -21,7 +20,6 @@ from .registry import (
     resolve_executor,
 )
 from .serial import SerialExecutor
-from .thread import ThreadExecutor
 
 __all__ = [
     "Executor",
@@ -29,7 +27,6 @@ __all__ = [
     "execute_shard",
     "execute_shard_state",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "EXECUTOR_CLASSES",
     "ExecutorLike",

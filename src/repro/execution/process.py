@@ -12,7 +12,7 @@ bit-for-bit identical to the serial path.
 
 The cost model is the usual one: one-time pool start-up plus per-shard
 pickling of the record batches, amortised only when the per-shard encoding
-work dominates.  For tiny datasets the serial or thread backends win.
+work dominates.  For tiny datasets the serial backend wins.
 """
 
 from __future__ import annotations

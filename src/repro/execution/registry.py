@@ -1,7 +1,7 @@
 """Name-based construction of executors, mirroring the protocol registry.
 
 The experiment harness and the CLI refer to execution backends by short
-names (``"serial"``, ``"thread"``, ``"process"``); this module maps those
+names (``"serial"``, ``"process"``); this module maps those
 names to the implementing classes and provides the two factories the rest of
 the library uses: :func:`make_executor` for explicit construction and
 :func:`resolve_executor` for APIs that accept an executor *or* a name *or*
@@ -16,7 +16,6 @@ from ..core.exceptions import ExecutionError
 from .base import Executor
 from .process import ProcessExecutor
 from .serial import SerialExecutor
-from .thread import ThreadExecutor
 
 __all__ = [
     "EXECUTOR_CLASSES",
@@ -28,7 +27,7 @@ __all__ = [
 
 #: All executor classes keyed by their backend name.
 EXECUTOR_CLASSES: Dict[str, Type[Executor]] = {
-    cls.name: cls for cls in (SerialExecutor, ThreadExecutor, ProcessExecutor)
+    cls.name: cls for cls in (SerialExecutor, ProcessExecutor)
 }
 
 #: What APIs taking an optional executor accept: nothing (serial), a backend

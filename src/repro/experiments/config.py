@@ -59,9 +59,9 @@ class SweepConfig:
         over.  For a fixed seed the estimates depend only on ``batch_size``,
         never on ``shards``.
     executor:
-        Execution backend evaluating the shards: ``"serial"`` (default),
-        ``"thread"`` or ``"process"``.  Estimates are bit-for-bit identical
-        across backends; only wall-clock time changes.
+        Execution backend evaluating the shards: ``"serial"`` (default)
+        or ``"process"``.  Estimates are bit-for-bit identical across
+        backends; only wall-clock time changes.
     workers:
         Worker count for the parallel backends; must stay 1 for the serial
         backend (extra workers could never run) and requires ``shards > 1``
@@ -115,7 +115,7 @@ class SweepConfig:
         if self.workers > 1 and self.executor == "serial":
             raise ProtocolConfigurationError(
                 "workers > 1 has no effect with the serial executor; "
-                "pick executor='thread' or 'process'"
+                "pick executor='process'"
             )
         if self.workers > 1 and self.shards < 2:
             raise ProtocolConfigurationError(

@@ -97,7 +97,7 @@ class DiscoveryResult:
         return tuple(hitter.index for hitter in self.hitters)
 
     def to_dict(self) -> Dict:
-        """JSON-ready form (the ``repro hh discover`` payload)."""
+        """JSON-ready form (the ``discovery`` key of a release's JSON)."""
         return {
             "hitters": [
                 {

@@ -647,9 +647,8 @@ class MarginalReleaseProtocol(abc.ABC):
         ``batch_size=None`` special case.
 
         ``executor`` selects who evaluates the shards: ``None`` (in-process
-        serial, the default), a backend name (``"serial"``, ``"thread"``,
-        ``"process"``) or a ready-made
-        :class:`~repro.execution.Executor` instance.  A bare name builds a
+        serial, the default), a backend name (``"serial"``, ``"process"``)
+        or a ready-made :class:`~repro.execution.Executor` instance.  A bare name builds a
         *single-worker* backend (execution semantics without parallelism);
         pass an instance — ``make_executor("process", workers=4)`` — to
         actually fan shards out.  Executors created here from a name are

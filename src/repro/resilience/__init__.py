@@ -3,8 +3,8 @@
 This package is the single home of the system's failure-handling
 vocabulary.  It is imported by the server and topology tiers but imports
 only ``repro.core`` and ``repro.theory`` itself, so it stays free of
-networking dependencies and usable from any layer (including the chaos
-test harness).
+networking dependencies and usable from any layer.  The fault injectors
+that exercise it are test tooling and live in ``tests/chaos/injectors.py``.
 
 * :mod:`~repro.resilience.policies` — :class:`RetryPolicy`, the one
   linear retry schedule of client deliveries and fan-in pulls.
@@ -16,8 +16,6 @@ test harness).
   check and corrupt-file quarantine.
 * :mod:`~repro.resilience.coverage` — :class:`CoverageReport`, the
   expected/received/lost ledger behind degraded-mode finalize.
-* :mod:`~repro.resilience.chaos` — reusable fault injectors for tests
-  and the CI chaos-smoke job.
 """
 
 from .coverage import (

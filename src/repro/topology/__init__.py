@@ -18,8 +18,7 @@ The pieces, bottom-up:
 * :mod:`~repro.topology.tree` — :class:`LocalTopology` glues it all
   together and writes the ``topology.json`` manifest other processes use
   to join the tree; :func:`fan_in` runs the fan-in walk from a manifest
-  (pull, then durable fallback) behind `repro topo finalize` and
-  `repro hh discover --topology`.
+  (pull, then durable fallback) behind `repro topo finalize`.
 
 The load generator (:mod:`repro.server.loadgen`) plugs into this layer
 through plain parameters — ``targets``, ``routing``, ``failover`` — so

@@ -2,6 +2,6 @@
 
 Policies, spooling, checkpoint integrity, and degraded-mode finalize are
 each exercised against the fault primitives in
-:mod:`repro.resilience.chaos` — flipped bits, torn writes, full disks,
+:mod:`tests.chaos.injectors` — flipped bits, torn writes, full disks,
 and hard-killed clients.
 """

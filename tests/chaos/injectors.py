@@ -3,8 +3,8 @@
 These injectors are deliberately generic — stdlib + numpy, no imports
 from the server or topology tiers (:func:`corrupt_checkpoint_array`
 reads the checkpoint layout from :mod:`repro.service.session`) — so any
-test layer (the ``tests/topology`` harness, the CI ``chaos-smoke`` job,
-ad-hoc repro scripts) can compose them:
+test layer (the ``tests/topology`` harness, the CI smoke jobs run from
+the repository root, ad-hoc repro scripts) can compose them:
 
 * :func:`flip_file_bit` — flip one bit anywhere in a file (simulates
   media corruption; on a checkpoint the SHA-256 trailer, or the magic
@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..service.session import parse_checkpoint
+from repro.service.session import parse_checkpoint
 
 __all__ = [
     "flip_file_bit",

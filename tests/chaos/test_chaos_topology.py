@@ -1,6 +1,6 @@
 """End-to-end chaos: crashed clients, corrupted checkpoints, full disks.
 
-The suite composes the :mod:`repro.resilience.chaos` injectors with the
+The suite composes the :mod:`tests.chaos.injectors` with the
 topology fault harness to prove the two headline resilience claims:
 
 1. **Exactness survives a client crash.**  A client hard-stopped
@@ -24,10 +24,6 @@ import pytest
 from repro.core.domain import Domain
 from repro.core.exceptions import PartialCoverageError
 from repro.resilience import ReportSpool
-from repro.resilience.chaos import (
-    corrupt_checkpoint_array,
-    enospc_on_fsync,
-)
 from repro.server.server import DURABLE_STATE_FILENAME
 from repro.service import AggregationSession
 
@@ -43,6 +39,10 @@ from ..topology.harness import (
     drive_fleet,
     flat_estimates,
     spawn_tree,
+)
+from .injectors import (
+    corrupt_checkpoint_array,
+    enospc_on_fsync,
 )
 
 BATCH = 8  # 96 records -> 12 frames -> 12 groups for a single client

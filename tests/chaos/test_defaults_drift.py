@@ -36,13 +36,6 @@ def test_connect_timeout_default_matches_table():
     )
 
 
-def test_hh_discover_connect_timeout_default_matches_table():
-    actions = parser_actions("hh", "discover")
-    assert actions["connect_timeout"].default == (
-        defaults.DEFAULT_CONNECT_TIMEOUT
-    )
-
-
 def test_loadgen_retry_policy_is_the_table_row():
     """Three linear retries 0.2, 0.4 and 0.6 s apart, without jitter."""
     policy = defaults.LOADGEN_RETRY_POLICY

@@ -12,11 +12,11 @@ from __future__ import annotations
 import asyncio
 import socket
 
-from repro.resilience.chaos import enospc_on_fsync
 from repro.server import ACK, OK, CollectionServer, restore_durable
 
 from ..server.raw_client import send_group
 from ..service.util import build, encode_frames, small_dataset
+from .injectors import enospc_on_fsync
 
 BATCH = 32  # 96 records -> 3 frames of 32 reports
 

@@ -15,12 +15,12 @@ from repro.core.exceptions import (
     CheckpointIntegrityError,
     WireFormatError,
 )
-from repro.resilience.chaos import corrupt_checkpoint_array, flip_file_bit
 from repro.resilience.integrity import quarantine_checkpoint, verify_integrity
 from repro.service import AggregationSession
 from repro.service.session import parse_checkpoint
 
 from ..service.util import ALL_PROTOCOLS, build, encode_frames, small_dataset
+from .injectors import corrupt_checkpoint_array, flip_file_bit
 
 SEED = 20180608
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.exceptions import SpoolError
 from repro.resilience import ReportSpool
-from repro.resilience.chaos import enospc_on_fsync
+
+from .injectors import enospc_on_fsync
 
 FRAMES_A = [b"frame-a0", b"frame-a1"]
 FRAMES_B = [b"frame-b0"]

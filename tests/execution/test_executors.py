@@ -13,7 +13,6 @@ from repro.execution import (
     ProcessExecutor,
     SerialExecutor,
     ShardWork,
-    ThreadExecutor,
     available_executors,
     execute_shard,
     execute_shard_state,
@@ -67,7 +66,7 @@ def make_works(protocol, dataset, num_shards=2, batches_per_shard=2):
 
 class TestRegistry:
     def test_available_executors(self):
-        assert available_executors() == ["process", "serial", "thread"]
+        assert available_executors() == ["process", "serial"]
 
     def test_make_executor_by_name(self):
         for name, cls in EXECUTOR_CLASSES.items():
@@ -87,7 +86,7 @@ class TestRegistry:
 
     def test_resolve_executor(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
+        assert isinstance(resolve_executor("process"), ProcessExecutor)
         instance = SerialExecutor()
         assert resolve_executor(instance) is instance
         with pytest.raises(ExecutionError):
@@ -137,7 +136,7 @@ class TestShardWork:
 
 
 class TestRunShards:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_backends_match_direct_evaluation(self, dataset, name):
         protocol = build("MargPS")
         # Two identical work lists: generators are stateful and consumed by
@@ -162,7 +161,7 @@ class TestRunShards:
     def test_close_is_idempotent_and_pool_restarts(self, dataset):
         protocol = build("InpHT")
         works = make_works(protocol, dataset)
-        executor = ThreadExecutor(workers=2)
+        executor = ProcessExecutor(workers=2)
         executor.run_shards(works)
         executor.close()
         executor.close()
@@ -251,7 +250,7 @@ class TestStateContract:
         with pytest.raises(AggregationError, match="missing the field"):
             protocol.accumulator(dataset.domain).load_state(state)
 
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_caller_generator_side_effects_match_serial(self, dataset, name):
         """Backends are interchangeable even for the caller's rng state.
 

@@ -86,7 +86,7 @@ class TestRunSweep:
         ]
 
     @pytest.mark.parametrize("batch_size, shards", [(256, 2), (None, 1)])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executor_backend_is_invisible_in_sweep_errors(
         self, executor, batch_size, shards
     ):

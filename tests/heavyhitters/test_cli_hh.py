@@ -1,13 +1,22 @@
-"""CLI tests for heavy-hitter discovery: HH through the generic verbs,
-``repro hh discover`` and the discovery listing role."""
+"""CLI tests for heavy-hitter discovery: HH through the generic verbs and
+the discovery listing role."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.domain import Domain
+from repro.experiments.harness import make_dataset
+from repro.io import save_protocol_spec
+from repro.topology.tree import MANIFEST_FILENAME, MANIFEST_FORMAT_VERSION
+
+from ..service.util import build, encode_frames
+from ..topology.harness import drive_fleet, spawn_tree
 
 
 class TestListing:
@@ -28,6 +37,13 @@ class TestListing:
         assert "HH" in output
         assert "discovery" in output
         assert "baseline" in output
+
+    def test_discovery_has_no_verb_of_its_own(self, capsys):
+        """Discovery is part of every release, not a verb of its own."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["hh", "discover"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEncodeAggregate:
@@ -148,37 +164,46 @@ class TestEncodeAggregate:
         assert len(payload["discovery"]["hitters"]) == 2
 
 
-class TestDiscover:
-    def test_local_discovery_scores_against_exact_top_k(
+
+class TestTopoFinalize:
+    def test_finalize_discovers_what_aggregate_discovers(
         self, tmp_path, capsys
     ):
-        json_path = tmp_path / "discover.json"
+        """``topo finalize`` on a live HH tree prints and records the same
+        discovery walk as ``aggregate`` over the same frames."""
+        protocol = build("HH", epsilon=3.0)
+        dataset = make_dataset("skewed", 2000, 6, np.random.default_rng(7))
+        domain = Domain.binary(dataset.dimension)
+        frames = encode_frames(protocol, dataset, 250)
+        spec_path = tmp_path / "spec.json"
+        frames_path = tmp_path / "frames.bin"
+        save_protocol_spec(protocol.spec(), spec_path)
+        frames_path.write_bytes(b"".join(frames))
+        tree = tmp_path / "tree"
+        with spawn_tree(protocol, domain, tree) as supervisor:
+            asyncio.run(drive_fleet(supervisor, protocol, domain, frames))
+            (tree / MANIFEST_FILENAME).write_text(json.dumps({
+                "format_version": MANIFEST_FORMAT_VERSION,
+                "spec": supervisor.spec.to_dict(),
+                "attributes": list(domain.attributes),
+                "routing": "round-robin",
+                "collectors": supervisor.describe(),
+            }))
+            assert main([
+                "topo", "finalize", "--dir", str(tree),
+                "--json", str(tmp_path / "topo.json"),
+            ]) == 0
+        finalized = capsys.readouterr().out
         assert main([
-            "hh", "discover",
-            "--epsilon", "3.0", "--dataset", "skewed",
-            "-n", "20000", "-d", "6", "--fanout", "3",
-            "--seed", "7", "--top-k", "4",
-            "--json", str(json_path),
+            "aggregate", "--spec", str(spec_path), "-d", "6",
+            "--input", str(frames_path),
+            "--json", str(tmp_path / "local.json"),
         ]) == 0
-        output = capsys.readouterr().out
-        assert "precision" in output and "recall" in output
-        payload = json.loads(json_path.read_text())
-        assert payload["mode"] == "local"
-        assert payload["num_reports"] == 20000
-        assert len(payload["exact_top_k"]) == 4
-        assert 0.0 <= payload["precision"] <= 1.0
-        assert 0.0 <= payload["recall"] <= 1.0
-        # Skewed data at eps=3 with 20k users is an easy instance; anything
-        # below this bar means discovery (not noise) is broken.
-        assert payload["recall"] >= 0.5
-
-    def test_epsilon_required_without_topology(self, capsys):
-        assert main(["hh", "discover", "-n", "100", "-d", "4"]) == 2
-        assert "--epsilon is required" in capsys.readouterr().err
-
-    def test_topology_mode_rejects_inline_epsilon(self, capsys):
-        assert main([
-            "hh", "discover", "--topology", "somewhere",
-            "--epsilon", "1.0",
-        ]) == 2
-        assert "manifest" in capsys.readouterr().err
+        aggregated = capsys.readouterr().out
+        walk = finalized[finalized.index("levels    :"):]
+        assert walk == aggregated[aggregated.index("levels    :"):]
+        topo = json.loads((tmp_path / "topo.json").read_text())
+        local = json.loads((tmp_path / "local.json").read_text())
+        assert topo["num_reports"] == local["num_reports"] == 2000
+        assert topo["discovery"]["hitters"], "discovery returned no hitters"
+        assert topo["discovery"] == local["discovery"]

@@ -19,11 +19,11 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.core.exceptions import CheckpointIntegrityError
-from repro.resilience.chaos import corrupt_checkpoint_array
 from repro.resilience.integrity import quarantine_checkpoint
 from repro.service import AggregationSession
 from repro.service.session import parse_checkpoint
 
+from ..chaos.injectors import corrupt_checkpoint_array
 from ..service.util import (
     SEED,
     assert_estimates_equal,

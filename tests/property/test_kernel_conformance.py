@@ -229,7 +229,7 @@ class TestProtocolExecutorConformance:
     """The kernel fast paths are invisible across streaming/parallel drivers."""
 
     @pytest.mark.parametrize("name", ["InpEM", "InpOLH", "MargHT", "InpHTCMS"])
-    @pytest.mark.parametrize("executor_name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor_name", ["serial", "process"])
     def test_streaming_parallel_unchanged(self, name, executor_name, dataset):
         options = {"InpHTCMS": {"num_hashes": 3, "width": 32}}.get(name, {})
         protocol = make_protocol(name, PrivacyBudget(LN3), 2, **options)

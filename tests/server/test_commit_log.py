@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import CheckpointIntegrityError, WireFormatError
 from repro.observability import get_registry
-from repro.resilience.chaos import enospc_on_fsync
 from repro.server import (
     ACK,
     COMMIT_LOG_FILENAME,
@@ -39,6 +38,7 @@ from repro.server import (
 from repro.server.durable import COMPACT_RATIO, CommitLog
 from repro.service import AggregationSession
 
+from ..chaos.injectors import enospc_on_fsync
 from ..service.util import ALL_PROTOCOLS, build, encode_frames, small_dataset
 from .raw_client import send_group
 

@@ -14,7 +14,6 @@ import logging
 import pytest
 
 from repro.cli import _serve_stats_ticker
-from repro.resilience.chaos import enospc_on_fsync
 from repro.server import (
     ACK,
     COMMIT_LOG_FILENAME,
@@ -26,6 +25,7 @@ from repro.server import (
 from repro.server.durable import CommitLog
 from repro.service import AggregationSession
 
+from ..chaos.injectors import enospc_on_fsync
 from ..service.util import (
     assert_estimates_equal,
     build,

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import CheckpointIntegrityError
-from repro.resilience.chaos import corrupt_checkpoint_array
 from repro.resilience.integrity import quarantine_checkpoint
 from repro.service import AggregationSession
 
+from ..chaos.injectors import corrupt_checkpoint_array
 from .util import (
     assert_estimates_equal,
     build,

@@ -97,7 +97,7 @@ class TestExecutorFlags:
                     "--shards",
                     "4",
                     "--executor",
-                    "thread",
+                    "process",
                     "--workers",
                     "2",
                 ]
@@ -108,7 +108,7 @@ class TestExecutorFlags:
         config = captured_config["config"]
         assert config.batch_size == 256
         assert config.shards == 4
-        assert config.executor == "thread"
+        assert config.executor == "process"
         assert config.workers == 2
 
     def test_executor_alone_switches_to_streaming_path(
@@ -125,9 +125,10 @@ class TestExecutorFlags:
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
-    def test_unknown_executor_rejected_by_argparse(self, capsys):
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_executor_rejected_by_argparse(self, name, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig10", "--executor", "gpu"])
+            main(["run", "fig10", "--executor", name])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -154,7 +155,7 @@ class TestExecutorFlags:
         assert "per-shard" in capsys.readouterr().err
 
     def test_executor_rejected_for_non_sweep_experiment(self, capsys):
-        assert main(["run", "fig3", "--executor", "thread"]) == 2
+        assert main(["run", "fig3", "--executor", "process"]) == 2
         assert "sweep experiments" in capsys.readouterr().err
 
 
@@ -605,7 +606,6 @@ class TestPositiveFloatFlags:
 
     FLAGS = [
         pytest.param(["load"], "--connect-timeout", id="load"),
-        pytest.param(["hh", "discover"], "--connect-timeout", id="hh"),
         pytest.param(["serve"], "--stats-interval", id="serve"),
         pytest.param(["watch"], "--interval", id="watch-interval"),
         pytest.param(["watch"], "--timeout", id="watch-timeout"),

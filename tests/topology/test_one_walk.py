@@ -17,11 +17,11 @@ import shutil
 import numpy as np
 
 from repro.core.domain import Domain
-from repro.resilience.chaos import corrupt_checkpoint_array
 from repro.server.server import DURABLE_STATE_FILENAME
 from repro.topology import fan_in
 from repro.topology.aggregator import expected_by_collector
 
+from ..chaos.injectors import corrupt_checkpoint_array
 from ..service.util import (
     SEED,
     assert_estimates_equal,
