@@ -9,10 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _release, main
 from repro.core.domain import Domain
 from repro.experiments.harness import make_dataset
 from repro.io import save_protocol_spec
+from repro.service.session import AggregationSession
 from repro.topology.tree import MANIFEST_FILENAME, MANIFEST_FORMAT_VERSION
 
 from ..service.util import build, encode_frames
@@ -163,6 +164,85 @@ class TestEncodeAggregate:
         assert payload["num_reports"] == 1000
         assert len(payload["discovery"]["hitters"]) == 2
 
+
+
+def encode_hh(tmp_path, capsys):
+    """Encode a small skewed HH collection; return (spec, frames) paths."""
+    spec_path = tmp_path / "spec.json"
+    frames_path = tmp_path / "frames.bin"
+    assert main([
+        "encode", "--protocol", "HH", "--epsilon", "1.4", "--width", "2",
+        "--dataset", "skewed", "-n", "1000", "-d", "4", "--seed", "3",
+        "--spec-out", str(spec_path), "--output", str(frames_path),
+    ]) == 0
+    capsys.readouterr()
+    return spec_path, frames_path
+
+
+class TestConfidence:
+    """``aggregate --confidence`` sets the level of the walk's intervals."""
+
+    def test_confidence_reaches_the_walk(self, tmp_path, capsys):
+        spec_path, frames_path = encode_hh(tmp_path, capsys)
+        payloads = {}
+        for level in ("0.5", "0.95"):
+            json_path = tmp_path / f"c{level}.json"
+            assert main([
+                "aggregate", "--spec", str(spec_path), "-d", "4",
+                "--input", str(frames_path), "--confidence", level,
+                "--json", str(json_path),
+            ]) == 0
+            payloads[level] = json.loads(json_path.read_text())["discovery"]
+            assert f"({float(level):.0%} confidence)" in (
+                capsys.readouterr().out
+            )
+        narrow, wide = payloads["0.5"], payloads["0.95"]
+        assert narrow["confidence"] == 0.5
+        assert wide["confidence"] == 0.95
+        assert narrow["hitters"] and wide["hitters"]
+        assert max(h["half_width"] for h in narrow["hitters"]) < min(
+            h["half_width"] for h in wide["hitters"]
+        )
+
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
+    def test_confidence_outside_the_unit_interval_is_refused(
+        self, level, tmp_path, capsys
+    ):
+        spec_path, frames_path = encode_hh(tmp_path, capsys)
+        assert main([
+            "aggregate", "--spec", str(spec_path), "-d", "4",
+            "--input", str(frames_path), "--confidence", level,
+        ]) == 2
+        assert "confidence must lie in (0, 1)" in capsys.readouterr().err
+
+
+class TestRelease:
+    """The one release rendering every verb prints and records."""
+
+    def test_an_hh_release_carries_the_estimators_own_walk(self):
+        protocol = build("HH", epsilon=3.0)
+        dataset = make_dataset("skewed", 800, 4, np.random.default_rng(5))
+        session = AggregationSession(protocol.spec(), dataset.domain)
+        for frame in encode_frames(protocol, dataset, 200):
+            session.submit(frame)
+        rendered, payload = _release(
+            session.snapshot(), session, top_k=3, confidence=0.9
+        )
+        expected = session.snapshot().discover(top_k=3, confidence=0.9)
+        assert payload["discovery"] == expected.to_dict()
+        assert len(payload["discovery"]["hitters"]) == 3
+        assert "(90% confidence)" in rendered
+        assert payload["num_reports"] == 800
+        assert payload["marginals"]
+
+    def test_a_release_without_an_estimator_has_no_marginals_or_walk(self):
+        protocol = build("HH", epsilon=3.0)
+        session = AggregationSession(protocol.spec(), Domain.binary(4))
+        rendered, payload = _release(None, session)
+        assert payload["marginals"] == []
+        assert payload["discovery"] is None
+        assert payload["num_reports"] == 0
+        assert "heavy hitters" not in rendered
 
 
 class TestTopoFinalize:

@@ -4,7 +4,8 @@ The determinism contract of the executor subsystem is that for a fixed seed
 and batch size the finalized estimates depend on *nothing else*: not the
 backend, not the worker count, not the shard count.  This suite pins that
 contract as a full matrix — every registered protocol x every executor
-backend x worker counts {1, 2, 4} — asserting bit-for-bit equality against
+backend x worker counts {1, 2, 4} x shard counts {4, 8} (8 is more than the
+batches, so it is clamped) — asserting bit-for-bit equality against
 the serial single-shard baseline (the same check the PR-1 mergeability
 property tests make for in-process sharding, extended to real parallelism).
 """
@@ -29,7 +30,11 @@ WORKER_COUNTS = (1, 2, 4)
 
 SEED = 20180610
 BATCH_SIZE = 100  # 600 records -> 6 batches, so 4 shards all receive work
+NUM_BATCHES = 6
 SHARDS = 4
+#: Uneven shards (two of the four take two batches) and a request beyond
+#: the batch count, which ``run_streaming`` clamps to one batch per shard.
+SHARD_COUNTS = (SHARDS, 8)
 
 
 def build(name: str):
@@ -75,17 +80,18 @@ def executors():
         executor.close()
 
 
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("executor_name", sorted(available_executors()))
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_parallel_estimates_match_serial_baseline(
-    name, executor_name, workers, dataset, baselines, executors
+    name, executor_name, workers, shards, dataset, baselines, executors
 ):
     estimator = build(name).run_streaming(
         dataset,
         rng=np.random.default_rng(SEED),
         batch_size=BATCH_SIZE,
-        shards=SHARDS,
+        shards=shards,
         executor=executors(executor_name, workers),
     )
     observed = {
@@ -97,7 +103,9 @@ def test_parallel_estimates_match_serial_baseline(
         np.testing.assert_array_equal(observed[beta], expected[beta])
     assert estimator.metadata["executor"] == executor_name
     assert estimator.metadata["workers"] == workers
-    assert estimator.metadata["effective_shards"] == SHARDS
+    assert estimator.metadata["num_batches"] == NUM_BATCHES
+    assert estimator.metadata["requested_shards"] == shards
+    assert estimator.metadata["effective_shards"] == min(shards, NUM_BATCHES)
 
 
 @pytest.mark.parametrize("executor_name", sorted(available_executors()))
