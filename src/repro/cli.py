@@ -1001,8 +1001,9 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         if arguments.checkpoint:
             session.checkpoint(arguments.checkpoint)
             print(f"wrote {arguments.checkpoint}", file=sys.stderr)
+        estimator = session.snapshot() if session.num_reports else None
         rendered, payload = _release(
-            session.snapshot(), session, arguments.top_k, arguments.confidence
+            estimator, session, arguments.top_k, arguments.confidence
         )
     except BrokenPipeError:
         raise  # handled quietly in main(); not an aggregate failure

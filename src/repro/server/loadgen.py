@@ -14,7 +14,11 @@ by the first group to an address and again only after a failure (which
 closes the connection; so does the end of the client's run).  Once an
 address has answered this generator's ``HELLO`` with ``OK``, later groups
 there are pipelined: ``HELLO``, frames and ``FIN`` go out together and
-``OK`` and ``ACK`` are read after, one round trip per group.  The first
+``OK`` and ``ACK`` are read after, one round trip per group.  A group
+leaves in runs of at most :data:`DRAIN_EVERY` frames, each one
+``writelines`` (the first run led by the pipelined ``HELLO``, the last
+closed by ``FIN``), so a group of up to that many frames is one send; the
+collector answers it with ``OK`` and ``ACK`` in one write.  The first
 group to an address, and the first after any failure there, still waits
 for ``OK`` before sending frames, so a spec mismatch always earns the
 readable ``ERR``.  Fault injection (``malformed_connections``) opens
@@ -796,17 +800,21 @@ class LoadGenerator:
                     span.annotate(frames=len(frames), pipelined=pipelined)
                     hello = self._hello_for(token)
                     if pipelined:
-                        writer.write(hello)
+                        run = [hello]
                     else:
                         await self._handshake(writer, connection, hello)
                         self._greeted.add(address)
+                        run = []
                     for position, frame in enumerate(frames, start=1):
-                        writer.write(frame)
-                        if position % DRAIN_EVERY == 0:
-                            await writer.drain()
+                        run.append(frame)
                         result.frames += 1
                         result.bytes += len(frame)
-                    writer.write(encode_control(FIN))
+                        if position % DRAIN_EVERY == 0:
+                            writer.writelines(run)
+                            run = []
+                            await writer.drain()
+                    run.append(encode_control(FIN))
+                    writer.writelines(run)
                     await writer.drain()
                     if pipelined:
                         _expect_ok(await connection.next_message())

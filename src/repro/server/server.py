@@ -28,10 +28,11 @@ to the commit log and synced when the server is durable — before the
 ``HELLO``; every ``HELLO`` is checked again.  A connection that dies
 mid-group therefore leaves no trace of that group (the groups it ACK'd
 before stay committed), and a retried group is folded exactly once.  The
-server reads each message as it arrives, so a client that has been
-answered ``OK`` before may send ``HELLO``, its frames and ``FIN`` in one
-write and read ``OK`` and ``ACK`` together: one round trip per group, and
-no connect, accept or close at all once its connection is open.
+server reads each message as it arrives and sends the control answers of
+one read in one write, so a client that has been answered ``OK`` before
+may send ``HELLO``, its frames and ``FIN`` in one write and get ``OK`` and
+``ACK`` back in one: one round trip per group, and no connect, accept or
+close at all once its connection is open.
 
 Misbehaving clients — spec mismatches, malformed or truncated frames,
 report frames before ``HELLO`` — are rejected *per connection*: the server
@@ -130,12 +131,15 @@ class _Group:
     they are unpacked as one block and folded into the group's own
     accumulator as one ``update``
     (:meth:`~repro.protocols.base.MarginalReleaseProtocol.decode_report_block`,
-    the concatenation of their one-by-one decodes).  The first frame folds
-    on arrival, so reports that do not fit the domain earn their ``ERR``
-    at once; a value error in a later frame (a bound, a padding bit, a
-    non-canonical width) earns its ``ERR`` at the fold of its block, which
-    comes before any commit or ``ACK`` of the group.  Nothing reaches the
-    shard before :meth:`CollectionServer._commit`.
+    the concatenation of their one-by-one decodes).  A group that has
+    never folded also folds at the end of each read that brought it
+    frames (:meth:`end_of_read`), so reports that do not fit the domain
+    earn their ``ERR`` before the client's ``FIN``, and a group that
+    arrives in one read is one block and one ``update``.  A value error in
+    a later frame (a bound, a padding bit, a non-canonical width) earns
+    its ``ERR`` at the fold of its block, which comes before any commit or
+    ``ACK`` of the group.  Nothing reaches the shard before
+    :meth:`CollectionServer._commit`.
     """
 
     def __init__(self, protocol, domain: Domain):
@@ -153,10 +157,12 @@ class _Group:
         self.frames += 1
         self.reports += users
         self.bytes += nbytes
-        if (
-            self.accumulator is None
-            or self._pending_users >= DEFAULT_BATCH_MAX_USERS
-        ):
+        if self._pending_users >= DEFAULT_BATCH_MAX_USERS:
+            self.fold()
+
+    def end_of_read(self) -> None:
+        """Fold the pending frames if this group has never folded."""
+        if self.accumulator is None:
             self.fold()
 
     def fold(self) -> None:
@@ -259,6 +265,14 @@ class CollectionServer:
     Clients may carry a ``token`` in their ``HELLO``, durable server or
     not; a replayed token is re-ACK'd with its recorded counts instead of
     folded twice, making retries idempotent.
+
+    A connection's control answers are gathered while it processes one
+    read and sent as one write.  At ``FIN`` they leave once
+    :meth:`_commit` returns, so a group whose ``HELLO``, frames and
+    ``FIN`` arrive together costs one send, its ``ACK`` still after the
+    durable sync.  An ``OK`` is never withheld: it is sent at the end of
+    the read that carried its ``HELLO``, ahead of any ``ERR``, ``STATE``
+    or ``STATS`` answer, and also when the commit fails (a full disk).
     """
 
     def __init__(
@@ -841,6 +855,8 @@ class CollectionServer:
         # The open group (None between groups) and its HELLO's token.
         group: Optional[_Group] = None
         token: Optional[str] = None
+        # Control answers made while processing one read, sent as one write.
+        replies: List[bytes] = []
         try:
             while True:
                 idle = group is None and decoder.at_frame_boundary
@@ -869,7 +885,7 @@ class CollectionServer:
                                 raise _Reject("spec mismatch", problems)
                             group = _Group(shard.protocol, self._domain)
                             token = item.payload.get("token")
-                            writer.write(
+                            replies.append(
                                 encode_control(
                                     OK,
                                     {
@@ -878,26 +894,29 @@ class CollectionServer:
                                     },
                                 )
                             )
-                            await writer.drain()
                         elif item.kind == PULL:
                             # The topology tier's fan-in probe: answer with
                             # stats or the full session state.  Allowed
                             # before HELLO — the puller is a control-plane
                             # peer, not a report client.
-                            await self._answer_pull(writer, item.payload)
+                            replies.append(self._answer_pull(item.payload))
+                            await self._send(writer, replies)
                         elif item.kind == STATS:
                             # The observability probe (`repro watch`, live
                             # dashboards): stats plus the merged metrics
                             # snapshot.  Control-plane like PULL.
-                            await self._answer_stats(writer)
+                            replies.append(self._answer_stats())
+                            await self._send(writer, replies)
                         elif item.kind == FIN:
                             if group is None:
                                 raise _Reject("FIN before HELLO")
                             ack_payload = self._commit(shard, group, token)
                             group, token = None, None
                             with trace.span("server.ack"):
-                                writer.write(encode_control(ACK, ack_payload))
-                                await writer.drain()
+                                # An OK made in this read leaves with the
+                                # ACK, after the commit.
+                                replies.append(encode_control(ACK, ack_payload))
+                                await self._send(writer, replies)
                         else:
                             raise _Reject(
                                 f"unexpected control frame {item.kind!r}"
@@ -913,6 +932,10 @@ class CollectionServer:
                             shard.protocol.parse_report_frame(item, shard.domain),
                             len(item),
                         )
+                if group is not None:
+                    group.end_of_read()
+                if replies:
+                    await self._send(writer, replies)
             if group is None and decoder.at_frame_boundary:
                 # EOF between groups: every group this connection opened
                 # was ACK'd (a PULL or STATS peer never opens one).
@@ -930,7 +953,8 @@ class CollectionServer:
         except _Reject as rejection:
             self._connections_rejected += 1
             _logger.info("rejecting connection %d: %s", index, rejection.reason)
-            await self._send_error(writer, rejection.payload())
+            replies.append(encode_control(ERR, rejection.payload()))
+            await self._send_last(writer, replies)
         except ReproError as error:
             # WireFormatError (malformed frames) and every other library
             # error a hostile stream can provoke — e.g. AggregationError on
@@ -940,9 +964,14 @@ class CollectionServer:
             _logger.info(
                 "rejecting connection %d (bad submission): %s", index, error
             )
-            await self._send_error(writer, {"error": str(error)})
+            replies.append(encode_control(ERR, {"error": str(error)}))
+            await self._send_last(writer, replies)
         except (ConnectionError, OSError):
+            # A commit whose write failed (a full disk) still owes its
+            # HELLO's OK; a peer that is gone never reads it.
             self._connections_dropped += 1
+            if replies:
+                await self._send_last(writer, replies)
         finally:
             self._connections_active -= 1
 
@@ -1006,19 +1035,18 @@ class CollectionServer:
             self._stop_event.set()
         return counts
 
-    async def _answer_stats(self, writer) -> None:
-        """Answer one ``STATS`` probe with stats + the metrics snapshot."""
+    def _answer_stats(self) -> bytes:
+        """The answer to one ``STATS`` probe: stats + the metrics snapshot."""
         with trace.span("server.stats.answer"):
             body = {
                 "collector_id": self.collector_id,
                 "stats": self.stats(),
                 "metrics": self.metrics_snapshot().state_dict(),
             }
-            writer.write(encode_control(STATS, body))
-        await writer.drain()
+            return encode_control(STATS, body)
 
-    async def _answer_pull(self, writer, payload: Dict[str, Any]) -> None:
-        """Answer one ``PULL`` with a ``STATE`` frame (stats or state)."""
+    def _answer_pull(self, payload: Dict[str, Any]) -> bytes:
+        """The ``STATE`` frame answering one ``PULL`` (stats or state)."""
         what = payload.get("what", "state")
         raw = b""
         if what == "stats":
@@ -1048,13 +1076,20 @@ class CollectionServer:
         with trace.span("topology.pull.answer") as span:
             frame = encode_control(STATE, body, raw)
             span.annotate(what=what, bytes=len(frame))
-            writer.write(frame)
-        await writer.drain()
+        return frame
 
     @staticmethod
-    async def _send_error(writer, payload: Dict[str, Any]) -> None:
+    async def _send(writer, replies: List[bytes]) -> None:
+        """Send the answers made so far as one write, and drain."""
+        data = b"".join(replies)
+        replies.clear()
+        writer.write(data)
+        await writer.drain()
+
+    @classmethod
+    async def _send_last(cls, writer, replies: List[bytes]) -> None:
+        """Send what a closing connection still owes, if its peer is there."""
         try:
-            writer.write(encode_control(ERR, payload))
-            await writer.drain()
+            await cls._send(writer, replies)
         except (ConnectionError, OSError):
             pass  # the peer is already gone; the rejection still counted

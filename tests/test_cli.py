@@ -430,6 +430,32 @@ class TestServiceRoundTrip:
         ]) == 0
         assert "reports   : 40" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("protocol", ["InpHT", "HH"])
+    def test_aggregate_with_no_reports_releases_nothing(
+        self, tmp_path, capsys, protocol
+    ):
+        """A session that saw no reports prints the empty release, as
+        ``serve`` and ``topo finalize`` do, instead of failing."""
+        spec_path = tmp_path / "spec.json"
+        json_path = tmp_path / "release.json"
+        assert main([
+            "encode", "--protocol", protocol, "--epsilon", "1.0",
+            "--width", "2", "-n", "20", "-d", "4",
+            "--spec-out", str(spec_path),
+            "--output", str(tmp_path / "x.bin"),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "aggregate", "--spec", str(spec_path), "--dimension", "4",
+            "--input", "none", "--json", str(json_path),
+        ]) == 0
+        assert "reports   : 0" in capsys.readouterr().out
+        text = json_path.read_text()
+        assert '"marginals": []' in text
+        payload = json.loads(text)
+        assert payload["num_reports"] == 0
+        assert payload["discovery"] is None
+
     def test_option_python_spelled_booleans(self, tmp_path, capsys):
         """--option optimized_probabilities=False must disable OUE, not
         silently configure the truthy string 'False'."""
