@@ -47,6 +47,7 @@ import argparse
 import asyncio
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -82,6 +83,7 @@ from .observability import configure_logging, get_logger
 from .protocols.registry import available_protocols, make_protocol
 from .resilience import defaults as resilience_defaults
 from .server import DEFAULT_MAX_FRAME_BYTES, CollectionServer, LoadGenerator
+from .server.server import _Group
 from .service import AggregationSession, ProtocolSpec, split_report_frames
 from .topology import ROUTING_POLICIES
 
@@ -970,14 +972,12 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         # ``encode | aggregate`` pipeline both processes start together, but
         # the producer writes --spec-out before emitting its first frame
         # byte, so having a frame (or EOF) in hand guarantees the spec file
-        # exists.  The rest of the stream is ingested one frame at a time —
-        # constant memory for arbitrarily large collections, matching the
-        # --input FILE path.
-        stdin_frames = None
-        first_frame = None
+        # exists.  The rest is folded a block at a time, like --input FILE.
+        frames = []
         if not no_input and arguments.input == "-":
-            stdin_frames = split_report_frames(sys.stdin.buffer)
-            first_frame = next(stdin_frames, None)
+            stream = split_report_frames(sys.stdin.buffer)
+            first = next(stream, None)
+            frames = itertools.chain([first] if first else [], stream)
         if arguments.restore:
             session = AggregationSession.restore(arguments.restore)
             print(
@@ -989,15 +989,11 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
             session = AggregationSession(
                 load_protocol_spec(arguments.spec), domain
             )
-        if stdin_frames is not None:
-            if first_frame is not None:
-                session.submit(first_frame)
-                for frame in stdin_frames:
-                    session.submit(frame)
-        elif not no_input:
+        if no_input or arguments.input == "-":
+            _fold_frames(session, frames)
+        else:
             with open(arguments.input, "rb") as source:
-                for frame in split_report_frames(source):
-                    session.submit(frame)
+                _fold_frames(session, split_report_frames(source))
         if arguments.checkpoint:
             session.checkpoint(arguments.checkpoint)
             print(f"wrote {arguments.checkpoint}", file=sys.stderr)
@@ -1012,6 +1008,22 @@ def _run_aggregate(arguments: argparse.Namespace) -> int:
         print(f"aggregate: {error}", file=sys.stderr)
         return 2
     return _emit(arguments, rendered, payload)
+
+
+def _fold_frames(session: AggregationSession, frames) -> None:
+    """Fold report frames into ``session`` as a collector folds a group:
+    each parsed as it is read, the parsed frames unpacked and folded a
+    block per ``DEFAULT_BATCH_MAX_USERS`` users (memory holds one block),
+    and every frame counted as a per-frame ``submit`` counts it."""
+    protocol, domain = session.protocol, session.domain
+    group = _Group(protocol, domain)
+    for frame in frames:
+        group.add(protocol.parse_report_frame(frame, domain), len(frame))
+    group.fold()
+    if group.accumulator is not None:
+        session.merge_group(
+            group.accumulator, frames=group.frames, wire_bytes=group.bytes
+        )
 
 
 async def _serve_stats_ticker(

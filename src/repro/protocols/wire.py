@@ -65,6 +65,9 @@ per frame and the per-column numpy work once per block of frames:
    rows' length against ``rows * stride``.  It keeps owned copies of the
    packed rows and sum-form arrays, so a parsed frame never pins the
    buffer it came from (the server parses off its receive buffer).
+   It accepts a frame in one pass (one unpack of the frame head compared
+   with the schema's constants, one CRC-32); only a frame that fails a
+   comparison takes the refusal path, which checks one step at a time.
 2. :func:`decode_report_block`, once per fold, unpacks any number of
    parsed frames into one batch and makes the value checks: zero padding
    bits, each frame's canonical widths (every column wider than 1 bit
@@ -159,6 +162,9 @@ _PREFIX = struct.Struct("<4sHH")  # magic, version, kind length
 _LENGTH = struct.Struct("<Q")  # payload length
 _SCALAR = struct.Struct("<q")
 _CRC = struct.Struct("<I")
+#: ``zlib.crc32`` of any frame that ends in its own CRC-32: CRC-32 maps a
+#: message followed by its little-endian CRC to this constant.
+_CRC_RESIDUE = 0x2144DF1C
 
 #: Element types a report field may have, indexed by their wire dtype code.
 _WIRE_DTYPES = (np.dtype("<i8"), np.dtype("<f8"), np.dtype("|i1"))
@@ -257,16 +263,20 @@ class ReportSchema:
     summed_fields: Tuple[ReportField, ...] = field(
         init=False, repr=False, compare=False
     )
-    #: The payload head: every descriptor, then every scalar, read in one
-    #: unpack, and the getters :func:`_read_payload` checks it with.
-    head: struct.Struct = field(init=False, repr=False, compare=False)
+    #: The frame head (prefix, kind, payload length, every descriptor and
+    #: scalar) read in one unpack, the getters :func:`parse_report_frame`
+    #: checks it with, the header's size and the frame sizes it accepts.
+    frame_head: struct.Struct = field(init=False, repr=False, compare=False)
     head_getters: Tuple[Any, ...] = field(init=False, repr=False, compare=False)
+    header_size: int = field(init=False, repr=False, compare=False)
+    sizes: range = field(init=False, repr=False, compare=False)
+    #: Width limits per per-user field, and per column (None with a 2-D field).
+    width_units: Tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    width_limits: Optional[bytes] = field(init=False, repr=False, compare=False)
     #: The 2-D per-user fields, with their places among ``packed_fields``.
     wide_fields: Tuple[Tuple[int, ReportField], ...] = field(
         init=False, repr=False, compare=False
     )
-    #: The smallest width limit of a per-user field.
-    narrowest: int = field(init=False, repr=False, compare=False)
     #: Where a batch without per-user fields keeps its ``num_users``
     #: among the scalars (None when its rows count the users).
     users_at: Optional[int] = field(init=False, repr=False, compare=False)
@@ -286,45 +296,51 @@ class ReportSchema:
             ),
         )
         put(
-            "narrowest",
-            min((spec.width_limit for spec in self.packed_fields), default=0),
-        )
-        put(
             "users_at",
             None if self.packed_fields else self.scalar_fields.index("num_users"),
         )
+        kind = self.kind.encode("utf-8")
+        prefix = (_MAGIC, WIRE_FORMAT_VERSION, len(kind), kind)
+        put("header_size", _PREFIX.size + len(kind) + _LENGTH.size)
         put(
-            "head",
+            "frame_head",
             struct.Struct(
-                "<"
+                f"{_PREFIX.format}{len(kind)}s{_LENGTH.format[1:]}"
                 + "".join(spec.descriptor.format[1:] for spec in self.fields)
                 + "q" * len(self.scalar_fields)
             ),
         )
-        # Positions in the unpacked head, read with a constant 1 appended
-        # (the column count of a 1-D field).
-        one = sum(2 + spec.ndim for spec in self.fields) + len(self.scalar_fields)
-        tags, axes, rows, counts, sums = [], [], [], [], []
-        at = 0
+        least = self.frame_head.size + _CRC.size
+        put("sizes", range(least, self.header_size + MAX_PAYLOAD_BYTES + 1))
+        units = tuple(bytes([spec.width_limit]) for spec in self.packed_fields)
+        put("width_units", units)
+        put("width_limits", None if self.wide_fields else b"".join(units))
+        # Positions in the unpacked frame head (the prefix, then the payload
+        # length), read with the constants 1 (the column count of a 1-D
+        # field) and 0 (the rows and axes of a head that has none) appended.
+        at = len(prefix) + 1
+        one = at + sum(2 + spec.ndim for spec in self.fields) + len(self.scalar_fields)
+        fixed, axes, rows, counts, sums = list(range(len(prefix))), [], [], [], []
         for spec in self.fields:
-            tags += [at, at + 1]
+            fixed += [at, at + 1]
             shape = list(range(at + 2, at + 2 + spec.ndim))
             axes += shape
             if spec.per_user:
                 rows.append(shape[0])
                 counts.append(shape[1] if spec.ndim == 2 else one)
             else:
-                sums.append(_getter(shape))
+                sums.append(
+                    (spec.name, _WIRE_DTYPES[spec.code], spec.dtype, _getter(shape))
+                )
             at += 2 + spec.ndim
-        expected = tuple(
+        expected = prefix + tuple(
             value for spec in self.fields for value in (spec.code, spec.ndim)
         )
         put(
             "head_getters",
             (
-                _getter(tags), expected, _getter(axes),
-                _getter(rows) if rows else (lambda values: (0,)),
-                _getter(counts), tuple(sums),
+                _getter(fixed), expected, _getter(axes or [one + 1]),
+                _getter(rows or [one + 1]), _getter(counts), tuple(sums),
                 slice(at, at + len(self.scalar_fields)),
             ),
         )
@@ -332,12 +348,11 @@ class ReportSchema:
 
 def _getter(positions):
     """A callable picking ``positions`` out of a tuple, as a tuple."""
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda values: (values[position],)
-    if not positions:
-        return lambda values: ()
-    return operator.itemgetter(*positions)
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # One position or none: a slice keeps the result a tuple.
+    first = positions[0] if positions else 0
+    return operator.itemgetter(slice(first, first + len(positions)))
 
 
 _SCHEMAS_BY_KIND: Dict[str, ReportSchema] = {}
@@ -578,16 +593,93 @@ def parse_report_frame(
     column count against the spec) and the rows' length; what only the
     values can tell — padding bits, canonical widths and the bounds — is
     left to :func:`decode_report_block`.
+    A frame of ``expected_kind`` that fails no comparison of the one-pass
+    accept is parsed here; any other goes to :func:`_parse_refused`.
     """
-    buffer = data if isinstance(data, bytes) else memoryview(data)
-    frame, consumed = _parse_frame(buffer, expected_kind, bounds)
-    if consumed != len(buffer):
+    schema = _SCHEMAS_BY_KIND.get(expected_kind)
+    size = len(data)
+    if schema is None or size not in schema.sizes:
+        return _parse_refused(data, expected_kind, bounds)
+    values = schema.frame_head.unpack_from(data) + (1, 0)
+    fixed, expected, axes, rows_of, counts_of, sums_of, scalars_at = schema.head_getters
+    row_axes = rows_of(values)
+    rows = row_axes[0]
+    if (
+        fixed(values) != expected
+        or values[4] != size - schema.header_size  # the payload length
+        or zlib.crc32(data) != _CRC_RESIDUE
+        or max(axes(values)) > MAX_PAYLOAD_BYTES
+        or row_axes.count(rows) != len(row_axes)
+    ):
+        return _parse_refused(data, expected_kind, bounds)
+    kind = schema.kind
+    offset, end = schema.frame_head.size, size - _CRC.size
+    counts = counts_of(values)
+    scalars = values[scalars_at]
+    if scalars and min(scalars) < 0:
+        name = schema.scalar_fields[scalars.index(min(scalars))]
         raise WireFormatError(
-            f"report frame holds {consumed} bytes but the buffer has "
-            f"{len(buffer)}; trailing data is not allowed (use "
-            f"iter_report_frames for concatenated frames)"
+            f"{kind} field {name!r} must be non-negative, got {min(scalars)}"
         )
-    return frame
+    if bounds is not None:
+        # Checked before the width table is read: a forged column count
+        # costs nothing once the spec says how many columns there are (a
+        # 1-D field has one column, and its bounds one entry).
+        for index, spec in schema.wide_fields:
+            limits = bounds.get(spec.name)
+            count = counts[index]
+            if limits is not None and len(limits) != count:
+                raise WireFormatError(
+                    f"{kind} field {spec.name!r} has {count} column(s), "
+                    f"but the spec implies {len(limits)}"
+                )
+    widths, total = b"", 0
+    if counts:
+        num_columns = sum(counts)
+        if num_columns > end - offset:
+            raise WireFormatError(
+                f"{kind} report payload is truncated inside its width "
+                f"table: {num_columns} column width(s) declared, "
+                f"{end - offset} byte(s) remain"
+            )
+        widths = bytes(data[offset : offset + num_columns])
+        offset += num_columns
+        caps = schema.width_limits or b"".join(
+            map(operator.mul, schema.width_units, counts)
+        )
+        if widths and not (
+            rows and min(widths) and all(map(operator.le, widths, caps))
+        ):
+            _check_widths(schema, counts, rows, widths)
+        total = sum(widths)
+    sums = {}
+    for name, wire_dtype, dtype, shape_of in sums_of:
+        shape = shape_of(values)
+        nbytes = math.prod(shape) * wire_dtype.itemsize
+        if nbytes > end - offset:
+            raise WireFormatError(
+                f"{kind} field {name!r} declares shape "
+                f"{shape} ({nbytes} bytes) but only {end - offset} "
+                f"payload bytes remain"
+            )
+        # astype copies: the frame must not pin the (receive) buffer.
+        sums[name] = np.ndarray(shape, wire_dtype, data, offset).astype(dtype)
+        offset += nbytes
+    stride = -(-total // 8)
+    if rows * stride != end - offset:
+        if rows * stride < end - offset:
+            raise WireFormatError(
+                f"{kind} report payload has {end - offset - rows * stride} "
+                f"trailing byte(s) after its last field"
+            )
+        raise WireFormatError(
+            f"{kind} report payload declares {rows} row(s) of {stride} "
+            f"byte(s) but only {end - offset} payload bytes remain"
+        )
+    return ParsedReportFrame(
+        schema, rows, counts, widths, total,
+        bytes(data[offset:end]) if rows else b"", sums, scalars,
+    )
 
 
 def decode_report_block(
@@ -763,8 +855,7 @@ def iter_report_frames(
     :class:`~repro.core.exceptions.WireFormatError`.
     """
     for frame in split_report_frames(source):
-        parsed, _ = _parse_frame(frame, expected_kind)
-        yield decode_report_block((parsed,))
+        yield decode_report_block((parse_report_frame(frame, expected_kind),))
 
 
 def split_report_frames(
@@ -904,10 +995,10 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
     return kind, header_end, frame_end
 
 
-def _parse_frame(
-    buffer: bytes, expected_kind: str = None, bounds=None
-) -> Tuple[ParsedReportFrame, int]:
-    """Parse the frame at the start of ``buffer``; return (frame, size)."""
+def _parse_refused(buffer, expected_kind: str, bounds) -> ParsedReportFrame:
+    """Check a frame the one-pass accept did not take one step at a time,
+    raising the first fault; a whole frame that passes (parsed without an
+    expected kind, or with trailing bytes) goes back to the accept pass."""
     kind, header_end, frame_end = _parse_frame_header(buffer, 0)
     schema = _SCHEMAS_BY_KIND.get(kind) or report_schema_for(kind)
     if expected_kind is not None and kind != expected_kind:
@@ -930,100 +1021,20 @@ def _parse_frame(
             f"report frame payload for {kind!r} is corrupted: stored CRC-32 "
             f"{stored:#010x} does not match the computed {computed:#010x}"
         )
-    return _read_payload(schema, view, header_end, body_end, bounds), frame_end
-
-
-def _read_payload(
-    schema: ReportSchema, view: memoryview, offset: int, end: int, bounds
-) -> ParsedReportFrame:
-    """Check the payload ``view[offset:end]`` against the schema and copy
-    out its scalars, sum-form arrays and packed rows.
-
-    The descriptors and scalars are read in one unpack (the schema's
-    ``head``); on anything off, :func:`_refuse_descriptors` reads them one
-    by one and names the first fault.
-    """
-    kind = schema.kind
-    tags, expected, axes, rows_of, counts_of, sums_of, scalars_at = schema.head_getters
-    if end - offset < schema.head.size:
-        _refuse_descriptors(schema, view, offset, end)
+    _refuse_descriptors(schema, view, header_end, body_end)
+    if frame_end < schema.sizes.start:
         raise WireFormatError(
             f"{kind} report payload is truncated inside its scalar "
             f"fields {list(schema.scalar_fields)}"
         )
-    values = schema.head.unpack_from(view, offset)
-    row_axes = rows_of(values)
-    if (
-        tags(values) != expected
-        or max(axes(values), default=0) > MAX_PAYLOAD_BYTES
-        or row_axes.count(row_axes[0]) != len(row_axes)
-    ):
-        _refuse_descriptors(schema, view, offset, end)
-    offset += schema.head.size
-    rows = row_axes[0]
-    counts = counts_of(values + (1,))
-    scalars = values[scalars_at]
-    if scalars and min(scalars) < 0:
-        name = schema.scalar_fields[scalars.index(min(scalars))]
+    frame = parse_report_frame(view[:frame_end], kind, bounds)
+    if frame_end != len(buffer):
         raise WireFormatError(
-            f"{kind} field {name!r} must be non-negative, got {min(scalars)}"
+            f"report frame holds {frame_end} bytes but the buffer has "
+            f"{len(buffer)}; trailing data is not allowed (use "
+            f"iter_report_frames for concatenated frames)"
         )
-    if bounds is not None:
-        # Checked before the width table is read: a forged column count
-        # costs nothing once the spec says how many columns there are (a
-        # 1-D field has one column, and its bounds one entry).
-        for index, spec in schema.wide_fields:
-            limits = bounds.get(spec.name)
-            count = counts[index]
-            if limits is not None and len(limits) != count:
-                raise WireFormatError(
-                    f"{kind} field {spec.name!r} has {count} column(s), "
-                    f"but the spec implies {len(limits)}"
-                )
-    num_columns = sum(counts)
-    if num_columns > end - offset:
-        raise WireFormatError(
-            f"{kind} report payload is truncated inside its width "
-            f"table: {num_columns} column width(s) declared, "
-            f"{end - offset} byte(s) remain"
-        )
-    widths = view[offset : offset + num_columns].tobytes()
-    offset += num_columns
-    if widths and not (rows and min(widths) >= 1 and max(widths) <= schema.narrowest):
-        _check_widths(schema, counts, rows, widths)
-    sums = {}
-    for spec, shape in zip(schema.summed_fields, sums_of):
-        shape = shape(values)
-        count = math.prod(shape)
-        nbytes = count * spec.dtype.itemsize
-        if nbytes > end - offset:
-            raise WireFormatError(
-                f"{kind} field {spec.name!r} declares shape "
-                f"{shape} ({nbytes} bytes) but only {end - offset} "
-                f"payload bytes remain"
-            )
-        # astype copies: the frame must not pin the (receive) buffer.
-        sums[spec.name] = (
-            np.frombuffer(view, _WIRE_DTYPES[spec.code], count, offset)
-            .reshape(shape)
-            .astype(spec.dtype)
-        )
-        offset += nbytes
-    total = sum(widths)
-    stride = -(-total // 8)
-    if rows * stride != end - offset:
-        if rows * stride < end - offset:
-            raise WireFormatError(
-                f"{kind} report payload has {end - offset - rows * stride} "
-                f"trailing byte(s) after its last field"
-            )
-        raise WireFormatError(
-            f"{kind} report payload declares {rows} row(s) of {stride} "
-            f"byte(s) but only {end - offset} payload bytes remain"
-        )
-    return ParsedReportFrame(
-        schema, rows, counts, widths, total, view[offset:end].tobytes(), sums, scalars
-    )
+    return frame
 
 
 def _refuse_descriptors(schema: ReportSchema, view, offset: int, end: int):

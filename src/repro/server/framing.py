@@ -6,9 +6,9 @@ both sharing the report codec's length-prefixed header layout
 payload``):
 
 * **report frames** — magic ``b"RPRB"``, exactly the bytes produced by
-  ``reports.to_bytes()`` (:mod:`repro.protocols.wire`).  The server relays
-  them whole to an :class:`~repro.service.AggregationSession`, paying the
-  payload decode (CRC check plus ``np.frombuffer`` reads) once at the shard.
+  ``reports.to_bytes()`` (:mod:`repro.protocols.wire`), cut on magic,
+  version and declared length alone and handed on as a receive-buffer
+  view; the server parses each as it arrives (``parse_report_frame``).
 * **control frames** — magic ``b"RPRC"``, a UTF-8 JSON payload (a
   ``STATE`` frame adds raw bytes after it, see below).  The
   kinds are the session protocol's verbs: ``HELLO`` (client → server, the
@@ -55,6 +55,7 @@ from ..protocols.wire import (
     FRAME_PREFIX as _PREFIX,
     MAX_PAYLOAD_BYTES,
     REPORT_MAGIC,
+    WIRE_FORMAT_VERSION,
     check_report_version,
 )
 
@@ -210,6 +211,13 @@ def encode_control(
     )
 
 
+def _refuse_length(length: int, cap: int) -> None:
+    raise WireFormatError(
+        f"frame declares a {length}-byte payload, above the {cap}-byte "
+        f"limit — corrupted length field?"
+    )
+
+
 class FrameDecoder:
     """Reassemble control and report frames from arbitrary byte chunks.
 
@@ -323,23 +331,51 @@ class FrameDecoder:
         decode or copy each one promptly (see the class docstring).
         Control frames are parsed :class:`ControlMessage` objects.  A
         structural error raises mid-iteration and poisons the decoder.
+        A report frame is cut on its magic, version and length cap alone,
+        and the frame counters advance once per call.
         """
         if self._error is not None:
             raise self._error
-        _, report_counter, control_counter = _decode_counters()
+        buffer = None
+        reports = controls = 0
         try:
             while True:
-                item = self._next_frame()
-                if item is None:
+                if self._buffer is not buffer:  # first pass, or absorbed into a new one
+                    buffer = self._buffer
+                    view = memoryview(buffer)
+                    size = len(buffer)
+                head = self._head
+                if size - head < _PREFIX.size:
                     return
-                if isinstance(item, ControlMessage):
-                    control_counter.inc()
-                else:
-                    report_counter.inc()
-                yield item
+                magic, version, kind_length = _PREFIX.unpack_from(buffer, head)
+                if magic != REPORT_MAGIC or version != WIRE_FORMAT_VERSION:
+                    item = self._next_control(magic, version, kind_length)
+                    if item is None:
+                        return
+                    controls += 1
+                    yield item
+                    continue
+                header_end = head + _PREFIX.size + kind_length + _LENGTH.size
+                if size < header_end:
+                    return
+                (length,) = _LENGTH.unpack_from(buffer, header_end - _LENGTH.size)
+                if length > self._max_frame_bytes:
+                    _refuse_length(length, self._max_frame_bytes)
+                frame_end = header_end + length
+                if size < frame_end:
+                    return
+                self._head = frame_end
+                reports += 1
+                yield view[head:frame_end]
         except WireFormatError as error:
             self._error = error
             raise
+        finally:
+            _, report_counter, control_counter = _decode_counters()
+            if reports:
+                report_counter.inc(reports)
+            if controls:
+                control_counter.inc(controls)
 
     def feed(
         self, data: Union[bytes, bytearray, memoryview]
@@ -355,68 +391,40 @@ class FrameDecoder:
             for item in self.frames()
         ]
 
-    def _next_frame(self):
-        """Parse one complete frame at the head offset, or ``None``."""
-        buffer = self._buffer
-        head = self._head
-        if len(buffer) - head < _PREFIX.size:
-            return None
-        magic, version, kind_length = _PREFIX.unpack_from(buffer, head)
+    def _next_control(self, magic: bytes, version: int, kind_length: int):
+        """Cut and parse the control frame at the head offset (``None``
+        until it is whole); refuse a retired report version or a magic
+        that is neither frame family's."""
         if magic == REPORT_MAGIC:
             check_report_version(version)
-        elif magic == CONTROL_MAGIC:
-            if version != SERVER_PROTOCOL_VERSION:
-                raise WireFormatError(
-                    f"control frame uses version {version}, but this library "
-                    f"speaks version {SERVER_PROTOCOL_VERSION}"
-                )
-        else:
+        elif magic != CONTROL_MAGIC:
             raise WireFormatError(
                 f"stream does not hold a collection frame (magic {bytes(magic)!r}, "
                 f"expected {REPORT_MAGIC!r} or {CONTROL_MAGIC!r})"
             )
-        header_end = head + _PREFIX.size + kind_length + _LENGTH.size
+        elif version != SERVER_PROTOCOL_VERSION:
+            raise WireFormatError(
+                f"control frame uses version {version}, but this library "
+                f"speaks version {SERVER_PROTOCOL_VERSION}"
+            )
+        buffer, head = self._buffer, self._head
+        kind_start = head + _PREFIX.size
+        header_end = kind_start + kind_length + _LENGTH.size
         if len(buffer) < header_end:
             return None
-        if magic == REPORT_MAGIC:
-            payload_cap = self._max_frame_bytes
-        else:
-            # The kind bytes sit between the prefix and the length field, so
-            # they are buffered whenever the length is — the cap can be
-            # decided per kind (STATE frames may be allowed to carry
-            # checkpoints, the rest are small JSON) without waiting for
-            # more input.
-            kind_start = head + _PREFIX.size
-            payload_cap = (
-                self._max_state_bytes
-                if bytes(buffer[kind_start : kind_start + kind_length])
-                == _STATE_KIND_BYTES
-                else MAX_CONTROL_BYTES
-            )
-        (payload_length,) = _LENGTH.unpack_from(
-            buffer, head + _PREFIX.size + kind_length
-        )
-        if payload_length > payload_cap:
-            raise WireFormatError(
-                f"frame declares a {payload_length}-byte payload, above the "
-                f"{payload_cap}-byte limit — corrupted length field?"
-            )
-        frame_end = header_end + payload_length
+        # The kind bytes are buffered whenever the length is: STATE frames
+        # may carry checkpoints, the rest are small JSON.
+        state = buffer[kind_start : kind_start + kind_length] == _STATE_KIND_BYTES
+        cap = self._max_state_bytes if state else MAX_CONTROL_BYTES
+        (length,) = _LENGTH.unpack_from(buffer, header_end - _LENGTH.size)
+        if length > cap:
+            _refuse_length(length, cap)
+        frame_end = header_end + length
         if len(buffer) < frame_end:
             return None
         self._head = frame_end
-        if magic == REPORT_MAGIC:
-            return memoryview(buffer)[head:frame_end]
-        return self._parse_control(head, kind_length, header_end, frame_end)
-
-    def _parse_control(
-        self, head: int, kind_length: int, header_end: int, frame_end: int
-    ) -> ControlMessage:
-        kind_start = head + _PREFIX.size
         try:
-            kind = bytes(
-                self._buffer[kind_start : kind_start + kind_length]
-            ).decode("utf-8")
+            kind = bytes(buffer[kind_start : kind_start + kind_length]).decode("utf-8")
         except UnicodeDecodeError as error:
             raise WireFormatError(
                 f"control frame kind is not valid UTF-8: {error}"
@@ -426,7 +434,7 @@ class FrameDecoder:
                 f"unknown control kind {kind!r}; expected one of "
                 f"{sorted(CONTROL_KINDS)}"
             )
-        body = memoryview(self._buffer)[header_end:frame_end]
+        body = memoryview(buffer)[header_end:frame_end]
         raw = b""
         if kind == STATE:
             if len(body) < STATE_HEAD_LENGTH.size:

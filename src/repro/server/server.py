@@ -139,7 +139,8 @@ class _Group:
     a later frame (a bound, a padding bit, a non-canonical width) earns
     its ``ERR`` at the fold of its block, which comes before any commit or
     ``ACK`` of the group.  Nothing reaches the shard before
-    :meth:`CollectionServer._commit`.
+    :meth:`CollectionServer._commit`.  ``repro aggregate`` folds a frame
+    stream as one group too.
     """
 
     def __init__(self, protocol, domain: Domain):
@@ -852,6 +853,7 @@ class CollectionServer:
         self._connections_active += 1
         shard_index = index % len(self._sessions)
         shard = self._sessions[shard_index]
+        parse, domain = shard.protocol.parse_report_frame, shard.domain
         # The open group (None between groups) and its HELLO's token.
         group: Optional[_Group] = None
         token: Optional[str] = None
@@ -928,10 +930,7 @@ class CollectionServer:
                         # copied out, so the frame never pins it); a
                         # malformed or CRC-failing payload raises right
                         # here, on the connection that sent it.
-                        group.add(
-                            shard.protocol.parse_report_frame(item, shard.domain),
-                            len(item),
-                        )
+                        group.add(parse(item, domain), len(item))
                 if group is not None:
                     group.end_of_read()
                 if replies:

@@ -527,6 +527,74 @@ class TestServiceRoundTrip:
         ]) == 0
 
 
+class TestAggregateFoldsBlocks:
+    """``repro aggregate`` parses each frame as it reads it and folds the
+    parsed frames a block per ``DEFAULT_BATCH_MAX_USERS`` users, as a
+    collector folds a group; its release is the one per-frame ``submit``
+    makes, counters included."""
+
+    FRAMES = 20
+    USERS = 500  # per frame: 10,000 users, so 2 blocks (8,500 + 1,500)
+
+    @pytest.mark.parametrize("name", ["InpOLH", "HH", "InpRR", "MargRR"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_blocks_release_what_per_frame_submit_releases(
+        self, name, source, tmp_path, capsys, monkeypatch
+    ):
+        import io
+        import math
+        import sys
+        import types
+
+        from repro.cli import _release
+        from repro.protocols.base import MarginalReleaseProtocol
+        from repro.server import DEFAULT_BATCH_MAX_USERS
+        from repro.service import AggregationSession
+
+        from .service.util import build, encode_frames, small_dataset
+
+        protocol = build(name, epsilon=3.0)
+        dataset = small_dataset(n=self.FRAMES * self.USERS, d=6, seed=11)
+        frames = encode_frames(protocol, dataset, self.USERS)
+        assert len(frames) == self.FRAMES
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(protocol.spec().to_json())
+        frames_path = tmp_path / "frames.bin"
+        frames_path.write_bytes(b"".join(frames))
+        json_path = tmp_path / "release.json"
+
+        blocks = []
+        real_block = MarginalReleaseProtocol.decode_report_block
+
+        def decode_report_block(self, parsed, domain=None):
+            blocks.append(sum(frame.num_users for frame in parsed))
+            return real_block(self, parsed, domain)
+
+        monkeypatch.setattr(
+            MarginalReleaseProtocol, "decode_report_block", decode_report_block
+        )
+        arguments = ["aggregate", "--spec", str(spec_path), "--dimension", "6"]
+        if source == "file":
+            arguments += ["--input", str(frames_path)]
+        else:
+            monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(
+                buffer=io.BytesIO(frames_path.read_bytes()), isatty=lambda: False
+            ))
+        assert main(arguments + ["--json", str(json_path)]) == 0
+        capsys.readouterr()
+        users = self.FRAMES * self.USERS
+        assert len(blocks) == math.ceil(users / DEFAULT_BATCH_MAX_USERS)
+        assert blocks == [8500, 1500]
+
+        monkeypatch.undo()
+        session = AggregationSession(protocol.spec(), dataset.domain)
+        for frame in frames:
+            session.submit(frame)
+        _, expected = _release(session.snapshot(), session)
+        assert json.loads(json_path.read_text()) == json.loads(json.dumps(expected))
+        assert expected["session"]["wire_batches"] == self.FRAMES
+
+
 class TestListJson:
     """`repro list --json` is the machine-readable contract for tooling
     (loadgen config validation); the human tables stay the default."""

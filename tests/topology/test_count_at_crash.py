@@ -3,9 +3,12 @@
 A durable collector commits a group in five steps: it appends the group to
 its commit log (``CommitLog.append``: ``os.write``, then
 ``os.fdatasync``), counts it (``report_observer``), writes the ``ACK`` and
-drains it.  A SIGKILL can land between any two of them.  At each of the
-five points below a subprocess collector is killed at its third group,
-and four things must hold:
+drains it.  When the log has grown enough, a compaction runs between the
+sync and the count: it writes a fresh ``state.npz`` (a temp file, its
+``fsync``, ``os.replace``, the directory ``fsync``) and then truncates the
+log.  A SIGKILL can land between any two of these steps.  At each of the
+five commit points and the four compaction points below a subprocess
+collector is killed at its third group, and four things must hold:
 
 * every token the client got an ``ACK`` for is in ``restore_durable``;
 * the client's retry of the third group folds it exactly once;
@@ -16,11 +19,17 @@ and four things must hold:
 
 Each kill is placed from the test side only: a wrapper around
 ``CommitLog.append``, ``os.fdatasync``, the server's ``encode_control``
-or ``asyncio.StreamWriter.drain`` is installed before the collector
-process forks, and it SIGKILLs the child at its point.  A group written
-but not yet synced is on disk after the kill: the process died, not the
-machine, so the write is in the page cache.  The snapshot and compaction
-steps are not covered here.
+or ``asyncio.StreamWriter.drain`` (the commit points), or around
+``os.write``, ``os.replace``, the checkpoint writer's directory ``fsync``
+or ``os.ftruncate`` inside ``CommitLog.snapshot`` (the compaction points,
+with ``COMPACT_RATIO`` at 0 so every commit compacts), is installed before
+the collector process forks, and it SIGKILLs the child at its point.  A
+group written but not yet synced is on disk after the kill: the process
+died, not the machine, so the write is in the page cache.  The group is
+synced before its compaction starts, so it survives every compaction
+point: a torn or unrenamed ``state.npz`` leaves the previous snapshot and
+the log, and a snapshot the log was not yet cut back for covers records
+whose ``seq`` the replay skips.
 """
 
 from __future__ import annotations
@@ -30,13 +39,16 @@ import asyncio
 import multiprocessing
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from repro import cli
 from repro.server import ACK, restore_durable
+from repro.service import AggregationSession
 from repro.server import durable as durable_module
 from repro.server import server as server_module
+from repro.service import session as session_module
 from repro.topology import TopologySupervisor
 
 from ..server.raw_client import send_group
@@ -57,6 +69,20 @@ POINTS = {
     "between_sync_and_observer": True,
     "between_observer_and_ack": True,
     "after_ack": True,
+    "during_snapshot_write": True,
+    "at_snapshot_replace": True,
+    "at_snapshot_directory_fsync": True,
+    "between_snapshot_and_truncate": True,
+}
+
+
+#: The compaction points: the call the kill replaces inside the
+#: ``KILL_AT``-th group's compaction.
+COMPACTION_KILLS = {
+    "during_snapshot_write": (os, "write"),
+    "at_snapshot_replace": (os, "replace"),
+    "at_snapshot_directory_fsync": (session_module, "fsync_directory"),
+    "between_snapshot_and_truncate": (os, "ftruncate"),
 }
 
 
@@ -75,7 +101,39 @@ def _install_kill(point, monkeypatch, parent):
         seen[0] += 1
         return seen[0] == KILL_AT
 
-    if point == "before_log_write":
+    if point in COMPACTION_KILLS:
+        # Every commit compacts; the collector's first snapshot is its
+        # start's, so its KILL_AT-th group's compaction is snapshot
+        # KILL_AT + 1.
+        monkeypatch.setattr(durable_module, "COMPACT_RATIO", 0)
+        real_snapshot = durable_module.CommitLog.snapshot
+        snapshots = [0]
+        armed = [False]
+
+        def snapshot(self, *args, **kwargs):
+            if os.getpid() != parent:
+                snapshots[0] += 1
+                armed[0] = snapshots[0] == KILL_AT + 1
+            try:
+                return real_snapshot(self, *args, **kwargs)
+            finally:
+                armed[0] = False
+
+        monkeypatch.setattr(durable_module.CommitLog, "snapshot", snapshot)
+        module, name = COMPACTION_KILLS[point]
+        real_step = getattr(module, name)
+
+        def step(*args, **kwargs):
+            if armed[0]:
+                if point == "during_snapshot_write":
+                    # Half of the new state.npz reaches its temp file.
+                    handle, data = args
+                    real_step(handle, bytes(data)[: len(data) // 2])
+                _die()
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, step)
+    elif point == "before_log_write":
         real_append = durable_module.CommitLog.append
 
         def append(self, *args, **kwargs):
@@ -116,6 +174,20 @@ def _install_kill(point, monkeypatch, parent):
         monkeypatch.setattr(asyncio.StreamWriter, "drain", drain)
 
 
+def _assert_compaction_cut(point, directory):
+    """The kill cut the third group's compaction where it was placed:
+    before the rename a temp file lies beside the second compaction's
+    snapshot; after it the snapshot covers the third group, whose record
+    the log still holds."""
+    renamed = point in ("at_snapshot_directory_fsync", "between_snapshot_and_truncate")
+    temp = [path for path in directory.iterdir() if path.name.endswith(".tmp")]
+    assert len(temp) == (0 if renamed else 1)
+    state_path = directory / durable_module.DURABLE_STATE_FILENAME
+    state = AggregationSession.restore(state_path)
+    assert state.checkpoint_extra["log_seq"] == (KILL_AT if renamed else KILL_AT - 1)
+    assert (directory / durable_module.COMMIT_LOG_FILENAME).stat().st_size > 0
+
+
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_kill_at_each_commit_step_is_counted_and_retried_once(
     point, tmp_path, monkeypatch
@@ -151,6 +223,8 @@ def test_kill_at_each_commit_step_is_counted_and_retried_once(
 
         (dead,) = supervisor.health_check()
         on_disk = (KILL_AT if POINTS[point] else KILL_AT - 1) * BATCH
+        if point in COMPACTION_KILLS:
+            _assert_compaction_cut(point, Path(dead.checkpoint_dir))
         restored = restore_durable(dead.checkpoint_dir, quarantine=False)
         assert restored.num_reports == on_disk
         assert set(acked) <= set(restored.checkpoint_extra["acked_tokens"])
