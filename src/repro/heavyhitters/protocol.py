@@ -25,6 +25,7 @@ the top-k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
@@ -36,6 +37,7 @@ from ..core.exceptions import (
     AggregationError,
     ProtocolConfigurationError,
 )
+from ..core.hadamard import coefficient_index_set
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
 from ..core.rng import RngLike, ensure_rng
@@ -44,6 +46,7 @@ from ..protocols.base import (
     Accumulator,
     MarginalReleaseProtocol,
     as_record_matrix,
+    record_indices,
 )
 from ..protocols.inp_ht import InpHT, InpHTReports
 from ..protocols.inp_htcms import InpHTCMS, InpHTCMSReports
@@ -91,22 +94,6 @@ register_report_schema(
 )
 
 
-def _pack_reports(oracle: str, reports) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten an inner report batch into (int64, float64) column blocks."""
-    if oracle == "InpOLH":
-        ints = np.column_stack((reports.seeds, reports.noisy_buckets))
-        floats = np.empty((ints.shape[0], 0), dtype=np.float64)
-    elif oracle == "InpHT":
-        ints = np.asarray(reports.choices, dtype=np.int64)[:, None]
-        floats = np.asarray(reports.noisy_values, dtype=np.float64)[:, None]
-    else:
-        ints = np.column_stack(
-            (reports.hash_indices, reports.coefficient_indices)
-        )
-        floats = np.asarray(reports.noisy_signs, dtype=np.float64)[:, None]
-    return np.ascontiguousarray(ints, dtype=np.int64), floats
-
-
 def _unpack_reports(oracle: str, ints: np.ndarray, floats: np.ndarray):
     """Rebuild the inner report batch an oracle accumulator expects."""
     if oracle == "InpOLH":
@@ -124,6 +111,19 @@ def _unpack_reports(oracle: str, ints: np.ndarray, floats: np.ndarray):
         coefficient_indices=np.ascontiguousarray(ints[:, 1]),
         noisy_signs=np.ascontiguousarray(floats[:, 0]),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficient_table(plan: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every InpHT level's coefficient set, concatenated in plan order, and
+    each level's offset into it: level ``l``'s choice ``c`` samples
+    ``table[offsets[l] + c]``."""
+    sets = [coefficient_index_set(bits, bits) for bits in plan]
+    table = np.concatenate(sets)
+    offsets = np.cumsum([0] + [len(alphas) for alphas in sets[:-1]])
+    table.flags.writeable = False
+    offsets.flags.writeable = False
+    return table, offsets
 
 
 class HeavyHittersAccumulator(Accumulator):
@@ -326,6 +326,7 @@ class HeavyHitters(MarginalReleaseProtocol):
         self._num_buckets = int(num_buckets)
         self._num_hashes = int(num_hashes)
         self._width = int(width)
+        self._clients: Dict[Tuple[int, ...], tuple] = {}
 
     def spec_options(self):
         return {
@@ -398,26 +399,80 @@ class HeavyHitters(MarginalReleaseProtocol):
         users, dimension = records.shape
         plan = self.level_plan(dimension)
         int_columns, float_columns = _REPORT_COLUMNS[self._oracle_name]
-        # One draw partitions the batch across levels, then each level's
-        # sub-batch is perturbed in level order with the same generator —
-        # a deterministic function of (records, rng state), so every
-        # shard/socket/topology invariance the pipeline proves carries over.
+        # One draw partitions the batch across levels; then each level, in
+        # plan order, takes its users' draws from the same generator (no
+        # draw depends on a record), and one apply perturbs the whole batch.
+        # The reports are a deterministic function of (records, rng state),
+        # so every shard/socket/topology invariance the pipeline proves
+        # carries over.
         levels = generator.integers(0, len(plan), size=users)
-        int_data = np.zeros((users, int_columns), dtype=np.int64)
-        float_data = np.zeros((users, float_columns), dtype=np.float64)
-        for index, bits in enumerate(plan):
-            members = levels == index
-            if not members.any():
-                continue
-            inner = self.level_protocol(bits).encode_batch(
-                records[members][:, :bits], rng=generator
-            )
-            packed_ints, packed_floats = _pack_reports(self._oracle_name, inner)
-            int_data[members] = packed_ints
-            float_data[members] = packed_floats
+        int_data = np.empty((users, int_columns), dtype=np.int64)
+        float_data = np.empty((users, float_columns), dtype=np.float64)
+        if users:
+            # The batch grouped by level, in batch order within a level:
+            # the order the draws come in.
+            order = np.argsort(levels, kind="stable")
+            bounds = np.cumsum(np.bincount(levels, minlength=len(plan)))
+            prefixes, draws = self._draw(plan, records[order], bounds, generator)
+            columns = self._apply(plan, levels[order], prefixes, draws)
+            for column, values in enumerate(columns[:int_columns]):
+                int_data[order, column] = values
+            for column, values in enumerate(columns[int_columns:]):
+                float_data[order, column] = values
         return HeavyHitterReports(
             levels=levels, int_data=int_data, float_data=float_data
         )
+
+    def _draw(self, plan, grouped_records, bounds, generator):
+        """Every level's prefix indices and draws, each concatenated in
+        plan order.  Level ``l``'s users are rows ``bounds[l-1]:bounds[l]``
+        of the grouped records, and their prefix indices are
+        ``record_indices`` of their first ``plan[l]`` bits; a level refuses
+        an out-of-range prefix before it draws, as its own oracle does."""
+        prefixes, parts = [], []
+        start = 0
+        for bits, client, stop in zip(plan, self._level_clients(plan), bounds):
+            if stop == start:
+                continue
+            prefix = record_indices(grouped_records[start:stop, :bits])
+            size = int(stop - start)
+            if self._oracle_name == "InpHT":
+                parts.append(client.draw((1 << bits) - 1, size, generator))
+            else:
+                client.check_values(prefix)
+                parts.append(client.draw(size, generator))
+            prefixes.append(prefix)
+            start = stop
+        return (
+            np.concatenate(prefixes),
+            [np.concatenate(column) for column in zip(*parts)],
+        )
+
+    def _apply(self, plan, grouped_levels, prefixes, draws):
+        """The report columns of the grouped batch, from one apply over
+        every level.  The levels' oracles differ only in their domain (and
+        InpHT's coefficient set), so the widest level's hashes and perturbs
+        every prefix alike."""
+        widest = self._level_clients(plan)[-1]
+        if self._oracle_name == "InpHT":
+            choices, uniforms = draws
+            table, offsets = _coefficient_table(plan)
+            alphas = table[offsets[grouped_levels] + choices]
+            return choices, widest.apply(prefixes, alphas, uniforms)
+        return widest.apply(prefixes, *draws)
+
+    def _level_clients(self, plan: Tuple[int, ...]) -> tuple:
+        """Each level's client, built once per plan: the OLH or HCMS oracle,
+        or the InpHT protocol (whose draw and apply are the client step)."""
+        clients = self._clients.get(plan)
+        if clients is None:
+            clients = [self.level_protocol(bits) for bits in plan]
+            if self._oracle_name != "InpHT":
+                clients = [
+                    protocol.oracle(bits) for protocol, bits in zip(clients, plan)
+                ]
+            clients = self._clients[plan] = tuple(clients)
+        return clients
 
     def accumulator(self, domain: Domain) -> HeavyHittersAccumulator:
         workload = self.workload_for(domain)
@@ -436,7 +491,7 @@ class HeavyHitters(MarginalReleaseProtocol):
         (:meth:`_check_report_values` checks InpHT's choices per level)."""
         plan = self.level_plan(dimension)
         inner = self.level_protocol(plan[-1]).report_bounds(plan[-1])
-        # The inner bounds come in the order _pack_reports packs columns.
+        # The inner bounds come in the order the report columns are packed.
         return {
             "levels": (len(plan),),
             "int_data": tuple(bound for name in inner for bound in inner[name]),

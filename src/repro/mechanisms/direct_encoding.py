@@ -16,6 +16,7 @@ form derived in Section 4.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -68,17 +69,30 @@ class DirectEncoding:
         A lying user reports a category drawn uniformly from the ``m - 1``
         categories different from their own.
         """
+        values = np.asarray(values, dtype=np.int64)
+        return self.apply(values, *self.draw(values.shape, rng))
+
+    def draw(self, shape, rng: RngLike = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The randomness of :meth:`perturb` for ``shape`` values, in its
+        draw order: each value's lie uniform, then its lie offset."""
         generator = ensure_rng(rng)
+        uniforms = generator.random(shape)
+        offsets = generator.integers(0, self.domain_size - 1, size=shape)
+        return uniforms, offsets
+
+    def apply(
+        self, values: np.ndarray, uniforms: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """The deterministic half of :meth:`perturb`, given its draws."""
         values = np.asarray(values, dtype=np.int64)
         if values.size and (values.min() < 0 or values.max() >= self.domain_size):
             raise ProtocolConfigurationError(
                 f"values must lie in [0, {self.domain_size}), got range "
                 f"[{values.min()}, {values.max()}]"
             )
-        lie = generator.random(values.shape) >= self.keep_probability
-        # Draw a uniformly random *other* category by drawing from m-1 slots
-        # and shifting the slots at or above the true value up by one.
-        offsets = generator.integers(0, self.domain_size - 1, size=values.shape)
+        lie = uniforms >= self.keep_probability
+        # A uniformly random *other* category: a draw from m-1 slots with
+        # the slots at or above the true value shifted up by one.
         lies = np.where(offsets >= values, offsets + 1, offsets)
         return np.where(lie, lies, values)
 

@@ -14,6 +14,7 @@ its decoding cost (``O(N * 2^d)``) quickly becomes the bottleneck.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -95,7 +96,7 @@ class OptimizedLocalHashing:
         object.__setattr__(self, "domain_size", int(self.domain_size))
         object.__setattr__(self, "num_buckets", buckets)
 
-    @property
+    @functools.cached_property
     def encoder(self) -> DirectEncoding:
         """The GRR mechanism applied to the hashed value."""
         return DirectEncoding.from_budget(self.budget, self.num_buckets)
@@ -107,20 +108,41 @@ class OptimizedLocalHashing:
         self, values: np.ndarray, rng: RngLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Produce per-user reports ``(hash_seeds, noisy_buckets)``."""
-        generator = ensure_rng(rng)
         values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            # An empty report batch is a valid (if trivial) streaming chunk.
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        if values.min() < 0 or values.max() >= self.domain_size:
+        return self.apply(values, *self.draw(values.shape[0], rng))
+
+    def draw(
+        self, size: int, rng: RngLike = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The randomness of :meth:`perturb` for ``size`` users, in its draw
+        order: hash seeds, then the GRR step's uniforms and offsets.  None
+        of it depends on the values, so a caller can draw several batches'
+        randomness first and :meth:`apply` it to their values at once."""
+        generator = ensure_rng(rng)
+        seeds = generator.integers(1, SEED_BOUND, size=size, dtype=np.int64)
+        return (seeds, *self.encoder.draw(size, generator))
+
+    def apply(
+        self,
+        values: np.ndarray,
+        seeds: np.ndarray,
+        uniforms: np.ndarray,
+        offsets: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The deterministic half of :meth:`perturb`: hash each value with
+        its seed and pass the bucket through GRR with the drawn uniforms
+        and offsets.  Returns ``(hash_seeds, noisy_buckets)``."""
+        self.check_values(values)
+        buckets = _hash(values, seeds, self.num_buckets)
+        return seeds, self.encoder.apply(buckets, uniforms, offsets)
+
+    def check_values(self, values: np.ndarray) -> None:
+        """Refuse a value outside the oracle's domain ``[0, domain_size)``."""
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() >= self.domain_size):
             raise ProtocolConfigurationError(
                 f"values must lie in [0, {self.domain_size})"
             )
-        seeds = generator.integers(1, SEED_BOUND, size=values.shape[0], dtype=np.int64)
-        buckets = _hash(values, seeds, self.num_buckets)
-        noisy = self.encoder.perturb(buckets, rng=generator)
-        return seeds, noisy
 
     # ------------------------------------------------------------------ #
     # Aggregator side

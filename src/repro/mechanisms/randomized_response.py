@@ -122,10 +122,17 @@ class SignRandomizedResponse:
 
     def perturb(self, signs: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Perturb an array of +/-1 values element-wise."""
-        generator = ensure_rng(rng)
         signs = np.asarray(signs, dtype=np.float64)
-        flips = generator.random(signs.shape) >= self.keep_probability
-        return np.where(flips, -signs, signs)
+        return self.apply(signs, self.draw(signs.shape, rng))
+
+    def draw(self, shape, rng: RngLike = None) -> np.ndarray:
+        """The randomness of :meth:`perturb`: one flip uniform per value."""
+        return ensure_rng(rng).random(shape)
+
+    def apply(self, signs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The deterministic half of :meth:`perturb`, given its draws."""
+        signs = np.asarray(signs, dtype=np.float64)
+        return np.where(uniforms >= self.keep_probability, -signs, signs)
 
     def unbias_mean(self, observed_mean: np.ndarray) -> np.ndarray:
         """Divide an averaged report by the attenuation factor ``2p - 1``."""

@@ -33,16 +33,16 @@ __all__ = ["HadamardCountMeanSketch"]
 _MERSENNE_PRIME = (1 << 61) - 1
 
 
-def _hash_matrix(values: np.ndarray, salts: np.ndarray, width: int) -> np.ndarray:
-    """``hashes[i, l] = h_l(values[i])`` for the sketch's ``g`` hash functions.
+def _salted_hash(values: np.ndarray, salts: np.ndarray, width: int) -> np.ndarray:
+    """``h_salt(value) -> [0, width)``, element-wise over broadcast arrays.
 
     Uses a splitmix64-style avalanche on the (value, salt) pair so that even
     small, sequential domains spread uniformly over the sketch width; a plain
     affine hash is too regular on ``0..2^d - 1`` inputs and would bias the
     count-mean collision correction.
     """
-    values = np.asarray(values, dtype=np.uint64)[:, None]
-    salts = np.asarray(salts, dtype=np.uint64)[None, :]
+    values = np.asarray(values, dtype=np.uint64)
+    salts = np.asarray(salts, dtype=np.uint64)
     with np.errstate(over="ignore"):
         mixed = values + salts * np.uint64(0x9E3779B97F4A7C15)
         mixed ^= mixed >> np.uint64(30)
@@ -114,28 +114,52 @@ class HadamardCountMeanSketch:
         self, values: np.ndarray, rng: RngLike = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Produce reports ``(hash_index, coefficient_index, noisy_sign)``."""
-        generator = ensure_rng(rng)
         values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            # An empty report batch is a valid (if trivial) streaming chunk.
-            empty_indices = np.zeros(0, dtype=np.int64)
-            return empty_indices, empty_indices.copy(), np.zeros(0, dtype=np.float64)
-        if values.min() < 0 or values.max() >= self.domain_size:
-            raise ProtocolConfigurationError(
-                f"values must lie in [0, {self.domain_size})"
-            )
-        n = values.shape[0]
-        hash_indices = generator.integers(0, self.num_hashes, size=n, dtype=np.int64)
-        salts = self._salts()
-        buckets = _hash_matrix(values, salts, self.width)[np.arange(n), hash_indices]
-        coefficient_indices = generator.integers(0, self.width, size=n, dtype=np.int64)
+        return self.apply(values, *self.draw(values.shape[0], rng))
+
+    def draw(
+        self, size: int, rng: RngLike = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The randomness of :meth:`perturb` for ``size`` users, in its draw
+        order: hash indices, coefficient indices, then the sign-RR flip
+        uniforms.  None of it depends on the values."""
+        generator = ensure_rng(rng)
+        hash_indices = generator.integers(
+            0, self.num_hashes, size=size, dtype=np.int64
+        )
+        coefficient_indices = generator.integers(
+            0, self.width, size=size, dtype=np.int64
+        )
+        return hash_indices, coefficient_indices, self.mechanism.draw(size, generator)
+
+    def apply(
+        self,
+        values: np.ndarray,
+        hash_indices: np.ndarray,
+        coefficient_indices: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The deterministic half of :meth:`perturb`: hash each value with
+        its sampled hash function, take the sampled Hadamard coefficient of
+        the one-hot bucket vector and flip it with the drawn uniforms.
+        Returns ``(hash_index, coefficient_index, noisy_sign)``."""
+        self.check_values(values)
+        buckets = _salted_hash(values, self._salts()[hash_indices], self.width)
         # The Hadamard coefficient of a one-hot bucket vector is just the sign
         # (-1)^{<m, bucket>} (unnormalised transform).
         signs = (
             1.0 - 2.0 * bitops.parity(buckets & coefficient_indices)
         ).astype(np.float64)
-        noisy = self.mechanism.perturb(signs, rng=generator)
+        noisy = self.mechanism.apply(signs, uniforms)
         return hash_indices, coefficient_indices, noisy
+
+    def check_values(self, values: np.ndarray) -> None:
+        """Refuse a value outside the sketch's domain ``[0, domain_size)``."""
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() >= self.domain_size):
+            raise ProtocolConfigurationError(
+                f"values must lie in [0, {self.domain_size})"
+            )
 
     # ------------------------------------------------------------------ #
     # Aggregator side
@@ -193,7 +217,7 @@ class HadamardCountMeanSketch:
         """Estimate the frequency of every domain element from a sketch."""
         salts = self._salts()
         candidates = np.arange(self.domain_size, dtype=np.int64)
-        hashes = _hash_matrix(candidates, salts, self.width)  # (domain, g)
+        hashes = _salted_hash(candidates[:, None], salts[None, :], self.width)
         per_hash = sketch[np.arange(self.num_hashes)[None, :], hashes]
         mean = per_hash.mean(axis=1)
         # Count-mean de-biasing for hash collisions: a random other element

@@ -35,9 +35,19 @@ concrete estimator kinds cover the design space:
 from __future__ import annotations
 
 import abc
+import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -126,13 +136,33 @@ def sampled_marginal_cells(
     ``indices[i]`` is user ``i``'s one-hot position and ``choices[i]`` the
     position (into ``marginals``) of the k-way marginal that user sampled;
     the result is the user's cell index within that ``2^k``-cell table.
+    One gather of each user's attribute positions, then one shift, mask
+    and or per cell bit: the same cells as
+    ``bitops.compress_indices(indices & beta, beta)`` marginal by marginal.
     """
-    cells = np.empty(indices.shape[0], dtype=np.int64)
-    for position, beta in enumerate(marginals):
-        members = choices == position
-        if members.any():
-            cells[members] = bitops.compress_indices(indices[members] & beta, beta)
+    positions = _marginal_bit_table(tuple(marginals))
+    user_positions = positions[:, np.asarray(choices, dtype=np.int64)]
+    # Clear the sign bit, so a padding position (63) reads 0 for any index.
+    indices = np.asarray(indices, dtype=np.int64) & np.iinfo(np.int64).max
+    cells = np.zeros(user_positions.shape[1], dtype=np.int64)
+    for bit, shifts in enumerate(user_positions):
+        cells |= ((indices >> shifts) & 1) << bit
     return cells
+
+
+@functools.lru_cache(maxsize=64)
+def _marginal_bit_table(marginals: Tuple[int, ...]) -> np.ndarray:
+    """``(k, M)``: row ``r`` holds the position of each marginal's ``r``-th
+    attribute bit (from least significant), padded with bit 63 for a
+    marginal of fewer than ``k`` attributes.  One row per cell bit, so each
+    bit's gather over the batch reads one contiguous row."""
+    width = max((bitops.popcount(beta) for beta in marginals), default=0)
+    table = np.full((width, len(marginals)), 63, dtype=np.int64)
+    for column, beta in enumerate(marginals):
+        positions = bitops.bit_positions(beta)
+        table[: len(positions), column] = positions
+    table.flags.writeable = False
+    return table
 
 
 class MarginalEstimator(abc.ABC):

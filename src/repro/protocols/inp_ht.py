@@ -22,7 +22,7 @@ better in ``d`` than the other input-based methods for small ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -147,11 +147,28 @@ class InpHT(MarginalReleaseProtocol):
         if alphas.size == 0:
             raise AggregationError("the coefficient set T is empty")
         indices = record_indices(records)
-        # Each user samples one coefficient index uniformly from T.
-        choices = generator.integers(0, alphas.size, size=indices.shape[0])
-        true_values = user_coefficient_values(indices, alphas[choices])
-        noisy_values = self.mechanism().perturb(true_values, rng=generator)
+        choices, uniforms = self.draw(alphas.size, indices.shape[0], generator)
+        noisy_values = self.apply(indices, alphas[choices], uniforms)
         return InpHTReports(choices=choices, noisy_values=noisy_values)
+
+    def draw(
+        self, num_coefficients: int, size: int, rng: RngLike = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The randomness of :meth:`encode_batch` for ``size`` users, in its
+        draw order: each user's position into a ``num_coefficients``-entry
+        coefficient set, then the sign-RR flip uniforms."""
+        generator = ensure_rng(rng)
+        choices = generator.integers(0, num_coefficients, size=size)
+        return choices, self.mechanism().draw(size, generator)
+
+    def apply(
+        self, indices: np.ndarray, alphas: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """The deterministic half of :meth:`encode_batch`: user ``i``'s
+        coefficient ``alphas[i]`` at their one-hot position ``indices[i]``,
+        sign-flipped with the drawn uniforms."""
+        true_values = user_coefficient_values(indices, alphas)
+        return self.mechanism().apply(true_values, uniforms)
 
     def accumulator(self, domain: Domain) -> InpHTAccumulator:
         return InpHTAccumulator(

@@ -890,6 +890,8 @@ def split_report_frames(
             header_rest = _read_exact(source, kind_length + _LENGTH.size)
             frame += header_rest
             if len(header_rest) == kind_length + _LENGTH.size:
+                # The buffer path's order: the kind, then the length.
+                _decode_kind(header_rest[:kind_length])
                 (payload_length,) = _LENGTH.unpack_from(header_rest, kind_length)
                 if payload_length > MAX_PAYLOAD_BYTES:
                     raise WireFormatError(
@@ -949,6 +951,16 @@ def _check_prefix(magic: bytes, version: int) -> None:
     check_report_version(version)
 
 
+def _decode_kind(raw) -> str:
+    """A frame header's kind field as text, refused unless it is UTF-8."""
+    try:
+        return bytes(raw).decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise WireFormatError(
+            f"report frame kind is not valid UTF-8: {error}"
+        ) from error
+
+
 def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
     """Validate the frame header at ``offset``.
 
@@ -973,12 +985,7 @@ def _parse_frame_header(buffer: bytes, offset: int) -> Tuple[str, int, int]:
             f"{header_end - offset} bytes, got {available}"
         )
     kind_start = offset + _PREFIX.size
-    try:
-        kind = bytes(buffer[kind_start : kind_start + kind_length]).decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise WireFormatError(
-            f"report frame kind is not valid UTF-8: {error}"
-        ) from error
+    kind = _decode_kind(buffer[kind_start : kind_start + kind_length])
     (payload_length,) = _LENGTH.unpack_from(buffer, kind_start + kind_length)
     if payload_length > MAX_PAYLOAD_BYTES:
         raise WireFormatError(

@@ -2,10 +2,12 @@
 
 Each oracle is the plain, obviously-correct form of a kernel or codec step:
 the one-bit-per-pass popcount, the butterfly-loop Walsh-Hadamard transform,
-the full-height OLH hash matrix, and a bit-by-bit unpacker of wire v3's
-packed report rows.  The conformance tests compare the library against
-them, and ``benchmarks/bench_kernels.py`` times the fast paths against the
-first four.  None of them is imported by the library itself.
+the full-height OLH hash matrix, a bit-by-bit unpacker of wire v3's
+packed report rows, the marginal-by-marginal cell compression of the
+sampled-marginal protocols and the level-by-level HH client encode.  The
+conformance tests compare the library against them, and
+``benchmarks/bench_kernels.py`` times the fast paths against the first
+four.  None of them is imported by the library itself.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.core import bitops
+from repro.core.rng import ensure_rng
 from repro.mechanisms.local_hashing import _hash
 from repro.protocols.wire import report_schema_for
 
@@ -129,3 +133,48 @@ def decode_rows_reference(kind: str, body: bytes) -> Union[str, Dict[str, np.nda
         array = array.astype(field.dtype)
         values[field.name] = array[:, 0] if field.ndim == 1 else array
     return values
+
+
+def sampled_marginal_cells_reference(indices, choices, marginals) -> np.ndarray:
+    """Each user's compact cell, one ``compress_indices`` per marginal."""
+    indices = np.asarray(indices, dtype=np.int64)
+    choices = np.asarray(choices, dtype=np.int64)
+    cells = np.empty(indices.shape[0], dtype=np.int64)
+    for position, beta in enumerate(marginals):
+        members = choices == position
+        if members.any():
+            cells[members] = bitops.compress_indices(indices[members] & beta, beta)
+    return cells
+
+
+def hh_encode_reference(protocol, records, rng=None):
+    """HH's client encode level by level: the level draw, then each level's
+    users through their own level protocol's ``encode_batch`` in plan
+    order, with the same generator.  Returns ``(levels, int_data,
+    float_data)`` as ``HeavyHitterReports`` packs them."""
+    generator = ensure_rng(rng)
+    records = np.asarray(records)
+    users, dimension = records.shape
+    plan = protocol.level_plan(dimension)
+    oracle = protocol.oracle_name
+    levels = generator.integers(0, len(plan), size=users)
+    int_data = np.zeros((users, 1 if oracle == "InpHT" else 2), dtype=np.int64)
+    float_data = np.zeros((users, 0 if oracle == "InpOLH" else 1))
+    for index, bits in enumerate(plan):
+        members = levels == index
+        if not members.any():
+            continue
+        inner = protocol.level_protocol(bits).encode_batch(
+            records[members][:, :bits], rng=generator
+        )
+        if oracle == "InpOLH":
+            int_data[members, 0] = inner.seeds
+            int_data[members, 1] = inner.noisy_buckets
+        elif oracle == "InpHT":
+            int_data[members, 0] = inner.choices
+            float_data[members, 0] = inner.noisy_values
+        else:
+            int_data[members, 0] = inner.hash_indices
+            int_data[members, 1] = inner.coefficient_indices
+            float_data[members, 0] = inner.noisy_signs
+    return levels, int_data, float_data

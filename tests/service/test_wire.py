@@ -452,6 +452,23 @@ class TestMalformedBuffers:
         with pytest.raises(WireFormatError, match="magic"):
             list(split_report_frames(frame + b"garbage-between-frames" + frame))
 
+    def test_split_checks_the_kind_before_the_length_on_both_paths(self):
+        """A header that is wrong twice (a non-UTF-8 kind and a length past
+        the frame limit) earns the same first error from a bytes buffer
+        and from a stream."""
+        header = (
+            b"RPRB"
+            + struct.pack("<HH", 3, 2)
+            + b"\xff\xfe"
+            + struct.pack("<Q", 2**30 + 1)
+        )
+        messages = []
+        for source in (header, io.BytesIO(header)):
+            with pytest.raises(WireFormatError, match="not valid UTF-8") as caught:
+                list(split_report_frames(source))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
 
 class TestIncrementalStreamReading:
     def test_stream_frames_read_one_at_a_time(self, dataset):
