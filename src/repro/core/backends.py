@@ -5,32 +5,28 @@ array kernels: the OLH support-count scan (``O(N * 2^d)``, the ``InpOLH``
 bottleneck) and the popcount/parity folds behind the Hadamard machinery.
 Each implementation is a :class:`KernelBackend`; which one runs is a fact
 about the machine, fixed at import and returned by
-:func:`resolve_backend`.  Three ship, in this order of preference:
+:func:`resolve_backend`.  Two ship, in this order of preference:
 
-* ``native`` — the threaded fan-out with a compiled work unit: the whole
-  hash-and-compare chain of the support-count scan fused into one C loop
-  (``_olh_scan.c``), built once per machine with the system C compiler
-  into a private per-user cache and loaded through :mod:`ctypes` (which
-  releases the GIL) at import, so forked collectors inherit the mapping.
-  The library carries x86-64-v4 (AVX-512), avx2 and default clones of
-  every entry point, and the loader runs the widest the CPU supports
+* ``native`` — the whole hash-and-compare chain of the support-count scan
+  fused into one C loop (``_olh_scan.c``), built once per machine with
+  the system C compiler into a private per-user cache and loaded through
+  :mod:`ctypes` at import, so forked collectors inherit the mapping.  The
+  library carries x86-64-v4 (AVX-512), avx2 and default clones of every
+  entry point, and the loader runs the widest the CPU supports
   (:func:`native_clone` names it).  It runs whenever it loaded; without
   a compiler, or with a failed build or an unusable cache, the first
-  :func:`resolve_backend` call logs one warning and one of the numpy
-  backends runs instead.
-* ``threaded`` — the numpy kernels fanned out over a thread pool, on a
-  multi-core host.  numpy releases the GIL inside its ufunc loops, so
-  user-partitioned support counting and chunked popcount/parity scale
-  with cores while staying bit-for-bit identical (integer partial sums
-  add exactly).
+  :func:`resolve_backend` call logs one warning and ``numpy`` runs
+  instead.
 * ``numpy`` — the reference-conformant blocked numpy implementation (the
-  exact kernels proven against their references by the property suite),
-  on a single-core host.
+  exact kernels proven against their references by the property suite).
+
+Every kernel runs on the thread that calls it: parallelism belongs to
+processes (collectors, ``ProcessExecutor``), never to a kernel call.
 
 Besides the one-domain scan, every backend answers
 :meth:`KernelBackend.support_counts_levels`, which counts all prefix
-levels of a heavy-hitter batch at once: ``native`` in one C call, the
-numpy backends through the base class's loop over the levels.
+levels of a heavy-hitter batch at once: ``native`` in one C call,
+``numpy`` through the base class's loop over the levels.
 
 Every backend computes *identical* integer support counts, so the choice
 changes only speed, never an estimate, a checkpoint or a spec.
@@ -51,11 +47,9 @@ import platform
 import shutil
 import subprocess
 import tempfile
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +59,6 @@ __all__ = [
     "HAS_BITWISE_COUNT",
     "KernelBackend",
     "NumpyBackend",
-    "ThreadedBackend",
     "NativeBackend",
     "native_clone",
     "resolve_backend",
@@ -219,7 +212,7 @@ class KernelBackend:
 
         ``support[x]`` is the number of users whose noisy bucket equals
         their hash of ``x`` — an exact integer count, so any partition of
-        the users (blocks, threads, processes) sums to the same result.
+        the users (blocks, batches, processes) sums to the same result.
         """
         with trace.span("kernel.support_counts") as span:
             span.annotate(backend=self.name, users=int(seeds.shape[0]))
@@ -317,8 +310,7 @@ class NumpyBackend(KernelBackend):
         per-column counter are allocated once per call and every pass
         writes into them.  Offsets and targets are broadcast into the
         scratch buffer with ``np.copyto`` so the add and the compare run
-        over contiguous operands.  Also the per-thread work unit of
-        :class:`ThreadedBackend`.
+        over contiguous operands.
         """
         num_users = offsets.shape[0]
         support = np.zeros(domain_size, dtype=np.int64)
@@ -357,127 +349,21 @@ class NumpyBackend(KernelBackend):
         return support
 
 
-class ThreadedBackend(KernelBackend):
-    """The numpy kernels fanned out over a shared thread pool.
+class NativeBackend(NumpyBackend):
+    """The fused C scan: one library call per support count.
 
-    Support counts partition the *users* across workers: each thread runs
-    the full-domain blocked scan over its user slice and the ``int64``
-    partials are summed — exact, because integer addition is associative
-    and commutative.  popcount/parity chunk the input array the same way.
-    Small inputs (below :attr:`min_work_elements` total work) skip the
-    pool entirely; thread fan-out costs more than it saves there.
-
-    A forked child inherits the pool object but none of its threads, so
-    work submitted to it would wait forever; every instance drops its pool
-    in the child (``os.register_at_fork``) and the child starts its own.
-    """
-
-    name = "threaded"
-
-    #: Minimum total work (elements touched) before threads pay off.
-    min_work_elements = 1 << 21
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self._max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._numpy = NumpyBackend()
-        _THREADED_BACKENDS.add(self)
-
-    @property
-    def workers(self) -> int:
-        return self._max_workers or min(8, os.cpu_count() or 1)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-kernel"
-            )
-        return self._pool
-
-    def _slices(self, total: int) -> Tuple[slice, ...]:
-        workers = min(self.workers, total)
-        step = -(-total // workers)
-        return tuple(
-            slice(start, min(start + step, total))
-            for start in range(0, total, step)
-        )
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        if words.size < self.min_work_elements or words.ndim != 1:
-            return self._numpy.popcount(words)
-        parts = self._executor().map(
-            lambda part: self._numpy.popcount(part),
-            [words[chunk] for chunk in self._slices(words.shape[0])],
-        )
-        return np.concatenate(list(parts))
-
-    def parity(self, words: np.ndarray) -> np.ndarray:
-        if words.size < self.min_work_elements or words.ndim != 1:
-            return self._numpy.parity(words)
-        parts = self._executor().map(
-            lambda part: self._numpy.parity(part),
-            [words[chunk] for chunk in self._slices(words.shape[0])],
-        )
-        return np.concatenate(list(parts))
-
-    #: The per-thread work unit: ``(offsets, targets, domain_size,
-    #: num_buckets, batch_size) -> int64 support`` over one user slice.
-    _scan = staticmethod(NumpyBackend._scan)
-
-    def _fan_out(self, num_users: int, work: int) -> bool:
-        """Whether ``work`` elements over ``num_users`` users pay for the pool."""
-        return (
-            work >= self.min_work_elements
-            and num_users >= 2
-            and self.workers >= 2
-        )
-
-    def _sum_over_slices(self, num_users: int, count: Callable) -> np.ndarray:
-        """``count(user_slice)`` on the pool for every slice, summed."""
-        partials = iter(self._executor().map(count, self._slices(num_users)))
-        support = next(partials)
-        for partial in partials:
-            support += partial
-        return support
-
-    def _support_counts(
-        self, seeds, noisy_buckets, domain_size, num_buckets, batch_size
-    ) -> np.ndarray:
-        num_users = seeds.shape[0]
-        offsets, targets = _scan_operands(seeds, noisy_buckets)
-        if not self._fan_out(num_users, num_users * domain_size):
-            return self._scan(
-                offsets, targets, domain_size, num_buckets, batch_size
-            )
-        return self._sum_over_slices(
-            num_users,
-            lambda chunk: self._scan(
-                offsets[chunk],
-                targets[chunk],
-                domain_size,
-                num_buckets,
-                batch_size,
-            ),
-        )
-
-
-class NativeBackend(ThreadedBackend):
-    """The threaded fan-out with the fused C scan as its work unit.
-
-    Same pool, user slices, :attr:`min_work_elements` and fork hook as
-    :class:`ThreadedBackend`; each slice runs ``_olh_scan.c`` — add,
-    avalanche, bucket fold, compare and count in one loop per (user,
-    element) instead of numpy's separate passes over a tile — and yields
-    the same integer counts.  A heavy-hitter batch's levels take one C
-    call per slice, which also sorts the users by level and hoists the
-    seed products.  ``library`` is the loaded scan (see
-    :func:`_load_native_library`); popcount/parity stay numpy.
+    ``_olh_scan.c`` runs add, avalanche, bucket fold, compare and count in
+    one loop per (user, element) instead of numpy's separate passes over a
+    tile, and yields the same integer counts.  A heavy-hitter batch's
+    levels take one call, which also sorts the users by level and hoists
+    the seed products.  ``library`` is the loaded scan (see
+    :func:`_load_native_library`); popcount/parity are
+    :class:`NumpyBackend`'s.
     """
 
     name = "native"
 
-    def __init__(self, library: ctypes.CDLL, max_workers: Optional[int] = None):
-        super().__init__(max_workers)
+    def __init__(self, library: ctypes.CDLL):
         self._library = library
 
     @property
@@ -524,44 +410,24 @@ class NativeBackend(ThreadedBackend):
                 "pair per user, non-negative 1-D domains and a decode "
                 "batch size >= 1"
             )
-        total = int(domains.sum())
-
-        def count(chunk: slice) -> np.ndarray:
-            support = np.zeros(total, dtype=np.int64)
-            status = self._library.repro_olh_support_counts_levels(
-                levels[chunk].ctypes.data,
-                pairs[chunk].ctypes.data,
-                chunk.stop - chunk.start,
-                domains.shape[0],
-                domains.ctypes.data,
-                num_buckets,
-                batch_size,
-                support.ctypes.data,
+        support = np.zeros(int(domains.sum()), dtype=np.int64)
+        status = self._library.repro_olh_support_counts_levels(
+            levels.ctypes.data,
+            pairs.ctypes.data,
+            num_users,
+            domains.shape[0],
+            domains.ctypes.data,
+            num_buckets,
+            batch_size,
+            support.ctypes.data,
+        )
+        if status == _NATIVE_BAD_LEVEL:
+            raise ValueError(
+                f"report levels must lie in [0, {domains.shape[0]})"
             )
-            if status == _NATIVE_BAD_LEVEL:
-                raise ValueError(
-                    f"report levels must lie in [0, {domains.shape[0]})"
-                )
-            if status == _NATIVE_NO_MEMORY:
-                raise MemoryError("native level scan could not allocate")
-            return support
-
-        widest = int(domains.max()) if domains.size else 0
-        if not self._fan_out(num_users, num_users * widest):
-            return count(slice(0, num_users))
-        return self._sum_over_slices(num_users, count)
-
-
-_THREADED_BACKENDS: "weakref.WeakSet[ThreadedBackend]" = weakref.WeakSet()
-
-
-def _drop_inherited_pools() -> None:
-    for backend in _THREADED_BACKENDS:
-        backend._pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_inherited_pools)
+        if status == _NATIVE_NO_MEMORY:
+            raise MemoryError("native level scan could not allocate")
+        return support
 
 
 # --------------------------------------------------------------------- #
@@ -706,8 +572,6 @@ def _machine_backend() -> Tuple[KernelBackend, Optional[str]]:
         f"native OLH support-count scan unavailable ({reason}); falling "
         f"back to the numpy kernels"
     )
-    if (os.cpu_count() or 1) > 1:
-        return ThreadedBackend(), warning
     return NumpyBackend(), warning
 
 
@@ -730,9 +594,8 @@ def native_clone() -> Optional[str]:
 def resolve_backend() -> KernelBackend:
     """This machine's kernel backend, counted as one dispatch.
 
-    ``native`` when the C scan loaded, else ``threaded`` on a multi-core
-    host, else ``numpy``.  On a fallback, the first call logs why
-    ``native`` did not load.
+    ``native`` when the C scan loaded, else ``numpy``.  On a fallback, the
+    first call logs why ``native`` did not load.
     """
     global _DISPATCH_COUNTER, _FALLBACK_WARNING
     if _FALLBACK_WARNING is not None:

@@ -56,8 +56,8 @@ def popcount(values):
     Array inputs go through this machine's kernel backend
     (:func:`repro.core.backends.resolve_backend`): the numpy backend uses
     ``np.bitwise_count`` where available and a SWAR fold over 64-bit words
-    otherwise; the threaded backend chunks large arrays over a thread pool.
-    Plain Python ints defer to ``int.bit_count``.
+    otherwise (``native`` shares it).  Plain Python ints defer to
+    ``int.bit_count``.
     """
     if np.isscalar(values) and not isinstance(values, np.generic):
         return int(values).bit_count()

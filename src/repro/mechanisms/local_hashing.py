@@ -159,9 +159,9 @@ class OptimizedLocalHashing:
         This is the ``O(N * 2^d)`` hot loop of the library; the scan itself
         is delegated to this machine's kernel backend
         (:func:`repro.core.backends.resolve_backend` — the fused C scan
-        when it built, else the numpy blocked scan or its thread-pool
-        fan-out), in blocks of :data:`DEFAULT_DECODE_BATCH_SIZE` elements.
-        Every backend produces identical ``int64`` counts.
+        when it built, else the numpy blocked scan) on the calling thread,
+        in blocks of :data:`DEFAULT_DECODE_BATCH_SIZE` elements.  Every
+        backend produces identical ``int64`` counts.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
         noisy_buckets = np.asarray(noisy_buckets, dtype=np.int64)

@@ -5,7 +5,8 @@ A watch session opens a plain socket to each collector, sends one
 carries the collector's :meth:`~repro.server.CollectionServer.stats`
 counters and a metrics-snapshot ``state_dict``.  Because the counters are
 monotonic, two consecutive samples give exact interval rates
-(reports/sec, MB/sec) with no server-side bookkeeping.
+(reports/sec, MB/sec, and the collector's CPU microseconds per report)
+with no server-side bookkeeping.
 
 The rendering also derives the *expected-error half-width* the theory
 section promises for the collected population so far: Table-2 methods go
@@ -180,6 +181,7 @@ class RateTracker:
 
     def __init__(self) -> None:
         self._last: Dict[str, Tuple[float, float, float]] = {}
+        self._cpu: Dict[str, Tuple[float, float]] = {}
 
     def rates(
         self, target: str, reports: float, num_bytes: float, now: Optional[float] = None
@@ -199,6 +201,22 @@ class RateTracker:
             (float(reports) - last_reports) / elapsed,
             (float(num_bytes) - last_bytes) / (1e6 * elapsed),
         )
+
+    def cpu_us_per_report(
+        self, target: str, reports: float, cpu_seconds: float
+    ) -> Optional[float]:
+        """The collector's CPU microseconds per report since the previous
+        sample, or ``None`` on a target's first sample or when no report
+        arrived in between."""
+        previous = self._cpu.get(target)
+        self._cpu[target] = (float(reports), float(cpu_seconds))
+        if previous is None:
+            return None
+        last_reports, last_cpu = previous
+        collected = float(reports) - last_reports
+        if collected <= 0:
+            return None
+        return 1e6 * (float(cpu_seconds) - last_cpu) / collected
 
 
 def render_watch(
@@ -256,6 +274,20 @@ def render_watch(
             lines.append(
                 f"  groups  : committed={int(groups.get('committed', 0)):,}  "
                 f"duplicate={int(groups.get('duplicate', 0)):,}"
+            )
+        cpu = stats.get("cpu")
+        if cpu:
+            user = float(cpu.get("user_seconds", 0.0))
+            system = float(cpu.get("sys_seconds", 0.0))
+            per_report = ""
+            if tracker is not None:
+                micros = tracker.cpu_us_per_report(
+                    target, reports, user + system
+                )
+                if micros is not None:
+                    per_report = f"  [{micros:.3f} µs/report]"
+            lines.append(
+                f"  cpu     : user={user:.2f}s  sys={system:.2f}s{per_report}"
             )
         commit_log = stats.get("commit_log")
         if commit_log:

@@ -80,6 +80,7 @@ __all__ = [
     "MarginalReleaseProtocol",
     "as_record_matrix",
     "record_indices",
+    "sampled_marginals",
     "sampled_marginal_cells",
     "take_state_array",
 ]
@@ -126,6 +127,14 @@ def as_record_matrix(records) -> np.ndarray:
             f"a record batch must be a 2-D (n, d) array, got shape {array.shape}"
         )
     return array
+
+
+@functools.lru_cache(maxsize=64)
+def sampled_marginals(dimension: int, width: int) -> Tuple[int, ...]:
+    """The ``C(d, k)`` k-way marginals a sampling client draws from,
+    ascending: ``bitops.masks_of_weight(d, k)``, built once per
+    configuration rather than once per encoded batch."""
+    return tuple(bitops.masks_of_weight(dimension, width))
 
 
 def sampled_marginal_cells(

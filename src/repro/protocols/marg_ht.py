@@ -34,6 +34,7 @@ from .base import (
     as_record_matrix,
     record_indices,
     sampled_marginal_cells,
+    sampled_marginals,
     take_state_array,
 )
 from .wire import ReportField, WireCodableReports, register_report_schema
@@ -137,7 +138,7 @@ class MargHT(MarginalReleaseProtocol):
     def encode_batch(self, records, rng: RngLike = None) -> MargHTReports:
         generator = ensure_rng(rng)
         records = as_record_matrix(records)
-        marginals = bitops.masks_of_weight(records.shape[1], self.max_width)
+        marginals = sampled_marginals(records.shape[1], self.max_width)
         cells = 1 << self.max_width
 
         indices = record_indices(records)

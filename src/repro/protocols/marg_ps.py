@@ -19,7 +19,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core import bitops
 from ..core.domain import Domain
 from ..core.marginals import MarginalWorkload
 from ..core.rng import RngLike, ensure_rng
@@ -31,6 +30,7 @@ from .base import (
     as_record_matrix,
     record_indices,
     sampled_marginal_cells,
+    sampled_marginals,
     take_state_array,
 )
 from .wire import ReportField, WireCodableReports, register_report_schema
@@ -131,7 +131,7 @@ class MargPS(MarginalReleaseProtocol):
     def encode_batch(self, records, rng: RngLike = None) -> MargPSReports:
         generator = ensure_rng(rng)
         records = as_record_matrix(records)
-        marginals = bitops.masks_of_weight(records.shape[1], self.max_width)
+        marginals = sampled_marginals(records.shape[1], self.max_width)
 
         indices = record_indices(records)
         choices = generator.integers(0, len(marginals), size=indices.shape[0])

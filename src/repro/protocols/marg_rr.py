@@ -17,7 +17,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..core import bitops
 from ..core.domain import Domain
 from ..core.marginals import MarginalWorkload
 from ..core.privacy import PrivacyBudget
@@ -30,6 +29,7 @@ from .base import (
     as_record_matrix,
     record_indices,
     sampled_marginal_cells,
+    sampled_marginals,
     take_state_array,
 )
 from .wire import ReportField, WireCodableReports, register_report_schema
@@ -145,7 +145,7 @@ class MargRR(MarginalReleaseProtocol):
     def encode_batch(self, records, rng: RngLike = None) -> MargRRReports:
         generator = ensure_rng(rng)
         records = as_record_matrix(records)
-        marginals = bitops.masks_of_weight(records.shape[1], self.max_width)
+        marginals = sampled_marginals(records.shape[1], self.max_width)
         cells = 1 << self.max_width
 
         indices = record_indices(records)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import socket
 import time
 from pathlib import Path
@@ -593,6 +594,7 @@ class CollectionServer:
         elapsed = None
         if self._started_at is not None:
             elapsed = (self._stopped_at or now) - self._started_at
+        times = os.times()
         return {
             "address": {"host": self._host, "port": self._port},
             "collector_id": self.collector_id,
@@ -625,6 +627,8 @@ class CollectionServer:
                 session.num_reports for session in self._sessions
             ],
             "checkpoints_written": self._checkpoints_written,
+            # The whole process's CPU: a collector runs one server.
+            "cpu": {"user_seconds": times.user, "sys_seconds": times.system},
             "commit_log": (
                 {
                     "records": self._log.records,

@@ -21,7 +21,6 @@ from repro.core.backends import (
     _SEED_MIX,
     NativeBackend,
     NumpyBackend,
-    ThreadedBackend,
     native_clone,
     resolve_backend,
 )
@@ -48,24 +47,8 @@ needs_native = pytest.mark.skipif(
 
 
 def _conformance_backends():
-    """Every backend, with the fanned-out ones also forced onto their
-    thread pool (instance-level threshold override) so small test inputs
-    exercise the fan-out path, not just the small-input passthrough."""
-    backends = [NumpyBackend(), ThreadedBackend(), _pooled_backend()]
-    if NATIVE is not None:
-        backends += [NATIVE, _pooled_backend(native=True)]
-    return backends
-
-
-def _pooled_backend(
-    max_workers: int = 3, native: bool = False
-) -> ThreadedBackend:
-    if native:
-        pooled = NativeBackend(NATIVE._library, max_workers=max_workers)
-    else:
-        pooled = ThreadedBackend(max_workers=max_workers)
-    pooled.min_work_elements = 1  # force the pool even for tiny inputs
-    return pooled
+    """Every backend this host can run."""
+    return [NumpyBackend()] + ([NATIVE] if NATIVE is not None else [])
 
 
 @pytest.fixture(params=_conformance_backends(), ids=lambda b: f"{b.name}")
@@ -163,22 +146,20 @@ class TestConformanceMatrix:
 
 class TestMachineBackend:
     def test_native_when_it_loaded_else_a_numpy_backend(self):
-        expected = "native" if NATIVE is not None else (
-            "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
-        )
+        expected = "native" if NATIVE is not None else "numpy"
         assert resolve_backend().name == expected
         assert resolve_backend() is resolve_backend()
         assert (native_clone() is None) == (NATIVE is None)
 
     def test_fallback_warning_fires_once(self, monkeypatch, caplog):
-        monkeypatch.setattr(backends_module, "_BACKEND", ThreadedBackend())
+        monkeypatch.setattr(backends_module, "_BACKEND", NumpyBackend())
         monkeypatch.setattr(
             backends_module, "_FALLBACK_WARNING", "scan unavailable (bogus)"
         )
         with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
             first = resolve_backend()
             second = resolve_backend()
-        assert first is second and first.name == "threaded"
+        assert first is second and first.name == "numpy"
         assert native_clone() is None
         warnings = [r for r in caplog.records if "bogus" in r.message]
         assert len(warnings) == 1
@@ -282,41 +263,29 @@ class TestBlockEdges:
 
 
 class TestFork:
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_forked_child_does_not_wait_on_the_inherited_pool(self):
-        """A child forked after the pool started inherits the executor but
-        not its threads; it must build its own pool instead of hanging."""
-        self._assert_forked_child_counts(_pooled_backend(max_workers=2))
-
     @needs_native
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_forked_native_child_uses_the_inherited_library(self):
-        """The same after the native pool started: the child also calls
-        the library it inherited mapped, without loading it again."""
-        self._assert_forked_child_counts(
-            _pooled_backend(max_workers=2, native=True)
-        )
-
-    @staticmethod
-    def _assert_forked_child_counts(pooled):
+        """A child forked after the parent counted, as the supervisor forks
+        collectors, calls the library it inherited mapped and counts what
+        the parent counts."""
         rng = np.random.default_rng(3)
-        seeds = rng.integers(1, 2**62, size=400, dtype=np.int64)
-        noisy = rng.integers(0, 4, size=400, dtype=np.int64)
-        expected = pooled.support_counts(seeds, noisy, 256, 4, 1024)
+        seeds = rng.integers(1, 2**62, size=8192, dtype=np.int64)
+        noisy = rng.integers(0, 4, size=8192, dtype=np.int64)
+        expected = NATIVE.support_counts(seeds, noisy, 256, 4, 1024)
+
         pid = os.fork()
         if pid == 0:  # the child leaves through os._exit, never into pytest
             status = 1
             try:
                 signal.alarm(10)
-                observed = pooled.support_counts(seeds, noisy, 256, 4, 1024)
+                observed = NATIVE.support_counts(seeds, noisy, 256, 4, 1024)
                 status = 0 if np.array_equal(observed, expected) else 2
             finally:
                 os._exit(status)
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status), (
-            f"child killed by signal {os.WTERMSIG(status)}: it hung on the "
-            f"inherited thread pool"
+            f"child killed by signal {os.WTERMSIG(status)}"
         )
         assert os.WEXITSTATUS(status) == 0

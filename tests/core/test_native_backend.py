@@ -2,7 +2,7 @@
 cache safety.
 
 ``native`` must count exactly what the numpy scan and the retained
-reference count, for every bucket count and block shape, threaded or not,
+reference count, for every bucket count and block shape,
 through both entry points (one domain, and every heavy-hitter level in one
 call), and in every single-ISA build this CPU can run, not only the clone
 it dispatches; when it cannot be built it must degrade to the numpy
@@ -67,12 +67,6 @@ SINGLE_ISA_BUILDS = [
 ]
 
 
-def _pooled_native(max_workers: int = 3) -> NativeBackend:
-    pooled = NativeBackend(NATIVE._library, max_workers=max_workers)
-    pooled.min_work_elements = 1  # force the pool even for tiny inputs
-    return pooled
-
-
 @pytest.fixture
 def cache_home(tmp_path, monkeypatch):
     """An empty ``$XDG_CACHE_HOME``: the next load builds from scratch."""
@@ -131,23 +125,20 @@ class TestConformance:
         domain_size=st.integers(2, 300),
         batch_size=st.sampled_from([1, 7, 64, 1024]),
         users=st.sampled_from([0, 1, 3, 37, 129]),
-        pooled=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_counts_equal_reference_and_numpy(
-        self, num_buckets, domain_size, batch_size, users, pooled, seed
+        self, num_buckets, domain_size, batch_size, users, seed
     ):
         """Against the reference and the numpy scan, for domains that are
-        not multiples of the block width, odd and empty user counts, and
-        the threaded fan-out forced on."""
-        backend = _pooled_native() if pooled else NATIVE
+        not multiples of the block width and odd and empty user counts."""
         seeds, noisy = _reports(seed, users, num_buckets)
         oracle = OptimizedLocalHashing(
             domain_size=domain_size,
             budget=PrivacyBudget(np.log(3.0)),
             num_buckets=num_buckets,
         )
-        observed = backend.support_counts(
+        observed = NATIVE.support_counts(
             seeds, noisy, domain_size, num_buckets, batch_size
         )
         assert observed.dtype == np.int64
@@ -243,18 +234,15 @@ class TestLevels:
         domains=st.lists(st.integers(2, 300), min_size=1, max_size=4),
         batch_size=st.sampled_from([1, 7, 64, 1024]),
         users=st.sampled_from([0, 1, 3, 37, 129]),
-        pooled=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_call_equals_numpy_level_by_level(
-        self, num_buckets, domains, batch_size, users, pooled, seed
+        self, num_buckets, domains, batch_size, users, seed
     ):
         """Every level's slice of the one-call result is the numpy scan
-        over that level's users, with empty levels, hostile buckets and
-        the threaded fan-out forced on."""
-        backend = _pooled_native() if pooled else NATIVE
+        over that level's users, with empty levels and hostile buckets."""
         levels, pairs = _level_batch(seed, users, len(domains), num_buckets)
-        observed = backend.support_counts_levels(
+        observed = NATIVE.support_counts_levels(
             levels, pairs, np.array(domains), num_buckets, batch_size
         )
         assert observed.dtype == np.int64
@@ -472,8 +460,7 @@ class TestFallback:
             monkeypatch.setattr(backends_module, "_FALLBACK_WARNING", warning)
             fallback = resolve_backend()
             fallback_estimates = _olh_and_hh_estimates()
-        expected = "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
-        assert fallback.name == expected
+        assert fallback.name == "numpy"
         assert native_clone() is None
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()

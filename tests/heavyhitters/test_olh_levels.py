@@ -1,8 +1,8 @@
 """HH over the OLH oracle folds every prefix level in one kernel call.
 
 Whatever the backend — the native one-call level scan, or the numpy
-backends' per-level default, including the fallback when the native scan
-did not build — an HH accumulator's state must be bit-for-bit the state
+backend's per-level default, which is also the fallback when the native
+scan did not build — an HH accumulator's state must be bit-for-bit the state
 that folding each level's reports into its own ``InpOLH`` accumulator
 gives on the numpy backend.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import backends as backends_module
-from repro.core.backends import NativeBackend, NumpyBackend, ThreadedBackend
+from repro.core.backends import NativeBackend, NumpyBackend
 from repro.core.domain import Domain
 from repro.core.exceptions import AggregationError
 from repro.core.privacy import PrivacyBudget
@@ -22,7 +22,7 @@ from repro.heavyhitters.protocol import HeavyHitterReports
 from repro.protocols.inp_olh import InpOLHReports
 
 D = 8
-BACKENDS = {"numpy": NumpyBackend(), "threaded": ThreadedBackend()}
+BACKENDS = {"numpy": NumpyBackend()}
 if isinstance(backends_module._BACKEND, NativeBackend):
     BACKENDS["native"] = backends_module._BACKEND
 
@@ -140,7 +140,7 @@ def test_the_fallback_without_a_native_build_folds_the_same(
     monkeypatch, machine_backend
 ):
     """The backend a machine without a C compiler chooses takes the numpy
-    backends' per-level default and lands on the same state as this
+    backend's per-level default and lands on the same state as this
     machine's backend."""
     protocol = _protocol(2)
     batches = [_encoded(protocol, seed=seed) for seed in (7, 8)]
@@ -152,7 +152,7 @@ def test_the_fallback_without_a_native_build_folds_the_same(
     monkeypatch.setattr(backends_module, "_compiler", no_compiler)
     fallback, warning = backends_module._machine_backend()
     assert "no C compiler" in warning
-    assert machine_backend(fallback).name in ("numpy", "threaded")
+    assert machine_backend(fallback).name == "numpy"
     _assert_same_state(_hh_state(protocol, batches), machines)
 
 

@@ -56,6 +56,16 @@ def test_zero_elapsed_yields_no_rate():
     assert tracker.rates("a", 200, 0, now=10.0) is None
 
 
+def test_cpu_per_report_between_samples():
+    tracker = RateTracker()
+    assert tracker.cpu_us_per_report("a", 1_000, 2.0) is None
+    assert tracker.cpu_us_per_report("a", 5_000, 3.2) == pytest.approx(300.0)
+    assert tracker.cpu_us_per_report("b", 9_000, 9.0) is None
+    # No report in the interval: no per-report figure.
+    assert tracker.cpu_us_per_report("a", 5_000, 3.5) is None
+    assert tracker.cpu_us_per_report("a", 6_000, 3.6) == pytest.approx(100.0)
+
+
 # ----------------------------------------------------------------------
 # expected_error_half_width
 
@@ -156,3 +166,17 @@ def test_render_counts_groups_apart_from_connections():
     frame = render_watch([payload])
     assert "conns   : active=1  completed=9" in frame
     assert "groups  : committed=1,234  duplicate=5" in frame
+
+
+def test_render_shows_the_collectors_cpu_per_report():
+    tracker = RateTracker()
+    payload = payload_for(reports=2_000)
+    payload["stats"]["cpu"] = {"user_seconds": 1.5, "sys_seconds": 0.25}
+    first = render_watch([payload], tracker, now=0.0)
+    assert "  cpu     : user=1.50s  sys=0.25s\n" in first
+    payload = payload_for(reports=6_000)
+    payload["stats"]["cpu"] = {"user_seconds": 2.5, "sys_seconds": 0.45}
+    second = render_watch([payload], tracker, now=2.0)
+    # (1.2 s of CPU) / (4,000 reports) = 300 us per report.
+    assert "  cpu     : user=2.50s  sys=0.45s  [300.000 µs/report]\n" in second
+    assert "cpu     :" not in render_watch([payload_for()])

@@ -4,17 +4,21 @@ per marginal.
 MargPS, MargRR and MargHT read each user's cell of their sampled marginal
 through one ``(k, M)`` bit-position gather and ``k`` shift/mask/or steps;
 the reference in ``tests/oracles.py`` is the per-marginal
-``compress_indices(indices & beta, beta)`` it replaced.
+``compress_indices(indices & beta, beta)`` it replaced.  The marginal set
+itself is built once per (d, k), not once per encoded batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitops
-from repro.protocols.base import sampled_marginal_cells
+from repro.core.privacy import PrivacyBudget
+from repro.protocols.base import sampled_marginal_cells, sampled_marginals
+from repro.protocols.registry import make_protocol
 
 from ..oracles import sampled_marginal_cells_reference
 
@@ -90,3 +94,24 @@ def test_the_table_is_built_once_per_marginal_set():
     after = _marginal_bit_table.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert _marginal_bit_table(tuple(marginals)).shape == (3, len(marginals))
+
+
+@pytest.mark.parametrize("name", ["MargPS", "MargRR", "MargHT"])
+def test_the_marginal_set_is_built_once_per_configuration(name, monkeypatch):
+    """Three encoded batches run the ``masks_of_weight`` loop once: the
+    set depends on (d, k), never on the batch."""
+    calls = []
+    masks_of_weight = bitops.masks_of_weight
+
+    def counting(d, k):
+        calls.append((d, k))
+        return masks_of_weight(d, k)
+
+    monkeypatch.setattr(bitops, "masks_of_weight", counting)
+    sampled_marginals.cache_clear()
+    protocol = make_protocol(name, PrivacyBudget(np.log(3.0)), 2)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        records = (rng.random((40, 7)) < 0.5).astype(np.int8)
+        protocol.encode_batch(records, rng=rng)
+    assert calls == [(7, 2)]

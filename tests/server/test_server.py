@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import backends as backends_module
-from repro.core.backends import NativeBackend, NumpyBackend, ThreadedBackend
+from repro.core.backends import NativeBackend, NumpyBackend
 from repro.core.domain import Domain
 from repro.core.exceptions import (
     CollectionServiceError,
@@ -144,7 +144,6 @@ class TestEndToEndEquality:
         "backend",
         [
             NumpyBackend,
-            ThreadedBackend,
             pytest.param(
                 lambda: backends_module._BACKEND,
                 marks=pytest.mark.skipif(
@@ -153,7 +152,7 @@ class TestEndToEndEquality:
                 ),
             ),
         ],
-        ids=["numpy", "threaded", "native"],
+        ids=["numpy", "native"],
     )
     def test_olh_socket_equality_per_kernel_backend(
         self, backend, dataset, machine_backend

@@ -64,6 +64,7 @@ def probe_results():
         empty_scrape = await http_get(
             "127.0.0.1", server.metrics_port, "/metrics"
         )
+        empty_stats = await request_stats("127.0.0.1", server.port)
         fleet = LoadGenerator(
             protocol.spec(),
             dataset.domain,
@@ -87,6 +88,7 @@ def probe_results():
             "num_frames": len(frames),
             "num_reports": dataset.size,
             "empty_scrape": empty_scrape,
+            "empty_stats": empty_stats,
             "stats": stats_payload,
             "sampled": sampled,
             "loaded_scrape": loaded_scrape,
@@ -104,6 +106,21 @@ def test_stats_answer_carries_operational_counters(probe_results):
     assert sum(stats["shard_reports"]) == probe_results["num_reports"]
     assert stats["spec"]["protocol"] == "InpRR"
     assert stats["num_attributes"] == 4
+
+
+def test_stats_answer_carries_the_collectors_cpu(probe_results):
+    """User and system CPU seconds never fall across STATS answers: before
+    the fleet, after it, and the watch client's probe after that."""
+    answers = [
+        probe_results["empty_stats"]["stats"]["cpu"],
+        probe_results["stats"]["stats"]["cpu"],
+        probe_results["sampled"][0]["stats"]["cpu"],
+    ]
+    for key in ("user_seconds", "sys_seconds"):
+        values = [answer[key] for answer in answers]
+        assert all(isinstance(value, float) for value in values)
+        assert 0.0 <= values[0] <= values[1] <= values[2], key
+    assert sum(answers[2].values()) > 0.0
 
 
 def test_stats_answer_carries_a_mergeable_snapshot(probe_results):
