@@ -3,7 +3,9 @@
 Every backend must produce *identical* integer support counts and
 popcount/parity results, so which one the machine runs changes only
 speed; a fallback from ``native`` says why once and never breaks an
-aggregation.
+aggregation. The conformance cases run each backend three ways: called
+directly, called once per uneven slice of the users with the counts summed
+(a group folded block by block), and entered from several threads at once.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import functools
 import logging
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -51,7 +54,119 @@ def _conformance_backends():
     return [NumpyBackend()] + ([NATIVE] if NATIVE is not None else [])
 
 
-@pytest.fixture(params=_conformance_backends(), ids=lambda b: f"{b.name}")
+def _user_slices(users):
+    """One user, then the rest cut in two near its middle: uneven slices
+    that cross a tile edge wherever the whole batch does."""
+    cuts = sorted({0, min(1, users), users // 2, users})
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+class _SplitCaller:
+    """Calls a backend once per user slice and joins the answers: counts
+    are summed, as the collector sums the blocks it folds a group in, and
+    popcount/parity are concatenated."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.name = f"{backend.name}-split"
+
+    def popcount(self, words):
+        return np.concatenate(
+            [
+                self.backend.popcount(words[part])
+                for part in _user_slices(len(words))
+            ]
+        )
+
+    def parity(self, words):
+        return np.concatenate(
+            [
+                self.backend.parity(words[part])
+                for part in _user_slices(len(words))
+            ]
+        )
+
+    def support_counts(self, seeds, noisy, *shape):
+        return functools.reduce(
+            np.add,
+            [
+                self.backend.support_counts(seeds[part], noisy[part], *shape)
+                for part in _user_slices(len(seeds))
+            ],
+        )
+
+    def support_counts_levels(self, levels, pairs, *shape):
+        return functools.reduce(
+            np.add,
+            [
+                self.backend.support_counts_levels(
+                    levels[part], pairs[part], *shape
+                )
+                for part in _user_slices(len(levels))
+            ],
+        )
+
+
+class _ThreadsCaller:
+    """Enters one backend instance from several caller threads at once
+    (ctypes drops the GIL inside the C scan): every thread must get the
+    same answer, and the kernel must start no thread of its own."""
+
+    callers = 2
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.name = f"{backend.name}-threads"
+
+    def __getattr__(self, method):
+        return functools.partial(self._call, getattr(self.backend, method))
+
+    def _call(self, kernel, *args):
+        gate = threading.Barrier(self.callers)
+        answers = [None] * self.callers
+
+        def run(index):
+            gate.wait()
+            try:
+                answers[index] = kernel(*args)
+            except BaseException as error:  # re-raised on the test's thread
+                answers[index] = error
+
+        before = threading.active_count()
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(self.callers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert threading.active_count() == before
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-kernel")
+        ]
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        for answer in answers[1:]:
+            assert answer.dtype == answers[0].dtype
+            np.testing.assert_array_equal(answer, answers[0])
+        return answers[0]
+
+
+def _conformance_callers():
+    """Each backend called directly, over uneven user slices, and from
+    several threads at once."""
+    return [
+        caller(backend)
+        for caller in (lambda backend: backend, _SplitCaller, _ThreadsCaller)
+        for backend in _conformance_backends()
+    ]
+
+
+@pytest.fixture(params=_conformance_callers(), ids=lambda b: f"{b.name}")
 def backend(request):
     return request.param
 
